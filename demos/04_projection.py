@@ -1,8 +1,8 @@
 """Euclidean projection onto the control constraint set.
 
 The set is the AC power box cut by the affine voltage band. Box-only
-projections are a clamp; when a band row binds, Dykstra's alternating
-scheme finds the exact projection.
+projections are a clamp; when a band row binds, a projected Newton method
+on the dual (one multiplier per band row) finds the exact projection.
 """
 
 import numpy as np

@@ -31,7 +31,7 @@ class FeasibilityError(ModelError):
 
 
 class ProjectionError(UsecbError):
-    """Projection did not converge within the sweep cap."""
+    """Projection did not reach its KKT tolerance within the iteration cap."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -2,10 +2,16 @@
 
 The set is a power box [p_min, p_max] intersected with the linear voltage
 band: each constrained bus contributes one slab
-``v_min <= offset_k + (A_volt @ p)_k <= v_max``.  All pieces have
-closed-form Euclidean projections, so Dykstra's alternating scheme handles
-the intersection; when the box clamp already satisfies every slab it is
-itself the projection and is returned directly.
+``v_min <= offset_k + (A_volt @ p)_k <= v_max``.  When the box clamp already
+satisfies every slab it is itself the projection and is returned directly.
+Otherwise the projection ``min 0.5 ||p - x||^2`` over the set is solved
+through its dual: for band multipliers ``y`` the nearest box point is
+``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a projected Newton
+method on ``y`` with an exact line search on the dual objective drives the
+KKT residual below 1e-10.  Exactly parallel band rows (a generator bus and its
+parent load bus share one sensitivity row) make the dual degenerate, so they
+are merged first, keeping the tightest bounds.  An empty set is certified by
+a dual point that proves every box point breaks the band.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from .grid import voltage_approx
 
 __all__ = ["FeasibleSet", "build_feasible"]
 
-_SWEEP_CAP = 10_000
-_SWEEP_TOL = 1e-10
+_NEWTON_CAP = 200
+_KKT_TOL = 1e-10
+_PARALLEL_COS = 1.0 - 1e-12
 
 
 @dataclass
@@ -34,6 +41,7 @@ class FeasibleSet:
     v_min: float = -np.inf
     v_max: float = np.inf
     _row_norm2: np.ndarray = field(default=None, repr=False)
+    _merged: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         self.p_min = np.atleast_1d(np.asarray(self.p_min, dtype=float))
@@ -68,23 +76,12 @@ class FeasibleSet:
                 self.v_min = self.v_min[keep]
                 self.v_max = self.v_max[keep]
                 self._row_norm2 = self._row_norm2[keep]
-        # Construction-time certification: the projected box midpoint must land
-        # inside, otherwise the intersection is empty for practical purposes.
-        mid = 0.5 * (self.p_min + self.p_max)
-        try:
-            probe = self.project(mid)
-        except ProjectionError as exc:
-            raise FeasibilityError(
-                "empty feasible set (midpoint projection stalled with "
-                f"violation {exc.residual:.3e})",
-                max_violation=exc.residual,
-            ) from exc
-        if not self.contains(probe):
-            raise FeasibilityError(
-                "empty feasible set (projected box midpoint still violates "
-                f"constraints by {self._max_violation(probe):.3e})",
-                max_violation=self._max_violation(probe),
-            )
+        # Construction-time certification: the box midpoint is a member unless
+        # it breaks the band; then the dual solve started from it either finds
+        # a member or certifies that the set is empty.
+        mid = self.midpoint()
+        if self._max_violation(mid) > 0.0:
+            self._project_band(mid)
 
     @property
     def dim(self):
@@ -108,7 +105,8 @@ class FeasibleSet:
         return self._max_violation(p) <= tol
 
     def project(self, x):
-        """Euclidean projection via box clamp, then Dykstra if the band binds."""
+        """Euclidean projection: the box clamp when it meets the band,
+        otherwise the dual Newton solve."""
         x = np.asarray(x, dtype=float)
         clamped = np.clip(x, self.p_min, self.p_max)
         if self.A_volt is None or not self.A_volt.size:
@@ -116,47 +114,212 @@ class FeasibleSet:
         band = self._band_values(clamped)
         if np.all(band >= self.v_min) and np.all(band <= self.v_max):
             return clamped
-        return self._dykstra(x)
+        return self._project_band(x)[0]
 
-    def _project_slab(self, p, k):
-        val = self.offset[k] + self.A_volt[k] @ p
-        if val < self.v_min[k]:
-            target = self.v_min[k]
-        elif val > self.v_max[k]:
-            target = self.v_max[k]
-        else:
-            return p
-        return p + ((target - val) / self._row_norm2[k]) * self.A_volt[k]
+    def _band_rows(self):
+        """Band rows ``(A, offset, lo, hi, unit)`` with parallel rows merged.
 
-    def _dykstra(self, x):
-        n_sets = 1 + self.A_volt.shape[0]
-        corrections = [np.zeros_like(x) for _ in range(n_sets)]
-        p = x.copy()
-        for _ in range(_SWEEP_CAP):
-            # The iterate alone can stall (feasible or not) while the
-            # correction terms keep evolving, so convergence is measured on
-            # the corrections: their total change per sweep vanishes exactly
-            # at the projection.
-            drift = 0.0
-            y = p + corrections[0]
-            p = np.clip(y, self.p_min, self.p_max)
-            new = y - p
-            drift += float(np.sum((new - corrections[0]) ** 2))
-            corrections[0] = new
-            for k in range(self.A_volt.shape[0]):
-                y = p + corrections[k + 1]
-                p = self._project_slab(y, k)
-                new = y - p
-                drift += float(np.sum((new - corrections[k + 1]) ** 2))
-                corrections[k + 1] = new
-            if np.sqrt(drift) <= _SWEEP_TOL * (1.0 + np.linalg.norm(p)) \
-                    and self._max_violation(p) <= 1e-9:
-                return p
+        Built on the first band projection and kept.  A merged row keeps the
+        tightest bounds of its rows, restated in its own units; bounds that
+        cross certify an empty set.
+        """
+        if self._merged is None:
+            A, c = self.A_volt, self.offset
+            lo, hi = self.v_min.copy(), self.v_max.copy()
+            gram = A @ A.T
+            norms = np.sqrt(np.diag(gram))
+            parallel = np.abs(gram) >= _PARALLEL_COS * np.outer(norms, norms)
+            # Each row folds into the first row parallel to it (maybe itself).
+            first = np.argmax(parallel, axis=1)
+            js = np.flatnonzero(first != np.arange(A.shape[0]))
+            ks = first[js]
+            # Row j is t times row k: lo_j <= t a_k p + c_j <= hi_j.
+            t = gram[ks, js] / gram[ks, ks]
+            ends = np.stack([(lo[js] - c[js]) / t, (hi[js] - c[js]) / t]) + c[ks]
+            np.maximum.at(lo, ks, ends.min(axis=0))
+            np.minimum.at(hi, ks, ends.max(axis=0))
+            # A merged row's violation is at most 1/unit times the largest
+            # violation of the rows it holds, in their own units.
+            unit = np.ones_like(lo)
+            np.minimum.at(unit, ks, np.abs(t))
+            if np.any(lo > hi):
+                # The rows that set the crossed bounds split the gap, so the
+                # worse one breaks its bound by at least half of it.
+                worst = float(np.max((lo - hi) * unit)) / 2.0
+                raise FeasibilityError(
+                    "empty feasible set (parallel band rows with disjoint "
+                    f"ranges; violation at least {worst:.3e})", max_violation=worst)
+            keep = np.ones(A.shape[0], dtype=bool)
+            keep[js] = False
+            self._merged = (A[keep], c[keep], lo[keep], hi[keep], unit[keep])
+        return self._merged
+
+    def _project_band(self, x):
+        """Projection onto box and band by projected Newton on the dual.
+
+        With multipliers ``y`` on the merged band rows (``y_k > 0`` prices the
+        upper bound, ``y_k < 0`` the lower one), the dual objective to
+        minimize is ``D(y) = -0.5 ||p - x||^2 - y.(A p + c) + sigma(y)``,
+        where ``p = p(y)`` is the clipped point and ``sigma`` the support
+        function of ``[lo, hi]``.  On each orthant of ``y`` it is smooth, with
+        gradient ``g = bound - (A p + c)`` and generalized Hessian
+        ``A_F A_F.T`` over the free box coordinates ``F``.  Each Newton step
+        minimizes that quadratic model, shifted by a Levenberg-Marquardt term
+        that keeps it regular, over the current orthant; its length is the
+        exact minimizer of ``D`` along it.  (Backtracking stalls when few box
+        coordinates are free: ``D`` is then nearly piecewise linear and the
+        model overshoots its kinks.)  ``g`` is also the KKT residual: it
+        bounds the band violation of ``p(y)`` and vanishes exactly at the
+        projection.  Weak duality certifies an empty set: ``-D(y)`` never
+        exceeds the squared distance from ``x`` to a member over two.
+
+        Returns the projection and the multipliers of the merged band rows.
+        """
+        A, c, lo, hi, unit = self._band_rows()
+        p_min, p_max = self.p_min, self.p_max
+
+        def point(y):
+            aty = A.T @ y
+            p = np.minimum(np.maximum(x - aty, p_min), p_max)
+            v = A @ p + c
+            # Each row is priced at the bound its multiplier's sign selects;
+            # a zero multiplier targets the nearest point of its range, which
+            # makes g the minimum-norm subgradient.
+            target = np.where(y > 0, hi, np.where(
+                y < 0, lo, np.minimum(np.maximum(v, lo), hi)))
+            g = target - v
+            dx = p - x
+            return p, aty, g, float(y @ g) - 0.5 * float(dx @ dx)
+
+        # No member is farther from x than the farthest box corner.
+        dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
+        scale = float(np.mean(self._row_norm2))
+        damping = 1.0
+        y = np.zeros(A.shape[0])
+        p, aty, g, dual = point(y)
+        resid = float(np.max(np.abs(g)))
+        for _ in range(_NEWTON_CAP):
+            if resid <= _KKT_TOL:
+                return p, y
+            if dual < dual_floor:
+                raise self._emptiness(y, A, c, lo, hi, unit)
+            # Orthant: the sign of y, or for a zero multiplier the side the
+            # subgradient descends into (none if the row is satisfied).
+            s = np.sign(y)
+            idle = s == 0
+            s[idle] = -np.sign(g[idle])
+            rows = s.nonzero()[0]
+            s_r = s[rows]
+            w = x - aty
+            Af = A[rows][:, (w > p_min) & (w < p_max)]
+            H = Af @ Af.T
+            # The floor keeps the shifted system regular when more rows bind
+            # than box coordinates are free.
+            tau = max(damping * scale * resid, 1e-12 * float(np.trace(H)))
+            # The model in u = s * y, which the orthant bounds below by 0.
+            Q = (H + tau * np.eye(rows.size)) * np.outer(s_r, s_r)
+            z = s_r * y[rows]
+            d = np.zeros_like(y)
+            d[rows] = s_r * (_nonneg_qp(Q, s_r * g[rows] - Q @ z, z) - z)
+            alpha = self._exact_step(w, y, d, s, A, c, lo, hi)
+            if alpha == np.inf:
+                raise self._emptiness(d, A, c, lo, hi, unit)
+            y = y + alpha * d
+            y[s * y < 0] = 0.0
+            # A model that falls short of the line minimum relaxes the shift,
+            # one that overshoots it stiffens the shift.
+            damping = max(damping * 0.1, 1e-6) if alpha >= 1.0 else min(damping * 10.0, 1e6)
+            p, aty, g, dual = point(y)
+            resid = float(np.max(np.abs(g)))
+        if resid <= _KKT_TOL:
+            return p, y
         raise ProjectionError(
-            f"projection did not converge within {_SWEEP_CAP} sweeps "
-            f"(residual {self._max_violation(p):.3e})",
-            residual=self._max_violation(p),
-        )
+            f"band projection did not converge within {_NEWTON_CAP} Newton "
+            f"iterations (KKT residual {resid:.3e})", residual=resid)
+
+    def _exact_step(self, w, y, d, s, A, c, lo, hi):
+        """Step length that minimizes the dual along ``y + alpha d`` in orthant ``s``.
+
+        Along the ray the dual's slope is ``d.(bound - c) - e.clip(w - alpha e)``
+        with ``e = A.T d``: piecewise linear and nondecreasing, with kinks where a
+        coordinate of ``w - alpha e`` reaches a box bound.  The minimizer is
+        found by evaluating the slope at every kink up to the end of the orthant
+        and interpolating where it turns nonnegative.  A slope still negative
+        past the last kink means the dual falls without bound: the step is
+        infinite and ``d`` certifies an empty set.
+        """
+        p_min, p_max = self.p_min, self.p_max
+        e = A.T @ d
+        base = float(d @ (np.where(s > 0, hi, np.where(s < 0, lo, 0.0)) - c))
+        # The orthant ends where a multiplier moving toward zero reaches it.
+        shrink = s * d < 0
+        end = float(np.min(-y[shrink] / d[shrink])) if shrink.any() else np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = np.concatenate([(w - p_min) / e, (w - p_max) / e])
+        alphas = np.sort(np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < end)]]))
+        if np.isfinite(end):
+            alphas = np.append(alphas, end)
+        slopes = base - np.clip(w - alphas[:, None] * e, p_min, p_max) @ e
+        rising = np.flatnonzero(slopes >= 0.0)
+        if not rising.size:
+            return end
+        i = int(rising[0])
+        if i == 0:
+            return 0.0
+        a0, a1, s0, s1 = alphas[i - 1], alphas[i], slopes[i - 1], slopes[i]
+        return float(a0 + (a1 - a0) * s0 / (s0 - s1))
+
+    def _emptiness(self, y, A, c, lo, hi, unit):
+        """The error for a dual direction ``y`` that proves the set empty.
+
+        Every box point has ``y.(A p + c) >= floor``; when that exceeds the
+        support ``sigma(y)`` of the band no box point meets it, and the excess
+        per unit of ``|y|`` bounds the violation from below.
+        """
+        aty = A.T @ y
+        floor = float(y @ c + np.sum(np.minimum(aty * self.p_min, aty * self.p_max)))
+        up, down = y > 0, y < 0
+        sigma = float(hi[up] @ y[up] + lo[down] @ y[down])
+        worst = (floor - sigma) / float(np.sum(np.abs(y) / unit))
+        return FeasibilityError(
+            "empty feasible set (dual certificate: every box point breaks "
+            f"the band by at least {worst:.3e})", max_violation=worst)
+
+
+def _nonneg_qp(Q, b, u):
+    """Minimize ``0.5 u.Q u + b.u`` over ``u >= 0`` from the feasible ``u``.
+
+    Primal active-set method for a positive definite ``Q``: solve on the free
+    rows, step back to the first row that would turn negative and fix it at
+    zero, or else free the fixed row whose gradient is most negative.  Every
+    step lowers the objective, so the cap only bounds the work.
+    """
+    u = u.copy()
+    grad = Q @ u + b
+    enter_tol = 1e-12 * float(np.max(np.abs(b), initial=0.0))
+    free = (u > 0) | (grad < -enter_tol)
+    for _ in range(4 * u.size + 4):
+        idx = free.nonzero()[0]
+        cand = np.zeros_like(u)
+        if idx.size:
+            cand[idx] = np.linalg.solve(Q[idx][:, idx], -b[idx])
+        neg = cand < 0
+        if not neg.any():
+            u = cand
+            grad = Q @ u + b
+            grad[free] = 0.0
+            k = int(np.argmin(grad))
+            if grad[k] >= -enter_tol:
+                return u
+            free[k] = True
+            continue
+        ratio = u[neg] / (u[neg] - cand[neg])
+        step = float(ratio.min())
+        u = np.maximum(u + step * (cand - u), 0.0)
+        blocked = neg.nonzero()[0][ratio <= step]
+        u[blocked] = 0.0
+        free[blocked] = False
+    return u
 
 
 def build_feasible(blocks, p_g, U_N, bounds, p_fixed=None, include_gen_buses=True):
@@ -200,3 +363,4 @@ def build_feasible(blocks, p_g, U_N, bounds, p_fixed=None, include_gen_buses=Tru
         v_min=v_min,
         v_max=v_max,
     )
+

@@ -189,7 +189,9 @@ def minimize_projected(grad_fn, fset, x0=None, tol=1e-10, max_iter=100_000,
 
     Stops when the projected step moves less than ``tol`` (scaled by the
     current point).  Used both as the deterministic per-slot solver and to
-    pin down a_star for regret accounting.
+    pin down a_star for regret accounting.  Returns ``(x, converged)``;
+    ``converged`` is False when ``max_iter`` steps run out or the
+    backtracking step underflows first.
     """
     x = fset.project(fset.midpoint() if x0 is None else np.asarray(x0, dtype=float))
     step = 1.0
@@ -207,10 +209,10 @@ def minimize_projected(grad_fn, fset, x0=None, tol=1e-10, max_iter=100_000,
                 break
             step *= 0.5
             if step < 1e-18:
-                return x
+                return x, False
         move = float(np.linalg.norm(cand - x))
         x = cand
         if move <= tol * (1.0 + float(np.linalg.norm(x))):
-            return x
+            return x, True
         step = min(step * 2.0, 1e6)
-    return x
+    return x, False

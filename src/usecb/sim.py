@@ -18,6 +18,7 @@ built once from the true generation.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -287,6 +288,8 @@ class RunResult:
     c_in_true: np.ndarray = None
     c_in_obs: np.ndarray = None
     c_in_after: np.ndarray = None
+    # Per slot, whether the exact/oracle solve reached its tolerance.
+    solver_converged: np.ndarray = None
 
 
 def run_scheme(scenario, scheme, seed=None):
@@ -320,6 +323,8 @@ def run_scheme(scenario, scheme, seed=None):
     out.c_in_true = np.empty((T, n_c))
     out.c_in_obs = np.empty((T, n_c))
     out.c_in_after = np.empty((T, n_c))
+    if scheme != "stochastic":
+        out.solver_converged = np.empty(T, dtype=bool)
 
     c_in = scenario.c_in_init.copy()
     a = env_set.project(env_set.midpoint())
@@ -354,9 +359,9 @@ def run_scheme(scenario, scheme, seed=None):
             eta = step_size(t + 1, D, g_star, 1.0)
             a = fset_t.project(a - eta * g)
         else:
-            a = minimize_projected(lambda x: quad.grad(x, b_ctrl), fset_t,
-                                   x0=a, tol=_EXACT_TOL, max_iter=_EXACT_CAP,
-                                   f_fn=lambda x: quad.value(x, b_ctrl))
+            a, out.solver_converged[t] = minimize_projected(
+                lambda x: quad.grad(x, b_ctrl), fset_t, x0=a, tol=_EXACT_TOL,
+                max_iter=_EXACT_CAP, f_fn=lambda x: quad.value(x, b_ctrl))
 
         # Bookkeeping against the true physics.
         cons = a + scenario.p_fixed
@@ -375,6 +380,11 @@ def run_scheme(scenario, scheme, seed=None):
         else:
             out.c_in_after[t] = stepped
             c_in = stepped
+    if out.solver_converged is not None and not out.solver_converged.all():
+        logging.getLogger(__name__).warning(
+            "%s run (seed %d): the per-slot solve stopped short of its "
+            "tolerance in %d of %d slots", scheme, seed,
+            int(np.count_nonzero(~out.solver_converged)), T)
     return out
 
 

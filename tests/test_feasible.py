@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from usecb import feasible
 from usecb.errors import FeasibilityError
 from usecb.feasible import FeasibleSet, build_feasible
+from usecb.sim import build_ieee37_scenario
 
 from conftest import grid_search_projection
 
@@ -181,3 +183,128 @@ def test_binding_band_projection_feasible(chain4_model):
     proj = fs.project(corner)
     assert fs.contains(proj)
     assert not fs.contains(corner)
+
+
+# --- band projection on the IEEE-37 feeder ----------------------------------
+#
+# The tight band (v_min 0.975) cuts the box at high load, and the three
+# generator rows of A_volt repeat their parent load-bus rows exactly.
+
+@pytest.fixture(scope="module")
+def ieee37_tight():
+    return build_ieee37_scenario({"voltage_band": {"v_min": 0.975}},
+                                 variant="dynamic")
+
+
+def _kkt_check(fs, x):
+    """Project x onto the band path and check the KKT conditions of
+    min 0.5 ||p - x||^2 over the set; returns the multipliers."""
+    p, y = fs._project_band(x)
+    A, c, lo, hi, _ = fs._band_rows()
+    v = A @ p + c
+    # Primal feasibility, judged on the original (unmerged) rows.
+    assert fs._max_violation(p) <= 1e-9
+    # Dual sign and complementarity: y > 0 prices the upper bound, y < 0 the
+    # lower one, and a priced row sits on its bound.
+    assert np.all(np.abs(v - hi)[y > 0] <= 1e-9)
+    assert np.all(np.abs(v - lo)[y < 0] <= 1e-9)
+    # Stationarity p - x + A.T y + mu = 0, with box multipliers mu that vanish
+    # off the box faces and push inward on them.
+    mu = x - p - A.T @ y
+    inside = (p > fs.p_min) & (p < fs.p_max)
+    assert np.all(np.abs(mu[inside]) <= 1e-12)
+    assert np.all(mu[p == fs.p_max] >= -1e-12)
+    assert np.all(mu[p == fs.p_min] <= 1e-12)
+    return y
+
+
+@pytest.mark.parametrize("slot", [0, 30, 880])
+def test_band_projection_kkt_ieee37(ieee37_tight, slot):
+    fs = ieee37_tight.env_feasible_set(ieee37_tight.p_g_true[slot])
+    rng = np.random.default_rng(slot)
+    binding = 0
+    for _ in range(40):
+        x = fs.p_max + rng.normal(scale=0.05, size=fs.dim)
+        if fs.contains(np.clip(x, fs.p_min, fs.p_max)):
+            continue
+        binding += 1
+        y = _kkt_check(fs, x)
+        # Heavy load pulls voltages down: only lower bounds are priced.
+        assert np.all(y <= 0) and np.any(y < 0)
+        assert np.array_equal(fs.project(x), fs._project_band(x)[0])
+    assert binding >= 10
+
+
+
+def test_band_projection_kkt_far_point(ieee37_tight):
+    # The exact scheme's long gradient steps land far outside the box.  Then
+    # almost no box coordinate is free, the dual is nearly piecewise linear,
+    # and a step must not overshoot its kinks.
+    fs = ieee37_tight.env_feasible_set()
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        x = fs.p_max + rng.uniform(100.0, 300.0, size=fs.dim)
+        y = _kkt_check(fs, x)
+        assert np.all(y <= 0) and np.any(y < 0)
+
+def test_band_projection_kkt_one_sided(ieee37_tight):
+    # Only an upper voltage bound; it binds when the loads are light.
+    scn = ieee37_tight
+    fs0 = scn.env_feasible_set(scn.p_g_true[450])
+    fs = FeasibleSet(fs0.p_min, fs0.p_max, fs0.A_volt, fs0.offset,
+                     v_min=-np.inf, v_max=1.0)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = fs.p_min + rng.normal(scale=0.02, size=fs.dim)
+        y = _kkt_check(fs, x)
+        assert np.all(y >= 0) and np.any(y > 0)
+
+
+def test_parallel_rows_merge_to_tightest_bounds(ieee37_tight):
+    fs0 = ieee37_tight.env_feasible_set()
+    A, c = fs0.A_volt, fs0.offset
+    cos = (A @ A.T) / np.outer(np.linalg.norm(A, axis=1), np.linalg.norm(A, axis=1))
+    pairs = [(k, j) for k, j in zip(*np.nonzero(np.triu(cos > 1 - 1e-12, 1)))]
+    assert len(pairs) == 3
+    k, j = pairs[0]
+    # Give the copy a tighter lower bound and the original a tighter upper one.
+    v_min = np.full(A.shape[0], 0.975)
+    v_max = np.full(A.shape[0], 1.05)
+    v_min[j], v_max[k] = 0.977, 1.04
+    fs = FeasibleSet(fs0.p_min, fs0.p_max, A, c, v_min=v_min, v_max=v_max)
+    A_m, c_m, lo, hi, _ = fs._band_rows()
+    assert A_m.shape[0] == A.shape[0] - 3
+    row = int(np.flatnonzero(np.all(A_m == A[k], axis=1))[0])
+    assert np.isclose(lo[row], 0.977 - c[j] + c[k], rtol=0, atol=1e-15)
+    assert hi[row] == 1.04
+    p = fs.project(fs.p_max)
+    assert fs.contains(p)
+    assert c[j] + A[j] @ p >= 0.977 - 1e-9
+
+
+def test_disjoint_parallel_slabs_certified_without_newton(monkeypatch):
+    def fail(*args):
+        raise AssertionError("emptiness should be certified before any Newton step")
+
+    monkeypatch.setattr(feasible, "_nonneg_qp", fail)
+    a = np.array([1.0, 2.0, -1.0])
+    with pytest.raises(FeasibilityError) as err:
+        FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3),
+                    A_volt=np.vstack([a, 2.0 * a]), offset=np.zeros(2),
+                    v_min=[0.0, 1.5], v_max=[0.5, 2.0])
+    # The rows need a.p <= 0.5 and a.p >= 0.75, and the scaled copy's
+    # violation counts double: every point breaks one of them by at least
+    # 1/6 (at a.p = 2/3), which the reported bound must not exceed.
+    assert 0.0 < err.value.max_violation <= 1.0 / 6.0 + 1e-12
+
+
+def test_dual_certificate_bounds_violation(ieee37_tight):
+    # A band no load pattern reaches: every bus would need 1.02 pu.
+    fs0 = ieee37_tight.env_feasible_set()
+    with pytest.raises(FeasibilityError) as err:
+        FeasibleSet(fs0.p_min, fs0.p_max, fs0.A_volt, fs0.offset,
+                    v_min=1.02, v_max=1.05)
+    # p_min raises every voltage as far as the box allows, so its violation
+    # is the smallest any box point achieves.
+    best = float(np.max(1.02 - (fs0.offset + fs0.A_volt @ fs0.p_min)))
+    assert 0.0 < err.value.max_violation <= best + 1e-12

@@ -237,5 +237,23 @@ def test_minimize_projected_boundary_solution():
     def f(x):
         return float(np.sum((x - center) ** 2))
 
-    x = minimize_projected(grad, fs, tol=1e-10, f_fn=f)
+    x, converged = minimize_projected(grad, fs, tol=1e-10, f_fn=f)
+    assert converged
     assert np.allclose(x, [1.0, 0.4], atol=1e-8)
+
+
+def test_minimize_projected_reports_iteration_cap():
+    fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
+    center = np.array([0.3, 0.6])
+
+    def grad(x):
+        return 2.0 * (x - center)
+
+    def f(x):
+        return float(np.sum((x - center) ** 2))
+
+    x, converged = minimize_projected(grad, fs, tol=1e-10, max_iter=1, f_fn=f)
+    assert not converged
+    assert fs.contains(x)
+    _, converged = minimize_projected(grad, fs, tol=1e-10, f_fn=f)
+    assert converged
