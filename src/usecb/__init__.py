@@ -29,9 +29,9 @@ from .mirror import (BregmanGeometry, IterateTrace, MdConfig,
                      step_size)
 from .sim import (NoiseConfig, RunResult, Scenario, build_ieee37_scenario,
                   load_scenario, metrics, observe, run_scheme)
-from .thermal import (BuildingParams, ObjectiveParams, ThermalState, grad_f,
-                      objective_coefficients, objective_f, satisfaction,
-                      thermal_step, usecb_profit)
+from .thermal import (BuildingParams, ObjectiveParams, Quadratic,
+                      ThermalState, grad_f, objective_coefficients,
+                      objective_f, satisfaction, thermal_step, usecb_profit)
 from .timeseries import TimeSeries, load_timeseries
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "regret", "run_online", "step_size",
     "NoiseConfig", "RunResult", "Scenario", "build_ieee37_scenario",
     "load_scenario", "metrics", "observe", "run_scheme",
-    "BuildingParams", "ObjectiveParams", "ThermalState", "grad_f",
+    "BuildingParams", "ObjectiveParams", "Quadratic", "ThermalState", "grad_f",
     "objective_coefficients", "objective_f", "satisfaction", "thermal_step",
     "usecb_profit",
     "TimeSeries", "load_timeseries",

@@ -198,8 +198,7 @@ def _cmd_validate(args):
         np.array_equal(blocks.reassemble(), blocks.X))
     checks["q_positive_semidefinite"] = float(
         np.min(np.linalg.eigvalsh(0.5 * (blocks.Q + blocks.Q.T)))) > -1e-12
-    state, objp = scenario.true_objective()
-    hess = objp.hessian()
+    hess = scenario.objective.H2
     checks["hessian_positive_definite"] = float(
         np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T)))) > 0
     try:

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import AssumptionError
 from .mirror import (MdConfig, euclidean_geometry, minimize_projected,
                      regret, run_online)
-from .sim import (_QuadObjective, md_bounds, metrics, replication_seed,
-                  run_scheme, scenario_gradient_oracle)
+from .sim import (md_bounds, metrics, replication_seed, run_scheme,
+                  scenario_gradient_oracle)
 
 __all__ = [
     "static_problem",
@@ -52,13 +52,6 @@ def map_replications(fn, jobs, workers=None):
         return {k: fut.result() for k, fut in zip(keys, futures)}
 
 
-def _frozen_quadratic(scenario):
-    quad = _QuadObjective(scenario)
-    state, objp = scenario.true_objective()
-    b_true = quad.linear_term(state.c_in, state.c_out, objp.p_g)
-    return quad, b_true
-
-
 def static_problem(scenario):
     """Frozen-objective pieces of a static scenario.
 
@@ -67,7 +60,8 @@ def static_problem(scenario):
     """
     if not scenario.is_static:
         raise AssumptionError("stationary objective requires a static scenario")
-    quad, b_true = _frozen_quadratic(scenario)
+    quad = scenario.objective
+    b_true = scenario.true_linear_term()
     fset = scenario.env_feasible_set()
 
     def f_true(x):
@@ -76,7 +70,7 @@ def static_problem(scenario):
     def grad_true(x):
         return quad.grad(np.asarray(x, dtype=float), b_true)
 
-    a_star, converged = minimize_projected(grad_true, fset, tol=1e-10, f_fn=f_true)
+    a_star, converged = minimize_projected(grad_true, fset, quad.L, tol=1e-10)
     if not converged:
         logging.getLogger(__name__).warning(
             "a_star solve stopped short of its 1e-10 tolerance; regret is "
@@ -90,10 +84,11 @@ def run_scheme_job(scenario, scheme, seed):
 
 
 def _regret_job(scenario, T, seed, D, g_star, a_star):
-    quad, b_true = _frozen_quadratic(scenario)
+    quad = scenario.objective
+    b_true = scenario.true_linear_term()
     fset = scenario.env_feasible_set()
     cfg = MdConfig(D=D, G_star=g_star, initial_point=fset.midpoint())
-    oracle = scenario_gradient_oracle(scenario, seed, quad)
+    oracle = scenario_gradient_oracle(scenario, seed)
     trace = run_online(euclidean_geometry(), cfg, fset, oracle, T)
     total, _ = regret(trace, lambda x: quad.value(np.asarray(x, float), b_true),
                       a_star)

@@ -342,8 +342,8 @@ def build_feasible(blocks, p_g, U_N, bounds, p_fixed=None, include_gen_buses=Tru
     if np.isfinite(v_min) or np.isfinite(v_max):
         # Stacked first-order voltages: gen rows use M and N, load rows use
         # N' and Q; the controllable load enters with a minus sign.
-        top = np.hstack([np.real(blocks.M), np.real(blocks.N)])
-        bot = np.hstack([np.real(blocks.N).T, np.real(blocks.Q)])
+        top = np.hstack([blocks.M, blocks.N])
+        bot = np.hstack([blocks.N.T, blocks.Q])
         sens = np.vstack([top, bot])
         n_g = len(blocks.gen_buses)
         load_part = sens[:, n_g:]

@@ -113,34 +113,26 @@ class MdConfig:
     G_star: float
     initial_point: np.ndarray
     alpha: float = 1.0
-    eta_schedule: callable = None
 
     def __post_init__(self):
         if self.D <= 0 or self.G_star <= 0:
             raise ValueError("D and G* must be positive")
         self.initial_point = np.asarray(self.initial_point, dtype=float)
-        if self.eta_schedule is None:
-            self.eta_schedule = lambda t: step_size(t, self.D, self.G_star, self.alpha)
 
 
 @dataclass
 class IterateTrace:
     """Per-step record of one online run.
 
-    points[t] is the iterate played at step t+1; pre_projection[t] the
-    dual-step output whose projection produced it (row 0 repeats the
-    start); gradients[t] the stochastic gradient taken at points[t].
+    points[t] is the iterate played at step t+1; gradients[t] the
+    stochastic gradient taken at points[t].
     """
 
     points: np.ndarray
-    pre_projection: np.ndarray
     gradients: np.ndarray
-    realized: np.ndarray
-    expected: np.ndarray
 
 
-def run_online(geom, config, fset, gradient_oracle, T,
-               f_realized=None, f_true=None):
+def run_online(geom, config, fset, gradient_oracle, T):
     """Run T steps of projected mirror descent.
 
     ``gradient_oracle(t, a)`` returns a stochastic gradient whose
@@ -149,26 +141,17 @@ def run_online(geom, config, fset, gradient_oracle, T,
     """
     n = fset.dim
     points = np.empty((T, n))
-    pre = np.empty((T, n))
     grads = np.empty((T, n))
-    realized = np.full(T, np.nan)
-    expected = np.full(T, np.nan)
 
     a = fset.project(config.initial_point)
-    pre[0] = a
     for t in range(1, T + 1):
         points[t - 1] = a
-        if f_realized is not None:
-            realized[t - 1] = f_realized(t, a)
-        if f_true is not None:
-            expected[t - 1] = f_true(a)
         g = np.asarray(gradient_oracle(t, a), dtype=float)
         grads[t - 1] = g
         if t < T:
-            w = md_step(geom, a, g, config.eta_schedule(t))
-            pre[t] = w
-            a = fset.project(w)
-    return IterateTrace(points, pre, grads, realized, expected)
+            eta = step_size(t, config.D, config.G_star, config.alpha)
+            a = fset.project(md_step(geom, a, g, eta))
+    return IterateTrace(points, grads)
 
 
 def regret(trace, f_true, a_star):
@@ -183,36 +166,24 @@ def regret(trace, f_true, a_star):
     return float(curve[-1]), curve
 
 
-def minimize_projected(grad_fn, fset, x0=None, tol=1e-10, max_iter=100_000,
-                       f_fn=None):
-    """Projected gradient descent with backtracking to a stationary point.
+def minimize_projected(grad_fn, fset, lipschitz, x0=None, tol=1e-10,
+                       max_iter=100_000):
+    """Projected gradient descent with the fixed step ``1 / lipschitz``.
 
-    Stops when the projected step moves less than ``tol`` (scaled by the
-    current point).  Used both as the deterministic per-slot solver and to
-    pin down a_star for regret accounting.  Returns ``(x, converged)``;
-    ``converged`` is False when ``max_iter`` steps run out or the
-    backtracking step underflows first.
+    ``lipschitz`` bounds the Lipschitz constant of ``grad_fn``; with that
+    step every iteration decreases a convex objective (Nesterov 2004,
+    section 2.2), so no line search is needed.  Stops when the projected
+    step moves less than ``tol`` (scaled by the current point).  Used both
+    as the deterministic per-slot solver and to pin down a_star for regret
+    accounting.  Returns ``(x, converged)``; ``converged`` is False when
+    ``max_iter`` steps run out first.
     """
     x = fset.project(fset.midpoint() if x0 is None else np.asarray(x0, dtype=float))
-    step = 1.0
+    step = 1.0 / lipschitz
     for _ in range(max_iter):
-        g = grad_fn(x)
-        fx = None if f_fn is None else f_fn(x)
-        # Backtrack until the candidate achieves sufficient decrease (when a
-        # value function is available) or the move is sane.
-        while True:
-            cand = fset.project(x - step * g)
-            if f_fn is None:
-                break
-            if f_fn(cand) <= fx + np.dot(g, cand - x) + \
-                    0.5 / step * float(np.dot(cand - x, cand - x)) + 1e-15:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                return x, False
+        cand = fset.project(x - step * grad_fn(x))
         move = float(np.linalg.norm(cand - x))
         x = cand
         if move <= tol * (1.0 + float(np.linalg.norm(x))):
             return x, True
-        step = min(step * 2.0, 1e6)
     return x, False

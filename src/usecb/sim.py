@@ -29,7 +29,8 @@ from .errors import ConfigError
 from .feasible import build_feasible
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
-from .thermal import BuildingParams, ObjectiveParams, ThermalState, thermal_step
+from .thermal import (BuildingParams, ObjectiveParams, Quadratic, ThermalState,
+                      thermal_step)
 from .timeseries import load_timeseries
 
 __all__ = [
@@ -58,7 +59,6 @@ STREAM_GAINS = 11
 STREAM_REP = 12
 
 _EXACT_TOL = 1e-8
-_EXACT_CAP = 100_000
 
 
 def data_path(name):
@@ -104,7 +104,11 @@ def observe(true_values, noise, t, seed, stream=0, relative=False, floor=None):
 
 @dataclass
 class Scenario:
-    """Fully resolved simulation inputs (profiles sampled, draws frozen)."""
+    """Fully resolved simulation inputs (profiles sampled, draws frozen).
+
+    ``objective`` is the scenario's :class:`~usecb.thermal.Quadratic`,
+    built once here; only its linear term changes from slot to slot.
+    """
 
     name: str
     kind: str
@@ -122,7 +126,7 @@ class Scenario:
     p_fixed: np.ndarray
     s_base_mva: float = 1.0
     bus_names: list = None
-    meta: dict = field(default_factory=dict, repr=False)
+    objective: Quadratic = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("static", "dynamic"):
@@ -133,6 +137,9 @@ class Scenario:
             raise ConfigError("generation profile does not cover the horizon")
         if self.c_out_true.shape != (self.horizon,):
             raise ConfigError("temperature profile does not cover the horizon")
+        self.objective = Quadratic(self.lambda_price, self.buildings,
+                                   self.model.blocks, self.model.U_N,
+                                   self.p_fixed)
 
     @property
     def is_static(self):
@@ -158,52 +165,23 @@ class Scenario:
             include_gen_buses=self.bounds.get("include_gen_buses", True),
         )
 
-    def true_objective(self, slot=0, validate=False):
-        """(state, params) for the true inputs of one slot."""
+    def true_objective(self):
+        """(state, params) for the true slot-0 inputs."""
         state = ThermalState(self.c_in_init.copy(),
-                             np.full(self.n_loads, self.c_out_true[slot]))
+                             np.full(self.n_loads, self.c_out_true[0]))
         objp = ObjectiveParams(self.lambda_price, self.buildings,
                                self.model.blocks, self.model.U_N,
-                               self.p_g_true[slot], self.p_fixed,
-                               validate=validate)
+                               self.p_g_true[0], self.p_fixed)
         return state, objp
 
-
-class _QuadObjective:
-    """Per-slot quadratic f(p) = p'Ap + b'p with A fixed by the topology.
-
-    Only the linear term depends on observations, so the simulator rebuilds
-    just ``b`` each slot.  Must agree with thermal.objective_coefficients;
-    a unit test pins the two together.
-    """
-
-    def __init__(self, scenario):
-        bld = scenario.buildings
-        blocks = scenario.model.blocks
-        lam = scenario.lambda_price
-        u2 = scenario.model.U_N ** 2
-        self.lam = lam
-        self.bld = bld
-        self.m = bld.alpha2 * bld.dt
-        self.A = np.diag(bld.beta * self.m * self.m) / lam + np.real(blocks.Q) / u2
-        self.H2 = 2.0 * self.A
-        self.base_b = np.ones(bld.n) + 2.0 * (np.real(blocks.Q) @ scenario.p_fixed) / u2
-        self.NT2 = 2.0 * np.real(blocks.N).T / u2
-        self.comfort_w = 2.0 * bld.beta * self.m / lam
-
-    def linear_term(self, c_in, c_out, p_g):
-        drive = (c_in + self.bld.alpha1 * (c_out - c_in) * self.bld.dt
-                 - self.bld.c_set)
-        return self.base_b - self.comfort_w * drive - self.NT2 @ p_g
-
-    def value(self, x, b):
-        return float(x @ self.A @ x + b @ x)
-
-    def grad(self, x, b):
-        return self.H2 @ x + b
+    def true_linear_term(self):
+        """Linear term of ``objective`` on the true slot-0 inputs."""
+        return self.objective.linear_term(
+            self.c_in_init, np.full(self.n_loads, self.c_out_true[0]),
+            self.p_g_true[0])
 
 
-def scenario_gradient_oracle(scenario, seed, quad=None, slot_of=None):
+def scenario_gradient_oracle(scenario, seed, slot_of=None):
     """Stochastic gradient closure over per-slot observations.
 
     ``oracle(t, x)`` observes the slot inputs under (seed, t) noise and
@@ -211,7 +189,7 @@ def scenario_gradient_oracle(scenario, seed, quad=None, slot_of=None):
     scenarios the true inputs are the frozen slot-0 values; ``slot_of``
     overrides the step-to-slot mapping (used by bound sampling).
     """
-    quad = _QuadObjective(scenario) if quad is None else quad
+    quad = scenario.objective
     noise = scenario.noise
     n_c = scenario.n_loads
     c_in_true = scenario.c_in_init
@@ -234,13 +212,12 @@ def scenario_gradient_oracle(scenario, seed, quad=None, slot_of=None):
     return oracle
 
 
-def md_bounds(scenario, seed, fset=None, quad=None, samples=64):
+def md_bounds(scenario, seed, fset=None, samples=64):
     """(D, G*) for the step rule, sampled from the stochastic oracle.
 
     Noise-free scenarios sample the true gradient instead.  Deterministic
     under (scenario.seed-independent) run ``seed``.
     """
-    quad = _QuadObjective(scenario) if quad is None else quad
     fset = scenario.env_feasible_set() if fset is None else fset
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_BOUNDS)))
     noisy = scenario.noise.sigma_temp > 0 or scenario.noise.sigma_gen > 0
@@ -250,7 +227,7 @@ def md_bounds(scenario, seed, fset=None, quad=None, samples=64):
         probe_slots = np.unique(np.linspace(0, scenario.horizon - 1, 8,
                                             dtype=int))
         oracle = scenario_gradient_oracle(
-            scenario, seed, quad,
+            scenario, seed,
             slot_of=lambda t: int(probe_slots[t % probe_slots.size]))
         counter = [0]
 
@@ -260,8 +237,8 @@ def md_bounds(scenario, seed, fset=None, quad=None, samples=64):
             # from the run's per-slot streams.
             return oracle(1_000_000_000 + counter[0], x)
     else:
-        state, objp = scenario.true_objective()
-        b0 = quad.linear_term(state.c_in, state.c_out, objp.p_g)
+        quad = scenario.objective
+        b0 = scenario.true_linear_term()
 
         def sample_grad(x):
             return quad.grad(x, b0)
@@ -303,12 +280,12 @@ def run_scheme(scenario, scheme, seed=None):
     noise = scenario.noise
     T = scenario.horizon
     n_c = scenario.n_loads
-    quad = _QuadObjective(scenario)
+    quad = scenario.objective
     include_gen = scenario.bounds.get("include_gen_buses", True)
 
     env_set = scenario.env_feasible_set()
     if scheme == "stochastic":
-        D, g_star = md_bounds(scenario, seed, fset=env_set, quad=quad)
+        D, g_star = md_bounds(scenario, seed, fset=env_set)
 
     out = RunResult(scheme, seed, scenario)
     out.p_c = np.empty((T, n_c))
@@ -360,8 +337,8 @@ def run_scheme(scenario, scheme, seed=None):
             a = fset_t.project(a - eta * g)
         else:
             a, out.solver_converged[t] = minimize_projected(
-                lambda x: quad.grad(x, b_ctrl), fset_t, x0=a, tol=_EXACT_TOL,
-                max_iter=_EXACT_CAP, f_fn=lambda x: quad.value(x, b_ctrl))
+                lambda x: quad.grad(x, b_ctrl), fset_t, quad.L, x0=a,
+                tol=_EXACT_TOL)
 
         # Bookkeeping against the true physics.
         cons = a + scenario.p_fixed
@@ -564,26 +541,11 @@ def scenario_from_config(cfg, base_dir=""):
     beta = np.full(n_c, float(bcfg["beta"]))
 
     sp = bcfg.get("set_point", {"mode": "common", "value": 70.0})
-    lam = float(cfg.get("lambda_price", 1.0))
     if sp["mode"] == "common":
         c_set = np.full(n_c, float(sp["value"]))
     elif sp["mode"] == "tracking":
-        # Position each building's unconstrained optimum at a fraction of the
-        # AC range: solve grad f(target) = 0 for the set point, coupling
-        # included.  Keeps the stationary-noise experiment's optimizer
-        # strictly interior.
-        frac = float(sp.get("target_fraction", 0.5))
-        target = np.full(n_c, p_min + frac * (p_max - p_min))
-        m = alpha2 * dt
-        u2 = model.U_N ** 2
-        Q = np.real(model.blocks.Q)
-        Nblk = np.real(model.blocks.N)
-        A = np.diag(beta * m * m) / lam + Q / u2
-        kappa = (np.ones(n_c) - 2.0 * (Nblk.T @ p_g_true[0]) / u2
-                 + 2.0 * (Q @ p_fixed) / u2)
-        drive = lam * (2.0 * (A @ target) + kappa) / (2.0 * beta * m)
-        a1dt = alpha1 * dt
-        c_set = c_in_init + a1dt * (c_out_true[0] - c_in_init) - drive
+        # Solved below, once the scenario's objective exists.
+        c_set = np.zeros(n_c)
     else:
         raise ConfigError(f"unknown set_point mode {sp['mode']!r}")
 
@@ -610,7 +572,7 @@ def scenario_from_config(cfg, base_dir=""):
         noise=noise,
         horizon=horizon,
         dt=dt,
-        lambda_price=lam,
+        lambda_price=float(cfg.get("lambda_price", 1.0)),
         seed=seed,
         p_g_true=p_g_true,
         c_out_true=c_out_true,
@@ -618,10 +580,20 @@ def scenario_from_config(cfg, base_dir=""):
         p_fixed=p_fixed,
         s_base_mva=s_base,
         bus_names=bus_names,
-        meta={"config": cfg},
     )
-    # Fail-fast validation: objective convexity and nonempty constraint set.
-    scenario.true_objective(validate=True)
+    if sp["mode"] == "tracking":
+        # Position each building's unconstrained optimum at a fraction of the
+        # AC range: solve grad f(target) = 0 for the set point, coupling
+        # included.  Keeps the stationary-noise experiment's optimizer
+        # strictly interior.  The set point enters the gradient only as
+        # comfort_w * c_set, and every set point is still zero here.
+        frac = float(sp.get("target_fraction", 0.5))
+        target = np.full(n_c, p_min + frac * (p_max - p_min))
+        quad = scenario.objective
+        buildings.c_set[:] = (-quad.grad(target, scenario.true_linear_term())
+                              / quad.comfort_w)
+    # Fail-fast validation: a nonempty constraint set (the objective's price
+    # and convexity are checked when the scenario is built).
     scenario.env_feasible_set()
     return scenario
 

@@ -5,10 +5,14 @@ temperature moves toward the outdoor temperature at rate alpha1 and is
 pulled down by AC power at rate alpha2.  Comfort is worth
 -beta * (predicted temperature - set point)^2 per building per slot; power
 drawn at the PCC costs lambda per unit.  Profit is comfort minus energy
-cost.  Maximizing profit equals minimizing the convex quadratic ``f`` whose
-coefficients :func:`objective_coefficients` assembles; the identity
-``profit + lambda * f == const`` ties the two code paths together and is
-enforced by tests.
+cost.  Maximizing profit equals minimizing the convex quadratic
+``f(p) = p'Ap + b'p``, and :class:`Quadratic` is the one place that derives
+it: ``A`` depends only on the buildings, the price and the feeder, so it is
+built (and checked positive definite) once per scenario, and only ``b``
+follows the slot's temperatures and generation.  :func:`usecb_profit`
+evaluates the profit through the physical path instead (thermal step,
+loss, intake), and the identity ``profit + lambda * f == const`` checks
+the one derivation against it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import ModelError
 __all__ = [
     "BuildingParams",
     "ThermalState",
+    "Quadratic",
     "ObjectiveParams",
     "thermal_step",
     "satisfaction",
@@ -99,14 +104,55 @@ def satisfaction(state, p_c, params):
     return -params.beta * dev * dev
 
 
+class Quadratic:
+    """The objective f(p) = p'Ap + b'p with every control-independent term
+    of -profit / lambda dropped.
+
+    ``A`` (and ``H2 = 2A``, the Hessian) depends only on the buildings, the
+    price and the feeder; ``linear_term`` gives ``b`` for a slot's indoor
+    and outdoor temperatures and generation.  ``L`` is the largest
+    eigenvalue of ``H2``, the Lipschitz constant of the gradient.  Raises
+    ``ModelError`` for a nonpositive price or a Hessian that is not
+    positive definite.
+    """
+
+    def __init__(self, lambda_price, buildings, blocks, U_N, p_fixed):
+        if lambda_price <= 0:
+            raise ModelError("electricity price must be positive")
+        lam = lambda_price
+        u2 = U_N ** 2
+        m = buildings.alpha2 * buildings.dt
+        self.buildings = buildings
+        self.A = np.diag(buildings.beta * m * m) / lam + blocks.Q / u2
+        self.H2 = 2.0 * self.A
+        eig = np.linalg.eigvalsh(0.5 * (self.H2 + self.H2.T))
+        if eig[0] <= 0:
+            raise ModelError("objective Hessian is not positive definite")
+        self.L = float(eig[-1])
+        self.base_b = np.ones(buildings.n) + 2.0 * (blocks.Q @ p_fixed) / u2
+        self.NT2 = 2.0 * blocks.N.T / u2
+        # The set point enters b only as comfort_w * c_set.
+        self.comfort_w = 2.0 * buildings.beta * m / lam
+
+    def linear_term(self, c_in, c_out, p_g):
+        bld = self.buildings
+        drive = c_in + bld.alpha1 * (c_out - c_in) * bld.dt - bld.c_set
+        return self.base_b - self.comfort_w * drive - self.NT2 @ p_g
+
+    def value(self, x, b):
+        return float(x @ self.A @ x + b @ x)
+
+    def grad(self, x, b):
+        return self.H2 @ x + b
+
+
 @dataclass
 class ObjectiveParams:
     """Everything the per-slot objective needs besides the control vector.
 
     ``blocks`` supplies the M/N/Q sensitivities, ``p_g`` the current
     generation, ``p_fixed`` the inflexible consumption riding on the same
-    buses.  Set ``validate=False`` to skip the convexity check when the
-    same buildings/blocks pair was already validated (hot loop).
+    buses.  ``quad`` is the :class:`Quadratic` these inputs define.
     """
 
     lambda_price: float
@@ -115,7 +161,7 @@ class ObjectiveParams:
     U_N: float
     p_g: np.ndarray
     p_fixed: np.ndarray = None
-    validate: bool = field(default=True, repr=False)
+    quad: Quadratic = field(init=False, repr=False)
 
     def __post_init__(self):
         self.p_g = np.asarray(self.p_g, dtype=float)
@@ -125,41 +171,14 @@ class ObjectiveParams:
         else:
             self.p_fixed = np.broadcast_to(
                 np.asarray(self.p_fixed, dtype=float), (n,)).copy()
-        if self.lambda_price <= 0:
-            raise ModelError("electricity price must be positive")
-        if self.validate:
-            hess = self.hessian()
-            if np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) <= 0:
-                raise ModelError("objective Hessian is not positive definite")
-
-    def hessian(self):
-        b = self.buildings
-        m = b.alpha2 * b.dt
-        lam = self.lambda_price
-        return (2.0 * np.diag(b.beta * m * m)
-                + 2.0 * lam * np.real(self.blocks.Q) / (self.U_N ** 2)) / lam
+        self.quad = Quadratic(self.lambda_price, self.buildings, self.blocks,
+                              self.U_N, self.p_fixed)
 
 
 def objective_coefficients(state, objp):
-    """Coefficients (A, b) of f(p) = p' A p + b' p for the current slot.
-
-    Derived by expanding profit = sum of comfort utilities - lambda * intake
-    and dropping every control-independent term.
-    """
-    bld = objp.buildings
-    lam = objp.lambda_price
-    dt = bld.dt
-    m = bld.alpha2 * dt
-    drive = state.c_in + bld.alpha1 * (state.c_out - state.c_in) * dt - bld.c_set
-    u2 = objp.U_N ** 2
-    Q = np.real(objp.blocks.Q)
-    Nblk = np.real(objp.blocks.N)
-    A = np.diag(bld.beta * m * m) / lam + Q / u2
-    b = (np.ones(bld.n)
-         - 2.0 * bld.beta * m * drive / lam
-         - 2.0 * (Nblk.T @ objp.p_g) / u2
-         + 2.0 * (Q @ objp.p_fixed) / u2)
-    return A, b
+    """Coefficients (A, b) of f(p) = p' A p + b' p for the current slot."""
+    quad = objp.quad
+    return quad.A, quad.linear_term(state.c_in, state.c_out, objp.p_g)
 
 
 def usecb_profit(state, p_c, objp):
@@ -173,21 +192,19 @@ def usecb_profit(state, p_c, objp):
     p_c = np.asarray(p_c, dtype=float)
     comfort = float(np.sum(satisfaction(state, p_c, objp.buildings)))
     cons = p_c + objp.p_fixed
-    loss = power_loss(np.real(objp.blocks.M), np.real(objp.blocks.N),
-                      np.real(objp.blocks.Q), objp.p_g, cons, objp.U_N)
+    loss = power_loss(objp.blocks.M, objp.blocks.N, objp.blocks.Q,
+                      objp.p_g, cons, objp.U_N)
     p_0 = grid_intake(objp.p_g, cons, loss)
     return comfort - objp.lambda_price * p_0
 
 
 def objective_f(state, p_c, objp):
     """Convex quadratic whose minimizer maximizes profit."""
-    p_c = np.asarray(p_c, dtype=float)
-    A, b = objective_coefficients(state, objp)
-    return float(p_c @ A @ p_c + b @ p_c)
+    _, b = objective_coefficients(state, objp)
+    return objp.quad.value(np.asarray(p_c, dtype=float), b)
 
 
 def grad_f(state, p_c, objp):
     """Analytic gradient of :func:`objective_f`."""
-    p_c = np.asarray(p_c, dtype=float)
-    A, b = objective_coefficients(state, objp)
-    return 2.0 * (A @ p_c) + b
+    _, b = objective_coefficients(state, objp)
+    return objp.quad.grad(np.asarray(p_c, dtype=float), b)

@@ -25,9 +25,6 @@ class TimeSeries:
         sampled range."""
         return np.interp(np.asarray(grid, dtype=float), self.t, self.value)
 
-    def at(self, when):
-        return float(np.interp(float(when), self.t, self.value))
-
 
 def load_timeseries(path):
     """Read a ``t,value`` CSV (header required) into a TimeSeries.

@@ -109,6 +109,17 @@ def test_validate_bundled_static(short_static_config, capsys):
     assert "validate: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("price", [0.0, -1.0])
+def test_validate_nonpositive_price_exits_3(tmp_path, price, capsys):
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["lambda_price"] = price
+    path = tmp_path / "priced.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 3
+    assert "price" in capsys.readouterr().err
+
+
 def test_gradcheck_bundled_static(short_static_config, capsys):
     assert main(["gradcheck", "--config", short_static_config,
                  "--points", "20"]) == 0

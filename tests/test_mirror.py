@@ -234,10 +234,7 @@ def test_minimize_projected_boundary_solution():
     def grad(x):
         return 2.0 * (x - center)
 
-    def f(x):
-        return float(np.sum((x - center) ** 2))
-
-    x, converged = minimize_projected(grad, fs, tol=1e-10, f_fn=f)
+    x, converged = minimize_projected(grad, fs, 2.0, tol=1e-10)
     assert converged
     assert np.allclose(x, [1.0, 0.4], atol=1e-8)
 
@@ -249,11 +246,11 @@ def test_minimize_projected_reports_iteration_cap():
     def grad(x):
         return 2.0 * (x - center)
 
-    def f(x):
-        return float(np.sum((x - center) ** 2))
-
-    x, converged = minimize_projected(grad, fs, tol=1e-10, max_iter=1, f_fn=f)
+    x, converged = minimize_projected(grad, fs, 2.0, tol=1e-10, max_iter=1)
     assert not converged
     assert fs.contains(x)
-    _, converged = minimize_projected(grad, fs, tol=1e-10, f_fn=f)
+    # An interior minimizer: the step must stay at 1/L, not grow until the
+    # iterates bounce between box corners.
+    x, converged = minimize_projected(grad, fs, 2.0, tol=1e-10)
     assert converged
+    assert np.allclose(x, center, atol=1e-10)

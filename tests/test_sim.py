@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from usecb.errors import ConfigError
-from usecb.sim import (NoiseConfig, _QuadObjective, build_ieee37_scenario,
-                       metrics, observe, run_scheme)
-from usecb.thermal import objective_coefficients, objective_f
+from usecb.errors import ConfigError, ModelError
+from usecb.sim import (NoiseConfig, build_ieee37_scenario, metrics, observe,
+                       run_scheme)
+from usecb.thermal import grad_f
 
 
 @pytest.fixture(scope="module")
@@ -102,17 +102,18 @@ def test_override_merges(static_scenario):
     assert scn.seed == static_scenario.seed
 
 
-def test_fast_quadratic_matches_reference(static_scenario):
-    scn = static_scenario
-    quad = _QuadObjective(scn)
+@pytest.mark.parametrize("price", [0.0, -1.0])
+def test_nonpositive_price_rejected(price):
+    with pytest.raises(ModelError, match="price"):
+        build_ieee37_scenario({"lambda_price": price})
+
+
+def test_tracking_set_point_zeroes_gradient_at_target():
+    scn = build_ieee37_scenario(variant="regret")
+    lo, hi = scn.bounds["p_min"], scn.bounds["p_max"]
+    target = np.full(scn.n_loads, lo + 0.55 * (hi - lo))
     state, objp = scn.true_objective()
-    A, b = objective_coefficients(state, objp)
-    assert np.allclose(quad.A, A, atol=1e-15)
-    b_fast = quad.linear_term(state.c_in, state.c_out, objp.p_g)
-    assert np.allclose(b_fast, b, atol=1e-12)
-    x = np.full(scn.n_loads, 0.05)
-    assert quad.value(x, b_fast) == pytest.approx(objective_f(state, x, objp),
-                                                  abs=1e-12)
+    assert np.max(np.abs(grad_f(state, target, objp))) <= 1e-10
 
 
 # --- closed-loop runs ------------------------------------------------------------

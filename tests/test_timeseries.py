@@ -13,7 +13,7 @@ def _write(tmp_path, text):
 
 def test_midpoint_linear_interpolation(tmp_path):
     ts = load_timeseries(_write(tmp_path, "t,value\n0,1.0\n10,3.0\n"))
-    assert ts.at(5.0) == pytest.approx(2.0)
+    assert ts.resample([5.0]) == pytest.approx([2.0])
 
 
 def test_constant_series_resamples_constant(tmp_path):
@@ -24,8 +24,7 @@ def test_constant_series_resamples_constant(tmp_path):
 
 def test_resample_clamps_outside_range(tmp_path):
     ts = load_timeseries(_write(tmp_path, "t,value\n10,1.0\n20,2.0\n"))
-    assert ts.at(0.0) == 1.0
-    assert ts.at(99.0) == 2.0
+    assert ts.resample([0.0, 99.0]).tolist() == [1.0, 2.0]
 
 
 def test_empty_file_rejected(tmp_path):
