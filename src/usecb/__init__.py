@@ -7,7 +7,7 @@ Library layers:
 * :mod:`usecb.thermal` -- building dynamics, comfort utility, the balanced
   profit and its convex objective.
 * :mod:`usecb.feasible` -- power box and voltage band with Euclidean
-  projection.
+  projection; the band is built once per scenario.
 * :mod:`usecb.mirror` -- online stochastic mirror descent, step sizing,
   regret accounting.
 * :mod:`usecb.sim` -- scenarios, observation noise, closed-loop runs.
@@ -18,7 +18,7 @@ Library layers:
 
 from .errors import (AssumptionError, ConfigError, FeasibilityError,
                      IngestionError, ModelError, ProjectionError, UsecbError)
-from .feasible import FeasibleSet, build_feasible
+from .feasible import FeasibleSet, VoltageBand, build_band, build_feasible
 from .grid import (GridModel, Line, SensitivityBlocks, build_admittance,
                    compute_sensitivity, decompose_blocks, full_power_loss,
                    grid_intake, grounded_impedance, load_network_csv,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionError", "ConfigError", "FeasibilityError", "IngestionError",
     "ModelError", "ProjectionError", "UsecbError",
-    "FeasibleSet", "build_feasible",
+    "FeasibleSet", "VoltageBand", "build_band", "build_feasible",
     "GridModel", "Line", "SensitivityBlocks", "build_admittance",
     "compute_sensitivity", "decompose_blocks", "full_power_loss",
     "grid_intake", "grounded_impedance", "load_network_csv", "power_loss",

@@ -2,86 +2,182 @@
 
 The set is a power box [p_min, p_max] intersected with the linear voltage
 band: each constrained bus contributes one slab
-``v_min <= offset_k + (A_volt @ p)_k <= v_max``.  When the box clamp already
+``v_min <= offset_k + (A_volt @ p)_k <= v_max``.  The box, ``A_volt`` and
+the slab bounds depend only on the feeder topology and the configured
+limits, so a :class:`VoltageBand` holds them once per scenario; only the
+offset moves with the generation and the inflexible load, and each slot's
+:class:`FeasibleSet` is the band at that offset.  When the box clamp already
 satisfies every slab it is itself the projection and is returned directly.
 Otherwise the projection ``min 0.5 ||p - x||^2`` over the set is solved
 through its dual: for band multipliers ``y`` the nearest box point is
 ``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a projected Newton
 method on ``y`` with an exact line search on the dual objective drives the
-KKT residual below 1e-10.  Exactly parallel band rows (a generator bus and its
-parent load bus share one sensitivity row) make the dual degenerate, so they
-are merged first, keeping the tightest bounds.  An empty set is certified by
-a dual point that proves every box point breaks the band.
+KKT residual below 1e-10, or to a fixed point within the rounding floor of
+``x - A_volt.T @ y`` when that floor is higher.  Exactly parallel band rows
+(a generator bus and its parent load bus share one sensitivity row) make the
+dual degenerate, so they are merged first, keeping the tightest bounds; the
+band finds them once.  An empty set is certified by a dual point that proves
+every box point breaks the band.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FeasibilityError, ProjectionError
 from .grid import voltage_approx
 
-__all__ = ["FeasibleSet", "build_feasible"]
+__all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
 
 _NEWTON_CAP = 200
 _KKT_TOL = 1e-10
 _PARALLEL_COS = 1.0 - 1e-12
+_EPS = np.finfo(float).eps
 
 
-@dataclass
-class FeasibleSet:
-    """Box plus affine voltage band, with membership test and projection."""
+class VoltageBand:
+    """The offset-free part of a constraint set: box, band rows and bounds.
 
-    p_min: np.ndarray
-    p_max: np.ndarray
-    A_volt: np.ndarray = None
-    offset: np.ndarray = None
-    v_min: float = -np.inf
-    v_max: float = np.inf
-    _row_norm2: np.ndarray = field(default=None, repr=False)
-    _merged: tuple = field(default=None, repr=False)
+    Rows with no control leverage (``dead``) are dropped from ``A_volt``;
+    each set checks their constants against the band.  ``sens``, ``U_N`` and
+    ``first_row`` turn an injection vector into the offsets of the rows (see
+    :func:`build_band`); a band without them takes offsets as given.
+    """
 
-    def __post_init__(self):
-        self.p_min = np.atleast_1d(np.asarray(self.p_min, dtype=float))
+    def __init__(self, p_min, p_max, A_volt=None, v_min=-np.inf, v_max=np.inf,
+                 sens=None, U_N=1.0, first_row=0):
+        self.p_min = np.atleast_1d(np.asarray(p_min, dtype=float))
         self.p_max = np.broadcast_to(
-            np.asarray(self.p_max, dtype=float), self.p_min.shape).copy()
+            np.asarray(p_max, dtype=float), self.p_min.shape).copy()
         if np.any(self.p_min > self.p_max):
             raise FeasibilityError("box bounds cross: p_min > p_max")
-        if self.A_volt is not None:
-            self.A_volt = np.asarray(self.A_volt, dtype=float)
-            self.offset = np.asarray(self.offset, dtype=float)
-            rows = self.A_volt.shape[0]
-            self.v_min = np.broadcast_to(
-                np.asarray(self.v_min, dtype=float), (rows,)).copy()
-            self.v_max = np.broadcast_to(
-                np.asarray(self.v_max, dtype=float), (rows,)).copy()
-            self._row_norm2 = np.einsum("ij,ij->i", self.A_volt, self.A_volt)
+        self.sens, self.U_N, self.first_row = sens, U_N, first_row
+        self.A_volt = None
+        self.v_min, self.v_max = v_min, v_max
+        self._merge = None
+        if A_volt is None:
+            return
+        A = np.asarray(A_volt, dtype=float)
+        rows = A.shape[0]
+        v_min = np.broadcast_to(np.asarray(v_min, dtype=float), (rows,)).copy()
+        v_max = np.broadcast_to(np.asarray(v_max, dtype=float), (rows,)).copy()
+        norm2 = np.einsum("ij,ij->i", A, A)
+        self.dead = norm2 < 1e-30
+        self.live = ~self.dead if self.dead.any() else None
+        if self.live is not None:
+            self.dead_bounds = (v_min[self.dead], v_max[self.dead])
+            A, v_min, v_max = A[self.live], v_min[self.live], v_max[self.live]
+            norm2 = norm2[self.live]
+        self.A_volt, self.v_min, self.v_max, self.row_norm2 = A, v_min, v_max, norm2
+        self.A_mid = A @ (0.5 * (self.p_min + self.p_max))
+
+    def offset(self, p_g, p_fixed=None):
+        """Row offsets ``U_N + (sens @ [p_g, -p_fixed]) / U_N``, dead rows
+        included."""
+        p_g = np.asarray(p_g, dtype=float)
+        p_fixed = (np.zeros(self.p_min.shape[0]) if p_fixed is None
+                   else np.asarray(p_fixed, dtype=float))
+        base = np.concatenate([p_g, -p_fixed])
+        return voltage_approx(self.sens, base, self.U_N)[self.first_row:]
+
+    def merge_map(self):
+        """Which rows are exact multiples of an earlier one, found once.
+
+        Returns ``(js, ks, t, unit, keep, A)``: row ``js[i]`` is ``t[i]``
+        times row ``ks[i]``, the first row parallel to it; ``keep`` marks the
+        rows left after merging, ``A`` holds them, and ``unit`` bounds how a
+        merged row's violation compares with those of the rows it holds (see
+        ``FeasibleSet._band_rows``).
+        """
+        if self._merge is None:
+            A = self.A_volt
+            gram = A @ A.T
+            norms = np.sqrt(np.diag(gram))
+            parallel = np.abs(gram) >= _PARALLEL_COS * np.outer(norms, norms)
+            # Each row folds into the first row parallel to it (maybe itself).
+            first = np.argmax(parallel, axis=1)
+            js = np.flatnonzero(first != np.arange(A.shape[0]))
+            ks = first[js]
+            t = gram[ks, js] / gram[ks, ks]
+            unit = np.ones(A.shape[0])
+            np.minimum.at(unit, ks, np.abs(t))
+            keep = np.ones(A.shape[0], dtype=bool)
+            keep[js] = False
+            self._merge = (js, ks, t, unit, keep, A[keep])
+        return self._merge
+
+
+def build_band(blocks, U_N, bounds, include_gen_buses=True):
+    """The voltage band of a feeder, built once per scenario.
+
+    ``bounds`` is a mapping with keys p_min, p_max, v_min, v_max.  Voltage
+    rows cover every non-PCC bus by default; set ``include_gen_buses``
+    False to constrain load buses only.  Without a finite voltage limit the
+    band has no rows and every set is the plain box.
+    """
+    n_c = len(blocks.load_buses)
+    p_min = np.broadcast_to(np.asarray(bounds["p_min"], dtype=float), (n_c,)).copy()
+    p_max = np.broadcast_to(np.asarray(bounds["p_max"], dtype=float), (n_c,)).copy()
+    v_min = float(bounds.get("v_min", -np.inf))
+    v_max = float(bounds.get("v_max", np.inf))
+    if not (np.isfinite(v_min) or np.isfinite(v_max)):
+        return VoltageBand(p_min, p_max)
+    # Stacked first-order voltages: gen rows use M and N, load rows use
+    # N' and Q; the controllable load enters with a minus sign.
+    top = np.hstack([blocks.M, blocks.N])
+    bot = np.hstack([blocks.N.T, blocks.Q])
+    sens = np.vstack([top, bot])
+    n_g = len(blocks.gen_buses)
+    first = 0 if include_gen_buses else n_g
+    A_volt = (-sens[:, n_g:] / U_N)[first:]
+    return VoltageBand(p_min, p_max, A_volt, v_min, v_max,
+                       sens=sens, U_N=U_N, first_row=first)
+
+
+class FeasibleSet:
+    """Box plus affine voltage band, with membership test and projection.
+
+    ``FeasibleSet(p_min, p_max, A_volt, offset, v_min, v_max)`` builds a
+    set from scratch; :func:`build_feasible` places a scenario's
+    :class:`VoltageBand` at one slot's offset.  Either way the set is
+    certified nonempty on construction.
+    """
+
+    def __init__(self, p_min, p_max, A_volt=None, offset=None,
+                 v_min=-np.inf, v_max=np.inf):
+        self._place(VoltageBand(p_min, p_max, A_volt, v_min, v_max), offset)
+
+    def _place(self, band, offset):
+        """Make this the set ``band`` gives at ``offset`` (one value per
+        band row, dead rows included) and certify it."""
+        self.band = band
+        self.p_min, self.p_max = band.p_min, band.p_max
+        self.A_volt, self.v_min, self.v_max = band.A_volt, band.v_min, band.v_max
+        self._merged = None
+        self.offset = offset
+        if band.A_volt is None:
+            return
+        offset = np.asarray(offset, dtype=float)
+        if band.live is not None:
             # Rows with no control leverage are plain constants: either they
-            # already violate the band (empty set) or they can be dropped.
-            dead = self._row_norm2 < 1e-30
-            if dead.any():
-                bad = dead & ((self.offset < self.v_min) | (self.offset > self.v_max))
-                if bad.any():
-                    worst = float(np.max(np.maximum(
-                        self.v_min[bad] - self.offset[bad],
-                        self.offset[bad] - self.v_max[bad])))
-                    raise FeasibilityError(
-                        "empty feasible set (constant band row out of range "
-                        f"by {worst:.3e})", max_violation=worst)
-                keep = ~dead
-                self.A_volt = self.A_volt[keep]
-                self.offset = self.offset[keep]
-                self.v_min = self.v_min[keep]
-                self.v_max = self.v_max[keep]
-                self._row_norm2 = self._row_norm2[keep]
-        # Construction-time certification: the box midpoint is a member unless
-        # it breaks the band; then the dual solve started from it either finds
-        # a member or certifies that the set is empty.
-        mid = self.midpoint()
-        if self._max_violation(mid) > 0.0:
-            self._project_band(mid)
+            # already violate the band (empty set) or they are dropped.
+            const = offset[band.dead]
+            lo, hi = band.dead_bounds
+            bad = (const < lo) | (const > hi)
+            if bad.any():
+                worst = float(np.max(np.maximum(lo[bad] - const[bad],
+                                                const[bad] - hi[bad])))
+                raise FeasibilityError(
+                    "empty feasible set (constant band row out of range "
+                    f"by {worst:.3e})", max_violation=worst)
+            offset = offset[band.live]
+        self.offset = offset
+        # Certification: the box midpoint is a member unless it breaks the
+        # band; then the dual solve started from it either finds a member or
+        # certifies that the set is empty.
+        mid_band = offset + band.A_mid
+        if np.any(mid_band < self.v_min) or np.any(mid_band > self.v_max):
+            self._project_band(self.midpoint())
 
     @property
     def dim(self):
@@ -119,29 +215,21 @@ class FeasibleSet:
     def _band_rows(self):
         """Band rows ``(A, offset, lo, hi, unit)`` with parallel rows merged.
 
-        Built on the first band projection and kept.  A merged row keeps the
-        tightest bounds of its rows, restated in its own units; bounds that
-        cross certify an empty set.
+        The band finds the parallel rows once; each set restates their
+        bounds at its own offset on its first band projection and keeps the
+        result.  A merged row keeps the tightest bounds of its rows, restated
+        in its own units; bounds that cross certify an empty set.
         """
         if self._merged is None:
-            A, c = self.A_volt, self.offset
+            js, ks, t, unit, keep, A = self.band.merge_map()
+            c = self.offset
             lo, hi = self.v_min.copy(), self.v_max.copy()
-            gram = A @ A.T
-            norms = np.sqrt(np.diag(gram))
-            parallel = np.abs(gram) >= _PARALLEL_COS * np.outer(norms, norms)
-            # Each row folds into the first row parallel to it (maybe itself).
-            first = np.argmax(parallel, axis=1)
-            js = np.flatnonzero(first != np.arange(A.shape[0]))
-            ks = first[js]
             # Row j is t times row k: lo_j <= t a_k p + c_j <= hi_j.
-            t = gram[ks, js] / gram[ks, ks]
             ends = np.stack([(lo[js] - c[js]) / t, (hi[js] - c[js]) / t]) + c[ks]
             np.maximum.at(lo, ks, ends.min(axis=0))
             np.minimum.at(hi, ks, ends.max(axis=0))
             # A merged row's violation is at most 1/unit times the largest
             # violation of the rows it holds, in their own units.
-            unit = np.ones_like(lo)
-            np.minimum.at(unit, ks, np.abs(t))
             if np.any(lo > hi):
                 # The rows that set the crossed bounds split the gap, so the
                 # worse one breaks its bound by at least half of it.
@@ -149,9 +237,7 @@ class FeasibleSet:
                 raise FeasibilityError(
                     "empty feasible set (parallel band rows with disjoint "
                     f"ranges; violation at least {worst:.3e})", max_violation=worst)
-            keep = np.ones(A.shape[0], dtype=bool)
-            keep[js] = False
-            self._merged = (A[keep], c[keep], lo[keep], hi[keep], unit[keep])
+            self._merged = (A, c[keep], lo[keep], hi[keep], unit[keep])
         return self._merged
 
     def _project_band(self, x):
@@ -170,8 +256,11 @@ class FeasibleSet:
         coordinates are free: ``D`` is then nearly piecewise linear and the
         model overshoots its kinks.)  ``g`` is also the KKT residual: it
         bounds the band violation of ``p(y)`` and vanishes exactly at the
-        projection.  Weak duality certifies an empty set: ``-D(y)`` never
-        exceeds the squared distance from ``x`` to a member over two.
+        projection.  It stops at ``max |g| <= 1e-10``, or at a fixed point of
+        the iteration (the step no longer moves ``y`` and the shift stays)
+        where ``g`` is within the rounding error of ``x - A.T y``.  Weak
+        duality certifies an empty set: ``-D(y)`` never exceeds the squared
+        distance from ``x`` to a member over two.
 
         Returns the projection and the multipliers of the merged band rows.
         """
@@ -193,7 +282,7 @@ class FeasibleSet:
 
         # No member is farther from x than the farthest box corner.
         dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
-        scale = float(np.mean(self._row_norm2))
+        scale = float(np.mean(self.band.row_norm2))
         damping = 1.0
         y = np.zeros(A.shape[0])
         p, aty, g, dual = point(y)
@@ -224,18 +313,34 @@ class FeasibleSet:
             alpha = self._exact_step(w, y, d, s, A, c, lo, hi)
             if alpha == np.inf:
                 raise self._emptiness(d, A, c, lo, hi, unit)
-            y = y + alpha * d
-            y[s * y < 0] = 0.0
+            y_next = y + alpha * d
+            y_next[s * y_next < 0] = 0.0
             # A model that falls short of the line minimum relaxes the shift,
             # one that overshoots it stiffens the shift.
-            damping = max(damping * 0.1, 1e-6) if alpha >= 1.0 else min(damping * 10.0, 1e6)
+            damping_next = (max(damping * 0.1, 1e-6) if alpha >= 1.0
+                            else min(damping * 10.0, 1e6))
+            if damping_next == damping and np.array_equal(y_next, y):
+                # A fixed point: the step is lost to rounding in y and the
+                # shift stays, so every further step would repeat this one.
+                # What is left of g is rounding if it is within the floor:
+                # with m rows, each coordinate of x - A.T y may be off by
+                # m eps (|x| + |A|.T |y|), and A p passes that on.  Only far
+                # points on nearly dependent rows, whose multipliers grow
+                # large, lift it toward 1e-10.
+                abs_a = np.abs(A)
+                floor = abs_a @ (np.abs(x) + abs_a.T @ np.abs(y))
+                if resid <= A.shape[0] * _EPS * float(np.max(floor)):
+                    return p, y
+                break
+            y, damping = y_next, damping_next
             p, aty, g, dual = point(y)
             resid = float(np.max(np.abs(g)))
         if resid <= _KKT_TOL:
             return p, y
         raise ProjectionError(
-            f"band projection did not converge within {_NEWTON_CAP} Newton "
-            f"iterations (KKT residual {resid:.3e})", residual=resid)
+            "band projection stopped short of its KKT tolerance (residual "
+            f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
+            residual=resid)
 
     def _exact_step(self, w, y, d, s, A, c, lo, hi):
         """Step length that minimizes the dual along ``y + alpha d`` in orthant ``s``.
@@ -322,45 +427,13 @@ def _nonneg_qp(Q, b, u):
     return u
 
 
-def build_feasible(blocks, p_g, U_N, bounds, p_fixed=None, include_gen_buses=True):
-    """Instantiate the constraint set for the current generation vector.
+def build_feasible(band, p_g, p_fixed=None):
+    """The constraint set for the current generation vector.
 
-    ``bounds`` is a mapping with keys p_min, p_max, v_min, v_max.  Voltage
-    rows cover every non-PCC bus by default; set ``include_gen_buses``
-    False to constrain load buses only.  The inflexible load ``p_fixed``
-    shifts the voltage offsets, the controllable part enters through
-    A_volt.
+    Only the offsets of ``band`` (from :func:`build_band`) move: the
+    generation and the inflexible load ``p_fixed`` shift them, while the
+    controllable load enters through the band's fixed ``A_volt``.
     """
-    p_g = np.asarray(p_g, dtype=float)
-    n_c = len(blocks.load_buses)
-    p_fixed = np.zeros(n_c) if p_fixed is None else np.asarray(p_fixed, dtype=float)
-    v_min = float(bounds.get("v_min", -np.inf))
-    v_max = float(bounds.get("v_max", np.inf))
-
-    A_volt = None
-    offset = None
-    if np.isfinite(v_min) or np.isfinite(v_max):
-        # Stacked first-order voltages: gen rows use M and N, load rows use
-        # N' and Q; the controllable load enters with a minus sign.
-        top = np.hstack([blocks.M, blocks.N])
-        bot = np.hstack([blocks.N.T, blocks.Q])
-        sens = np.vstack([top, bot])
-        n_g = len(blocks.gen_buses)
-        load_part = sens[:, n_g:]
-        base = np.concatenate([p_g, -p_fixed])
-        offset_all = voltage_approx(sens, base, U_N)
-        A_all = -load_part / U_N
-        if include_gen_buses:
-            A_volt, offset = A_all, offset_all
-        else:
-            A_volt, offset = A_all[n_g:], offset_all[n_g:]
-
-    return FeasibleSet(
-        p_min=np.broadcast_to(np.asarray(bounds["p_min"], dtype=float), (n_c,)).copy(),
-        p_max=np.broadcast_to(np.asarray(bounds["p_max"], dtype=float), (n_c,)).copy(),
-        A_volt=A_volt,
-        offset=offset,
-        v_min=v_min,
-        v_max=v_max,
-    )
-
+    fset = FeasibleSet.__new__(FeasibleSet)
+    fset._place(band, None if band.A_volt is None else band.offset(p_g, p_fixed))
+    return fset

@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
-from .feasible import build_feasible
+from .feasible import VoltageBand, build_band, build_feasible
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
 from .thermal import (BuildingParams, ObjectiveParams, Quadratic, ThermalState,
@@ -106,8 +106,10 @@ def observe(true_values, noise, t, seed, stream=0, relative=False, floor=None):
 class Scenario:
     """Fully resolved simulation inputs (profiles sampled, draws frozen).
 
-    ``objective`` is the scenario's :class:`~usecb.thermal.Quadratic`,
-    built once here; only its linear term changes from slot to slot.
+    ``objective`` is the scenario's :class:`~usecb.thermal.Quadratic` and
+    ``band`` its :class:`~usecb.feasible.VoltageBand`, both built once here;
+    only the objective's linear term and the band's offset change from slot
+    to slot.
     """
 
     name: str
@@ -127,6 +129,7 @@ class Scenario:
     s_base_mva: float = 1.0
     bus_names: list = None
     objective: Quadratic = field(init=False, repr=False)
+    band: VoltageBand = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("static", "dynamic"):
@@ -140,6 +143,9 @@ class Scenario:
         self.objective = Quadratic(self.lambda_price, self.buildings,
                                    self.model.blocks, self.model.U_N,
                                    self.p_fixed)
+        self.band = build_band(
+            self.model.blocks, self.model.U_N, self.bounds,
+            include_gen_buses=self.bounds.get("include_gen_buses", True))
 
     @property
     def is_static(self):
@@ -156,14 +162,9 @@ class Scenario:
 
     def env_feasible_set(self, p_g=None):
         """Constraint set from a generation vector (true slot-0 by default)."""
-        return build_feasible(
-            self.model.blocks,
-            self.p_g_true[0] if p_g is None else p_g,
-            self.model.U_N,
-            self.bounds,
-            p_fixed=self.p_fixed,
-            include_gen_buses=self.bounds.get("include_gen_buses", True),
-        )
+        return build_feasible(self.band,
+                              self.p_g_true[0] if p_g is None else p_g,
+                              p_fixed=self.p_fixed)
 
     def true_objective(self):
         """(state, params) for the true slot-0 inputs."""
@@ -281,7 +282,6 @@ def run_scheme(scenario, scheme, seed=None):
     T = scenario.horizon
     n_c = scenario.n_loads
     quad = scenario.objective
-    include_gen = scenario.bounds.get("include_gen_buses", True)
 
     env_set = scenario.env_feasible_set()
     if scheme == "stochastic":
@@ -326,9 +326,8 @@ def run_scheme(scenario, scheme, seed=None):
         if scenario.is_static:
             fset_t = env_set
         else:
-            fset_t = build_feasible(blocks, pg_view, model.U_N, scenario.bounds,
-                                    p_fixed=scenario.p_fixed,
-                                    include_gen_buses=include_gen)
+            fset_t = build_feasible(scenario.band, pg_view,
+                                    p_fixed=scenario.p_fixed)
 
         b_ctrl = quad.linear_term(cin_view, cout_view, pg_view)
         if scheme == "stochastic":

@@ -3,7 +3,8 @@ import pytest
 
 from usecb import feasible
 from usecb.errors import FeasibilityError
-from usecb.feasible import FeasibleSet, build_feasible
+from usecb.feasible import FeasibleSet, build_band, build_feasible
+from usecb.grid import voltage_approx
 from usecb.sim import build_ieee37_scenario
 
 from conftest import grid_search_projection
@@ -144,41 +145,42 @@ def test_projection_matches_grid_search_3d():
 # --- construction from grid blocks ------------------------------------------
 
 def test_vacuous_band_reduces_to_box(chain4_model):
-    fs = build_feasible(chain4_model.blocks, [0.2], 1.0,
-                        {"p_min": 0.0, "p_max": 0.12})
+    fs = build_feasible(build_band(chain4_model.blocks, 1.0,
+                                   {"p_min": 0.0, "p_max": 0.12}), [0.2])
     assert fs.A_volt is None
     assert np.array_equal(fs.project(np.array([1.0, -1.0])), [0.12, 0.0])
 
 
 def test_offsets_monotone_in_generation(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.95, "v_max": 1.05}
-    lo = build_feasible(chain4_model.blocks, [0.1], 1.0, bounds)
-    hi = build_feasible(chain4_model.blocks, [0.5], 1.0, bounds)
+    band = build_band(chain4_model.blocks, 1.0, bounds)
+    lo = build_feasible(band, [0.1])
+    hi = build_feasible(band, [0.5])
     assert np.all(hi.offset >= lo.offset)
 
 
 def test_gen_rows_switch(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.95, "v_max": 1.05}
-    all_rows = build_feasible(chain4_model.blocks, [0.2], 1.0, bounds,
-                              include_gen_buses=True)
-    load_rows = build_feasible(chain4_model.blocks, [0.2], 1.0, bounds,
-                               include_gen_buses=False)
+    all_rows = build_feasible(build_band(chain4_model.blocks, 1.0, bounds,
+                                         include_gen_buses=True), [0.2])
+    load_rows = build_feasible(build_band(chain4_model.blocks, 1.0, bounds,
+                                          include_gen_buses=False), [0.2])
     assert all_rows.A_volt.shape[0] == 3
     assert load_rows.A_volt.shape[0] == 2
 
 
 def test_fixed_load_shifts_offsets_down(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.9, "v_max": 1.1}
-    bare = build_feasible(chain4_model.blocks, [0.2], 1.0, bounds)
-    loaded = build_feasible(chain4_model.blocks, [0.2], 1.0, bounds,
-                            p_fixed=np.array([0.05, 0.05]))
+    band = build_band(chain4_model.blocks, 1.0, bounds)
+    bare = build_feasible(band, [0.2])
+    loaded = build_feasible(band, [0.2], p_fixed=np.array([0.05, 0.05]))
     assert np.all(loaded.offset <= bare.offset)
 
 
 def test_binding_band_projection_feasible(chain4_model):
     # Tighten the band until it actually cuts the box, then project corners.
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.9985, "v_max": 1.05}
-    fs = build_feasible(chain4_model.blocks, [0.0], 1.0, bounds)
+    fs = build_feasible(build_band(chain4_model.blocks, 1.0, bounds), [0.0])
     corner = fs.p_max.copy()
     proj = fs.project(corner)
     assert fs.contains(proj)
@@ -247,6 +249,36 @@ def test_band_projection_kkt_far_point(ieee37_tight):
         y = _kkt_check(fs, x)
         assert np.all(y <= 0) and np.any(y < 0)
 
+def test_band_projection_kkt_far_point_dependent_rows():
+    # An equality band on nearly dependent rows (the last is a copy of the
+    # first) pins the set to one point, and x lies hundreds of box widths
+    # away: the multipliers reach ~1.5e5, so rounding in x - A.T y keeps the
+    # KKT residual near 2e-10, above the 1e-10 target.
+    A = np.array([
+        [1.0413018935437972, -0.5474880273506733, 0.21651604665178903,
+         -0.7968351070970108, 0.8827784889985753],
+        [1.5661227808885674, 0.4870528789990724, 0.5801090868154352,
+         -0.6921953878469373, 0.33473568398464076],
+        [-0.33039171160173647, 1.4926634407336081, -0.6185428789130328,
+         0.5953243722706989, 0.2412225942984773],
+        [1.4747571639612045, 0.6888976792633709, -1.9234679974351565,
+         1.360380028737078, -0.9440514851126606],
+        [0.8266091632243385, -1.680275751447977, 0.034444940437624375,
+         0.5801971072179563, -2.5102021051308037],
+        [0.604324726220014, -0.31773739612768226, 0.12565616314187447,
+         -0.4624472124026179, 0.5123248809827917]])
+    c = np.array([-0.4415049938760802, -0.34344457733089434,
+                  -0.1333425706729499, 0.5817355436247235,
+                  0.004596080128450145, 1.3091467492091002])
+    band = np.array([0.1962817145682788, 0.9524867142893207,
+                     0.009613452160162766, 0.8666944378854715,
+                     -0.49543939798880043, 1.679289433436525])
+    x = np.array([-342.23598215177043, 661.2639853454845, -87.59822087072791,
+                  -322.5938456890156, -679.1039628512946])
+    fs = FeasibleSet(np.zeros(5), np.ones(5), A, c, v_min=band, v_max=band)
+    _kkt_check(fs, x)
+
+
 def test_band_projection_kkt_one_sided(ieee37_tight):
     # Only an upper voltage bound; it binds when the loads are light.
     scn = ieee37_tight
@@ -308,3 +340,66 @@ def test_dual_certificate_bounds_violation(ieee37_tight):
     # is the smallest any box point achieves.
     best = float(np.max(1.02 - (fs0.offset + fs0.A_volt @ fs0.p_min)))
     assert 0.0 < err.value.max_violation <= best + 1e-12
+
+
+# --- per-slot sets from the fixed band against sets built from scratch ------
+
+def _scratch_set(scn, p_g, include_gen):
+    """The slot's set assembled from the sensitivity blocks, with no band."""
+    blocks, U_N, bounds = scn.model.blocks, scn.model.U_N, scn.bounds
+    sens = np.vstack([np.hstack([blocks.M, blocks.N]),
+                      np.hstack([blocks.N.T, blocks.Q])])
+    n_g = len(blocks.gen_buses)
+    offset = voltage_approx(sens, np.concatenate([p_g, -scn.p_fixed]), U_N)
+    A = -sens[:, n_g:] / U_N
+    first = 0 if include_gen else n_g
+    n_c = scn.n_loads
+    return FeasibleSet(np.full(n_c, bounds["p_min"]), np.full(n_c, bounds["p_max"]),
+                       A[first:], offset[first:],
+                       v_min=bounds["v_min"], v_max=bounds["v_max"])
+
+
+@pytest.mark.parametrize("band", [
+    {"v_min": 0.95},
+    {"v_min": 0.975},
+    {"v_min": 0.975, "include_gen_buses": False},
+])
+def test_band_sets_match_scratch_sets(band):
+    scn = build_ieee37_scenario({"voltage_band": band}, variant="dynamic")
+    include_gen = scn.bounds["include_gen_buses"]
+    rng = np.random.default_rng(11)
+    gens = [scn.p_g_true[t] for t in (0, 300, 450, 880)]
+    gens += [scn.p_g_true[450] * rng.uniform(0.5, 1.5, scn.p_g_true.shape[1])
+             for _ in range(3)]
+    band_paths = 0
+    for p_g in gens:
+        fs = build_feasible(scn.band, p_g, p_fixed=scn.p_fixed)
+        ref = _scratch_set(scn, p_g, include_gen)
+        assert np.array_equal(fs.A_volt, ref.A_volt)
+        assert np.array_equal(fs.offset, ref.offset)
+        for got, want in zip(fs._band_rows(), ref._band_rows()):
+            assert np.array_equal(got, want)
+        points = [fs.midpoint(), fs.p_max, fs.p_min - 0.1]
+        points += [fs.p_max + rng.normal(scale=0.05, size=fs.dim) for _ in range(8)]
+        points += [fs.p_max + rng.uniform(100.0, 300.0, size=fs.dim)]
+        for x in points:
+            assert fs.contains(x) == ref.contains(x)
+            assert np.array_equal(fs.project(x), ref.project(x))
+            band_paths += not fs.contains(np.clip(x, fs.p_min, fs.p_max))
+    # The loose band never leaves the clamp path; the tight one must.
+    assert (band_paths > 0) == (band["v_min"] == 0.975)
+
+
+@pytest.mark.parametrize("include_gen", [True, False])
+def test_empty_band_set_raises_like_scratch_set(include_gen):
+    # No generation and a 0.99 floor: every load pattern sags below it.
+    scn = build_ieee37_scenario(
+        {"voltage_band": {"v_min": 0.99, "include_gen_buses": include_gen}},
+        variant="static")
+    p_g = np.zeros(scn.p_g_true.shape[1])
+    with pytest.raises(FeasibilityError) as got:
+        build_feasible(scn.band, p_g, p_fixed=scn.p_fixed)
+    with pytest.raises(FeasibilityError) as want:
+        _scratch_set(scn, p_g, include_gen)
+    assert got.value.max_violation > 0.0
+    assert got.value.max_violation == want.value.max_violation

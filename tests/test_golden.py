@@ -1,10 +1,11 @@
-"""Golden summaries of the stochastic scheme on the bundled IEEE-37 configs.
+"""Golden summaries of every scheme on the bundled IEEE-37 configs.
 
-The values were recorded from ``metrics(run_scheme(scn, "stochastic"))`` at
+The values were recorded from ``metrics(run_scheme(scn, scheme))`` at
 horizon 120 and pin its behaviour to rounding: a refactor that is meant to
-keep the stochastic scheme's arithmetic must keep them.  A change that alters
-the noise stream or the step rule on purpose regenerates them; it does not
-loosen the tolerance.
+keep a scheme's arithmetic must keep them.  The exact and oracle schemes
+project hundreds of times per slot, so they pin the constraint set most
+tightly.  A change that alters the noise stream or the step rule on purpose
+regenerates them; it does not loosen the tolerance.
 """
 
 import pytest
@@ -50,14 +51,76 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_stochastic_summary_matches_golden(case):
-    overrides, variant, expected = GOLDEN[case]
-    m = metrics(run_scheme(build_ieee37_scenario(overrides, variant=variant),
-                           "stochastic"))
-    assert m["scheme"] == "stochastic"
+# Exact and oracle summaries on the dynamic day, with the band loose and
+# binding (the dynamic overrides of ``GOLDEN`` above).
+GOLDEN_SOLVED = {
+    ("dynamic", "exact"): {
+        "seed": 43,
+        "loss_total": 1.6343617066566445,
+        "loss_mean": 0.01361968088880537,
+        "intake_total": 200.47994593046587,
+        "intake_mean": 1.6706662160872157,
+        "objective_mean": 2.3579939529966762,
+        "objective_final": 5.143761608983067,
+        "objective_trailing_variance": 1.916787775835986,
+        "mean_temp_deviation": 1.6150485468451214,
+    },
+    ("dynamic", "oracle"): {
+        "seed": 43,
+        "loss_total": 1.1084356486265454,
+        "loss_mean": 0.009236963738554545,
+        "intake_total": 158.41013006453613,
+        "intake_mean": 1.3200844172044677,
+        "objective_mean": -0.3460552849041802,
+        "objective_final": -0.011276509381846824,
+        "objective_trailing_variance": 4.310605814196497e-06,
+        "mean_temp_deviation": 0.6330707711077642,
+    },
+    ("dynamic_v_min_0.975", "exact"): {
+        "seed": 43,
+        "loss_total": 1.6219346147129143,
+        "loss_mean": 0.013516121789274286,
+        "intake_total": 200.29757770728665,
+        "intake_mean": 1.6691464808940555,
+        "objective_mean": 2.356910846592205,
+        "objective_final": 5.143761608983067,
+        "objective_trailing_variance": 1.917035716081705,
+        "mean_temp_deviation": 1.6130647593498544,
+    },
+    ("dynamic_v_min_0.975", "oracle"): {
+        "seed": 43,
+        "loss_total": 1.081130462936638,
+        "loss_mean": 0.009009420524471984,
+        "intake_total": 157.89524487112655,
+        "intake_mean": 1.315793707259388,
+        "objective_mean": -0.34059496326792665,
+        "objective_final": -0.011276509484849031,
+        "objective_trailing_variance": 4.310834424145281e-06,
+        "mean_temp_deviation": 0.627579096055568,
+    },
+}
+
+
+def _check(m, scheme, expected):
+    assert m["scheme"] == scheme
     assert m["slots"] == 120
     assert m["all_feasible"] is True
     assert m["conservation_max_residual"] == 0.0
     for key, value in expected.items():
         assert m[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_stochastic_summary_matches_golden(case):
+    overrides, variant, expected = GOLDEN[case]
+    m = metrics(run_scheme(build_ieee37_scenario(overrides, variant=variant),
+                           "stochastic"))
+    _check(m, "stochastic", expected)
+
+
+@pytest.mark.parametrize("case, scheme", sorted(GOLDEN_SOLVED))
+def test_solver_summary_matches_golden(case, scheme):
+    overrides, variant, _ = GOLDEN[case]
+    m = metrics(run_scheme(build_ieee37_scenario(overrides, variant=variant),
+                           scheme))
+    _check(m, scheme, GOLDEN_SOLVED[case, scheme])

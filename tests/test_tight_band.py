@@ -23,12 +23,9 @@ def test_scheme_completes_on_binding_band(scheme, v_min):
         assert run.solver_converged.all()
     # A slot left the clamp path when its control sits on the band of the
     # set it was projected onto (built from the generation the scheme saw).
-    model = scn.model
     on_band = 0
     for t in range(scn.horizon):
-        fs = build_feasible(model.blocks, run.p_g_obs[t], model.U_N, scn.bounds,
-                            p_fixed=scn.p_fixed,
-                            include_gen_buses=scn.bounds["include_gen_buses"])
+        fs = build_feasible(scn.band, run.p_g_obs[t], p_fixed=scn.p_fixed)
         volts = fs.offset + fs.A_volt @ run.p_c[t]
         on_band += int(np.min(volts - fs.v_min) <= 1e-9)
     assert on_band >= 1
