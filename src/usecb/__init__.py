@@ -8,8 +8,8 @@ Library layers:
   profit and its convex objective.
 * :mod:`usecb.feasible` -- power box and voltage band with Euclidean
   projection; the band is built once per scenario.
-* :mod:`usecb.mirror` -- online stochastic mirror descent, step sizing,
-  regret accounting.
+* :mod:`usecb.mirror` -- online projected SGD (mirror descent with the
+  Euclidean potential), step sizing, regret accounting.
 * :mod:`usecb.sim` -- scenarios, observation noise, closed-loop runs.
 * :mod:`usecb.experiments` -- replication experiments (regret growth,
   scheme comparison).
@@ -23,15 +23,12 @@ from .grid import (GridModel, Line, SensitivityBlocks, build_admittance,
                    compute_sensitivity, decompose_blocks, full_power_loss,
                    grid_intake, grounded_impedance, load_network_csv,
                    power_loss, radial_line_flows, voltage_approx)
-from .mirror import (BregmanGeometry, IterateTrace, MdConfig,
-                     bregman_divergence, estimate_bounds, euclidean_geometry,
-                     md_step, minimize_projected, regret, run_online,
-                     step_size)
+from .mirror import (bregman_divergence, estimate_bounds, minimize_projected,
+                     regret, run_online, step_size)
 from .sim import (NoiseConfig, RunResult, Scenario, build_ieee37_scenario,
                   load_scenario, metrics, observe, run_scheme)
-from .thermal import (BuildingParams, ObjectiveParams, Quadratic,
-                      ThermalState, grad_f, objective_coefficients,
-                      objective_f, satisfaction, thermal_step, usecb_profit)
+from .thermal import (BuildingParams, Quadratic, ThermalState, satisfaction,
+                      thermal_step, usecb_profit)
 from .timeseries import TimeSeries, load_timeseries
 
 __version__ = "0.1.0"
@@ -44,14 +41,12 @@ __all__ = [
     "compute_sensitivity", "decompose_blocks", "full_power_loss",
     "grid_intake", "grounded_impedance", "load_network_csv", "power_loss",
     "radial_line_flows", "voltage_approx",
-    "BregmanGeometry", "IterateTrace", "MdConfig", "bregman_divergence",
-    "estimate_bounds", "euclidean_geometry", "md_step", "minimize_projected",
-    "regret", "run_online", "step_size",
+    "bregman_divergence", "estimate_bounds", "minimize_projected", "regret",
+    "run_online", "step_size",
     "NoiseConfig", "RunResult", "Scenario", "build_ieee37_scenario",
     "load_scenario", "metrics", "observe", "run_scheme",
-    "BuildingParams", "ObjectiveParams", "Quadratic", "ThermalState", "grad_f",
-    "objective_coefficients", "objective_f", "satisfaction", "thermal_step",
-    "usecb_profit",
+    "BuildingParams", "Quadratic", "ThermalState", "satisfaction",
+    "thermal_step", "usecb_profit",
     "TimeSeries", "load_timeseries",
     "__version__",
 ]

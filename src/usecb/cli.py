@@ -23,7 +23,6 @@ from .experiments import (map_replications, run_regret_experiment,
 from .grid import radial_line_flows
 from .sim import (SCHEMES, load_scenario, metrics, run_scheme, write_json,
                   write_run_csv)
-from .thermal import grad_f, objective_f
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,7 +129,10 @@ def _cmd_regret(args):
     if not scenario.is_static:
         raise AssumptionError("regret experiment requires a static scenario")
     seed = scenario.seed if args.seed is None else args.seed
-    horizons = [int(x) for x in args.horizons.split(",") if x.strip()]
+    try:
+        horizons = [int(x) for x in args.horizons.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"bad --horizons value {args.horizons!r}") from None
     report = run_regret_experiment(scenario, horizons=horizons,
                                    replications=args.replications,
                                    base_seed=seed)
@@ -217,7 +219,8 @@ def _cmd_validate(args):
 def _cmd_gradcheck(args):
     scenario = _load(args)
     seed = scenario.seed if args.seed is None else args.seed
-    state, objp = scenario.true_objective()
+    quad = scenario.objective
+    b = scenario.true_linear_term()
     fset = scenario.env_feasible_set()
     rng = np.random.default_rng(seed)
     h = 1e-5
@@ -225,13 +228,12 @@ def _cmd_gradcheck(args):
     for _ in range(args.points):
         raw = fset.p_min + rng.random(fset.dim) * (fset.p_max - fset.p_min)
         x = fset.project(raw)
-        g = grad_f(state, x, objp)
+        g = quad.grad(x, b)
         fd = np.empty_like(g)
         for i in range(x.shape[0]):
             e = np.zeros_like(x)
             e[i] = h
-            fd[i] = (objective_f(state, x + e, objp)
-                     - objective_f(state, x - e, objp)) / (2 * h)
+            fd[i] = (quad.value(x + e, b) - quad.value(x - e, b)) / (2 * h)
         denom = max(float(np.max(np.abs(g))), 1e-12)
         worst = max(worst, float(np.max(np.abs(fd - g))) / denom)
     print(f"max relative gradient error over {args.points} points: {worst:.3e}")

@@ -17,9 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import AssumptionError
-from .mirror import (MdConfig, euclidean_geometry, minimize_projected,
-                     regret, run_online)
+from .errors import AssumptionError, ConfigError
+from .mirror import minimize_projected, regret, run_online
 from .sim import (md_bounds, metrics, replication_seed, run_scheme,
                   scenario_gradient_oracle)
 
@@ -87,10 +86,9 @@ def _regret_job(scenario, T, seed, D, g_star, a_star):
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     fset = scenario.env_feasible_set()
-    cfg = MdConfig(D=D, G_star=g_star, initial_point=fset.midpoint())
-    oracle = scenario_gradient_oracle(scenario, seed)
-    trace = run_online(euclidean_geometry(), cfg, fset, oracle, T)
-    total, _ = regret(trace, lambda x: quad.value(np.asarray(x, float), b_true),
+    points = run_online(fset, scenario_gradient_oracle(scenario, seed), T,
+                        D, g_star, fset.midpoint())
+    total, _ = regret(points, lambda x: quad.value(np.asarray(x, float), b_true),
                       a_star)
     return total
 
@@ -103,14 +101,19 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
     how often R_T exceeds 2 D G* sqrt(T/alpha) + eps with
     eps = 2 D G* sqrt(T/alpha); the comparison bound is the concentration
     expression exp(-alpha eps^2 / (16 T D^2 G*^2)), which evaluates to
-    exp(-1/4) at that eps.
+    exp(-1/4) at that eps.  alpha = 1 is the strong-convexity constant of
+    the potential ||x||^2 / 2.  Raises ``ConfigError`` for an empty or
+    nonpositive horizon list or fewer than one replication.
     """
+    horizons = sorted(int(t) for t in horizons)
+    if not horizons or horizons[0] < 1:
+        raise ConfigError(f"horizons must be positive integers, got {horizons}")
+    _check_replications(replications)
     base_seed = scenario.seed if base_seed is None else int(base_seed)
     fset, _, _, a_star, f_star = static_problem(scenario)
-    D, g_star = md_bounds(scenario, base_seed, fset=fset)
+    D, g_star = md_bounds(scenario, base_seed, fset)
     alpha = 1.0
 
-    horizons = sorted(int(t) for t in horizons)
     jobs = {(T, rep): (scenario, T, replication_seed(base_seed, rep),
                        D, g_star, a_star)
             for T in horizons for rep in range(replications)}
@@ -148,6 +151,11 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
     }
 
 
+def _check_replications(replications):
+    if replications < 1:
+        raise ConfigError(f"replications must be at least 1, got {replications}")
+
+
 def _comparison_job(scenario, scheme, seed, window):
     run = run_scheme(scenario, scheme, seed=seed)
     w = min(window, run.f_true.shape[0])
@@ -166,8 +174,10 @@ def run_static_comparison(scenario, replications=50, base_seed=None,
 
     Per replication: does the stochastic scheme's final true objective land
     within ``rel_tol`` of the oracle optimum, and is its trailing-window
-    objective variance strictly below the exact scheme's?
+    objective variance strictly below the exact scheme's?  Raises
+    ``ConfigError`` for fewer than one replication.
     """
+    _check_replications(replications)
     base_seed = scenario.seed if base_seed is None else int(base_seed)
     _, _, _, _, f_star = static_problem(scenario)
 

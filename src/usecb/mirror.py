@@ -1,30 +1,22 @@
-"""Online stochastic mirror descent with Bregman projection.
+"""Online projected stochastic gradient descent and its step rule.
 
-One iteration maps the current point to the dual space, takes a gradient
-step there, maps back, and Bregman-projects onto the constraint set.  With
-the half squared Euclidean norm as potential this is exactly projected
-SGD, which is the shipped default geometry; the interface keeps the
-potential pluggable.
+The paper's controller is mirror descent with Bregman projection.  With
+the potential psi(x) = ||x||^2 / 2, the one this package uses, the mirror
+map is the identity and the Bregman projection is the Euclidean one, so
+each step is projected SGD: ``a <- project(a - eta_t * g)``.
 
-Step sizes follow eta_t = D sqrt(alpha) / (G* sqrt(t)) where D bounds the
-Bregman radius of the set and G* the dual norm of the (stochastic)
-gradients.  :func:`estimate_bounds` produces conservative values for both
-from box geometry and gradient sampling.
+Step sizes follow eta_t = D / (G* sqrt(t)) where D bounds the Bregman
+radius of the set and G* the norm of the (stochastic) gradients.
+:func:`estimate_bounds` produces conservative values for both from box
+geometry and gradient sampling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BregmanGeometry",
-    "euclidean_geometry",
-    "MdConfig",
-    "IterateTrace",
     "bregman_divergence",
-    "md_step",
     "step_size",
     "estimate_bounds",
     "run_online",
@@ -33,45 +25,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BregmanGeometry:
-    """Potential psi, its gradient, the inverse gradient map, and the
-    strong-convexity constant alpha of psi."""
-
-    psi: callable
-    grad_psi: callable
-    grad_psi_dual: callable
-    alpha: float = 1.0
-
-
-def euclidean_geometry():
-    """psi = 0.5 ||x||^2; gradient and its inverse are the identity."""
-    return BregmanGeometry(
-        psi=lambda x: 0.5 * float(np.dot(x, x)),
-        grad_psi=lambda x: x,
-        grad_psi_dual=lambda z: z,
-        alpha=1.0,
-    )
-
-
-def bregman_divergence(geom, x, y):
-    """B(x, y) = psi(x) - psi(y) - <grad psi(y), x - y>."""
+def bregman_divergence(x, y):
+    """B(x, y) = psi(x) - psi(y) - <grad psi(y), x - y> for psi = ||.||^2 / 2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return geom.psi(x) - geom.psi(y) - float(np.dot(geom.grad_psi(y), x - y))
+    return 0.5 * float(np.dot(x, x)) - 0.5 * float(np.dot(y, y)) \
+        - float(np.dot(y, x - y))
 
 
-def md_step(geom, a, grad, eta):
-    """Dual-space gradient step; reduces to a - eta*grad for Euclidean psi."""
-    return geom.grad_psi_dual(geom.grad_psi(np.asarray(a, dtype=float))
-                              - eta * np.asarray(grad, dtype=float))
-
-
-def step_size(t, D, G_star, alpha):
-    """eta_t = D sqrt(alpha) / (G* sqrt(t)), defined for t >= 1."""
+def step_size(t, D, G_star):
+    """eta_t = D / (G* sqrt(t)), defined for t >= 1."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    return D * np.sqrt(alpha) / (G_star * np.sqrt(t))
+    return D / (G_star * np.sqrt(t))
 
 
 def _box_corners(fset, rng, cap=64):
@@ -105,63 +71,35 @@ def estimate_bounds(fset, grad_fn, samples=128, rng=None):
     return D, 1.1 * g_max
 
 
-@dataclass
-class MdConfig:
-    """Step-rule constants and the starting point."""
+def run_online(fset, oracle, T, D, G_star, x0):
+    """Run T steps of projected SGD from ``x0`` and return the ``(T, n)``
+    iterates; row t is the point played at step t+1.
 
-    D: float
-    G_star: float
-    initial_point: np.ndarray
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.D <= 0 or self.G_star <= 0:
-            raise ValueError("D and G* must be positive")
-        self.initial_point = np.asarray(self.initial_point, dtype=float)
-
-
-@dataclass
-class IterateTrace:
-    """Per-step record of one online run.
-
-    points[t] is the iterate played at step t+1; gradients[t] the
-    stochastic gradient taken at points[t].
+    ``oracle(t, a)`` returns a stochastic gradient whose conditional
+    expectation is the true gradient at ``a``; determinism of the run is
+    the oracle's responsibility.  No step follows the last iterate, so the
+    oracle is asked for steps 1 to T-1 only.
     """
-
-    points: np.ndarray
-    gradients: np.ndarray
-
-
-def run_online(geom, config, fset, gradient_oracle, T):
-    """Run T steps of projected mirror descent.
-
-    ``gradient_oracle(t, a)`` returns a stochastic gradient whose
-    conditional expectation is the true gradient at ``a``; determinism of
-    the trace is the oracle's responsibility.
-    """
-    n = fset.dim
-    points = np.empty((T, n))
-    grads = np.empty((T, n))
-
-    a = fset.project(config.initial_point)
+    if D <= 0 or G_star <= 0:
+        raise ValueError("D and G* must be positive")
+    points = np.empty((T, fset.dim))
+    a = fset.project(np.asarray(x0, dtype=float))
     for t in range(1, T + 1):
         points[t - 1] = a
-        g = np.asarray(gradient_oracle(t, a), dtype=float)
-        grads[t - 1] = g
         if t < T:
-            eta = step_size(t, config.D, config.G_star, config.alpha)
-            a = fset.project(md_step(geom, a, g, eta))
-    return IterateTrace(points, grads)
+            g = np.asarray(oracle(t, a), dtype=float)
+            a = fset.project(a - step_size(t, D, G_star) * g)
+    return points
 
 
-def regret(trace, f_true, a_star):
+def regret(points, f_true, a_star):
     """Cumulative excess objective over the best fixed point.
 
-    Returns (R_T, curve) where curve[t] = sum over the first t+1 steps of
-    f_true(a_s) - f_true(a_star).
+    Returns (R_T, curve) where curve[t] = sum over the first t+1 iterates
+    of f_true(a_s) - f_true(a_star).
     """
     f_star = f_true(np.asarray(a_star, dtype=float))
-    gaps = np.array([f_true(p) for p in trace.points]) - f_star
+    gaps = np.array([f_true(p) for p in points]) - f_star
     curve = np.cumsum(gaps)
     return float(curve[-1]), curve
 

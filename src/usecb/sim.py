@@ -3,7 +3,7 @@
 A scenario bundles the network, building fleet, profiles, noise model and
 horizon.  ``run_scheme`` drives one of three controllers through it:
 
-* ``stochastic``: one projected mirror-descent step per slot on noisy
+* ``stochastic``: one projected stochastic gradient step per slot on noisy
   observations,
 * ``exact``: a full deterministic minimization each slot, still on noisy
   observations,
@@ -17,6 +17,7 @@ built once from the true generation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -29,8 +30,7 @@ from .errors import ConfigError
 from .feasible import VoltageBand, build_band, build_feasible
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
-from .thermal import (BuildingParams, ObjectiveParams, Quadratic, ThermalState,
-                      thermal_step)
+from .thermal import BuildingParams, Quadratic, ThermalState, thermal_step
 from .timeseries import load_timeseries
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "Scenario",
     "RunResult",
     "observe",
+    "read_slot",
     "run_scheme",
     "build_ieee37_scenario",
     "load_scenario",
@@ -100,6 +101,23 @@ def observe(true_values, noise, t, seed, stream=0, relative=False, floor=None):
     if floor is not None:
         np.maximum(out, floor, out=out)
     return out
+
+
+def read_slot(scenario, slot, c_in, key, seed):
+    """Noisy ``(p_g, c_out, c_in)`` reading of ``slot``'s generation and
+    outdoor temperature and of the indoor temperatures ``c_in``.
+
+    The draws are keyed by ``(seed, key)`` with one stream per quantity;
+    generation noise is floored at zero.
+    """
+    noise = scenario.noise
+    pg = observe(scenario.p_g_true[slot], noise.sigma_gen, key, seed,
+                 stream=STREAM_GEN, relative=noise.gen_mode == "relative",
+                 floor=0.0)
+    cout = observe(np.full(scenario.n_loads, scenario.c_out_true[slot]),
+                   noise.sigma_temp, key, seed, stream=STREAM_COUT)
+    cin = observe(c_in, noise.sigma_temp, key, seed, stream=STREAM_CIN)
+    return pg, cout, cin
 
 
 @dataclass
@@ -166,15 +184,6 @@ class Scenario:
                               self.p_g_true[0] if p_g is None else p_g,
                               p_fixed=self.p_fixed)
 
-    def true_objective(self):
-        """(state, params) for the true slot-0 inputs."""
-        state = ThermalState(self.c_in_init.copy(),
-                             np.full(self.n_loads, self.c_out_true[0]))
-        objp = ObjectiveParams(self.lambda_price, self.buildings,
-                               self.model.blocks, self.model.U_N,
-                               self.p_g_true[0], self.p_fixed)
-        return state, objp
-
     def true_linear_term(self):
         """Linear term of ``objective`` on the true slot-0 inputs."""
         return self.objective.linear_term(
@@ -182,69 +191,57 @@ class Scenario:
             self.p_g_true[0])
 
 
-def scenario_gradient_oracle(scenario, seed, slot_of=None):
+def scenario_gradient_oracle(scenario, seed):
     """Stochastic gradient closure over per-slot observations.
 
-    ``oracle(t, x)`` observes the slot inputs under (seed, t) noise and
-    returns the gradient of the observed objective at x.  For static
-    scenarios the true inputs are the frozen slot-0 values; ``slot_of``
-    overrides the step-to-slot mapping (used by bound sampling).
+    ``oracle(t, x)`` reads step t's slot under (seed, t) noise and returns
+    the gradient of the observed objective at x.  Step t plays slot t-1
+    (the last slot past the horizon); static scenarios always play their
+    frozen slot 0.
     """
     quad = scenario.objective
-    noise = scenario.noise
-    n_c = scenario.n_loads
-    c_in_true = scenario.c_in_init
-    if slot_of is None:
-        if scenario.is_static:
-            slot_of = lambda t: 0
-        else:
-            slot_of = lambda t: min(t - 1, scenario.horizon - 1)
+    last = 0 if scenario.is_static else scenario.horizon - 1
 
     def oracle(t, x):
-        slot = slot_of(t)
-        pg = observe(scenario.p_g_true[slot], noise.sigma_gen, t, seed,
-                     stream=STREAM_GEN,
-                     relative=noise.gen_mode == "relative", floor=0.0)
-        cout = observe(np.full(n_c, scenario.c_out_true[slot]),
-                       noise.sigma_temp, t, seed, stream=STREAM_COUT)
-        cin = observe(c_in_true, noise.sigma_temp, t, seed, stream=STREAM_CIN)
+        pg, cout, cin = read_slot(scenario, min(t - 1, last),
+                                  scenario.c_in_init, t, seed)
         return quad.grad(x, quad.linear_term(cin, cout, pg))
 
     return oracle
 
 
-def md_bounds(scenario, seed, fset=None, samples=64):
-    """(D, G*) for the step rule, sampled from the stochastic oracle.
+def md_bounds(scenario, seed, fset):
+    """(D, G*) for the step rule on ``fset``, sampled from the stochastic
+    oracle.
 
     Noise-free scenarios sample the true gradient instead.  Deterministic
     under (scenario.seed-independent) run ``seed``.
     """
-    fset = scenario.env_feasible_set() if fset is None else fset
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_BOUNDS)))
+    quad = scenario.objective
     noisy = scenario.noise.sigma_temp > 0 or scenario.noise.sigma_gen > 0
     if noisy:
         # Cycle the sampled contexts across the horizon so a drifting
         # scenario contributes its whole gradient range to G*.
         probe_slots = np.unique(np.linspace(0, scenario.horizon - 1, 8,
                                             dtype=int))
-        oracle = scenario_gradient_oracle(
-            scenario, seed,
-            slot_of=lambda t: int(probe_slots[t % probe_slots.size]))
-        counter = [0]
+        keys = itertools.count(1_000_000_001)
 
         def sample_grad(x):
-            counter[0] += 1
-            # Offset slot index keeps bound-sampling noise streams disjoint
+            # Keys from 1e9 up keep bound-sampling noise streams disjoint
             # from the run's per-slot streams.
-            return oracle(1_000_000_000 + counter[0], x)
+            key = next(keys)
+            pg, cout, cin = read_slot(
+                scenario, int(probe_slots[key % probe_slots.size]),
+                scenario.c_in_init, key, seed)
+            return quad.grad(x, quad.linear_term(cin, cout, pg))
     else:
-        quad = scenario.objective
         b0 = scenario.true_linear_term()
 
         def sample_grad(x):
             return quad.grad(x, b0)
 
-    return estimate_bounds(fset, sample_grad, samples=samples, rng=rng)
+    return estimate_bounds(fset, sample_grad, samples=64, rng=rng)
 
 
 @dataclass
@@ -278,14 +275,13 @@ def run_scheme(scenario, scheme, seed=None):
     model = scenario.model
     blocks = model.blocks
     bld = scenario.buildings
-    noise = scenario.noise
     T = scenario.horizon
     n_c = scenario.n_loads
     quad = scenario.objective
 
     env_set = scenario.env_feasible_set()
     if scheme == "stochastic":
-        D, g_star = md_bounds(scenario, seed, fset=env_set)
+        D, g_star = md_bounds(scenario, seed, env_set)
 
     out = RunResult(scheme, seed, scenario)
     out.p_c = np.empty((T, n_c))
@@ -314,11 +310,7 @@ def run_scheme(scenario, scheme, seed=None):
         if scheme == "oracle":
             pg_view, cout_view, cin_view = pg_t, cout_t, c_in
         else:
-            pg_view = observe(pg_t, noise.sigma_gen, t, seed, stream=STREAM_GEN,
-                              relative=noise.gen_mode == "relative", floor=0.0)
-            cout_view = observe(cout_t, noise.sigma_temp, t, seed,
-                                stream=STREAM_COUT)
-            cin_view = observe(c_in, noise.sigma_temp, t, seed, stream=STREAM_CIN)
+            pg_view, cout_view, cin_view = read_slot(scenario, t, c_in, t, seed)
         out.p_g_obs[t] = pg_view
         out.c_out_obs[t] = cout_view
         out.c_in_obs[t] = cin_view
@@ -332,8 +324,7 @@ def run_scheme(scenario, scheme, seed=None):
         b_ctrl = quad.linear_term(cin_view, cout_view, pg_view)
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
-            eta = step_size(t + 1, D, g_star, 1.0)
-            a = fset_t.project(a - eta * g)
+            a = fset_t.project(a - step_size(t + 1, D, g_star) * g)
         else:
             a, out.solver_converged[t] = minimize_projected(
                 lambda x: quad.grad(x, b_ctrl), fset_t, quad.L, x0=a,

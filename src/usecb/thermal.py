@@ -17,7 +17,7 @@ the one derivation against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,9 @@ __all__ = [
     "BuildingParams",
     "ThermalState",
     "Quadratic",
-    "ObjectiveParams",
     "thermal_step",
     "satisfaction",
     "usecb_profit",
-    "objective_f",
-    "grad_f",
-    "objective_coefficients",
 ]
 
 
@@ -111,9 +107,10 @@ class Quadratic:
     ``A`` (and ``H2 = 2A``, the Hessian) depends only on the buildings, the
     price and the feeder; ``linear_term`` gives ``b`` for a slot's indoor
     and outdoor temperatures and generation.  ``L`` is the largest
-    eigenvalue of ``H2``, the Lipschitz constant of the gradient.  Raises
-    ``ModelError`` for a nonpositive price or a Hessian that is not
-    positive definite.
+    eigenvalue of ``H2``, the Lipschitz constant of the gradient.  The
+    inputs stay on the instance, so :func:`usecb_profit` can evaluate the
+    same slot through the physical path.  Raises ``ModelError`` for a
+    nonpositive price or a Hessian that is not positive definite.
     """
 
     def __init__(self, lambda_price, buildings, blocks, U_N, p_fixed):
@@ -122,7 +119,11 @@ class Quadratic:
         lam = lambda_price
         u2 = U_N ** 2
         m = buildings.alpha2 * buildings.dt
+        self.lambda_price = lambda_price
         self.buildings = buildings
+        self.blocks = blocks
+        self.U_N = U_N
+        self.p_fixed = p_fixed
         self.A = np.diag(buildings.beta * m * m) / lam + blocks.Q / u2
         self.H2 = 2.0 * self.A
         eig = np.linalg.eigvalsh(0.5 * (self.H2 + self.H2.T))
@@ -146,43 +147,9 @@ class Quadratic:
         return self.H2 @ x + b
 
 
-@dataclass
-class ObjectiveParams:
-    """Everything the per-slot objective needs besides the control vector.
-
-    ``blocks`` supplies the M/N/Q sensitivities, ``p_g`` the current
-    generation, ``p_fixed`` the inflexible consumption riding on the same
-    buses.  ``quad`` is the :class:`Quadratic` these inputs define.
-    """
-
-    lambda_price: float
-    buildings: BuildingParams
-    blocks: object
-    U_N: float
-    p_g: np.ndarray
-    p_fixed: np.ndarray = None
-    quad: Quadratic = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.p_g = np.asarray(self.p_g, dtype=float)
-        n = self.buildings.n
-        if self.p_fixed is None:
-            self.p_fixed = np.zeros(n)
-        else:
-            self.p_fixed = np.broadcast_to(
-                np.asarray(self.p_fixed, dtype=float), (n,)).copy()
-        self.quad = Quadratic(self.lambda_price, self.buildings, self.blocks,
-                              self.U_N, self.p_fixed)
-
-
-def objective_coefficients(state, objp):
-    """Coefficients (A, b) of f(p) = p' A p + b' p for the current slot."""
-    quad = objp.quad
-    return quad.A, quad.linear_term(state.c_in, state.c_out, objp.p_g)
-
-
-def usecb_profit(state, p_c, objp):
-    """Net profit: comfort revenue minus priced grid intake.
+def usecb_profit(state, p_c, quad, p_g):
+    """Net profit of the buildings and feeder ``quad`` was built from, at
+    generation ``p_g``: comfort revenue minus priced grid intake.
 
     Evaluated through the physical path (thermal step, loss, intake) so it
     stays an independent check on the expanded quadratic.
@@ -190,21 +157,10 @@ def usecb_profit(state, p_c, objp):
     from .grid import grid_intake, power_loss
 
     p_c = np.asarray(p_c, dtype=float)
-    comfort = float(np.sum(satisfaction(state, p_c, objp.buildings)))
-    cons = p_c + objp.p_fixed
-    loss = power_loss(objp.blocks.M, objp.blocks.N, objp.blocks.Q,
-                      objp.p_g, cons, objp.U_N)
-    p_0 = grid_intake(objp.p_g, cons, loss)
-    return comfort - objp.lambda_price * p_0
-
-
-def objective_f(state, p_c, objp):
-    """Convex quadratic whose minimizer maximizes profit."""
-    _, b = objective_coefficients(state, objp)
-    return objp.quad.value(np.asarray(p_c, dtype=float), b)
-
-
-def grad_f(state, p_c, objp):
-    """Analytic gradient of :func:`objective_f`."""
-    _, b = objective_coefficients(state, objp)
-    return objp.quad.grad(np.asarray(p_c, dtype=float), b)
+    p_g = np.asarray(p_g, dtype=float)
+    comfort = float(np.sum(satisfaction(state, p_c, quad.buildings)))
+    cons = p_c + quad.p_fixed
+    blocks = quad.blocks
+    loss = power_loss(blocks.M, blocks.N, blocks.Q, p_g, cons, quad.U_N)
+    p_0 = grid_intake(p_g, cons, loss)
+    return comfort - quad.lambda_price * p_0

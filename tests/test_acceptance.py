@@ -13,9 +13,9 @@ from usecb.cli import main
 from usecb.experiments import run_regret_experiment, run_static_comparison
 from usecb.feasible import FeasibleSet
 from usecb.grid import GridModel, load_network_csv, power_loss
-from usecb.mirror import bregman_divergence, euclidean_geometry
+from usecb.mirror import bregman_divergence
 from usecb.sim import build_ieee37_scenario, data_path, metrics, run_scheme
-from usecb.thermal import grad_f, objective_f, usecb_profit
+from usecb.thermal import ThermalState, usecb_profit
 
 from conftest import ac_twobus_exact, grid_search_projection
 
@@ -90,7 +90,8 @@ def test_criterion_3_loss_vs_ac_oracle():
 
 def test_criterion_4_gradient_vs_finite_differences(static_scenario):
     t0 = time.perf_counter()
-    state, objp = static_scenario.true_objective()
+    quad = static_scenario.objective
+    b = static_scenario.true_linear_term()
     fset = static_scenario.env_feasible_set()
     rng = np.random.default_rng(4)
     h = 1e-5
@@ -98,13 +99,12 @@ def test_criterion_4_gradient_vs_finite_differences(static_scenario):
     for _ in range(100):
         x = fset.project(fset.p_min + rng.random(fset.dim)
                          * (fset.p_max - fset.p_min))
-        g = grad_f(state, x, objp)
+        g = quad.grad(x, b)
         fd = np.empty_like(g)
         for i in range(x.size):
             e = np.zeros_like(x)
             e[i] = h
-            fd[i] = (objective_f(state, x + e, objp)
-                     - objective_f(state, x - e, objp)) / (2.0 * h)
+            fd[i] = (quad.value(x + e, b) - quad.value(x - e, b)) / (2.0 * h)
         worst = max(worst, float(np.max(np.abs(fd - g)))
                     / max(float(np.max(np.abs(g))), 1e-12))
     elapsed = time.perf_counter() - t0
@@ -114,16 +114,20 @@ def test_criterion_4_gradient_vs_finite_differences(static_scenario):
 
 
 def test_criterion_5_profit_objective_consistency(static_scenario):
-    state, objp = static_scenario.true_objective()
-    fset = static_scenario.env_feasible_set()
+    scn = static_scenario
+    quad = scn.objective
+    b = scn.true_linear_term()
+    p_g = scn.p_g_true[0]
+    state = ThermalState(scn.c_in_init, scn.c_out_true[0])
+    fset = scn.env_feasible_set()
     rng = np.random.default_rng(5)
-    lam = objp.lambda_price
+    lam = quad.lambda_price
     ref = None
     worst = 0.0
     for _ in range(1000):
         p = fset.project(fset.p_min + rng.random(fset.dim)
                          * (fset.p_max - fset.p_min))
-        total = usecb_profit(state, p, objp) + lam * objective_f(state, p, objp)
+        total = usecb_profit(state, p, quad, p_g) + lam * quad.value(p, b)
         if ref is None:
             ref = total
         worst = max(worst, abs(total - ref))
@@ -176,14 +180,14 @@ def test_criterion_6_projection_suite():
 
 
 def test_criterion_7_bregman_identity():
-    geom = euclidean_geometry()
+    # psi = ||x||^2 / 2, so grad psi is the identity.
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
         x, y, z = rng.normal(size=(3, 6))
-        lhs = (bregman_divergence(geom, x, y) + bregman_divergence(geom, y, z)
-               - bregman_divergence(geom, x, z))
-        rhs = float(np.dot(x - y, geom.grad_psi(z) - geom.grad_psi(y)))
+        lhs = (bregman_divergence(x, y) + bregman_divergence(y, z)
+               - bregman_divergence(x, z))
+        rhs = float(np.dot(x - y, z - y))
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-9
     _report(7, ok, f"three-point identity residual {worst:.2e} over 1000 triples")

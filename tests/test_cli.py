@@ -3,7 +3,9 @@ import json
 import pytest
 
 from usecb.cli import main
-from usecb.sim import data_path
+from usecb.errors import ConfigError
+from usecb.experiments import run_regret_experiment, run_static_comparison
+from usecb.sim import build_ieee37_scenario, data_path
 
 
 def _data(name):
@@ -163,6 +165,37 @@ def test_regret_single_replication_flags_variance(tmp_path, capsys):
     report = json.loads((out / "regret_44.json").read_text())
     assert report["variance_note"] == "undefined with a single replication"
     assert report["per_horizon"]["50"]["std_regret"] is None
+
+
+
+@pytest.mark.parametrize("horizons", ["", "0", "-5", "100,0", "abc"])
+def test_regret_bad_horizons_exit_2(horizons, tmp_path, capsys):
+    rc = main(["regret", "--config", _data("ieee37_regret.json"),
+               f"--horizons={horizons}", "--replications", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_regret_zero_replications_exit_2(tmp_path, capsys):
+    rc = main(["regret", "--config", _data("ieee37_regret.json"),
+               "--horizons", "50,100", "--replications", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "replications" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiments_reject_bad_sizes():
+    scn = build_ieee37_scenario(variant="regret")
+    for horizons in ((), (0, 100), (-5,)):
+        with pytest.raises(ConfigError, match="horizons"):
+            run_regret_experiment(scn, horizons=horizons, replications=2)
+    with pytest.raises(ConfigError, match="replications"):
+        run_regret_experiment(scn, horizons=(50,), replications=0)
+    with pytest.raises(ConfigError, match="replications"):
+        run_static_comparison(build_ieee37_scenario(), replications=0)
 
 
 # --- compare -------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Golden summaries of every scheme on the bundled IEEE-37 configs.
+"""Golden summaries of every scheme and experiment on the bundled IEEE-37
+configs.
 
-The values were recorded from ``metrics(run_scheme(scn, scheme))`` at
-horizon 120 and pin its behaviour to rounding: a refactor that is meant to
-keep a scheme's arithmetic must keep them.  The exact and oracle schemes
+The scheme values were recorded from ``metrics(run_scheme(scn, scheme))``
+at horizon 120 and pin its behaviour to rounding: a refactor that is meant
+to keep a scheme's arithmetic must keep them.  The experiment values pin
+the online run, the regret accounting and the step-rule bounds the same
+way.  The exact and oracle schemes
 project hundreds of times per slot, so they pin the constraint set most
 tightly.  A change that alters the noise stream or the step rule on purpose
 regenerates them; it does not loosen the tolerance.
@@ -10,7 +13,8 @@ regenerates them; it does not loosen the tolerance.
 
 import pytest
 
-from usecb.sim import build_ieee37_scenario, metrics, run_scheme
+from usecb.experiments import run_regret_experiment, run_static_comparison
+from usecb.sim import build_ieee37_scenario, md_bounds, metrics, run_scheme
 
 GOLDEN = {
     "static": ({"horizon": 120}, "static", {
@@ -124,3 +128,83 @@ def test_solver_summary_matches_golden(case, scheme):
     m = metrics(run_scheme(build_ieee37_scenario(overrides, variant=variant),
                            scheme))
     _check(m, scheme, GOLDEN_SOLVED[case, scheme])
+
+
+# ``run_regret_experiment`` on ``ieee37_regret`` (horizons 50/200/800, three
+# replications, base seed 9), ``run_static_comparison`` on ``ieee37_static``
+# (three replications, base seed 8, window 50) and ``md_bounds`` on the
+# dynamic day at horizon 200 with run seed 5.
+GOLDEN_REGRET = {
+    "horizons": [50, 200, 800],
+    "replications": 3,
+    "base_seed": 9,
+    "D": 0.4874423042781576,
+    "G_star": 26.34352600670925,
+    "alpha": 1.0,
+    "f_star": -2.601714604931549,
+    "slope": 0.5011045426756393,
+    "per_horizon": {
+        "50": {"mean_regret": 12.909429383937793,
+               "std_regret": 0.7799221909184141,
+               "tail_frequency": 0.0,
+               "tail_bound": 0.7788007830714049,
+               "envelope": 181.5984425714941},
+        "200": {"mean_regret": 26.481772277941946,
+                "std_regret": 0.6611448673951864,
+                "tail_frequency": 0.0,
+                "tail_bound": 0.7788007830714049,
+                "envelope": 363.1968851429882},
+        "800": {"mean_regret": 51.796097470875026,
+                "std_regret": 2.207991409426029,
+                "tail_frequency": 0.0,
+                "tail_bound": 0.7788007830714049,
+                "envelope": 726.3937702859764},
+    },
+    "max_tail_frequency": 0.0,
+}
+
+GOLDEN_COMPARISON = {
+    "replications": 3,
+    "base_seed": 8,
+    "f_star": -45.36635806614709,
+    "tolerance": 0.45366358066147094,
+    "converged_fraction": 1.0,
+    "variance_lower_fraction": 1.0,
+    "all_feasible": True,
+    "stochastic_trailing_variance_mean": 6.936305910685e-05,
+    "exact_trailing_variance_mean": 0.6362028736885096,
+}
+
+GOLDEN_MD_BOUNDS = (0.4874423042781576, 92.15844325532665)
+
+
+def _check_report(report, expected, path="report"):
+    """Same keys; floats to rel 1e-12, everything else exactly."""
+    assert sorted(report) == sorted(expected), path
+    for key, value in expected.items():
+        got = report[key]
+        if isinstance(value, dict):
+            _check_report(got, value, f"{path}.{key}")
+        elif isinstance(value, float):
+            assert got == pytest.approx(value, rel=1e-12, abs=0.0), f"{path}.{key}"
+        else:
+            assert got == value, f"{path}.{key}"
+
+
+def test_regret_experiment_matches_golden():
+    report = run_regret_experiment(build_ieee37_scenario(variant="regret"),
+                                   horizons=(50, 200, 800), replications=3,
+                                   base_seed=9, workers=1)
+    _check_report(report, GOLDEN_REGRET)
+
+
+def test_static_comparison_matches_golden():
+    report = run_static_comparison(build_ieee37_scenario(), replications=3,
+                                   base_seed=8, window=50, workers=1)
+    _check_report(report, GOLDEN_COMPARISON)
+
+
+def test_md_bounds_matches_golden():
+    scn = build_ieee37_scenario({"horizon": 200}, variant="dynamic")
+    D, g_star = md_bounds(scn, 5, scn.env_feasible_set())
+    assert (D, g_star) == pytest.approx(GOLDEN_MD_BOUNDS, rel=1e-12, abs=0.0)

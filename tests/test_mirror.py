@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from usecb.feasible import FeasibleSet
-from usecb.mirror import (MdConfig, bregman_divergence, estimate_bounds,
-                          euclidean_geometry, md_step, minimize_projected,
-                          regret, run_online, step_size)
+from usecb.mirror import (bregman_divergence, estimate_bounds,
+                          minimize_projected, regret, run_online, step_size)
 
-GEOM = euclidean_geometry()
+
+def _psi(x):
+    """The potential psi(x) = ||x||^2 / 2; its gradient is the identity."""
+    return 0.5 * float(np.dot(x, x))
 
 
 def _noisy_quadratic(center, sigma, seed):
@@ -24,11 +26,11 @@ def _noisy_quadratic(center, sigma, seed):
 
 def test_divergence_zero_at_equal_points():
     x = np.array([0.3, -1.2])
-    assert bregman_divergence(GEOM, x, x) == 0.0
+    assert bregman_divergence(x, x) == 0.0
 
 
 def test_divergence_euclidean_hand_value():
-    assert bregman_divergence(GEOM, np.array([1.0, 0.0]),
+    assert bregman_divergence(np.array([1.0, 0.0]),
                               np.array([0.0, 0.0])) == pytest.approx(0.5)
 
 
@@ -36,17 +38,18 @@ def test_divergence_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(200):
         x, y = rng.normal(size=(2, 4))
-        assert bregman_divergence(GEOM, x, y) >= 0.0
+        assert bregman_divergence(x, y) >= 0.0
 
 
 def test_three_point_identity():
-    # B(x,y) + B(y,z) - B(x,z) = <x - y, grad(z) - grad(y)> for any psi.
+    # B(x,y) + B(y,z) - B(x,z) = <x - y, grad(z) - grad(y)>; grad psi is
+    # the identity.
     rng = np.random.default_rng(1)
     for _ in range(1000):
         x, y, z = rng.normal(size=(3, 5))
-        lhs = (bregman_divergence(GEOM, x, y) + bregman_divergence(GEOM, y, z)
-               - bregman_divergence(GEOM, x, z))
-        rhs = float(np.dot(x - y, GEOM.grad_psi(z) - GEOM.grad_psi(y)))
+        lhs = (bregman_divergence(x, y) + bregman_divergence(y, z)
+               - bregman_divergence(x, z))
+        rhs = float(np.dot(x - y, z - y))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -55,36 +58,21 @@ def test_difference_identity_common_second_argument():
     rng = np.random.default_rng(2)
     for _ in range(1000):
         x, z, y = rng.normal(size=(3, 5))
-        lhs = bregman_divergence(GEOM, x, y) - bregman_divergence(GEOM, z, y)
-        rhs = GEOM.psi(x) - GEOM.psi(z) + float(np.dot(z - x, GEOM.grad_psi(y)))
+        lhs = bregman_divergence(x, y) - bregman_divergence(z, y)
+        rhs = _psi(x) - _psi(z) + float(np.dot(z - x, y))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 # --- step ---------------------------------------------------------------------
 
-def test_md_step_zero_eta_identity():
-    a = np.array([1.0, 1.0])
-    assert np.array_equal(md_step(GEOM, a, np.array([5.0, -2.0]), 0.0), a)
-
-
-def test_md_step_hand_value():
-    out = md_step(GEOM, np.array([1.0, 1.0]), np.array([2.0, 0.0]), 0.5)
-    assert np.array_equal(out, [0.0, 1.0])
-
-
-def test_md_step_zero_gradient_identity():
-    a = np.array([0.4, -0.3])
-    assert np.array_equal(md_step(GEOM, a, np.zeros(2), 0.7), a)
-
-
 def test_step_size_formula():
-    assert step_size(4, 1.0, 2.0, 1.0) == pytest.approx(0.25)
-    etas = [step_size(t, 1.0, 2.0, 1.0) for t in range(1, 200)]
+    assert step_size(4, 1.0, 2.0) == pytest.approx(0.25)
+    etas = [step_size(t, 1.0, 2.0) for t in range(1, 200)]
     assert all(a > b for a, b in zip(etas, etas[1:]))
-    assert step_size(1, 1.0, 2.0, 1.0) / step_size(100, 1.0, 2.0, 1.0) \
+    assert step_size(1, 1.0, 2.0) / step_size(100, 1.0, 2.0) \
         == pytest.approx(10.0)
     with pytest.raises(ValueError):
-        step_size(0, 1.0, 2.0, 1.0)
+        step_size(0, 1.0, 2.0)
 
 
 # --- bound estimation ----------------------------------------------------------
@@ -122,48 +110,46 @@ def test_run_online_zero_noise_converges_to_grid_minimum():
 
     oracle = _noisy_quadratic(center, 0.0, seed=0)
     D, g_star = estimate_bounds(fs, lambda x: 2.0 * (x - center), samples=16)
-    cfg = MdConfig(D=D, G_star=g_star, initial_point=fs.midpoint())
-    trace = run_online(GEOM, cfg, fs, oracle, 500)
+    points = run_online(fs, oracle, 500, D, g_star, fs.midpoint())
     xs = np.linspace(0, 1, 1001)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vals = (gx - center[0]) ** 2 + (gy - center[1]) ** 2
     grid_best = float(vals.min())
-    assert f(trace.points[-1]) - grid_best < 1e-4
+    assert f(points[-1]) - grid_best < 1e-4
 
 
 def test_run_online_zero_gradient_stays_put():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    cfg = MdConfig(D=1.0, G_star=1.0, initial_point=np.array([0.25, 0.75]))
-    trace = run_online(GEOM, cfg, fs, lambda t, x: np.zeros(2), 50)
-    assert np.array_equal(trace.points, np.tile([0.25, 0.75], (50, 1)))
+    points = run_online(fs, lambda t, x: np.zeros(2), 50, 1.0, 1.0,
+                        np.array([0.25, 0.75]))
+    assert np.array_equal(points, np.tile([0.25, 0.75], (50, 1)))
 
 
 def test_run_online_seeded_determinism():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    cfg = MdConfig(D=1.0, G_star=3.0, initial_point=fs.midpoint())
-    t1 = run_online(GEOM, cfg, fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200)
-    t2 = run_online(GEOM, cfg, fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200)
-    assert np.array_equal(t1.points, t2.points)
-    assert np.array_equal(t1.gradients, t2.gradients)
+    p1 = run_online(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
+                    fs.midpoint())
+    p2 = run_online(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
+                    fs.midpoint())
+    assert np.array_equal(p1, p2)
 
 
 def test_run_online_iterates_always_feasible():
     fs = FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3),
                      A_volt=np.ones((1, 3)), offset=np.zeros(1),
                      v_min=-np.inf, v_max=2.0)
-    cfg = MdConfig(D=1.3, G_star=4.0, initial_point=fs.midpoint())
-    trace = run_online(GEOM, cfg, fs, _noisy_quadratic([2.0, 2.0, 2.0], 2.0, 3), 300)
-    for p in trace.points:
+    points = run_online(fs, _noisy_quadratic([2.0, 2.0, 2.0], 2.0, 3), 300,
+                        1.3, 4.0, fs.midpoint())
+    for p in points:
         assert fs.contains(p)
 
 
-def test_euclidean_step_is_projected_sgd():
+def test_run_online_rejects_nonpositive_bounds():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    a = np.array([0.9, 0.1])
-    g = np.array([3.0, -2.0])
-    eta = 0.05
-    assert np.array_equal(fs.project(md_step(GEOM, a, g, eta)),
-                          fs.project(a - eta * g))
+    for D, g_star in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError):
+            run_online(fs, lambda t, x: np.zeros(2), 5, D, g_star,
+                       fs.midpoint())
 
 
 # --- regret ----------------------------------------------------------------------
@@ -179,18 +165,17 @@ def _toy_regret(T, sigma, seed, center=(0.3, 0.6, 0.5)):
     D, g_star = estimate_bounds(
         fs, lambda x: 2.0 * (x - center) + sigma * rng.standard_normal(3),
         samples=32)
-    cfg = MdConfig(D=D, G_star=g_star, initial_point=fs.midpoint())
-    trace = run_online(GEOM, cfg, fs, _noisy_quadratic(center, sigma, seed), T)
-    total, curve = regret(trace, f, center)
+    points = run_online(fs, _noisy_quadratic(center, sigma, seed), T, D,
+                        g_star, fs.midpoint())
+    total, curve = regret(points, f, center)
     return total, curve, D, g_star
 
 
 def test_regret_zero_at_optimum():
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([0.5, 0.5])
-    cfg = MdConfig(D=1.0, G_star=1.0, initial_point=center)
-    trace = run_online(GEOM, cfg, fs, lambda t, x: np.zeros(2), 20)
-    total, curve = regret(trace, lambda x: float(np.sum((x - center) ** 2)),
+    points = run_online(fs, lambda t, x: np.zeros(2), 20, 1.0, 1.0, center)
+    total, curve = regret(points, lambda x: float(np.sum((x - center) ** 2)),
                           center)
     assert total == pytest.approx(0.0, abs=1e-12)
 

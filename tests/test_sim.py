@@ -4,7 +4,6 @@ import pytest
 from usecb.errors import ConfigError, ModelError
 from usecb.sim import (NoiseConfig, build_ieee37_scenario, metrics, observe,
                        run_scheme)
-from usecb.thermal import grad_f
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +111,8 @@ def test_tracking_set_point_zeroes_gradient_at_target():
     scn = build_ieee37_scenario(variant="regret")
     lo, hi = scn.bounds["p_min"], scn.bounds["p_max"]
     target = np.full(scn.n_loads, lo + 0.55 * (hi - lo))
-    state, objp = scn.true_objective()
-    assert np.max(np.abs(grad_f(state, target, objp))) <= 1e-10
+    grad = scn.objective.grad(target, scn.true_linear_term())
+    assert np.max(np.abs(grad)) <= 1e-10
 
 
 # --- closed-loop runs ------------------------------------------------------------

@@ -3,8 +3,7 @@ import pytest
 
 from usecb.errors import ModelError
 from usecb.grid import SensitivityBlocks
-from usecb.thermal import (BuildingParams, ObjectiveParams, ThermalState,
-                           grad_f, objective_coefficients, objective_f,
+from usecb.thermal import (BuildingParams, Quadratic, ThermalState,
                            satisfaction, thermal_step, usecb_profit)
 
 
@@ -34,9 +33,9 @@ def _coupled_objective(rng=None, n=3):
                         beta=rng.uniform(0.2, 0.6, n),
                         c_set=rng.uniform(68, 74, n), dt=48.0)
     st = ThermalState(rng.uniform(70, 80, n), rng.uniform(85, 95, n))
-    objp = ObjectiveParams(1.2, bp, blocks, 1.0, p_g=[0.5],
-                           p_fixed=rng.uniform(0, 0.08, n))
-    return st, objp
+    p_g = np.array([0.5])
+    quad = Quadratic(1.2, bp, blocks, 1.0, rng.uniform(0, 0.08, n))
+    return st, quad, p_g, quad.linear_term(st.c_in, st.c_out, p_g)
 
 
 # --- thermal step ----------------------------------------------------------
@@ -107,9 +106,10 @@ def test_profit_zero_at_balance():
     blocks = _empty_grid_blocks(1, n_gens=1)
     bp = BuildingParams(0.1, 0.5, 1.0, [75.0], dt=1.0)
     st = ThermalState([75.0], [95.0])
-    objp = ObjectiveParams(1.0, bp, blocks, 1.0, p_g=np.array([4.0]))
+    quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
     # Predicted temperature hits the set point and intake nets to zero.
-    assert usecb_profit(st, [4.0], objp) == pytest.approx(0.0, abs=1e-12)
+    assert usecb_profit(st, [4.0], quad, np.array([4.0])) \
+        == pytest.approx(0.0, abs=1e-12)
 
 
 def test_profit_hand_value():
@@ -118,17 +118,18 @@ def test_profit_hand_value():
     blocks = _empty_grid_blocks(1, n_gens=1)
     bp = BuildingParams(0.0, 1.0, 2.0, [70.0], dt=1.0)
     st = ThermalState([75.0], [75.0])
-    objp = ObjectiveParams(1.0, bp, blocks, 1.0, p_g=np.array([0.0]))
-    assert usecb_profit(st, [2.0], objp) == pytest.approx(-20.0, abs=1e-12)
+    quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
+    assert usecb_profit(st, [2.0], quad, np.array([0.0])) \
+        == pytest.approx(-20.0, abs=1e-12)
 
 
 def test_profit_plus_lambda_f_constant():
     rng = np.random.default_rng(2)
-    st, objp = _coupled_objective(rng)
+    st, quad, p_g, b = _coupled_objective(rng)
     ref = None
     for _ in range(100):
-        p = rng.uniform(0, 0.12, objp.buildings.n)
-        total = usecb_profit(st, p, objp) + objp.lambda_price * objective_f(st, p, objp)
+        p = rng.uniform(0, 0.12, quad.buildings.n)
+        total = usecb_profit(st, p, quad, p_g) + quad.lambda_price * quad.value(p, b)
         if ref is None:
             ref = total
         assert total == pytest.approx(ref, abs=1e-9)
@@ -142,12 +143,13 @@ def test_objective_one_dim_minimizer():
     blocks = _empty_grid_blocks(1)
     bp = BuildingParams(0.0, 1.0, 1.0, [7.5], dt=1.0)
     st = ThermalState([10.0], [10.0])
-    objp = ObjectiveParams(1.0, bp, blocks, 1.0, p_g=np.zeros(0))
-    A, b = objective_coefficients(st, objp)
+    quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
+    A = quad.A
+    b = quad.linear_term(st.c_in, st.c_out, np.zeros(0))
     vertex = -b[0] / (2.0 * A[0, 0])
     assert vertex == pytest.approx(2.0, abs=1e-12)
     grid = np.linspace(0.0, 4.0, 40_001)
-    vals = [objective_f(st, [g], objp) for g in grid]
+    vals = [quad.value(np.array([g]), b) for g in grid]
     assert grid[int(np.argmin(vals))] == pytest.approx(2.0, abs=1e-4)
 
 
@@ -156,22 +158,24 @@ def test_objective_argmin_matches_profit_argmax():
     blocks = _empty_grid_blocks(1)
     bp = BuildingParams(0.0, 0.8, 1.5, [71.0], dt=1.0)
     st = ThermalState([76.0], [76.0])
-    objp = ObjectiveParams(2.0, bp, blocks, 1.0, p_g=np.zeros(0))
+    quad = Quadratic(2.0, bp, blocks, 1.0, np.zeros(1))
+    p_g = np.zeros(0)
+    b = quad.linear_term(st.c_in, st.c_out, p_g)
     grid = np.linspace(0.0, 8.0, 4001)
-    f_vals = np.array([objective_f(st, [g], objp) for g in grid])
-    pi_vals = np.array([usecb_profit(st, [g], objp) for g in grid])
+    f_vals = np.array([quad.value(np.array([g]), b) for g in grid])
+    pi_vals = np.array([usecb_profit(st, [g], quad, p_g) for g in grid])
     assert np.argmin(f_vals) == np.argmax(pi_vals)
 
 
 def test_objective_midpoint_convexity():
     rng = np.random.default_rng(4)
-    st, objp = _coupled_objective(rng)
-    n = objp.buildings.n
+    _, quad, _, b = _coupled_objective(rng)
+    n = quad.buildings.n
     for _ in range(1000):
         p1 = rng.uniform(-0.2, 0.3, n)
         p2 = rng.uniform(-0.2, 0.3, n)
-        mid = objective_f(st, 0.5 * (p1 + p2), objp)
-        avg = 0.5 * (objective_f(st, p1, objp) + objective_f(st, p2, objp))
+        mid = quad.value(0.5 * (p1 + p2), b)
+        avg = 0.5 * (quad.value(p1, b) + quad.value(p2, b))
         assert mid <= avg + 1e-12
 
 
@@ -180,43 +184,40 @@ def test_objective_rejects_non_psd_hessian():
     blocks.Q = np.array([[-10.0]])
     bp = BuildingParams(0.0, 1.0, 1.0, [70.0], dt=1.0)
     with pytest.raises(ModelError, match="Hessian"):
-        ObjectiveParams(1.0, bp, blocks, 1.0, p_g=np.zeros(0))
+        Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
 
 
 # --- gradient --------------------------------------------------------------
 
 def test_grad_zero_at_unconstrained_minimizer():
     rng = np.random.default_rng(5)
-    st, objp = _coupled_objective(rng)
-    A, b = objective_coefficients(st, objp)
-    p_star = np.linalg.solve(2.0 * A, -b)
-    assert np.max(np.abs(grad_f(st, p_star, objp))) < 1e-9
+    _, quad, _, b = _coupled_objective(rng)
+    p_star = np.linalg.solve(2.0 * quad.A, -b)
+    assert np.max(np.abs(quad.grad(p_star, b))) < 1e-9
 
 
 def test_grad_matches_central_differences():
     rng = np.random.default_rng(6)
-    st, objp = _coupled_objective(rng)
-    n = objp.buildings.n
+    _, quad, _, b = _coupled_objective(rng)
+    n = quad.buildings.n
     h = 1e-5
     for _ in range(100):
         p = rng.uniform(0, 0.12, n)
-        g = grad_f(st, p, objp)
+        g = quad.grad(p, b)
         fd = np.empty(n)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            fd[i] = (objective_f(st, p + e, objp)
-                     - objective_f(st, p - e, objp)) / (2 * h)
+            fd[i] = (quad.value(p + e, b) - quad.value(p - e, b)) / (2 * h)
         denom = max(np.max(np.abs(g)), 1e-12)
         assert np.max(np.abs(fd - g)) / denom < 1e-6
 
 
 def test_grad_difference_is_hessian_action():
     rng = np.random.default_rng(7)
-    st, objp = _coupled_objective(rng)
-    n = objp.buildings.n
-    A, _ = objective_coefficients(st, objp)
+    _, quad, _, b = _coupled_objective(rng)
+    n = quad.buildings.n
     p = rng.uniform(0, 0.12, n)
     delta = rng.normal(size=n) * 0.01
-    lhs = grad_f(st, p + delta, objp) - grad_f(st, p, objp)
-    assert np.allclose(lhs, 2.0 * (A @ delta), atol=1e-14)
+    lhs = quad.grad(p + delta, b) - quad.grad(p, b)
+    assert np.allclose(lhs, 2.0 * (quad.A @ delta), atol=1e-14)
