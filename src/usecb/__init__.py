@@ -27,8 +27,8 @@ from .mirror import (bregman_divergence, estimate_bounds, minimize_projected,
                      regret, run_online, step_size)
 from .sim import (NoiseConfig, RunResult, Scenario, build_ieee37_scenario,
                   load_scenario, metrics, observe, run_scheme)
-from .thermal import (BuildingParams, Quadratic, ThermalState, satisfaction,
-                      thermal_step, usecb_profit)
+from .thermal import (BuildingParams, Quadratic, satisfaction, thermal_step,
+                      usecb_profit)
 from .timeseries import TimeSeries, load_timeseries
 
 __version__ = "0.1.0"
@@ -45,8 +45,8 @@ __all__ = [
     "run_online", "step_size",
     "NoiseConfig", "RunResult", "Scenario", "build_ieee37_scenario",
     "load_scenario", "metrics", "observe", "run_scheme",
-    "BuildingParams", "Quadratic", "ThermalState", "satisfaction",
-    "thermal_step", "usecb_profit",
+    "BuildingParams", "Quadratic", "satisfaction", "thermal_step",
+    "usecb_profit",
     "TimeSeries", "load_timeseries",
     "__version__",
 ]

@@ -3,8 +3,6 @@
 Subcommands: simulate, compare, regret, flows, validate, gradcheck.  All
 output is data (CSV / JSON); plotting stays external.  Exit codes: 0 ok,
 2 configuration error, 3 model/feasibility error, 4 violated assumption.
-Environment variables with the ``USECB_`` prefix override flag defaults
-(``USECB_SEED``, ``USECB_HORIZON``, ``USECB_OUT``).
 """
 
 from __future__ import annotations
@@ -30,16 +28,6 @@ EXIT_MODEL = 3
 EXIT_ASSUMPTION = 4
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(f"USECB_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"bad USECB_{name} value {raw!r}")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="usecb",
@@ -50,13 +38,10 @@ def _build_parser():
     def common(p, scheme=False):
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--seed", type=int,
-                       default=_env_default("SEED", int, None),
                        help="run seed (default: scenario config seed)")
         p.add_argument("--horizon", type=int,
-                       default=_env_default("HORIZON", int, None),
                        help="override the scenario horizon")
-        p.add_argument("--out", default=_env_default("OUT", str, "."),
-                       help="output directory")
+        p.add_argument("--out", default=".", help="output directory")
         if scheme:
             p.add_argument("--scheme", choices=SCHEMES, default="stochastic")
 
@@ -217,6 +202,8 @@ def _cmd_validate(args):
 
 
 def _cmd_gradcheck(args):
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     scenario = _load(args)
     seed = scenario.seed if args.seed is None else args.seed
     quad = scenario.objective

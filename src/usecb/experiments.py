@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import AssumptionError, ConfigError
 from .mirror import minimize_projected, regret, run_online
-from .sim import (md_bounds, metrics, replication_seed, run_scheme,
-                  scenario_gradient_oracle)
+from .sim import (check_window, md_bounds, metrics, replication_seed,
+                  run_scheme, scenario_gradient_oracle)
 
 __all__ = [
     "static_problem",
@@ -35,15 +35,16 @@ def default_workers():
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def map_replications(fn, jobs, workers=None):
+def map_replications(fn, jobs):
     """Run ``fn(*args)`` for every ``key -> args`` entry in ``jobs``.
 
     Returns ``{key: result}`` with keys processed in sorted order.  With
-    more than one worker the jobs run in separate processes, so ``fn`` and
-    all arguments must be picklable.
+    more than one job and more than one of :func:`default_workers` the jobs
+    run in separate processes, so ``fn`` and all arguments must be
+    picklable.
     """
     keys = sorted(jobs)
-    workers = default_workers() if workers is None else workers
+    workers = default_workers()
     if workers <= 1 or len(keys) <= 1:
         return {k: fn(*jobs[k]) for k in keys}
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -54,27 +55,21 @@ def map_replications(fn, jobs, workers=None):
 def static_problem(scenario):
     """Frozen-objective pieces of a static scenario.
 
-    Returns (fset, f_true, grad_true, a_star, f_star).  a_star is pinned by
-    deterministic projected gradient descent to 1e-10.
+    Returns (fset, a_star, f_star).  a_star is pinned by deterministic
+    projected gradient descent to 1e-10.
     """
     if not scenario.is_static:
         raise AssumptionError("stationary objective requires a static scenario")
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     fset = scenario.env_feasible_set()
-
-    def f_true(x):
-        return quad.value(np.asarray(x, dtype=float), b_true)
-
-    def grad_true(x):
-        return quad.grad(np.asarray(x, dtype=float), b_true)
-
-    a_star, converged = minimize_projected(grad_true, fset, quad.L, tol=1e-10)
+    a_star, converged = minimize_projected(lambda x: quad.grad(x, b_true),
+                                           fset, quad.L, tol=1e-10)
     if not converged:
         logging.getLogger(__name__).warning(
             "a_star solve stopped short of its 1e-10 tolerance; regret is "
             "measured against an approximate optimum")
-    return fset, f_true, grad_true, a_star, f_true(a_star)
+    return fset, a_star, quad.value(a_star, b_true)
 
 
 def run_scheme_job(scenario, scheme, seed):
@@ -94,7 +89,7 @@ def _regret_job(scenario, T, seed, D, g_star, a_star):
 
 
 def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
-                          replications=20, base_seed=None, workers=None):
+                          replications=20, base_seed=None):
     """Mean regret growth over horizons plus a concentration tail check.
 
     Fits the least-squares slope of log mean R_T against log T and counts
@@ -110,14 +105,14 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
         raise ConfigError(f"horizons must be positive integers, got {horizons}")
     _check_replications(replications)
     base_seed = scenario.seed if base_seed is None else int(base_seed)
-    fset, _, _, a_star, f_star = static_problem(scenario)
+    fset, a_star, f_star = static_problem(scenario)
     D, g_star = md_bounds(scenario, base_seed, fset)
     alpha = 1.0
 
     jobs = {(T, rep): (scenario, T, replication_seed(base_seed, rep),
                        D, g_star, a_star)
             for T in horizons for rep in range(replications)}
-    totals = map_replications(_regret_job, jobs, workers=workers)
+    totals = map_replications(_regret_job, jobs)
 
     per_T = {}
     for T in horizons:
@@ -157,34 +152,27 @@ def _check_replications(replications):
 
 
 def _comparison_job(scenario, scheme, seed, window):
-    run = run_scheme(scenario, scheme, seed=seed)
-    w = min(window, run.f_true.shape[0])
-    return {
-        "final": float(run.f_true[-1]),
-        "minimum": float(run.f_true.min()),
-        "trailing_variance": float(np.var(run.f_true[-w:])),
-        "all_feasible": bool(run.feasible.all()),
-        "metrics": metrics(run, trailing_window=w),
-    }
+    return metrics(run_scheme(scenario, scheme, seed=seed), trailing_window=window)
 
 
 def run_static_comparison(scenario, replications=50, base_seed=None,
-                          window=100, rel_tol=0.01, workers=None):
+                          window=100, rel_tol=0.01):
     """Stochastic vs exact scheme over seeded replications of a static run.
 
     Per replication: does the stochastic scheme's final true objective land
     within ``rel_tol`` of the oracle optimum, and is its trailing-window
     objective variance strictly below the exact scheme's?  Raises
-    ``ConfigError`` for fewer than one replication.
+    ``ConfigError`` for fewer than one replication or a ``window`` below 1.
     """
     _check_replications(replications)
+    check_window(window)
     base_seed = scenario.seed if base_seed is None else int(base_seed)
-    _, _, _, _, f_star = static_problem(scenario)
+    _, _, f_star = static_problem(scenario)
 
     jobs = {(scheme, rep): (scenario, scheme,
                             replication_seed(base_seed, rep), window)
             for scheme in ("stochastic", "exact") for rep in range(replications)}
-    results = map_replications(_comparison_job, jobs, workers=workers)
+    results = map_replications(_comparison_job, jobs)
 
     tol = rel_tol * abs(f_star)
     converged = []
@@ -192,8 +180,9 @@ def run_static_comparison(scenario, replications=50, base_seed=None,
     for rep in range(replications):
         st = results[("stochastic", rep)]
         ex = results[("exact", rep)]
-        converged.append(st["final"] - f_star <= tol)
-        var_lower.append(st["trailing_variance"] < ex["trailing_variance"])
+        converged.append(st["objective_final"] - f_star <= tol)
+        var_lower.append(st["objective_trailing_variance"]
+                         < ex["objective_trailing_variance"])
 
     return {
         "replications": replications,
@@ -204,9 +193,9 @@ def run_static_comparison(scenario, replications=50, base_seed=None,
         "variance_lower_fraction": float(np.mean(var_lower)),
         "all_feasible": bool(all(results[k]["all_feasible"] for k in results)),
         "stochastic_trailing_variance_mean": float(np.mean(
-            [results[("stochastic", r)]["trailing_variance"]
+            [results[("stochastic", r)]["objective_trailing_variance"]
              for r in range(replications)])),
         "exact_trailing_variance_mean": float(np.mean(
-            [results[("exact", r)]["trailing_variance"]
+            [results[("exact", r)]["objective_trailing_variance"]
              for r in range(replications)])),
     }

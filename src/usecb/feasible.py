@@ -31,6 +31,7 @@ __all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
 
 _NEWTON_CAP = 200
 _KKT_TOL = 1e-10
+_MEMBER_TOL = 1e-9
 _PARALLEL_COS = 1.0 - 1e-12
 _EPS = np.finfo(float).eps
 
@@ -107,13 +108,13 @@ class VoltageBand:
         return self._merge
 
 
-def build_band(blocks, U_N, bounds, include_gen_buses=True):
+def build_band(blocks, U_N, bounds):
     """The voltage band of a feeder, built once per scenario.
 
-    ``bounds`` is a mapping with keys p_min, p_max, v_min, v_max.  Voltage
-    rows cover every non-PCC bus by default; set ``include_gen_buses``
-    False to constrain load buses only.  Without a finite voltage limit the
-    band has no rows and every set is the plain box.
+    ``bounds`` is a mapping with keys p_min, p_max, v_min, v_max and
+    include_gen_buses.  Voltage rows cover every non-PCC bus by default; set
+    ``include_gen_buses`` False to constrain load buses only.  Without a
+    finite voltage limit the band has no rows and every set is the plain box.
     """
     n_c = len(blocks.load_buses)
     p_min = np.broadcast_to(np.asarray(bounds["p_min"], dtype=float), (n_c,)).copy()
@@ -128,7 +129,7 @@ def build_band(blocks, U_N, bounds, include_gen_buses=True):
     bot = np.hstack([blocks.N.T, blocks.Q])
     sens = np.vstack([top, bot])
     n_g = len(blocks.gen_buses)
-    first = 0 if include_gen_buses else n_g
+    first = 0 if bounds.get("include_gen_buses", True) else n_g
     A_volt = (-sens[:, n_g:] / U_N)[first:]
     return VoltageBand(p_min, p_max, A_volt, v_min, v_max,
                        sens=sens, U_N=U_N, first_row=first)
@@ -196,9 +197,8 @@ class FeasibleSet:
             v = max(v, np.max(self.v_min - band), np.max(band - self.v_max))
         return float(v)
 
-    def contains(self, p, tol=1e-9):
-        p = np.asarray(p, dtype=float)
-        return self._max_violation(p) <= tol
+    def contains(self, p):
+        return self._max_violation(np.asarray(p, dtype=float)) <= _MEMBER_TOL
 
     def project(self, x):
         """Euclidean projection: the box clamp when it meets the band,

@@ -183,18 +183,14 @@ def power_loss(M, Nblk, Q, p_g, p_c, U_N):
     return quad / (U_N * U_N)
 
 
-def full_power_loss(X, p, U_N, q=None):
-    """Loss from the full quadratic form, with the optional reactive term.
+def full_power_loss(X, p, U_N):
+    """Loss from the full quadratic form, loss = p' Re(X) p / U_N^2.
 
-    loss = (p' Re(X) p + q' Im(X) q) / U_N^2.  The reactive term is kept for
-    completeness; the operating model sets q = 0 everywhere.
+    The reactive term q' Im(X) q is absent: the operating model sets q = 0
+    everywhere.
     """
     p = np.asarray(p, dtype=float)
-    total = p @ np.real(X) @ p
-    if q is not None:
-        q = np.asarray(q, dtype=float)
-        total += q @ np.imag(X) @ q
-    return total / (U_N * U_N)
+    return p @ np.real(X) @ p / (U_N * U_N)
 
 
 def grid_intake(p_g, p_c, loss):

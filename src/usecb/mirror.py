@@ -40,34 +40,34 @@ def step_size(t, D, G_star):
     return D / (G_star * np.sqrt(t))
 
 
-def _box_corners(fset, rng, cap=64):
+# Random box corners (above six dimensions) and random feasible points that
+# estimate_bounds samples.
+_SAMPLES = 64
+
+
+def _box_corners(fset, rng):
     n = fset.dim
     if n <= 6:
         bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
     else:
-        bits = (rng.random((cap, n)) < 0.5).astype(float)
+        bits = (rng.random((_SAMPLES, n)) < 0.5).astype(float)
     return fset.p_min + bits * (fset.p_max - fset.p_min)
 
 
-def estimate_bounds(fset, grad_fn, samples=128, rng=None):
+def estimate_bounds(fset, grad_fn, rng):
     """Conservative (D, G*) for the step-size rule.
 
     D is the closed-form Euclidean maximum of B over box corner pairs,
     ||p_max - p_min|| / sqrt(2).  G* is 1.1 times the largest gradient norm
-    seen over box corners and ``samples`` random feasible points; pass the
-    stochastic oracle as ``grad_fn`` when the run is noisy so that G*
-    bounds what the algorithm actually sees.
+    seen over box corners and 64 random feasible points, drawn from ``rng``
+    in that order; pass the stochastic oracle as ``grad_fn`` when the run
+    is noisy so that G* bounds what the algorithm actually sees.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     D = float(np.linalg.norm(fset.p_max - fset.p_min)) / np.sqrt(2.0)
-    points = [_box_corners(fset, rng)]
-    if samples:
-        raw = fset.p_min + rng.random((samples, fset.dim)) * (fset.p_max - fset.p_min)
-        points.append(np.array([fset.project(x) for x in raw]))
-    g_max = 0.0
-    for block in points:
-        for x in block:
-            g_max = max(g_max, float(np.linalg.norm(grad_fn(x))))
+    corners = _box_corners(fset, rng)
+    raw = fset.p_min + rng.random((_SAMPLES, fset.dim)) * (fset.p_max - fset.p_min)
+    points = list(corners) + [fset.project(x) for x in raw]
+    g_max = max(float(np.linalg.norm(grad_fn(x))) for x in points)
     return D, 1.1 * g_max
 
 

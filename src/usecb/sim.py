@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .feasible import VoltageBand, build_band, build_feasible
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
-from .thermal import BuildingParams, Quadratic, ThermalState, thermal_step
+from .thermal import BuildingParams, Quadratic, thermal_step
 from .timeseries import load_timeseries
 
 __all__ = [
@@ -161,9 +161,7 @@ class Scenario:
         self.objective = Quadratic(self.lambda_price, self.buildings,
                                    self.model.blocks, self.model.U_N,
                                    self.p_fixed)
-        self.band = build_band(
-            self.model.blocks, self.model.U_N, self.bounds,
-            include_gen_buses=self.bounds.get("include_gen_buses", True))
+        self.band = build_band(self.model.blocks, self.model.U_N, self.bounds)
 
     @property
     def is_static(self):
@@ -178,11 +176,9 @@ class Scenario:
             return str(self.bus_names[idx])
         return str(idx)
 
-    def env_feasible_set(self, p_g=None):
-        """Constraint set from a generation vector (true slot-0 by default)."""
-        return build_feasible(self.band,
-                              self.p_g_true[0] if p_g is None else p_g,
-                              p_fixed=self.p_fixed)
+    def env_feasible_set(self):
+        """Constraint set at the true slot-0 generation."""
+        return build_feasible(self.band, self.p_g_true[0], p_fixed=self.p_fixed)
 
     def true_linear_term(self):
         """Linear term of ``objective`` on the true slot-0 inputs."""
@@ -241,7 +237,7 @@ def md_bounds(scenario, seed, fset):
         def sample_grad(x):
             return quad.grad(x, b0)
 
-    return estimate_bounds(fset, sample_grad, samples=64, rng=rng)
+    return estimate_bounds(fset, sample_grad, rng)
 
 
 @dataclass
@@ -340,8 +336,7 @@ def run_scheme(scenario, scheme, seed=None):
         out.f_true[t] = quad.value(a, b_true)
         out.feasible[t] = fset_t.contains(a)
 
-        true_state = ThermalState(c_in, cout_t)
-        stepped = thermal_step(true_state, a, bld)
+        stepped = thermal_step(c_in, cout_t, a, bld)
         if scenario.is_static:
             out.c_in_after[t] = c_in
         else:
@@ -355,8 +350,15 @@ def run_scheme(scenario, scheme, seed=None):
     return out
 
 
+def check_window(window):
+    if window < 1:
+        raise ConfigError(f"trailing window must be at least 1, got {window}")
+
+
 def metrics(run, trailing_window=100):
-    """Aggregate metrics for one run, including the conservation residual."""
+    """Aggregate metrics for one run, including the conservation residual;
+    the objective variance covers the last ``trailing_window >= 1`` slots."""
+    check_window(trailing_window)
     scn = run.scenario
     cons = run.p_c + scn.p_fixed
     residual = run.p_0 - (cons.sum(axis=1) - run.p_g_true.sum(axis=1) + run.loss)
@@ -509,6 +511,8 @@ def scenario_from_config(cfg, base_dir=""):
     rng_init = np.random.default_rng(np.random.SeedSequence((seed, STREAM_INIT)))
     c_in_init = float(ind["mean"]) + float(ind.get("std", 0.0)) \
         * rng_init.standard_normal(n_c)
+    if not np.all(np.isfinite(c_in_init)):
+        raise ConfigError("indoor_init must give finite temperatures")
 
     load_cfg = cfg["load"]
     p_fixed = np.full(n_c, float(load_cfg.get("fixed_mw", 0.0)) / s_base)

@@ -25,7 +25,6 @@ from .errors import ModelError
 
 __all__ = [
     "BuildingParams",
-    "ThermalState",
     "Quadratic",
     "thermal_step",
     "satisfaction",
@@ -69,33 +68,17 @@ class BuildingParams:
         return self.c_set.shape[0]
 
 
-@dataclass
-class ThermalState:
-    """Indoor and outdoor temperatures per building."""
-
-    c_in: np.ndarray
-    c_out: np.ndarray
-
-    def __post_init__(self):
-        self.c_in = np.atleast_1d(np.asarray(self.c_in, dtype=float))
-        self.c_out = np.broadcast_to(
-            np.asarray(self.c_out, dtype=float), self.c_in.shape).copy()
-        if not (np.all(np.isfinite(self.c_in)) and np.all(np.isfinite(self.c_out))):
-            raise ModelError("temperatures must be finite")
-
-
-def thermal_step(state, p_c, params):
-    """Predicted indoor temperature after one slot of AC power ``p_c >= 0``."""
-    p_c = np.asarray(p_c, dtype=float)
+def thermal_step(c_in, c_out, p_c, params):
+    """Predicted indoor temperature after one slot of AC power ``p_c >= 0``
+    from indoor ``c_in`` and outdoor ``c_out`` temperatures per building."""
+    c_in = np.asarray(c_in, dtype=float)
     dt = params.dt
-    return (state.c_in
-            + params.alpha1 * (state.c_out - state.c_in) * dt
-            - params.alpha2 * p_c * dt)
+    return c_in + params.alpha1 * (c_out - c_in) * dt - params.alpha2 * p_c * dt
 
 
-def satisfaction(state, p_c, params):
+def satisfaction(c_in, c_out, p_c, params):
     """Per-building comfort utility; zero at the set point, negative elsewhere."""
-    predicted = thermal_step(state, p_c, params)
+    predicted = thermal_step(c_in, c_out, p_c, params)
     dev = predicted - params.c_set
     return -params.beta * dev * dev
 
@@ -147,9 +130,10 @@ class Quadratic:
         return self.H2 @ x + b
 
 
-def usecb_profit(state, p_c, quad, p_g):
+def usecb_profit(c_in, c_out, p_c, quad, p_g):
     """Net profit of the buildings and feeder ``quad`` was built from, at
-    generation ``p_g``: comfort revenue minus priced grid intake.
+    temperatures ``c_in``, ``c_out`` and generation ``p_g``: comfort revenue
+    minus priced grid intake.
 
     Evaluated through the physical path (thermal step, loss, intake) so it
     stays an independent check on the expanded quadratic.
@@ -158,7 +142,7 @@ def usecb_profit(state, p_c, quad, p_g):
 
     p_c = np.asarray(p_c, dtype=float)
     p_g = np.asarray(p_g, dtype=float)
-    comfort = float(np.sum(satisfaction(state, p_c, quad.buildings)))
+    comfort = float(np.sum(satisfaction(c_in, c_out, p_c, quad.buildings)))
     cons = p_c + quad.p_fixed
     blocks = quad.blocks
     loss = power_loss(blocks.M, blocks.N, blocks.Q, p_g, cons, quad.U_N)

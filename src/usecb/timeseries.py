@@ -29,7 +29,8 @@ class TimeSeries:
 def load_timeseries(path):
     """Read a ``t,value`` CSV (header required) into a TimeSeries.
 
-    Rejects empty files, NaN entries and non-monotone timestamps.
+    Rejects empty files, non-finite (NaN or infinite) entries and
+    non-monotone timestamps.
     """
     ts = []
     vals = []
@@ -48,8 +49,8 @@ def load_timeseries(path):
                 v = float(row[1])
             except (ValueError, IndexError) as exc:
                 raise IngestionError(f"{path}:{row_no}: bad row ({exc})") from exc
-            if math.isnan(t) or math.isnan(v):
-                raise IngestionError(f"{path}:{row_no}: NaN entry")
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise IngestionError(f"{path}:{row_no}: NaN or infinite entry")
             if ts and t <= ts[-1]:
                 raise IngestionError(
                     f"{path}:{row_no}: timestamps must be strictly increasing"

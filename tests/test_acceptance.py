@@ -15,7 +15,7 @@ from usecb.feasible import FeasibleSet
 from usecb.grid import GridModel, load_network_csv, power_loss
 from usecb.mirror import bregman_divergence
 from usecb.sim import build_ieee37_scenario, data_path, metrics, run_scheme
-from usecb.thermal import ThermalState, usecb_profit
+from usecb.thermal import usecb_profit
 
 from conftest import ac_twobus_exact, grid_search_projection
 
@@ -118,7 +118,7 @@ def test_criterion_5_profit_objective_consistency(static_scenario):
     quad = scn.objective
     b = scn.true_linear_term()
     p_g = scn.p_g_true[0]
-    state = ThermalState(scn.c_in_init, scn.c_out_true[0])
+    c_out = np.full(scn.n_loads, scn.c_out_true[0])
     fset = scn.env_feasible_set()
     rng = np.random.default_rng(5)
     lam = quad.lambda_price
@@ -127,7 +127,8 @@ def test_criterion_5_profit_objective_consistency(static_scenario):
     for _ in range(1000):
         p = fset.project(fset.p_min + rng.random(fset.dim)
                          * (fset.p_max - fset.p_min))
-        total = usecb_profit(state, p, quad, p_g) + lam * quad.value(p, b)
+        total = usecb_profit(scn.c_in_init, c_out, p, quad, p_g) \
+            + lam * quad.value(p, b)
         if ref is None:
             ref = total
         worst = max(worst, abs(total - ref))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from usecb import experiments
 from usecb.cli import main
 from usecb.errors import ConfigError
 from usecb.experiments import run_regret_experiment, run_static_comparison
@@ -83,19 +84,6 @@ def test_simulate_same_seed_byte_identical(short_static_config, tmp_path, capsys
     assert a == b
 
 
-def test_env_seed_override(short_static_config, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("USECB_SEED", "7")
-    out = tmp_path / "env"
-    assert main(["simulate", "--config", short_static_config,
-                 "--out", str(out)]) == 0
-    assert (out / "slots_stochastic_7.csv").exists()
-
-
-def test_env_bad_seed_exits_2(short_static_config, capsys, monkeypatch):
-    monkeypatch.setenv("USECB_SEED", "pear")
-    assert main(["simulate", "--config", short_static_config]) == 2
-
-
 def test_horizon_override(short_static_config, tmp_path, capsys):
     out = tmp_path / "short"
     assert main(["simulate", "--config", short_static_config,
@@ -126,6 +114,55 @@ def test_gradcheck_bundled_static(short_static_config, capsys):
     assert main(["gradcheck", "--config", short_static_config,
                  "--points", "20"]) == 0
     assert "gradcheck: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_gradcheck_without_points_exits_2(short_static_config, points, capsys):
+    assert main(["gradcheck", "--config", short_static_config,
+                 f"--points={points}"]) == 2
+    captured = capsys.readouterr()
+    assert "--points" in captured.err
+    assert "gradcheck: ok" not in captured.out
+
+
+# --- non-finite temperatures ------------------------------------------------------
+
+def _nan_indoor_config(tmp_path):
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 25
+    cfg["indoor_init"]["mean"] = float("nan")
+    path = tmp_path / "nan_indoor.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _inf_outdoor_config(tmp_path):
+    # The static run reads the profile at start_s only; that sample is inf.
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 25
+    start = f"{cfg['start_s']:g},"
+    rows = data_path("temperature_profile.csv").read_text().splitlines()
+    hit = [i for i, row in enumerate(rows) if row.startswith(start)]
+    assert len(hit) == 1
+    rows[hit[0]] = start + "inf"
+    (tmp_path / "temperature_profile.csv").write_text("\n".join(rows) + "\n")
+    path = tmp_path / "inf_outdoor.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("make_config", [_nan_indoor_config, _inf_outdoor_config])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_nonfinite_temperature_exits_2_at_load(make_config, command, tmp_path,
+                                               capsys):
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(make_config(tmp_path)),
+               "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- regret ------------------------------------------------------------------------
@@ -187,7 +224,7 @@ def test_regret_zero_replications_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_experiments_reject_bad_sizes():
+def test_experiments_reject_bad_sizes(monkeypatch):
     scn = build_ieee37_scenario(variant="regret")
     for horizons in ((), (0, 100), (-5,)):
         with pytest.raises(ConfigError, match="horizons"):
@@ -196,6 +233,12 @@ def test_experiments_reject_bad_sizes():
         run_regret_experiment(scn, horizons=(50,), replications=0)
     with pytest.raises(ConfigError, match="replications"):
         run_static_comparison(build_ieee37_scenario(), replications=0)
+    # The window is checked before the comparison solves anything.
+    monkeypatch.setattr(experiments, "static_problem", None)
+    for window in (0, -5):
+        with pytest.raises(ConfigError, match="window"):
+            run_static_comparison(build_ieee37_scenario(), replications=2,
+                                  window=window)
 
 
 # --- compare -------------------------------------------------------------------------

@@ -161,10 +161,12 @@ def test_offsets_monotone_in_generation(chain4_model):
 
 def test_gen_rows_switch(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.95, "v_max": 1.05}
-    all_rows = build_feasible(build_band(chain4_model.blocks, 1.0, bounds,
-                                         include_gen_buses=True), [0.2])
-    load_rows = build_feasible(build_band(chain4_model.blocks, 1.0, bounds,
-                                          include_gen_buses=False), [0.2])
+    all_rows = build_feasible(build_band(chain4_model.blocks, 1.0,
+                                         {**bounds, "include_gen_buses": True}),
+                              [0.2])
+    load_rows = build_feasible(build_band(chain4_model.blocks, 1.0,
+                                          {**bounds, "include_gen_buses": False}),
+                               [0.2])
     assert all_rows.A_volt.shape[0] == 3
     assert load_rows.A_volt.shape[0] == 2
 
@@ -222,7 +224,8 @@ def _kkt_check(fs, x):
 
 @pytest.mark.parametrize("slot", [0, 30, 880])
 def test_band_projection_kkt_ieee37(ieee37_tight, slot):
-    fs = ieee37_tight.env_feasible_set(ieee37_tight.p_g_true[slot])
+    fs = build_feasible(ieee37_tight.band, ieee37_tight.p_g_true[slot],
+                        p_fixed=ieee37_tight.p_fixed)
     rng = np.random.default_rng(slot)
     binding = 0
     for _ in range(40):
@@ -282,7 +285,7 @@ def test_band_projection_kkt_far_point_dependent_rows():
 def test_band_projection_kkt_one_sided(ieee37_tight):
     # Only an upper voltage bound; it binds when the loads are light.
     scn = ieee37_tight
-    fs0 = scn.env_feasible_set(scn.p_g_true[450])
+    fs0 = build_feasible(scn.band, scn.p_g_true[450], p_fixed=scn.p_fixed)
     fs = FeasibleSet(fs0.p_min, fs0.p_max, fs0.A_volt, fs0.offset,
                      v_min=-np.inf, v_max=1.0)
     rng = np.random.default_rng(5)

@@ -194,13 +194,13 @@ def _check_report(report, expected, path="report"):
 def test_regret_experiment_matches_golden():
     report = run_regret_experiment(build_ieee37_scenario(variant="regret"),
                                    horizons=(50, 200, 800), replications=3,
-                                   base_seed=9, workers=1)
+                                   base_seed=9)
     _check_report(report, GOLDEN_REGRET)
 
 
 def test_static_comparison_matches_golden():
     report = run_static_comparison(build_ieee37_scenario(), replications=3,
-                                   base_seed=8, window=50, workers=1)
+                                   base_seed=8, window=50)
     _check_report(report, GOLDEN_COMPARISON)
 
 

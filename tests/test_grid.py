@@ -203,13 +203,6 @@ def test_loss_block_form_equals_balanced_full_form():
         assert block_val == pytest.approx(full_val, abs=1e-12)
 
 
-def test_reactive_term_uses_imaginary_part():
-    X = np.array([[0.1 + 0.2j, -0.1 - 0.2j], [-0.1 - 0.2j, 0.1 + 0.2j]])
-    q = np.array([0.1, -0.1])
-    with_q = full_power_loss(X, np.zeros(2), 1.0, q=q)
-    assert with_q == pytest.approx(q @ np.imag(X) @ q, abs=1e-15)
-
-
 def test_intake_examples():
     assert grid_intake([], [0.0], 0.0) == 0.0
     assert grid_intake([0.2, 0.3], [0.5], 0.0) == pytest.approx(0.0, abs=1e-15)

@@ -207,6 +207,23 @@ def test_zero_generation_zero_load_run_is_all_zero():
     assert np.max(np.abs(run.p_c)) == 0.0
 
 
+def test_metrics_rejects_window_below_one():
+    run = run_scheme(build_ieee37_scenario({"horizon": 60}), "stochastic")
+    for window in (0, -5):
+        with pytest.raises(ConfigError, match="window"):
+            metrics(run, trailing_window=window)
+    assert metrics(run, trailing_window=1)["objective_trailing_variance"] == 0.0
+    full = float(np.var(run.f_true))
+    assert metrics(run, trailing_window=60)["objective_trailing_variance"] == full
+    assert metrics(run, trailing_window=500)["objective_trailing_variance"] == full
+
+
+def test_nonfinite_indoor_init_rejected():
+    for ind in ({"mean": float("nan")}, {"mean": 65.0, "std": float("inf")}):
+        with pytest.raises(ConfigError, match="indoor_init"):
+            build_ieee37_scenario({"indoor_init": ind})
+
+
 def test_metrics_roundup(dynamic_scenario):
     run = run_scheme(dynamic_scenario, "stochastic")
     m = metrics(run)

@@ -3,8 +3,8 @@ import pytest
 
 from usecb.errors import ModelError
 from usecb.grid import SensitivityBlocks
-from usecb.thermal import (BuildingParams, Quadratic, ThermalState,
-                           satisfaction, thermal_step, usecb_profit)
+from usecb.thermal import (BuildingParams, Quadratic, satisfaction,
+                           thermal_step, usecb_profit)
 
 
 def _empty_grid_blocks(n_loads, n_gens=0):
@@ -32,39 +32,37 @@ def _coupled_objective(rng=None, n=3):
                         alpha2=rng.uniform(0.1, 0.3, n),
                         beta=rng.uniform(0.2, 0.6, n),
                         c_set=rng.uniform(68, 74, n), dt=48.0)
-    st = ThermalState(rng.uniform(70, 80, n), rng.uniform(85, 95, n))
+    c_in, c_out = rng.uniform(70, 80, n), rng.uniform(85, 95, n)
     p_g = np.array([0.5])
     quad = Quadratic(1.2, bp, blocks, 1.0, rng.uniform(0, 0.08, n))
-    return st, quad, p_g, quad.linear_term(st.c_in, st.c_out, p_g)
+    return (c_in, c_out), quad, p_g, quad.linear_term(c_in, c_out, p_g)
 
 
 # --- thermal step ----------------------------------------------------------
 
 def test_thermal_step_equilibrium():
     bp = BuildingParams(0.3, 0.5, 1.0, [70.0], dt=1.0)
-    st = ThermalState([72.0], [72.0])
-    assert thermal_step(st, [0.0], bp) == pytest.approx([72.0])
+    assert thermal_step([72.0], [72.0], [0.0], bp) == pytest.approx([72.0])
 
 
 def test_thermal_step_hand_value():
     bp = BuildingParams(0.1, 0.5, 1.0, [75.0], dt=1.0)
-    st = ThermalState([75.0], [95.0])
-    assert thermal_step(st, [4.0], bp) == pytest.approx([75.0])
+    assert thermal_step([75.0], [95.0], [4.0], bp) == pytest.approx([75.0])
 
 
 def test_thermal_step_insulated_building():
     bp = BuildingParams(0.0, 0.5, 1.0, [70.0], dt=1.0)
-    st = ThermalState([80.0], [120.0])
-    assert thermal_step(st, [0.0], bp) == pytest.approx([80.0])
+    assert thermal_step([80.0], [120.0], [0.0], bp) == pytest.approx([80.0])
 
 
 def test_thermal_step_affine_superposition():
     bp = BuildingParams([1e-4, 2e-4], [0.2, 0.3], 1.0, [70.0, 71.0], dt=48.0)
-    st = ThermalState([75.0, 76.0], [90.0, 91.0])
+    c_in, c_out = [75.0, 76.0], [90.0, 91.0]
     p1 = np.array([0.04, 0.02])
     p2 = np.array([0.01, 0.05])
-    lhs = thermal_step(st, 0.5 * (p1 + p2), bp)
-    rhs = 0.5 * (thermal_step(st, p1, bp) + thermal_step(st, p2, bp))
+    lhs = thermal_step(c_in, c_out, 0.5 * (p1 + p2), bp)
+    rhs = 0.5 * (thermal_step(c_in, c_out, p1, bp)
+                 + thermal_step(c_in, c_out, p2, bp))
     assert np.allclose(lhs, rhs, atol=1e-15)
 
 
@@ -81,23 +79,22 @@ def test_building_params_validation():
 
 def test_satisfaction_zero_at_set_point():
     bp = BuildingParams(0.1, 0.5, 2.0, [75.0], dt=1.0)
-    st = ThermalState([75.0], [95.0])
-    assert satisfaction(st, [4.0], bp) == pytest.approx([0.0])
+    assert satisfaction([75.0], [95.0], [4.0], bp) == pytest.approx([0.0])
 
 
 def test_satisfaction_hand_value():
     # Predicted temperature 3 degrees off the set point at beta = 2.
     bp = BuildingParams(0.0, 1.0, 2.0, [70.0], dt=1.0)
-    st = ThermalState([73.0], [73.0])
-    assert satisfaction(st, [0.0], bp) == pytest.approx([-18.0])
+    assert satisfaction([73.0], [73.0], [0.0], bp) == pytest.approx([-18.0])
 
 
 def test_satisfaction_never_positive():
     rng = np.random.default_rng(1)
     bp = BuildingParams(1e-4, 0.2, 0.5, rng.uniform(65, 75, 4), dt=48.0)
     for _ in range(50):
-        st = ThermalState(rng.uniform(60, 85, 4), rng.uniform(60, 100, 4))
-        assert np.all(satisfaction(st, rng.uniform(0, 0.12, 4), bp) <= 0.0)
+        c_in, c_out = rng.uniform(60, 85, 4), rng.uniform(60, 100, 4)
+        assert np.all(satisfaction(c_in, c_out, rng.uniform(0, 0.12, 4), bp)
+                      <= 0.0)
 
 
 # --- profit ----------------------------------------------------------------
@@ -105,10 +102,9 @@ def test_satisfaction_never_positive():
 def test_profit_zero_at_balance():
     blocks = _empty_grid_blocks(1, n_gens=1)
     bp = BuildingParams(0.1, 0.5, 1.0, [75.0], dt=1.0)
-    st = ThermalState([75.0], [95.0])
     quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
     # Predicted temperature hits the set point and intake nets to zero.
-    assert usecb_profit(st, [4.0], quad, np.array([4.0])) \
+    assert usecb_profit([75.0], [95.0], [4.0], quad, np.array([4.0])) \
         == pytest.approx(0.0, abs=1e-12)
 
 
@@ -117,19 +113,18 @@ def test_profit_hand_value():
     # beta 2 (comfort -18), plus 2 units of intake at unit price: profit -20.
     blocks = _empty_grid_blocks(1, n_gens=1)
     bp = BuildingParams(0.0, 1.0, 2.0, [70.0], dt=1.0)
-    st = ThermalState([75.0], [75.0])
     quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
-    assert usecb_profit(st, [2.0], quad, np.array([0.0])) \
+    assert usecb_profit([75.0], [75.0], [2.0], quad, np.array([0.0])) \
         == pytest.approx(-20.0, abs=1e-12)
 
 
 def test_profit_plus_lambda_f_constant():
     rng = np.random.default_rng(2)
-    st, quad, p_g, b = _coupled_objective(rng)
+    temps, quad, p_g, b = _coupled_objective(rng)
     ref = None
     for _ in range(100):
         p = rng.uniform(0, 0.12, quad.buildings.n)
-        total = usecb_profit(st, p, quad, p_g) + quad.lambda_price * quad.value(p, b)
+        total = usecb_profit(*temps, p, quad, p_g) + quad.lambda_price * quad.value(p, b)
         if ref is None:
             ref = total
         assert total == pytest.approx(ref, abs=1e-9)
@@ -142,10 +137,9 @@ def test_objective_one_dim_minimizer():
     # f(p) = p^2 - 4p with vertex at 2 inside [0, 4].
     blocks = _empty_grid_blocks(1)
     bp = BuildingParams(0.0, 1.0, 1.0, [7.5], dt=1.0)
-    st = ThermalState([10.0], [10.0])
     quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
     A = quad.A
-    b = quad.linear_term(st.c_in, st.c_out, np.zeros(0))
+    b = quad.linear_term(np.array([10.0]), np.array([10.0]), np.zeros(0))
     vertex = -b[0] / (2.0 * A[0, 0])
     assert vertex == pytest.approx(2.0, abs=1e-12)
     grid = np.linspace(0.0, 4.0, 40_001)
@@ -157,13 +151,13 @@ def test_objective_argmin_matches_profit_argmax():
     rng = np.random.default_rng(3)
     blocks = _empty_grid_blocks(1)
     bp = BuildingParams(0.0, 0.8, 1.5, [71.0], dt=1.0)
-    st = ThermalState([76.0], [76.0])
     quad = Quadratic(2.0, bp, blocks, 1.0, np.zeros(1))
     p_g = np.zeros(0)
-    b = quad.linear_term(st.c_in, st.c_out, p_g)
+    temp = np.array([76.0])
+    b = quad.linear_term(temp, temp, p_g)
     grid = np.linspace(0.0, 8.0, 4001)
     f_vals = np.array([quad.value(np.array([g]), b) for g in grid])
-    pi_vals = np.array([usecb_profit(st, [g], quad, p_g) for g in grid])
+    pi_vals = np.array([usecb_profit(temp, temp, [g], quad, p_g) for g in grid])
     assert np.argmin(f_vals) == np.argmax(pi_vals)
 
 

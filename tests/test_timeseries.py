@@ -47,6 +47,12 @@ def test_nan_rejected(tmp_path):
         load_timeseries(_write(tmp_path, "t,value\n0,1\n5,nan\n"))
 
 
+@pytest.mark.parametrize("row", ["5,inf", "5,-inf", "inf,2"])
+def test_infinite_rejected(tmp_path, row):
+    with pytest.raises(IngestionError, match="infinite"):
+        load_timeseries(_write(tmp_path, f"t,value\n0,1\n{row}\n"))
+
+
 def test_missing_header_rejected(tmp_path):
     with pytest.raises(IngestionError, match="header"):
         load_timeseries(_write(tmp_path, "0,1\n5,2\n"))
