@@ -7,7 +7,7 @@ losses respond to load.
 
 import numpy as np
 
-from usecb import build_ieee37_scenario
+from usecb import build_ieee37_scenario, grid_intake, power_loss
 
 scn = build_ieee37_scenario()
 model = scn.model
@@ -31,8 +31,9 @@ print("voltage magnitudes under a sunny-noon operating point (per-unit):")
 print(f"  min {v.min():.4f} at bus {scn.bus_label(int(np.argmin(v)))}, "
       f"max {v.max():.4f} at bus {scn.bus_label(int(np.argmax(v)))}")
 
-loss = model.loss(p_g, p_c, scn.p_fixed)
-intake = model.intake(p_g, p_c, scn.p_fixed)
+cons = p_c + scn.p_fixed
+loss = power_loss(blocks.M, blocks.N, blocks.Q, p_g, cons)
+intake = grid_intake(p_g, cons, loss)
 print(f"  line losses {loss*scn.s_base_mva*1000:.0f} kW, "
       f"grid intake {intake*scn.s_base_mva:.2f} MW")
 
@@ -42,4 +43,5 @@ print()
 print("loss vs uniform AC power (minimum near local balance):")
 for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
     p = np.full(scn.n_loads, 0.12 * frac)
-    print(f"  AC at {frac:4.0%}: {model.loss(p_g, p, scn.p_fixed)*10_000:.1f} kW")
+    loss = power_loss(blocks.M, blocks.N, blocks.Q, p_g, p + scn.p_fixed)
+    print(f"  AC at {frac:4.0%}: {loss*10_000:.1f} kW")

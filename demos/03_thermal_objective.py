@@ -19,7 +19,7 @@ blocks = SensitivityBlocks(
 bp = BuildingParams(alpha1=1e-4, alpha2=0.1736, beta=0.25, c_set=[72.0], dt=48.0)
 c_in, c_out = np.array([73.0]), np.array([95.0])   # indoor, outdoor
 p_g = np.zeros(0)                                   # no generators
-quad = Quadratic(1.0, bp, blocks, 1.0, p_fixed=np.zeros(1))
+quad = Quadratic(1.0, bp, blocks, p_fixed=np.zeros(1))
 b = quad.linear_term(c_in, c_out, p_g)              # this slot's linear term
 
 print("one building, indoor 73 F, outdoor 95 F, set point 72 F")

@@ -13,7 +13,7 @@ from usecb import build_ieee37_scenario, run_scheme
 from usecb.experiments import static_problem
 
 scn = build_ieee37_scenario({"horizon": 400})
-_, _, f_star = static_problem(scn)
+_, f_star = static_problem(scn)
 print(f"oracle optimum of the frozen objective: {f_star:.3f}")
 
 runs = {scheme: run_scheme(scn, scheme) for scheme in ("stochastic", "exact")}

@@ -188,11 +188,9 @@ def _cmd_validate(args):
     hess = scenario.objective.H2
     checks["hessian_positive_definite"] = float(
         np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T)))) > 0
-    try:
-        scenario.env_feasible_set()
-        checks["feasible_set_nonempty"] = True
-    except FeasibilityError:
-        checks["feasible_set_nonempty"] = False
+    env_set = scenario.env_set
+    checks["feasible_set_nonempty"] = env_set.contains(
+        env_set.project(env_set.midpoint()))
 
     ok = all(checks.values())
     for name, passed in checks.items():
@@ -208,7 +206,7 @@ def _cmd_gradcheck(args):
     seed = scenario.seed if args.seed is None else args.seed
     quad = scenario.objective
     b = scenario.true_linear_term()
-    fset = scenario.env_feasible_set()
+    fset = scenario.env_set
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst = 0.0

@@ -55,21 +55,20 @@ def map_replications(fn, jobs):
 def static_problem(scenario):
     """Frozen-objective pieces of a static scenario.
 
-    Returns (fset, a_star, f_star).  a_star is pinned by deterministic
-    projected gradient descent to 1e-10.
+    Returns (a_star, f_star) on the scenario's slot-0 set.  a_star is
+    pinned by deterministic projected gradient descent to 1e-10.
     """
     if not scenario.is_static:
         raise AssumptionError("stationary objective requires a static scenario")
     quad = scenario.objective
     b_true = scenario.true_linear_term()
-    fset = scenario.env_feasible_set()
     a_star, converged = minimize_projected(lambda x: quad.grad(x, b_true),
-                                           fset, quad.L, tol=1e-10)
+                                           scenario.env_set, quad.L, tol=1e-10)
     if not converged:
         logging.getLogger(__name__).warning(
             "a_star solve stopped short of its 1e-10 tolerance; regret is "
             "measured against an approximate optimum")
-    return fset, a_star, quad.value(a_star, b_true)
+    return a_star, quad.value(a_star, b_true)
 
 
 def run_scheme_job(scenario, scheme, seed):
@@ -80,7 +79,7 @@ def run_scheme_job(scenario, scheme, seed):
 def _regret_job(scenario, T, seed, D, g_star, a_star):
     quad = scenario.objective
     b_true = scenario.true_linear_term()
-    fset = scenario.env_feasible_set()
+    fset = scenario.env_set
     points = run_online(fset, scenario_gradient_oracle(scenario, seed), T,
                         D, g_star, fset.midpoint())
     total, _ = regret(points, lambda x: quad.value(np.asarray(x, float), b_true),
@@ -105,8 +104,8 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
         raise ConfigError(f"horizons must be positive integers, got {horizons}")
     _check_replications(replications)
     base_seed = scenario.seed if base_seed is None else int(base_seed)
-    fset, a_star, f_star = static_problem(scenario)
-    D, g_star = md_bounds(scenario, base_seed, fset)
+    a_star, f_star = static_problem(scenario)
+    D, g_star = md_bounds(scenario, base_seed)
     alpha = 1.0
 
     jobs = {(T, rep): (scenario, T, replication_seed(base_seed, rep),
@@ -167,7 +166,7 @@ def run_static_comparison(scenario, replications=50, base_seed=None,
     _check_replications(replications)
     check_window(window)
     base_seed = scenario.seed if base_seed is None else int(base_seed)
-    _, _, f_star = static_problem(scenario)
+    _, f_star = static_problem(scenario)
 
     jobs = {(scheme, rep): (scenario, scheme,
                             replication_seed(base_seed, rep), window)

@@ -2,14 +2,15 @@
 
 The set is a power box [p_min, p_max] intersected with the linear voltage
 band: each constrained bus contributes one slab
-``v_min <= offset_k + (A_volt @ p)_k <= v_max``.  The box, ``A_volt`` and
-the slab bounds depend only on the feeder topology and the configured
-limits, so a :class:`VoltageBand` holds them once per scenario; only the
-offset moves with the generation and the inflexible load, and each slot's
-:class:`FeasibleSet` is the band at that offset.  When the box clamp already
-satisfies every slab it is itself the projection and is returned directly.
-Otherwise the projection ``min 0.5 ||p - x||^2`` over the set is solved
-through its dual: for band multipliers ``y`` the nearest box point is
+``v_min <= offset_k + (A_volt @ p)_k <= v_max``, in per unit.  The box,
+``A_volt`` and the slab bounds depend only on the feeder topology and the
+configured limits, so a :class:`VoltageBand` holds them once per scenario;
+only the offset ``1 + sens @ [p_g, -p_fixed]`` moves with the generation
+and the inflexible load, and each slot's :class:`FeasibleSet` is the band
+at that offset.  When the box clamp already satisfies every slab it is
+itself the projection and is returned directly.  Otherwise the projection
+``min 0.5 ||p - x||^2`` over the set is solved through its dual: for band
+multipliers ``y`` the nearest box point is
 ``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a projected Newton
 method on ``y`` with an exact line search on the dual objective drives the
 KKT residual below 1e-10, or to a fixed point within the rounding floor of
@@ -40,19 +41,19 @@ class VoltageBand:
     """The offset-free part of a constraint set: box, band rows and bounds.
 
     Rows with no control leverage (``dead``) are dropped from ``A_volt``;
-    each set checks their constants against the band.  ``sens``, ``U_N`` and
+    each set checks their constants against the band.  ``sens`` and
     ``first_row`` turn an injection vector into the offsets of the rows (see
     :func:`build_band`); a band without them takes offsets as given.
     """
 
     def __init__(self, p_min, p_max, A_volt=None, v_min=-np.inf, v_max=np.inf,
-                 sens=None, U_N=1.0, first_row=0):
+                 sens=None, first_row=0):
         self.p_min = np.atleast_1d(np.asarray(p_min, dtype=float))
         self.p_max = np.broadcast_to(
             np.asarray(p_max, dtype=float), self.p_min.shape).copy()
         if np.any(self.p_min > self.p_max):
             raise FeasibilityError("box bounds cross: p_min > p_max")
-        self.sens, self.U_N, self.first_row = sens, U_N, first_row
+        self.sens, self.first_row = sens, first_row
         self.A_volt = None
         self.v_min, self.v_max = v_min, v_max
         self._merge = None
@@ -73,13 +74,13 @@ class VoltageBand:
         self.A_mid = A @ (0.5 * (self.p_min + self.p_max))
 
     def offset(self, p_g, p_fixed=None):
-        """Row offsets ``U_N + (sens @ [p_g, -p_fixed]) / U_N``, dead rows
+        """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
         included."""
         p_g = np.asarray(p_g, dtype=float)
         p_fixed = (np.zeros(self.p_min.shape[0]) if p_fixed is None
                    else np.asarray(p_fixed, dtype=float))
         base = np.concatenate([p_g, -p_fixed])
-        return voltage_approx(self.sens, base, self.U_N)[self.first_row:]
+        return voltage_approx(self.sens, base)[self.first_row:]
 
     def merge_map(self):
         """Which rows are exact multiples of an earlier one, found once.
@@ -108,13 +109,14 @@ class VoltageBand:
         return self._merge
 
 
-def build_band(blocks, U_N, bounds):
+def build_band(blocks, bounds):
     """The voltage band of a feeder, built once per scenario.
 
     ``bounds`` is a mapping with keys p_min, p_max, v_min, v_max and
     include_gen_buses.  Voltage rows cover every non-PCC bus by default; set
-    ``include_gen_buses`` False to constrain load buses only.  Without a
-    finite voltage limit the band has no rows and every set is the plain box.
+    ``include_gen_buses`` False to constrain load buses only.  The limits
+    are per unit, like the feeder model.  Without a finite voltage limit the
+    band has no rows and every set is the plain box.
     """
     n_c = len(blocks.load_buses)
     p_min = np.broadcast_to(np.asarray(bounds["p_min"], dtype=float), (n_c,)).copy()
@@ -130,9 +132,9 @@ def build_band(blocks, U_N, bounds):
     sens = np.vstack([top, bot])
     n_g = len(blocks.gen_buses)
     first = 0 if bounds.get("include_gen_buses", True) else n_g
-    A_volt = (-sens[:, n_g:] / U_N)[first:]
+    A_volt = -sens[first:, n_g:]
     return VoltageBand(p_min, p_max, A_volt, v_min, v_max,
-                       sens=sens, U_N=U_N, first_row=first)
+                       sens=sens, first_row=first)
 
 
 class FeasibleSet:

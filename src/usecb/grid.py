@@ -1,9 +1,9 @@
 """Linearized network model.
 
-Buses are indexed 0..N with bus 0 the point of common coupling (PCC), held
-at the nominal voltage magnitude U_N.  Lines carry a series admittance and
-an optional per-end shunt admittance (pi model).  From the bus admittance
-matrix two sensitivity objects are derived:
+The model is per unit: line data are per-unit and bus 0, the point of
+common coupling (PCC), is held at 1 pu.  Buses are indexed 0..N.  Lines
+carry a series admittance and an optional per-end shunt admittance (pi
+model).  From the bus admittance matrix two sensitivity objects are derived:
 
 * ``X_full``: the (N+1)x(N+1) block of the inverse of the bordered system
   [[Y, 1], [1^T, 0]].  For a zero-shunt network it satisfies
@@ -13,7 +13,7 @@ matrix two sensitivity objects are derived:
 
 On slack-balanced injection vectors the two matrices induce the same
 quadratic form, so the loss can be written either way; the grounded form is
-what keeps the PCC pinned at U_N and the loss physical.
+what keeps the PCC pinned at 1 pu and the loss physical.
 """
 
 from __future__ import annotations
@@ -161,36 +161,35 @@ def decompose_blocks(X, gen_buses, load_buses):
     return M, Nblk, Q
 
 
-def voltage_approx(X, p, U_N):
-    """First-order voltage magnitudes: U_N + Re(X) @ p / U_N.
+def voltage_approx(X, p):
+    """First-order voltage magnitudes in per unit: 1 + Re(X) @ p.
 
     Pure formula over whatever matrix/injection pair is supplied; callers
     choose full or reduced sensitivities.  Linear in ``p``.
     """
     p = np.asarray(p, dtype=float)
-    return U_N + (np.real(X) @ p) / U_N
+    return 1.0 + np.real(X) @ p
 
 
-def power_loss(M, Nblk, Q, p_g, p_c, U_N):
+def power_loss(M, Nblk, Q, p_g, p_c):
     """Quadratic line-loss estimate from the block form.
 
-    loss = (p_g' M p_g - 2 p_g' N p_c + p_c' Q p_c) / U_N^2, equal to the
-    full quadratic form over the reduced matrix with p = [p_g; -p_c].
+    loss = p_g' M p_g - 2 p_g' N p_c + p_c' Q p_c, equal to the full
+    quadratic form over the reduced matrix with p = [p_g; -p_c].
     """
     p_g = np.asarray(p_g, dtype=float)
     p_c = np.asarray(p_c, dtype=float)
-    quad = p_g @ M @ p_g - 2.0 * (p_g @ Nblk @ p_c) + p_c @ Q @ p_c
-    return quad / (U_N * U_N)
+    return p_g @ M @ p_g - 2.0 * (p_g @ Nblk @ p_c) + p_c @ Q @ p_c
 
 
-def full_power_loss(X, p, U_N):
-    """Loss from the full quadratic form, loss = p' Re(X) p / U_N^2.
+def full_power_loss(X, p):
+    """Loss from the full quadratic form, loss = p' Re(X) p.
 
     The reactive term q' Im(X) q is absent: the operating model sets q = 0
     everywhere.
     """
     p = np.asarray(p, dtype=float)
-    return p @ np.real(X) @ p / (U_N * U_N)
+    return p @ np.real(X) @ p
 
 
 def grid_intake(p_g, p_c, loss):
@@ -288,14 +287,13 @@ class GridModel:
 
     n_buses: int
     lines: list
-    U_N: float
     gen_buses: tuple
     load_buses: tuple
     Y: np.ndarray = field(repr=False)
     blocks: SensitivityBlocks = field(repr=False)
 
     @classmethod
-    def build(cls, lines, n_buses, gen_buses, load_buses, U_N=1.0):
+    def build(cls, lines, n_buses, gen_buses, load_buses):
         gen = tuple(sorted(int(b) for b in gen_buses))
         load = tuple(sorted(int(b) for b in load_buses))
         if 0 in gen or 0 in load:
@@ -311,10 +309,10 @@ class GridModel:
         # Convexity of every downstream objective rides on Q being PSD.
         if len(load) and np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-12:
             raise ModelError("Q block is not positive semidefinite")
-        return cls(n_buses, list(lines), float(U_N), gen, load, Y, blocks)
+        return cls(n_buses, list(lines), gen, load, Y, blocks)
 
     def bus_voltages(self, p_g, p_c, p_fixed=None):
-        """All-bus voltage magnitudes with the PCC pinned at U_N."""
+        """All-bus voltage magnitudes with the PCC pinned at 1 pu."""
         p = np.zeros(self.n_buses - 1)
         p[np.asarray(self.gen_buses, dtype=int) - 1] = p_g
         load = np.asarray(self.load_buses, dtype=int) - 1
@@ -323,24 +321,9 @@ class GridModel:
             cons = cons + p_fixed
         p[load] = -cons
         out = np.empty(self.n_buses)
-        out[0] = self.U_N
-        out[1:] = voltage_approx(self.blocks.X, p, self.U_N)
+        out[0] = 1.0
+        out[1:] = voltage_approx(self.blocks.X, p)
         return out
-
-    def loss(self, p_g, p_c, p_fixed=None):
-        cons = np.asarray(p_c, dtype=float)
-        if p_fixed is not None:
-            cons = cons + p_fixed
-        b = self.blocks
-        return power_loss(b.M, b.N, b.Q, p_g, cons, self.U_N)
-
-    def intake(self, p_g, p_c, p_fixed=None):
-        cons = np.asarray(p_c, dtype=float)
-        if p_fixed is not None:
-            cons = cons + p_fixed
-        b = self.blocks
-        loss = power_loss(b.M, b.N, b.Q, p_g, cons, self.U_N)
-        return grid_intake(p_g, cons, loss)
 
 
 def load_network_csv(path):

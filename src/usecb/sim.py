@@ -11,8 +11,8 @@ horizon.  ``run_scheme`` drives one of three controllers through it:
 
 Thermal states always advance with the true physics and the applied
 control.  Static scenarios freeze the inputs (and the indoor temperatures)
-so that the per-slot objective is stationary; the constraint set is then
-built once from the true generation.
+so that the per-slot objective is stationary; every slot then plays the
+scenario's slot-0 constraint set, built once from the true generation.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -27,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
-from .feasible import VoltageBand, build_band, build_feasible
+from .feasible import FeasibleSet, VoltageBand, build_band, build_feasible
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
 from .thermal import BuildingParams, Quadratic, thermal_step
@@ -124,10 +125,12 @@ def read_slot(scenario, slot, c_in, key, seed):
 class Scenario:
     """Fully resolved simulation inputs (profiles sampled, draws frozen).
 
-    ``objective`` is the scenario's :class:`~usecb.thermal.Quadratic` and
-    ``band`` its :class:`~usecb.feasible.VoltageBand`, both built once here;
-    only the objective's linear term and the band's offset change from slot
-    to slot.
+    ``objective`` is the scenario's :class:`~usecb.thermal.Quadratic`,
+    ``band`` its :class:`~usecb.feasible.VoltageBand` and ``env_set`` the
+    band's :class:`~usecb.feasible.FeasibleSet` at the true slot-0
+    generation, all built once here, so an empty slot-0 set fails at
+    construction.  Only the objective's linear term and the band's offset
+    change from slot to slot.
     """
 
     name: str
@@ -148,6 +151,7 @@ class Scenario:
     bus_names: list = None
     objective: Quadratic = field(init=False, repr=False)
     band: VoltageBand = field(init=False, repr=False)
+    env_set: FeasibleSet = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("static", "dynamic"):
@@ -159,9 +163,10 @@ class Scenario:
         if self.c_out_true.shape != (self.horizon,):
             raise ConfigError("temperature profile does not cover the horizon")
         self.objective = Quadratic(self.lambda_price, self.buildings,
-                                   self.model.blocks, self.model.U_N,
-                                   self.p_fixed)
-        self.band = build_band(self.model.blocks, self.model.U_N, self.bounds)
+                                   self.model.blocks, self.p_fixed)
+        self.band = build_band(self.model.blocks, self.bounds)
+        self.env_set = build_feasible(self.band, self.p_g_true[0],
+                                      p_fixed=self.p_fixed)
 
     @property
     def is_static(self):
@@ -175,10 +180,6 @@ class Scenario:
         if self.bus_names and idx < len(self.bus_names):
             return str(self.bus_names[idx])
         return str(idx)
-
-    def env_feasible_set(self):
-        """Constraint set at the true slot-0 generation."""
-        return build_feasible(self.band, self.p_g_true[0], p_fixed=self.p_fixed)
 
     def true_linear_term(self):
         """Linear term of ``objective`` on the true slot-0 inputs."""
@@ -206,9 +207,9 @@ def scenario_gradient_oracle(scenario, seed):
     return oracle
 
 
-def md_bounds(scenario, seed, fset):
-    """(D, G*) for the step rule on ``fset``, sampled from the stochastic
-    oracle.
+def md_bounds(scenario, seed):
+    """(D, G*) for the step rule on the scenario's slot-0 set, sampled from
+    the stochastic oracle.
 
     Noise-free scenarios sample the true gradient instead.  Deterministic
     under (scenario.seed-independent) run ``seed``.
@@ -237,7 +238,7 @@ def md_bounds(scenario, seed, fset):
         def sample_grad(x):
             return quad.grad(x, b0)
 
-    return estimate_bounds(fset, sample_grad, rng)
+    return estimate_bounds(scenario.env_set, sample_grad, rng)
 
 
 @dataclass
@@ -268,16 +269,15 @@ def run_scheme(scenario, scheme, seed=None):
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     seed = scenario.seed if seed is None else int(seed)
-    model = scenario.model
-    blocks = model.blocks
+    blocks = scenario.model.blocks
     bld = scenario.buildings
     T = scenario.horizon
     n_c = scenario.n_loads
     quad = scenario.objective
 
-    env_set = scenario.env_feasible_set()
+    env_set = scenario.env_set
     if scheme == "stochastic":
-        D, g_star = md_bounds(scenario, seed, env_set)
+        D, g_star = md_bounds(scenario, seed)
 
     out = RunResult(scheme, seed, scenario)
     out.p_c = np.empty((T, n_c))
@@ -328,7 +328,7 @@ def run_scheme(scenario, scheme, seed=None):
 
         # Bookkeeping against the true physics.
         cons = a + scenario.p_fixed
-        loss_t = power_loss(blocks.M, blocks.N, blocks.Q, pg_t, cons, model.U_N)
+        loss_t = power_loss(blocks.M, blocks.N, blocks.Q, pg_t, cons)
         out.p_c[t] = a
         out.loss[t] = loss_t
         out.p_0[t] = grid_intake(pg_t, cons, loss_t)
@@ -440,7 +440,7 @@ def write_json(obj, path):
 
 
 def _resolve(name, base_dir):
-    cand = os.path.join(base_dir, name) if base_dir else name
+    cand = os.path.join(base_dir, name)
     if os.path.exists(cand):
         return cand
     packaged = data_path(name)
@@ -459,8 +459,23 @@ def _deep_merge(base, override):
     return out
 
 
-def scenario_from_config(cfg, base_dir=""):
-    """Build a Scenario from a parsed config document."""
+def _check_finite(node, path=""):
+    """Raise ``ConfigError`` naming the dotted key path of the first NaN or
+    infinite number in a config document."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _check_finite(val, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, (list, tuple)):
+        for i, val in enumerate(node):
+            _check_finite(val, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config value {path} must be finite, got {node}")
+
+
+def scenario_from_config(cfg, base_dir):
+    """Build a Scenario from a parsed config document whose relative file
+    names resolve against ``base_dir``, then against the bundled data."""
+    _check_finite(cfg)
     if cfg.get("schema_version") != 1:
         raise ConfigError("config must declare schema_version: 1")
     kind = cfg.get("kind", "static")
@@ -487,7 +502,7 @@ def scenario_from_config(cfg, base_dir=""):
             gen_idx.append(int(b))
     gen_idx = sorted(gen_idx)
     load_idx = sorted(set(range(1, n_buses)) - set(gen_idx))
-    model = GridModel.build(lines, n_buses, gen_idx, load_idx, U_N=1.0)
+    model = GridModel.build(lines, n_buses, gen_idx, load_idx)
 
     horizon = int(cfg["horizon"])
     dt = float(cfg.get("dt_s", 48.0))
@@ -586,9 +601,6 @@ def scenario_from_config(cfg, base_dir=""):
         quad = scenario.objective
         buildings.c_set[:] = (-quad.grad(target, scenario.true_linear_term())
                               / quad.comfort_w)
-    # Fail-fast validation: a nonempty constraint set (the objective's price
-    # and convexity are checked when the scenario is built).
-    scenario.env_feasible_set()
     return scenario
 
 
@@ -614,13 +626,7 @@ def build_ieee37_scenario(overrides=None, variant="static"):
     }.get(variant)
     if fname is None:
         raise ConfigError(f"unknown variant {variant!r}")
-    path = data_path(fname)
-    if not path.is_file():
-        raise ConfigError(f"missing bundled fixture {fname}")
-    with path.open() as fh:
-        cfg = json.load(fh)
-    cfg = _deep_merge(cfg, overrides)
-    return scenario_from_config(cfg, base_dir="")
+    return load_scenario(str(data_path(fname)), overrides)
 
 
 def replication_seed(base_seed, rep):

@@ -96,25 +96,23 @@ class Quadratic:
     nonpositive price or a Hessian that is not positive definite.
     """
 
-    def __init__(self, lambda_price, buildings, blocks, U_N, p_fixed):
+    def __init__(self, lambda_price, buildings, blocks, p_fixed):
         if lambda_price <= 0:
             raise ModelError("electricity price must be positive")
         lam = lambda_price
-        u2 = U_N ** 2
         m = buildings.alpha2 * buildings.dt
         self.lambda_price = lambda_price
         self.buildings = buildings
         self.blocks = blocks
-        self.U_N = U_N
         self.p_fixed = p_fixed
-        self.A = np.diag(buildings.beta * m * m) / lam + blocks.Q / u2
+        self.A = np.diag(buildings.beta * m * m) / lam + blocks.Q
         self.H2 = 2.0 * self.A
         eig = np.linalg.eigvalsh(0.5 * (self.H2 + self.H2.T))
         if eig[0] <= 0:
             raise ModelError("objective Hessian is not positive definite")
         self.L = float(eig[-1])
-        self.base_b = np.ones(buildings.n) + 2.0 * (blocks.Q @ p_fixed) / u2
-        self.NT2 = 2.0 * blocks.N.T / u2
+        self.base_b = np.ones(buildings.n) + 2.0 * (blocks.Q @ p_fixed)
+        self.NT2 = 2.0 * blocks.N.T
         # The set point enters b only as comfort_w * c_set.
         self.comfort_w = 2.0 * buildings.beta * m / lam
 
@@ -145,6 +143,6 @@ def usecb_profit(c_in, c_out, p_c, quad, p_g):
     comfort = float(np.sum(satisfaction(c_in, c_out, p_c, quad.buildings)))
     cons = p_c + quad.p_fixed
     blocks = quad.blocks
-    loss = power_loss(blocks.M, blocks.N, blocks.Q, p_g, cons, quad.U_N)
+    loss = power_loss(blocks.M, blocks.N, blocks.Q, p_g, cons)
     p_0 = grid_intake(p_g, cons, loss)
     return comfort - quad.lambda_price * p_0

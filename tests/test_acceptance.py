@@ -81,7 +81,7 @@ def test_criterion_3_loss_vs_ac_oracle():
         for sign in (1.0, -1.0):
             s = sign * p
             _, loss_exact = ac_twobus_exact(z, s)
-            loss_lin = power_loss(blk.M, blk.N, blk.Q, [], [-s], model.U_N)
+            loss_lin = power_loss(blk.M, blk.N, blk.Q, [], [-s])
             worst = max(worst, abs(loss_lin - loss_exact) / loss_exact)
     elapsed = time.perf_counter() - t0
     ok = worst < 0.02 and elapsed < 1.0
@@ -92,7 +92,7 @@ def test_criterion_4_gradient_vs_finite_differences(static_scenario):
     t0 = time.perf_counter()
     quad = static_scenario.objective
     b = static_scenario.true_linear_term()
-    fset = static_scenario.env_feasible_set()
+    fset = static_scenario.env_set
     rng = np.random.default_rng(4)
     h = 1e-5
     worst = 0.0
@@ -119,7 +119,7 @@ def test_criterion_5_profit_objective_consistency(static_scenario):
     b = scn.true_linear_term()
     p_g = scn.p_g_true[0]
     c_out = np.full(scn.n_loads, scn.c_out_true[0])
-    fset = scn.env_feasible_set()
+    fset = scn.env_set
     rng = np.random.default_rng(5)
     lam = quad.lambda_price
     ref = None

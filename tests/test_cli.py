@@ -165,6 +165,49 @@ def test_nonfinite_temperature_exits_2_at_load(make_config, command, tmp_path,
     assert not out.exists()
 
 
+# --- non-finite config numbers --------------------------------------------------
+
+NUMERIC_KEYS = ["lambda_price", "buildings.beta", "load.ac_max_mw", "dt_s",
+                "s_base_mva", "buildings.cooling_gain_std",
+                "generation.capacity_mw", "voltage_band.v_min",
+                "noise.sigma_temp", "noise.sigma_gen", "load.fixed_mw",
+                "buildings.alpha1_per_s", "start_s", "buildings.set_point.value"]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_nonfinite_config_number_exits_2_at_load(key, value, command, tmp_path,
+                                                 capsys):
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 25
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+def test_omitted_voltage_limit_stays_open(tmp_path, capsys):
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 25
+    del cfg["voltage_band"]["v_max"]
+    path = tmp_path / "no_vmax.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "validate: ok" in capsys.readouterr().out
+
+
 # --- regret ------------------------------------------------------------------------
 
 def test_regret_rejects_dynamic_config(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_projection_matches_grid_search_3d():
 # --- construction from grid blocks ------------------------------------------
 
 def test_vacuous_band_reduces_to_box(chain4_model):
-    fs = build_feasible(build_band(chain4_model.blocks, 1.0,
+    fs = build_feasible(build_band(chain4_model.blocks,
                                    {"p_min": 0.0, "p_max": 0.12}), [0.2])
     assert fs.A_volt is None
     assert np.array_equal(fs.project(np.array([1.0, -1.0])), [0.12, 0.0])
@@ -153,7 +153,7 @@ def test_vacuous_band_reduces_to_box(chain4_model):
 
 def test_offsets_monotone_in_generation(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.95, "v_max": 1.05}
-    band = build_band(chain4_model.blocks, 1.0, bounds)
+    band = build_band(chain4_model.blocks, bounds)
     lo = build_feasible(band, [0.1])
     hi = build_feasible(band, [0.5])
     assert np.all(hi.offset >= lo.offset)
@@ -161,10 +161,10 @@ def test_offsets_monotone_in_generation(chain4_model):
 
 def test_gen_rows_switch(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.95, "v_max": 1.05}
-    all_rows = build_feasible(build_band(chain4_model.blocks, 1.0,
+    all_rows = build_feasible(build_band(chain4_model.blocks,
                                          {**bounds, "include_gen_buses": True}),
                               [0.2])
-    load_rows = build_feasible(build_band(chain4_model.blocks, 1.0,
+    load_rows = build_feasible(build_band(chain4_model.blocks,
                                           {**bounds, "include_gen_buses": False}),
                                [0.2])
     assert all_rows.A_volt.shape[0] == 3
@@ -173,7 +173,7 @@ def test_gen_rows_switch(chain4_model):
 
 def test_fixed_load_shifts_offsets_down(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.9, "v_max": 1.1}
-    band = build_band(chain4_model.blocks, 1.0, bounds)
+    band = build_band(chain4_model.blocks, bounds)
     bare = build_feasible(band, [0.2])
     loaded = build_feasible(band, [0.2], p_fixed=np.array([0.05, 0.05]))
     assert np.all(loaded.offset <= bare.offset)
@@ -182,7 +182,7 @@ def test_fixed_load_shifts_offsets_down(chain4_model):
 def test_binding_band_projection_feasible(chain4_model):
     # Tighten the band until it actually cuts the box, then project corners.
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.9985, "v_max": 1.05}
-    fs = build_feasible(build_band(chain4_model.blocks, 1.0, bounds), [0.0])
+    fs = build_feasible(build_band(chain4_model.blocks, bounds), [0.0])
     corner = fs.p_max.copy()
     proj = fs.project(corner)
     assert fs.contains(proj)
@@ -245,7 +245,7 @@ def test_band_projection_kkt_far_point(ieee37_tight):
     # The exact scheme's long gradient steps land far outside the box.  Then
     # almost no box coordinate is free, the dual is nearly piecewise linear,
     # and a step must not overshoot its kinks.
-    fs = ieee37_tight.env_feasible_set()
+    fs = ieee37_tight.env_set
     rng = np.random.default_rng(0)
     for _ in range(40):
         x = fs.p_max + rng.uniform(100.0, 300.0, size=fs.dim)
@@ -296,7 +296,7 @@ def test_band_projection_kkt_one_sided(ieee37_tight):
 
 
 def test_parallel_rows_merge_to_tightest_bounds(ieee37_tight):
-    fs0 = ieee37_tight.env_feasible_set()
+    fs0 = ieee37_tight.env_set
     A, c = fs0.A_volt, fs0.offset
     cos = (A @ A.T) / np.outer(np.linalg.norm(A, axis=1), np.linalg.norm(A, axis=1))
     pairs = [(k, j) for k, j in zip(*np.nonzero(np.triu(cos > 1 - 1e-12, 1)))]
@@ -335,7 +335,7 @@ def test_disjoint_parallel_slabs_certified_without_newton(monkeypatch):
 
 def test_dual_certificate_bounds_violation(ieee37_tight):
     # A band no load pattern reaches: every bus would need 1.02 pu.
-    fs0 = ieee37_tight.env_feasible_set()
+    fs0 = ieee37_tight.env_set
     with pytest.raises(FeasibilityError) as err:
         FeasibleSet(fs0.p_min, fs0.p_max, fs0.A_volt, fs0.offset,
                     v_min=1.02, v_max=1.05)
@@ -349,12 +349,12 @@ def test_dual_certificate_bounds_violation(ieee37_tight):
 
 def _scratch_set(scn, p_g, include_gen):
     """The slot's set assembled from the sensitivity blocks, with no band."""
-    blocks, U_N, bounds = scn.model.blocks, scn.model.U_N, scn.bounds
+    blocks, bounds = scn.model.blocks, scn.bounds
     sens = np.vstack([np.hstack([blocks.M, blocks.N]),
                       np.hstack([blocks.N.T, blocks.Q])])
     n_g = len(blocks.gen_buses)
-    offset = voltage_approx(sens, np.concatenate([p_g, -scn.p_fixed]), U_N)
-    A = -sens[:, n_g:] / U_N
+    offset = voltage_approx(sens, np.concatenate([p_g, -scn.p_fixed]))
+    A = -sens[:, n_g:]
     first = 0 if include_gen else n_g
     n_c = scn.n_loads
     return FeasibleSet(np.full(n_c, bounds["p_min"]), np.full(n_c, bounds["p_max"]),

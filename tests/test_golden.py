@@ -206,5 +206,5 @@ def test_static_comparison_matches_golden():
 
 def test_md_bounds_matches_golden():
     scn = build_ieee37_scenario({"horizon": 200}, variant="dynamic")
-    D, g_star = md_bounds(scn, 5, scn.env_feasible_set())
+    D, g_star = md_bounds(scn, 5)
     assert (D, g_star) == pytest.approx(GOLDEN_MD_BOUNDS, rel=1e-12, abs=0.0)

@@ -120,44 +120,26 @@ def test_blocks_overlap_rejected():
 
 def test_voltage_zero_injection_nominal():
     X = np.array([[0.25, -0.25], [-0.25, 0.25]])
-    assert np.array_equal(voltage_approx(X, [0.0, 0.0], 1.0), [1.0, 1.0])
+    assert np.array_equal(voltage_approx(X, [0.0, 0.0]), [1.0, 1.0])
 
 
 def test_voltage_two_bus_hand_value():
     X = np.array([[0.25, -0.25], [-0.25, 0.25]])
-    assert np.allclose(voltage_approx(X, [0.1, -0.1], 1.0), [1.05, 0.95])
-
-
-def test_voltage_nominal_scaling_halves_deviation():
-    X = np.array([[0.25, -0.25], [-0.25, 0.25]])
-    p = np.array([0.1, -0.1])
-    dev1 = voltage_approx(X, p, 1.0) - 1.0
-    dev2 = voltage_approx(X, p, 2.0) - 2.0
-    assert np.allclose(dev1, 2.0 * dev2, atol=1e-15)
+    assert np.allclose(voltage_approx(X, [0.1, -0.1]), [1.05, 0.95])
 
 
 def test_voltage_linear_in_injection():
     X = np.array([[0.25, -0.25], [-0.25, 0.25]])
     p = np.array([0.03, -0.05])
-    dev = voltage_approx(X, p, 1.0) - 1.0
-    dev_scaled = voltage_approx(X, 2.0 * p, 1.0) - 1.0
+    dev = voltage_approx(X, p) - 1.0
+    dev_scaled = voltage_approx(X, 2.0 * p) - 1.0
     assert np.array_equal(dev_scaled, 2.0 * dev)
 
 
 def test_model_bus_voltages_pin_pcc(chain4_model):
     v = chain4_model.bus_voltages([0.5], [0.1, 0.2])
-    assert v[0] == chain4_model.U_N
+    assert v[0] == 1.0
     assert v.shape == (4,)
-
-
-def test_model_wrappers_match_module_functions(chain4_model):
-    m = chain4_model
-    p_g, p_c, p_fix = np.array([0.3]), np.array([0.05, 0.08]), np.array([0.06, 0.06])
-    blk = m.blocks
-    loss = power_loss(blk.M, blk.N, blk.Q, p_g, p_c + p_fix, m.U_N)
-    assert m.loss(p_g, p_c, p_fix) == pytest.approx(loss, abs=1e-15)
-    assert m.intake(p_g, p_c, p_fix) == pytest.approx(
-        grid_intake(p_g, p_c + p_fix, loss), abs=1e-15)
 
 
 # --- loss and intake -------------------------------------------------------
@@ -166,7 +148,7 @@ def test_loss_zero_power():
     M = np.zeros((0, 0))
     Nblk = np.zeros((0, 1))
     Q = np.array([[1.0]])
-    assert power_loss(M, Nblk, Q, [], [0.0], 1.0) == 0.0
+    assert power_loss(M, Nblk, Q, [], [0.0]) == 0.0
 
 
 def test_loss_two_bus_hand_value():
@@ -174,12 +156,12 @@ def test_loss_two_bus_hand_value():
     Y = build_admittance([Line(0, 1, 1.0)], 2)
     Z = np.real(grounded_impedance(Y))
     M, Nblk, Q = decompose_blocks(Z, [], [1])
-    loss = power_loss(M, Nblk, Q, [], [0.1], 1.0)
+    loss = power_loss(M, Nblk, Q, [], [0.1])
     assert loss == pytest.approx(0.01, abs=1e-15)
     # Same number through the full quadratic form with the balancing PCC
     # injection folded in.
     X = compute_sensitivity(Y)
-    assert full_power_loss(X, [0.1, -0.1], 1.0) == pytest.approx(loss, abs=1e-15)
+    assert full_power_loss(X, [0.1, -0.1]) == pytest.approx(loss, abs=1e-15)
 
 
 def test_loss_block_form_equals_balanced_full_form():
@@ -194,12 +176,12 @@ def test_loss_block_form_equals_balanced_full_form():
         p_g = rng.uniform(0, 0.3, len(gen))
         p_c = rng.uniform(0, 0.3, len(load))
         blk = model.blocks
-        block_val = power_loss(blk.M, blk.N, blk.Q, p_g, p_c, 1.0)
+        block_val = power_loss(blk.M, blk.N, blk.Q, p_g, p_c)
         p_full = np.zeros(n)
         p_full[np.asarray(gen)] = p_g
         p_full[np.asarray(load)] = -p_c
         p_full[0] = -p_full.sum()
-        full_val = full_power_loss(blk.X_full, p_full, 1.0)
+        full_val = full_power_loss(blk.X_full, p_full)
         assert block_val == pytest.approx(full_val, abs=1e-12)
 
 
@@ -216,7 +198,7 @@ def test_loss_ac_oracle_two_bus_within_two_percent(twobus_model):
         for sign in (+1.0, -1.0):
             s = sign * p  # injection; negative = consumption
             _, loss_exact = ac_twobus_exact(z, s)
-            loss_lin = power_loss(blk.M, blk.N, blk.Q, [], [-s], 1.0)
+            loss_lin = power_loss(blk.M, blk.N, blk.Q, [], [-s])
             assert abs(loss_lin - loss_exact) / loss_exact < 0.02
 
 

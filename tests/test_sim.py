@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from usecb.errors import ConfigError, ModelError
-from usecb.sim import (NoiseConfig, build_ieee37_scenario, metrics, observe,
-                       run_scheme)
+from usecb import sim
+from usecb.errors import ConfigError, FeasibilityError, ModelError
+from usecb.sim import (NoiseConfig, build_ieee37_scenario, data_path,
+                       load_scenario, metrics, observe, run_scheme)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +79,7 @@ def test_ieee37_layout(static_scenario):
 
 
 def test_ieee37_box_is_ac_rating(static_scenario):
-    fset = static_scenario.env_feasible_set()
+    fset = static_scenario.env_set
     # 1.2 MW on a 10 MVA base.
     assert np.allclose(fset.p_max, 0.12)
     assert np.allclose(fset.p_min, 0.0)
@@ -232,3 +235,36 @@ def test_metrics_roundup(dynamic_scenario):
     assert m["conservation_max_residual"] < 1e-9
     assert m["objective_trailing_variance"] >= 0.0
     assert m["mean_temp_deviation"] >= 0.0
+
+
+def test_bundled_scenario_ignores_working_directory(tmp_path, monkeypatch):
+    rows = data_path("pv_profile.csv").read_text().splitlines()
+    zeroed = [rows[0]] + [row.split(",")[0] + ",0.0" for row in rows[1:]]
+    (tmp_path / "pv_profile.csv").write_text("\n".join(zeroed) + "\n")
+    monkeypatch.chdir(tmp_path)
+    packaged = load_scenario(str(data_path("ieee37_dynamic.json")))
+    assert packaged.p_g_true.max() > 0.0
+    scn = build_ieee37_scenario(variant="dynamic")
+    assert np.array_equal(scn.p_g_true, packaged.p_g_true)
+
+
+@pytest.mark.parametrize("scheme", ["stochastic", "exact"])
+def test_static_run_builds_no_constraint_set(scheme, monkeypatch):
+    scn = build_ieee37_scenario({"horizon": 20})
+    calls = []
+    real = sim.build_feasible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_feasible", counted)
+    run_scheme(scn, scheme)
+    assert not calls
+
+
+def test_empty_slot0_set_fails_at_construction():
+    scn = build_ieee37_scenario({"horizon": 20})
+    with pytest.raises(FeasibilityError):
+        dataclasses.replace(scn, bounds={**scn.bounds, "v_min": 0.99},
+                            p_g_true=np.zeros_like(scn.p_g_true))

@@ -34,7 +34,7 @@ def _coupled_objective(rng=None, n=3):
                         c_set=rng.uniform(68, 74, n), dt=48.0)
     c_in, c_out = rng.uniform(70, 80, n), rng.uniform(85, 95, n)
     p_g = np.array([0.5])
-    quad = Quadratic(1.2, bp, blocks, 1.0, rng.uniform(0, 0.08, n))
+    quad = Quadratic(1.2, bp, blocks, rng.uniform(0, 0.08, n))
     return (c_in, c_out), quad, p_g, quad.linear_term(c_in, c_out, p_g)
 
 
@@ -102,7 +102,7 @@ def test_satisfaction_never_positive():
 def test_profit_zero_at_balance():
     blocks = _empty_grid_blocks(1, n_gens=1)
     bp = BuildingParams(0.1, 0.5, 1.0, [75.0], dt=1.0)
-    quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
+    quad = Quadratic(1.0, bp, blocks, np.zeros(1))
     # Predicted temperature hits the set point and intake nets to zero.
     assert usecb_profit([75.0], [95.0], [4.0], quad, np.array([4.0])) \
         == pytest.approx(0.0, abs=1e-12)
@@ -113,7 +113,7 @@ def test_profit_hand_value():
     # beta 2 (comfort -18), plus 2 units of intake at unit price: profit -20.
     blocks = _empty_grid_blocks(1, n_gens=1)
     bp = BuildingParams(0.0, 1.0, 2.0, [70.0], dt=1.0)
-    quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
+    quad = Quadratic(1.0, bp, blocks, np.zeros(1))
     assert usecb_profit([75.0], [75.0], [2.0], quad, np.array([0.0])) \
         == pytest.approx(-20.0, abs=1e-12)
 
@@ -137,7 +137,7 @@ def test_objective_one_dim_minimizer():
     # f(p) = p^2 - 4p with vertex at 2 inside [0, 4].
     blocks = _empty_grid_blocks(1)
     bp = BuildingParams(0.0, 1.0, 1.0, [7.5], dt=1.0)
-    quad = Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
+    quad = Quadratic(1.0, bp, blocks, np.zeros(1))
     A = quad.A
     b = quad.linear_term(np.array([10.0]), np.array([10.0]), np.zeros(0))
     vertex = -b[0] / (2.0 * A[0, 0])
@@ -151,7 +151,7 @@ def test_objective_argmin_matches_profit_argmax():
     rng = np.random.default_rng(3)
     blocks = _empty_grid_blocks(1)
     bp = BuildingParams(0.0, 0.8, 1.5, [71.0], dt=1.0)
-    quad = Quadratic(2.0, bp, blocks, 1.0, np.zeros(1))
+    quad = Quadratic(2.0, bp, blocks, np.zeros(1))
     p_g = np.zeros(0)
     temp = np.array([76.0])
     b = quad.linear_term(temp, temp, p_g)
@@ -178,7 +178,7 @@ def test_objective_rejects_non_psd_hessian():
     blocks.Q = np.array([[-10.0]])
     bp = BuildingParams(0.0, 1.0, 1.0, [70.0], dt=1.0)
     with pytest.raises(ModelError, match="Hessian"):
-        Quadratic(1.0, bp, blocks, 1.0, np.zeros(1))
+        Quadratic(1.0, bp, blocks, np.zeros(1))
 
 
 # --- gradient --------------------------------------------------------------
