@@ -1,8 +1,9 @@
 """Replication experiments built on the simulator and the online solver.
 
 Everything here is deterministic under (config, seed): replication seeds
-derive from the base seed, noise streams are keyed by (seed, slot), and
-results merge by sorted job keys regardless of executor scheduling.
+derive from the base seed, each run draws its observation noise as rows of
+one sequence per (seed, stream), and results merge by sorted job keys
+regardless of executor scheduling.
 Replications fan out over processes (the per-slot work is many small numpy
 calls, so threads would serialize on the interpreter lock); job functions
 and their arguments stay picklable for that reason.

@@ -39,7 +39,8 @@ __all__ = [
     "Scenario",
     "RunResult",
     "observe",
-    "read_slot",
+    "noise_streams",
+    "read_slots",
     "run_scheme",
     "build_ieee37_scenario",
     "load_scenario",
@@ -51,16 +52,22 @@ __all__ = [
 
 SCHEMES = ("stochastic", "exact", "oracle")
 
-# Sub-stream ids for per-slot noise and scenario-level draws.
+# Sub-stream ids for observation noise and scenario-level draws.
 STREAM_GEN = 0
 STREAM_COUT = 1
 STREAM_CIN = 2
 STREAM_BOUNDS = 3
+STREAM_PROBES = 4
 STREAM_INIT = 10
 STREAM_GAINS = 11
 STREAM_REP = 12
 
 _EXACT_TOL = 1e-8
+
+# The observation-noise scheme: reading k of a run is row k of one
+# standard-normal sequence per (seed, stream).  Noisy outputs are comparable
+# only between runs of one version.
+NOISE_VERSION = 2
 
 
 def data_path(name):
@@ -70,7 +77,8 @@ def data_path(name):
 
 @dataclass
 class NoiseConfig:
-    """Observation noise: Gaussian per entry, deterministic per (seed, t)."""
+    """Observation noise: Gaussian per entry, row k of a (seed, stream)
+    sequence for reading k (see :func:`noise_streams`)."""
 
     sigma_temp: float = 0.0
     sigma_gen: float = 0.0
@@ -83,42 +91,56 @@ class NoiseConfig:
             raise ConfigError(f"unknown gen noise mode {self.gen_mode!r}")
 
 
-def observe(true_values, noise, t, seed, stream=0, relative=False, floor=None):
-    """Noisy reading of ``true_values``: value + N(0, sigma^2) per entry.
+def observe(true_values, sigma, z, relative=False, floor=None):
+    """Noisy reading ``true_values + sigma * z`` on standard normals ``z`` of
+    the values' shape.
 
-    Draws are a pure function of (seed, t, stream, entry index).  With
-    ``relative`` the sigma scales with the absolute true value.  ``floor``
-    clamps the result from below (negative power readings are unphysical).
+    With ``relative`` the sigma scales with the absolute true value.
+    ``floor`` clamps the result from below (negative power readings are
+    unphysical).  A zero sigma reads the true values.
     """
-    values = np.atleast_1d(np.asarray(true_values, dtype=float))
-    sigma = float(noise)
+    values = np.asarray(true_values, dtype=float)
     if sigma == 0.0:
         out = values.copy()
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(seed), int(t), int(stream))))
         scale = sigma * np.abs(values) if relative else sigma
-        out = values + scale * rng.standard_normal(values.shape)
+        out = values + scale * z
     if floor is not None:
         np.maximum(out, floor, out=out)
     return out
 
 
-def read_slot(scenario, slot, c_in, key, seed):
-    """Noisy ``(p_g, c_out, c_in)`` reading of ``slot``'s generation and
-    outdoor temperature and of the indoor temperatures ``c_in``.
+def noise_streams(seed):
+    """The generation, outdoor- and indoor-temperature noise generators of
+    a run under ``seed``, one ``default_rng(SeedSequence((seed, stream)))``
+    each: row k of a generator's standard-normal sequence is the noise of
+    the run's reading k."""
+    return tuple(np.random.default_rng(np.random.SeedSequence((int(seed), stream)))
+                 for stream in (STREAM_GEN, STREAM_COUT, STREAM_CIN))
 
-    The draws are keyed by ``(seed, key)`` with one stream per quantity;
-    generation noise is floored at zero.
+
+def read_slots(scenario, slots, streams):
+    """Noisy ``(p_g, c_out, z_in)`` readings of ``slots``, one row each: the
+    generation and the outdoor temperature of each slot, and the standard
+    normals of each reading's indoor temperatures, which the caller reads
+    as ``observe(c_in, sigma_temp, z_in[k])`` because they depend on the
+    run.
+
+    Every reading takes the next row of each of ``streams`` (from
+    :func:`noise_streams`).  Rows drawn one at a time equal rows drawn as a
+    block, so a run's reading k is the same whichever way it is drawn and
+    however many readings follow.  Generation noise is floored at zero.
     """
     noise = scenario.noise
-    pg = observe(scenario.p_g_true[slot], noise.sigma_gen, key, seed,
-                 stream=STREAM_GEN, relative=noise.gen_mode == "relative",
-                 floor=0.0)
-    cout = observe(np.full(scenario.n_loads, scenario.c_out_true[slot]),
-                   noise.sigma_temp, key, seed, stream=STREAM_COUT)
-    cin = observe(c_in, noise.sigma_temp, key, seed, stream=STREAM_CIN)
-    return pg, cout, cin
+    slots = np.asarray(slots, dtype=int)
+    shape = (slots.size, scenario.n_loads)
+    gen, cout, cin = streams
+    p_g = scenario.p_g_true[slots]
+    p_g = observe(p_g, noise.sigma_gen, gen.standard_normal(p_g.shape),
+                  relative=noise.gen_mode == "relative", floor=0.0)
+    c_out = observe(np.repeat(scenario.c_out_true[slots, None], shape[1], axis=1),
+                    noise.sigma_temp, cout.standard_normal(shape))
+    return p_g, c_out, cin.standard_normal(shape)
 
 
 @dataclass
@@ -188,21 +210,45 @@ class Scenario:
             self.p_g_true[0])
 
 
-def scenario_gradient_oracle(scenario, seed):
-    """Stochastic gradient closure over per-slot observations.
+def _noisy_linear_terms(scenario, slots, streams):
+    """Rows of the objective's linear term as the next readings of
+    ``slots`` from ``streams`` see them, at the initial indoor temperatures."""
+    p_g, c_out, z_in = read_slots(scenario, slots, streams)
+    c_in = observe(np.broadcast_to(scenario.c_in_init, z_in.shape),
+                   scenario.noise.sigma_temp, z_in)
+    return scenario.objective.linear_term(c_in, c_out, p_g)
 
-    ``oracle(t, x)`` reads step t's slot under (seed, t) noise and returns
-    the gradient of the observed objective at x.  Step t plays slot t-1
-    (the last slot past the horizon); static scenarios always play their
-    frozen slot 0.
+
+# Steps whose readings the gradient oracle builds at once: large enough to
+# spread the per-block cost, small enough that memory does not grow with T.
+_ORACLE_CHUNK = 256
+
+
+def scenario_gradient_oracle(scenario, seed):
+    """Stochastic gradient closure over the readings of a run under
+    ``seed``.
+
+    ``oracle(t, x)`` returns the gradient at x of the objective as reading t
+    of the run sees it, for t = 1, 2, ... in increasing order (as
+    :func:`~usecb.mirror.run_online` asks).  Step t plays slot t-1 (the last
+    slot past the horizon); static scenarios always play their frozen slot
+    0.  The readings and their linear terms are built ``_ORACLE_CHUNK``
+    steps at a time, so reading t does not depend on how many steps follow.
     """
     quad = scenario.objective
     last = 0 if scenario.is_static else scenario.horizon - 1
+    streams = noise_streams(seed)
+    start, b = 0, np.empty((0, scenario.n_loads))
 
     def oracle(t, x):
-        pg, cout, cin = read_slot(scenario, min(t - 1, last),
-                                  scenario.c_in_init, t, seed)
-        return quad.grad(x, quad.linear_term(cin, cout, pg))
+        nonlocal start, b
+        if t < start:
+            raise ValueError(f"oracle step {t} comes before its block at {start}")
+        while t >= start + len(b):
+            start += len(b)
+            steps = np.arange(start, start + _ORACLE_CHUNK)
+            b = _noisy_linear_terms(scenario, np.clip(steps - 1, 0, last), streams)
+        return quad.grad(x, b[t - start])
 
     return oracle
 
@@ -212,26 +258,24 @@ def md_bounds(scenario, seed):
     the stochastic oracle.
 
     Noise-free scenarios sample the true gradient instead.  Deterministic
-    under (scenario.seed-independent) run ``seed``.
+    under run ``seed`` (independent of ``scenario.seed``): the sample points
+    come from the (seed, STREAM_BOUNDS) generator, and the probes read their
+    noise one row at a time from the streams of a seed derived from
+    (seed, STREAM_PROBES), disjoint from the run's own streams.
     """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_BOUNDS)))
     quad = scenario.objective
-    noisy = scenario.noise.sigma_temp > 0 or scenario.noise.sigma_gen > 0
-    if noisy:
+    if scenario.noise.sigma_temp > 0 or scenario.noise.sigma_gen > 0:
         # Cycle the sampled contexts across the horizon so a drifting
         # scenario contributes its whole gradient range to G*.
         probe_slots = np.unique(np.linspace(0, scenario.horizon - 1, 8,
                                             dtype=int))
-        keys = itertools.count(1_000_000_001)
+        streams = noise_streams(derived_seed(seed, STREAM_PROBES))
+        probes = itertools.count()
 
         def sample_grad(x):
-            # Keys from 1e9 up keep bound-sampling noise streams disjoint
-            # from the run's per-slot streams.
-            key = next(keys)
-            pg, cout, cin = read_slot(
-                scenario, int(probe_slots[key % probe_slots.size]),
-                scenario.c_in_init, key, seed)
-            return quad.grad(x, quad.linear_term(cin, cout, pg))
+            slot = probe_slots[next(probes) % probe_slots.size]
+            return quad.grad(x, _noisy_linear_terms(scenario, [slot], streams)[0])
     else:
         b0 = scenario.true_linear_term()
 
@@ -286,9 +330,13 @@ def run_scheme(scenario, scheme, seed=None):
     out.f_true = np.empty(T)
     out.feasible = np.empty(T, dtype=bool)
     out.p_g_true = scenario.p_g_true.copy()
-    out.p_g_obs = np.empty_like(scenario.p_g_true)
     out.c_out_true = scenario.c_out_true.copy()
-    out.c_out_obs = np.empty((T, n_c))
+    if scheme == "oracle":
+        out.p_g_obs = scenario.p_g_true.copy()
+        out.c_out_obs = np.repeat(scenario.c_out_true[:, None], n_c, axis=1)
+    else:
+        out.p_g_obs, out.c_out_obs, z_in = read_slots(scenario, np.arange(T),
+                                                      noise_streams(seed))
     out.c_in_true = np.empty((T, n_c))
     out.c_in_obs = np.empty((T, n_c))
     out.c_in_after = np.empty((T, n_c))
@@ -303,12 +351,11 @@ def run_scheme(scenario, scheme, seed=None):
         cout_t = np.full(n_c, scenario.c_out_true[t])
         out.c_in_true[t] = c_in
 
+        pg_view, cout_view = out.p_g_obs[t], out.c_out_obs[t]
         if scheme == "oracle":
-            pg_view, cout_view, cin_view = pg_t, cout_t, c_in
+            cin_view = c_in
         else:
-            pg_view, cout_view, cin_view = read_slot(scenario, t, c_in, t, seed)
-        out.p_g_obs[t] = pg_view
-        out.c_out_obs[t] = cout_view
+            cin_view = observe(c_in, scenario.noise.sigma_temp, z_in[t])
         out.c_in_obs[t] = cin_view
 
         if scenario.is_static:
@@ -459,30 +506,56 @@ def _deep_merge(base, override):
     return out
 
 
-def _check_finite(node, path=""):
-    """Raise ``ConfigError`` naming the dotted key path of the first NaN or
-    infinite number in a config document."""
-    if isinstance(node, dict):
-        for key, val in node.items():
-            _check_finite(val, f"{path}.{key}" if path else str(key))
-    elif isinstance(node, (list, tuple)):
-        for i, val in enumerate(node):
-            _check_finite(val, f"{path}[{i}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"config value {path} must be finite, got {node}")
+_REQUIRED = object()
+
+
+def _number(cfg, path, default=_REQUIRED, integer=False):
+    """The number at the dotted key ``path`` of a config document, or
+    ``default`` when a key on the way is absent; a list of numbers comes
+    back as an array.
+
+    Raises ``ConfigError`` naming the path (``path[i]`` for a list entry)
+    for an absent required key, a value that is not a JSON number (a
+    string or a boolean included), a NaN or infinite one, or, with
+    ``integer``, a fractional one.
+    """
+    node = cfg
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"config is missing {path}")
+            return default
+        node = node[key]
+    return _checked_number(node, path, integer)
+
+
+def _checked_number(value, path, integer=False):
+    if isinstance(value, list):
+        return np.array([_checked_number(v, f"{path}[{i}]", integer)
+                         for i, v in enumerate(value)])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config value {path} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"config value {path} must be a finite {kind}, "
+                          f"got {value!r}")
+    return int(value) if integer else number
 
 
 def scenario_from_config(cfg, base_dir):
     """Build a Scenario from a parsed config document whose relative file
     names resolve against ``base_dir``, then against the bundled data."""
-    _check_finite(cfg)
     if cfg.get("schema_version") != 1:
         raise ConfigError("config must declare schema_version: 1")
     kind = cfg.get("kind", "static")
     if kind == "flows":
         raise ConfigError("flows configs describe radial cases, not scenarios")
-    s_base = float(cfg.get("s_base_mva", 1.0))
-    seed = int(cfg.get("seed", 0))
+    s_base = _number(cfg, "s_base_mva", 1.0)
+    seed = _number(cfg, "seed", 0, integer=True)
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
@@ -494,19 +567,20 @@ def scenario_from_config(cfg, base_dir):
 
     gen_cfg = cfg["generation"]
     gen_idx = []
-    for b in gen_cfg["buses"]:
+    for i, b in enumerate(gen_cfg["buses"]):
         key = str(b)
         if key in name_to_idx:
             gen_idx.append(name_to_idx[key])
         else:
-            gen_idx.append(int(b))
+            gen_idx.append(_checked_number(b, f"generation.buses[{i}]",
+                                           integer=True))
     gen_idx = sorted(gen_idx)
     load_idx = sorted(set(range(1, n_buses)) - set(gen_idx))
     model = GridModel.build(lines, n_buses, gen_idx, load_idx)
 
-    horizon = int(cfg["horizon"])
-    dt = float(cfg.get("dt_s", 48.0))
-    start = float(cfg.get("start_s", 0.0))
+    horizon = _number(cfg, "horizon", integer=True)
+    dt = _number(cfg, "dt_s", 48.0)
+    start = _number(cfg, "start_s", 0.0)
     if kind == "static":
         times = np.full(horizon, start)
     else:
@@ -514,7 +588,7 @@ def scenario_from_config(cfg, base_dir):
 
     pv = load_timeseries(_resolve(gen_cfg["profile"], base_dir))
     norm = pv.resample(times)
-    cap = np.asarray(gen_cfg["capacity_mw"], dtype=float)
+    cap = _number(cfg, "generation.capacity_mw")
     cap = np.broadcast_to(cap, (len(gen_idx),)) / s_base
     p_g_true = norm[:, None] * cap[None, :]
 
@@ -522,36 +596,34 @@ def scenario_from_config(cfg, base_dir):
     c_out_true = temp.resample(times)
 
     n_c = len(load_idx)
-    ind = cfg.get("indoor_init", {"mean": 70.0, "std": 0.0})
     rng_init = np.random.default_rng(np.random.SeedSequence((seed, STREAM_INIT)))
-    c_in_init = float(ind["mean"]) + float(ind.get("std", 0.0)) \
+    c_in_init = _number(cfg, "indoor_init.mean", 70.0) \
+        + _number(cfg, "indoor_init.std", 0.0) \
         * rng_init.standard_normal(n_c)
     if not np.all(np.isfinite(c_in_init)):
         raise ConfigError("indoor_init must give finite temperatures")
 
-    load_cfg = cfg["load"]
-    p_fixed = np.full(n_c, float(load_cfg.get("fixed_mw", 0.0)) / s_base)
-    p_min = float(load_cfg.get("ac_min_mw", 0.0)) / s_base
-    p_max = float(load_cfg["ac_max_mw"]) / s_base
+    p_fixed = np.full(n_c, _number(cfg, "load.fixed_mw", 0.0) / s_base)
+    p_min = _number(cfg, "load.ac_min_mw", 0.0) / s_base
+    p_max = _number(cfg, "load.ac_max_mw") / s_base
 
     bcfg = cfg["buildings"]
     rng_gain = np.random.default_rng(np.random.SeedSequence((seed, STREAM_GAINS)))
-    gains = rng_gain.normal(float(bcfg.get("cooling_gain_mean", 1.0)),
-                            float(bcfg.get("cooling_gain_std", 0.0)), n_c)
+    gain_mean = _number(cfg, "buildings.cooling_gain_mean", 1.0)
+    gain_std = _number(cfg, "buildings.cooling_gain_std", 0.0)
+    gains = rng_gain.normal(gain_mean, gain_std, n_c)
     for _ in range(100):
         bad = gains <= 0
         if not bad.any():
             break
-        gains[bad] = rng_gain.normal(float(bcfg.get("cooling_gain_mean", 1.0)),
-                                     float(bcfg.get("cooling_gain_std", 0.0)),
-                                     int(bad.sum()))
+        gains[bad] = rng_gain.normal(gain_mean, gain_std, int(bad.sum()))
     alpha2 = gains / (p_max * dt)
-    alpha1 = np.full(n_c, float(bcfg.get("alpha1_per_s", 0.0)))
-    beta = np.full(n_c, float(bcfg["beta"]))
+    alpha1 = np.full(n_c, _number(cfg, "buildings.alpha1_per_s", 0.0))
+    beta = np.full(n_c, _number(cfg, "buildings.beta"))
 
     sp = bcfg.get("set_point", {"mode": "common", "value": 70.0})
     if sp["mode"] == "common":
-        c_set = np.full(n_c, float(sp["value"]))
+        c_set = np.full(n_c, _number(cfg, "buildings.set_point.value", 70.0))
     elif sp["mode"] == "tracking":
         # Solved below, once the scenario's objective exists.
         c_set = np.zeros(n_c)
@@ -563,13 +635,13 @@ def scenario_from_config(cfg, base_dir):
     bounds = {
         "p_min": p_min,
         "p_max": p_max,
-        "v_min": float(vb.get("v_min", -np.inf)),
-        "v_max": float(vb.get("v_max", np.inf)),
+        "v_min": _number(cfg, "voltage_band.v_min", -np.inf),
+        "v_max": _number(cfg, "voltage_band.v_max", np.inf),
         "include_gen_buses": bool(vb.get("include_gen_buses", True)),
     }
     ncfg = cfg.get("noise", {})
-    noise = NoiseConfig(sigma_temp=float(ncfg.get("sigma_temp", 0.0)),
-                        sigma_gen=float(ncfg.get("sigma_gen", 0.0)),
+    noise = NoiseConfig(sigma_temp=_number(cfg, "noise.sigma_temp", 0.0),
+                        sigma_gen=_number(cfg, "noise.sigma_gen", 0.0),
                         gen_mode=str(ncfg.get("gen_mode", "relative")))
 
     scenario = Scenario(
@@ -581,7 +653,7 @@ def scenario_from_config(cfg, base_dir):
         noise=noise,
         horizon=horizon,
         dt=dt,
-        lambda_price=float(cfg.get("lambda_price", 1.0)),
+        lambda_price=_number(cfg, "lambda_price", 1.0),
         seed=seed,
         p_g_true=p_g_true,
         c_out_true=c_out_true,
@@ -596,7 +668,7 @@ def scenario_from_config(cfg, base_dir):
         # included.  Keeps the stationary-noise experiment's optimizer
         # strictly interior.  The set point enters the gradient only as
         # comfort_w * c_set, and every set point is still zero here.
-        frac = float(sp.get("target_fraction", 0.5))
+        frac = _number(cfg, "buildings.set_point.target_fraction", 0.5)
         target = np.full(n_c, p_min + frac * (p_max - p_min))
         quad = scenario.objective
         buildings.c_set[:] = (-quad.grad(target, scenario.true_linear_term())
@@ -629,7 +701,12 @@ def build_ieee37_scenario(overrides=None, variant="static"):
     return load_scenario(str(data_path(fname)), overrides)
 
 
+def derived_seed(*key):
+    """Stable 64-bit seed derived from the integers ``key``."""
+    ss = np.random.SeedSequence(tuple(int(k) for k in key))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 def replication_seed(base_seed, rep):
     """Stable derived seed for replication ``rep`` of a base seed."""
-    ss = np.random.SeedSequence((int(base_seed), STREAM_REP, int(rep)))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return derived_seed(base_seed, STREAM_REP, rep)

@@ -117,9 +117,14 @@ class Quadratic:
         self.comfort_w = 2.0 * buildings.beta * m / lam
 
     def linear_term(self, c_in, c_out, p_g):
+        """``b`` for one slot's readings, or the ``(R, n)`` rows of ``b`` for
+        ``R`` rows of readings; each row equals, bit for bit, the term of
+        that row's readings alone."""
         bld = self.buildings
         drive = c_in + bld.alpha1 * (c_out - c_in) * bld.dt - bld.c_set
-        return self.base_b - self.comfort_w * drive - self.NT2 @ p_g
+        # A stack of matrix-vector products rounds every row as one product.
+        return (self.base_b - self.comfort_w * drive
+                - (self.NT2 @ p_g[..., None])[..., 0])
 
     def value(self, x, b):
         return float(x @ self.A @ x + b @ x)

@@ -174,8 +174,12 @@ NUMERIC_KEYS = ["lambda_price", "buildings.beta", "load.ac_max_mw", "dt_s",
                 "buildings.alpha1_per_s", "start_s", "buildings.set_point.value"]
 
 
+# Strings are not numbers, even when ``float()`` would read them.
+STRING_VALUES = [pytest.param(v, id=f"str_{v}") for v in ("nan", "inf", "1e400", "abc")]
+
+
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")] + STRING_VALUES)
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_nonfinite_config_number_exits_2_at_load(key, value, command, tmp_path,
                                                  capsys):

@@ -9,6 +9,13 @@ way.  The exact and oracle schemes
 project hundreds of times per slot, so they pin the constraint set most
 tightly.  A change that alters the noise stream or the step rule on purpose
 regenerates them; it does not loosen the tolerance.
+
+The noisy values (stochastic, exact, regret, comparison, ``md_bounds``)
+were recorded under noise version 2 (``usecb.sim.NOISE_VERSION``: reading
+k of a run is row k of one standard-normal sequence per (seed, stream)).
+The oracle values do not read noise and did not move with it.  Running
+``PYTHONPATH=src python tests/test_golden.py`` prints every pinned value
+as the current code computes it.
 """
 
 import pytest
@@ -19,38 +26,38 @@ from usecb.sim import build_ieee37_scenario, md_bounds, metrics, run_scheme
 GOLDEN = {
     "static": ({"horizon": 120}, "static", {
         "seed": 42,
-        "loss_total": 5.173334904665069,
-        "loss_mean": 0.04311112420554224,
-        "intake_total": 390.54630135863346,
-        "intake_mean": 3.2545525113219456,
-        "objective_mean": -45.26173112337462,
-        "objective_final": -45.32810907487402,
-        "objective_trailing_variance": 0.0005397322343683176,
+        "loss_total": 5.224874116336828,
+        "loss_mean": 0.043540617636140234,
+        "intake_total": 392.0776257296002,
+        "intake_mean": 3.267313547746668,
+        "objective_mean": -45.152502956736285,
+        "objective_final": -45.30209066140789,
+        "objective_trailing_variance": 0.000782329904361685,
         "mean_temp_deviation": 4.9965127765372745,
     }),
     "dynamic": ({"horizon": 120}, "dynamic", {
         "seed": 43,
-        "loss_total": 1.3359770704411762,
-        "loss_mean": 0.011133142253676469,
-        "intake_total": 170.97404270308922,
-        "intake_mean": 1.4247836891924102,
-        "objective_mean": 0.24306722264517766,
-        "objective_final": 0.11655324032299536,
-        "objective_trailing_variance": 0.005684933613270183,
-        "mean_temp_deviation": 0.9473883187459518,
+        "loss_total": 1.3736275167073486,
+        "loss_mean": 0.011446895972561238,
+        "intake_total": 172.12436526349757,
+        "intake_mean": 1.4343697105291464,
+        "objective_mean": 0.24941244350631678,
+        "objective_final": 0.20593604218735773,
+        "objective_trailing_variance": 0.005248143125368789,
+        "mean_temp_deviation": 0.9563955710405515,
     }),
     # The band binds on this day, so the dual Newton projection runs.
     "dynamic_v_min_0.975": (
         {"horizon": 120, "voltage_band": {"v_min": 0.975}}, "dynamic", {
             "seed": 43,
-            "loss_total": 1.335634454758046,
-            "loss_mean": 0.011130287122983718,
-            "intake_total": 170.96543309558297,
-            "intake_mean": 1.4247119424631913,
-            "objective_mean": 0.24259221428753633,
-            "objective_final": 0.11655322741835847,
-            "objective_trailing_variance": 0.005685110810168875,
-            "mean_temp_deviation": 0.9471773524397364,
+            "loss_total": 1.3269655410998873,
+            "loss_mean": 0.011058046175832394,
+            "intake_total": 171.0817670165717,
+            "intake_mean": 1.4256813918047642,
+            "objective_mean": 0.20926326608241397,
+            "objective_final": 0.20593640388999848,
+            "objective_trailing_variance": 0.005214420584978687,
+            "mean_temp_deviation": 0.934790740090496,
         }),
 }
 
@@ -60,14 +67,14 @@ GOLDEN = {
 GOLDEN_SOLVED = {
     ("dynamic", "exact"): {
         "seed": 43,
-        "loss_total": 1.6343617066566445,
-        "loss_mean": 0.01361968088880537,
-        "intake_total": 200.47994593046587,
-        "intake_mean": 1.6706662160872157,
-        "objective_mean": 2.3579939529966762,
-        "objective_final": 5.143761608983067,
-        "objective_trailing_variance": 1.916787775835986,
-        "mean_temp_deviation": 1.6150485468451214,
+        "loss_total": 1.6456126017043808,
+        "loss_mean": 0.013713438347536506,
+        "intake_total": 201.15631808833842,
+        "intake_mean": 1.6763026507361536,
+        "objective_mean": 2.376651821728578,
+        "objective_final": 1.3882733868246029,
+        "objective_trailing_variance": 2.261915249142075,
+        "mean_temp_deviation": 1.6174950551043705,
     },
     ("dynamic", "oracle"): {
         "seed": 43,
@@ -82,14 +89,14 @@ GOLDEN_SOLVED = {
     },
     ("dynamic_v_min_0.975", "exact"): {
         "seed": 43,
-        "loss_total": 1.6219346147129143,
-        "loss_mean": 0.013516121789274286,
-        "intake_total": 200.29757770728665,
-        "intake_mean": 1.6691464808940555,
-        "objective_mean": 2.356910846592205,
-        "objective_final": 5.143761608983067,
-        "objective_trailing_variance": 1.917035716081705,
-        "mean_temp_deviation": 1.6130647593498544,
+        "loss_total": 1.6228760512961522,
+        "loss_mean": 0.013523967094134602,
+        "intake_total": 200.83750254807632,
+        "intake_mean": 1.6736458545673025,
+        "objective_mean": 2.3743669368929634,
+        "objective_final": 1.3882733868246029,
+        "objective_trailing_variance": 2.2612504736947314,
+        "mean_temp_deviation": 1.6140353981172473,
     },
     ("dynamic_v_min_0.975", "oracle"): {
         "seed": 43,
@@ -139,26 +146,26 @@ GOLDEN_REGRET = {
     "replications": 3,
     "base_seed": 9,
     "D": 0.4874423042781576,
-    "G_star": 26.34352600670925,
+    "G_star": 27.879681248391744,
     "alpha": 1.0,
     "f_star": -2.601714604931549,
-    "slope": 0.5011045426756393,
+    "slope": 0.4954021340102842,
     "per_horizon": {
-        "50": {"mean_regret": 12.909429383937793,
-               "std_regret": 0.7799221909184141,
+        "50": {"mean_regret": 11.846213195840784,
+               "std_regret": 0.6828902645940976,
                "tail_frequency": 0.0,
                "tail_bound": 0.7788007830714049,
-               "envelope": 181.5984425714941},
-        "200": {"mean_regret": 26.481772277941946,
-                "std_regret": 0.6611448673951864,
+               "envelope": 192.1878905962775},
+        "200": {"mean_regret": 23.570351679229987,
+                "std_regret": 0.9013456730460816,
                 "tail_frequency": 0.0,
                 "tail_bound": 0.7788007830714049,
-                "envelope": 363.1968851429882},
-        "800": {"mean_regret": 51.796097470875026,
-                "std_regret": 2.207991409426029,
+                "envelope": 384.375781192555},
+        "800": {"mean_regret": 46.78462506560513,
+                "std_regret": 0.8350790274616278,
                 "tail_frequency": 0.0,
                 "tail_bound": 0.7788007830714049,
-                "envelope": 726.3937702859764},
+                "envelope": 768.75156238511},
     },
     "max_tail_frequency": 0.0,
 }
@@ -171,11 +178,11 @@ GOLDEN_COMPARISON = {
     "converged_fraction": 1.0,
     "variance_lower_fraction": 1.0,
     "all_feasible": True,
-    "stochastic_trailing_variance_mean": 6.936305910685e-05,
-    "exact_trailing_variance_mean": 0.6362028736885096,
+    "stochastic_trailing_variance_mean": 4.335435890161417e-05,
+    "exact_trailing_variance_mean": 0.5494288785820167,
 }
 
-GOLDEN_MD_BOUNDS = (0.4874423042781576, 92.15844325532665)
+GOLDEN_MD_BOUNDS = (0.4874423042781576, 88.27961881608363)
 
 
 def _check_report(report, expected, path="report"):
@@ -208,3 +215,37 @@ def test_md_bounds_matches_golden():
     scn = build_ieee37_scenario({"horizon": 200}, variant="dynamic")
     D, g_star = md_bounds(scn, 5)
     assert (D, g_star) == pytest.approx(GOLDEN_MD_BOUNDS, rel=1e-12, abs=0.0)
+
+
+def _current_values():
+    """Every pinned value recomputed by the current code, keyed as above."""
+    def pinned(m, keys):
+        return {k: m[k] for k in keys}
+
+    out = {}
+    for case, (overrides, variant, expected) in sorted(GOLDEN.items()):
+        scn = build_ieee37_scenario(overrides, variant=variant)
+        out["GOLDEN", case] = pinned(metrics(run_scheme(scn, "stochastic")),
+                                     expected)
+    for (case, scheme), expected in sorted(GOLDEN_SOLVED.items()):
+        overrides, variant, _ = GOLDEN[case]
+        scn = build_ieee37_scenario(overrides, variant=variant)
+        out["GOLDEN_SOLVED", case, scheme] = pinned(
+            metrics(run_scheme(scn, scheme)), expected)
+    out["GOLDEN_REGRET"] = run_regret_experiment(
+        build_ieee37_scenario(variant="regret"), horizons=(50, 200, 800),
+        replications=3, base_seed=9)
+    out["GOLDEN_COMPARISON"] = run_static_comparison(
+        build_ieee37_scenario(), replications=3, base_seed=8, window=50)
+    out["GOLDEN_MD_BOUNDS"] = tuple(float(v) for v in md_bounds(
+        build_ieee37_scenario({"horizon": 200}, variant="dynamic"), 5))
+    return out
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_golden.py
+    import pprint
+
+    for name, value in _current_values().items():
+        print(name)
+        pprint.pprint(value, sort_dicts=False)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from usecb import sim
+from usecb import experiments, sim
 from usecb.errors import ConfigError, FeasibilityError, ModelError
 from usecb.sim import (NoiseConfig, build_ieee37_scenario, data_path,
                        load_scenario, metrics, observe, run_scheme)
@@ -27,38 +27,102 @@ def dynamic_scenario():
 
 # --- observation noise -------------------------------------------------------
 
+def _normals(seed, shape, stream=0):
+    return sim.noise_streams(seed)[stream].standard_normal(shape)
+
+
 def test_observe_zero_sigma_identity():
     vals = np.array([1.0, -2.0, 3.5])
-    assert np.array_equal(observe(vals, 0.0, 3, 42), vals)
+    assert np.array_equal(observe(vals, 0.0, _normals(42, 3)), vals)
 
 
 def test_observe_deterministic_per_seed_slot():
     vals = np.linspace(0, 1, 8)
-    a = observe(vals, 0.5, 17, 99, stream=2)
-    b = observe(vals, 0.5, 17, 99, stream=2)
+    a = observe(vals, 0.5, _normals(99, 8, stream=2))
+    b = observe(vals, 0.5, _normals(99, 8, stream=2))
     assert np.array_equal(a, b)
-    c = observe(vals, 0.5, 18, 99, stream=2)
+    c = observe(vals, 0.5, _normals(98, 8, stream=2))
     assert not np.array_equal(a, c)
+    d = observe(vals, 0.5, _normals(99, 8, stream=1))
+    assert not np.array_equal(a, d)
 
 
 def test_observe_mean_near_truth():
     vals = np.full(100_000, 7.0)
     sigma = 2.0
-    out = observe(vals, sigma, 0, 123)
+    out = observe(vals, sigma, _normals(123, vals.shape))
     assert abs(out.mean() - 7.0) < 4.0 * sigma / np.sqrt(vals.size)
 
 
 def test_observe_relative_mode_scales_with_value():
     vals = np.array([0.0, 10.0])
-    out = observe(vals, 0.3, 5, 7, relative=True)
+    out = observe(vals, 0.3, _normals(7, 2), relative=True)
     assert out[0] == 0.0
     assert out[1] != 10.0
 
 
 def test_observe_floor_clamps():
     vals = np.full(1000, 0.01)
-    out = observe(vals, 1.0, 2, 11, floor=0.0)
+    out = observe(vals, 1.0, _normals(11, 1000), floor=0.0)
     assert np.min(out) >= 0.0
+
+
+def test_noise_rows_drawn_one_at_a_time_equal_a_block(dynamic_scenario):
+    slots = np.arange(0, dynamic_scenario.horizon, 7)
+    block = sim.read_slots(dynamic_scenario, slots, sim.noise_streams(5))
+    streams = sim.noise_streams(5)
+    rows = [sim.read_slots(dynamic_scenario, [slot], streams) for slot in slots]
+    for k, part in enumerate(block):
+        assert np.array_equal(part, np.concatenate([row[k] for row in rows]))
+    assert not np.array_equal(block[0], dynamic_scenario.p_g_true[slots])
+
+
+def test_noise_generators_do_not_grow_with_the_horizon(monkeypatch):
+    """A noisy run seeds a fixed number of generators, whatever its length
+    (the regret job's lengths span several oracle blocks)."""
+    made = []
+    for name in ("SeedSequence", "default_rng"):
+        real = getattr(sim.np.random, name)
+
+        def counted(*args, _real=real, **kwargs):
+            made.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sim.np.random, name, counted)
+
+    def count(fn):
+        made.clear()
+        fn()
+        return len(made)
+
+    for scheme in sim.SCHEMES:
+        short, long = (count(lambda h=h: run_scheme(build_ieee37_scenario(
+            {"horizon": h}), scheme, seed=3)) for h in (10, 30))
+        assert short == long, scheme
+    scn = build_ieee37_scenario(variant="regret")
+    a_star = experiments.static_problem(scn)[0]
+    short, long = (count(lambda T=T: experiments._regret_job(
+        scn, T, 3, 0.5, 20.0, a_star)) for T in (10, 600))
+    assert short == long
+
+
+def test_regret_run_prefix_does_not_depend_on_its_length(monkeypatch):
+    """Step t of a regret run sees the same noise whatever T is, so the
+    first 100 iterates of a T = 1000 run are those of the T = 100 run."""
+    runs = []
+
+    def recorded(*args, _real=experiments.run_online):
+        runs.append(_real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "run_online", recorded)
+    scn = build_ieee37_scenario(variant="regret")
+    a_star = experiments.static_problem(scn)[0]
+    D, g_star = sim.md_bounds(scn, 21)
+    for T in (100, 1000):
+        experiments._regret_job(scn, T, 21, D, g_star, a_star)
+    assert runs[1].shape == (1000, scn.n_loads)
+    assert np.array_equal(runs[1][:100], runs[0])
 
 
 def test_noise_config_validation():
