@@ -77,15 +77,18 @@ def run_scheme_job(scenario, scheme, seed):
     return run_scheme(scenario, scheme, seed=seed)
 
 
-def _regret_job(scenario, T, seed, D, g_star, a_star):
+def _regret_job(scenario, horizons, seed, D, g_star, a_star):
+    """R_T for each of the ascending ``horizons`` from one run of the longest:
+    step t of a run sees the same readings whatever its length, so the
+    run's first T iterates are those of a run of length T."""
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     fset = scenario.env_set
-    points = run_online(fset, scenario_gradient_oracle(scenario, seed), T,
-                        D, g_star, fset.midpoint())
-    total, _ = regret(points, lambda x: quad.value(np.asarray(x, float), b_true),
+    points = run_online(fset, scenario_gradient_oracle(scenario, seed),
+                        horizons[-1], D, g_star, fset.midpoint())
+    _, curve = regret(points, lambda x: quad.value(np.asarray(x, float), b_true),
                       a_star)
-    return total
+    return [float(curve[T - 1]) for T in horizons]
 
 
 def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
@@ -109,14 +112,14 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
     D, g_star = md_bounds(scenario, base_seed)
     alpha = 1.0
 
-    jobs = {(T, rep): (scenario, T, replication_seed(base_seed, rep),
-                       D, g_star, a_star)
-            for T in horizons for rep in range(replications)}
+    jobs = {rep: (scenario, horizons, replication_seed(base_seed, rep),
+                  D, g_star, a_star)
+            for rep in range(replications)}
     totals = map_replications(_regret_job, jobs)
 
     per_T = {}
-    for T in horizons:
-        vals = np.array([totals[(T, rep)] for rep in range(replications)])
+    for i, T in enumerate(horizons):
+        vals = np.array([totals[rep][i] for rep in range(replications)])
         envelope = 2.0 * D * g_star * math.sqrt(T / alpha)
         threshold = envelope + envelope
         per_T[T] = {

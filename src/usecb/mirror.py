@@ -54,20 +54,21 @@ def _box_corners(fset, rng):
     return fset.p_min + bits * (fset.p_max - fset.p_min)
 
 
-def estimate_bounds(fset, grad_fn, rng):
+def estimate_bounds(fset, grads, rng):
     """Conservative (D, G*) for the step-size rule.
 
     D is the closed-form Euclidean maximum of B over box corner pairs,
     ||p_max - p_min|| / sqrt(2).  G* is 1.1 times the largest gradient norm
     seen over box corners and 64 random feasible points, drawn from ``rng``
-    in that order; pass the stochastic oracle as ``grad_fn`` when the run
-    is noisy so that G* bounds what the algorithm actually sees.
+    in that order; ``grads`` maps the ``(k, n)`` sample points to their k
+    gradients.  Pass the stochastic oracle's gradients when the run is
+    noisy, so that G* bounds what the algorithm actually sees.
     """
     D = float(np.linalg.norm(fset.p_max - fset.p_min)) / np.sqrt(2.0)
     corners = _box_corners(fset, rng)
     raw = fset.p_min + rng.random((_SAMPLES, fset.dim)) * (fset.p_max - fset.p_min)
-    points = list(corners) + [fset.project(x) for x in raw]
-    g_max = max(float(np.linalg.norm(grad_fn(x))) for x in points)
+    points = np.concatenate([corners, [fset.project(x) for x in raw]])
+    g_max = max(float(np.linalg.norm(g)) for g in grads(points))
     return D, 1.1 * g_max
 
 

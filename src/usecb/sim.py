@@ -17,7 +17,6 @@ scenario's slot-0 constraint set, built once from the true generation.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -78,36 +77,22 @@ def data_path(name):
 @dataclass
 class NoiseConfig:
     """Observation noise: Gaussian per entry, row k of a (seed, stream)
-    sequence for reading k (see :func:`noise_streams`)."""
+    sequence for reading k (see :func:`noise_streams`).  Generation noise is
+    relative: its sigma scales with the true generation.  Zero sigmas read
+    the true values."""
 
     sigma_temp: float = 0.0
     sigma_gen: float = 0.0
-    gen_mode: str = "relative"
 
     def __post_init__(self):
         if self.sigma_temp < 0 or self.sigma_gen < 0:
             raise ConfigError("noise sigmas must be nonnegative")
-        if self.gen_mode not in ("relative", "absolute"):
-            raise ConfigError(f"unknown gen noise mode {self.gen_mode!r}")
 
 
-def observe(true_values, sigma, z, relative=False, floor=None):
-    """Noisy reading ``true_values + sigma * z`` on standard normals ``z`` of
-    the values' shape.
-
-    With ``relative`` the sigma scales with the absolute true value.
-    ``floor`` clamps the result from below (negative power readings are
-    unphysical).  A zero sigma reads the true values.
-    """
-    values = np.asarray(true_values, dtype=float)
-    if sigma == 0.0:
-        out = values.copy()
-    else:
-        scale = sigma * np.abs(values) if relative else sigma
-        out = values + scale * z
-    if floor is not None:
-        np.maximum(out, floor, out=out)
-    return out
+def observe(true_values, scale, z):
+    """Noisy reading ``true_values + scale * z`` on standard normals ``z`` of
+    the values' shape; a zero scale reads the true values."""
+    return np.asarray(true_values, dtype=float) + scale * z
 
 
 def noise_streams(seed):
@@ -119,25 +104,25 @@ def noise_streams(seed):
                  for stream in (STREAM_GEN, STREAM_COUT, STREAM_CIN))
 
 
-def read_slots(scenario, slots, streams):
-    """Noisy ``(p_g, c_out, z_in)`` readings of ``slots``, one row each: the
-    generation and the outdoor temperature of each slot, and the standard
-    normals of each reading's indoor temperatures, which the caller reads
-    as ``observe(c_in, sigma_temp, z_in[k])`` because they depend on the
-    run.
+def read_slots(scenario, noise, slots, streams):
+    """``(p_g, c_out, z_in)`` readings of ``slots`` under ``noise``, one row
+    each: the generation and the outdoor temperature of each slot, and the
+    standard normals of each reading's indoor temperatures, which the
+    caller reads as ``observe(c_in, noise.sigma_temp, z_in[k])`` because
+    they depend on the run.
 
     Every reading takes the next row of each of ``streams`` (from
-    :func:`noise_streams`).  Rows drawn one at a time equal rows drawn as a
-    block, so a run's reading k is the same whichever way it is drawn and
-    however many readings follow.  Generation noise is floored at zero.
+    :func:`noise_streams`), whatever the sigmas.  Rows drawn one at a time
+    equal rows drawn as a block, so a run's reading k is the same whichever
+    way it is drawn and however many readings follow.  Generation readings
+    are floored at zero (negative power readings are unphysical).
     """
-    noise = scenario.noise
     slots = np.asarray(slots, dtype=int)
     shape = (slots.size, scenario.n_loads)
     gen, cout, cin = streams
     p_g = scenario.p_g_true[slots]
-    p_g = observe(p_g, noise.sigma_gen, gen.standard_normal(p_g.shape),
-                  relative=noise.gen_mode == "relative", floor=0.0)
+    p_g = np.maximum(observe(p_g, noise.sigma_gen * np.abs(p_g),
+                             gen.standard_normal(p_g.shape)), 0.0)
     c_out = observe(np.repeat(scenario.c_out_true[slots, None], shape[1], axis=1),
                     noise.sigma_temp, cout.standard_normal(shape))
     return p_g, c_out, cin.standard_normal(shape)
@@ -213,9 +198,10 @@ class Scenario:
 def _noisy_linear_terms(scenario, slots, streams):
     """Rows of the objective's linear term as the next readings of
     ``slots`` from ``streams`` see them, at the initial indoor temperatures."""
-    p_g, c_out, z_in = read_slots(scenario, slots, streams)
+    noise = scenario.noise
+    p_g, c_out, z_in = read_slots(scenario, noise, slots, streams)
     c_in = observe(np.broadcast_to(scenario.c_in_init, z_in.shape),
-                   scenario.noise.sigma_temp, z_in)
+                   noise.sigma_temp, z_in)
     return scenario.objective.linear_term(c_in, c_out, p_g)
 
 
@@ -257,32 +243,25 @@ def md_bounds(scenario, seed):
     """(D, G*) for the step rule on the scenario's slot-0 set, sampled from
     the stochastic oracle.
 
-    Noise-free scenarios sample the true gradient instead.  Deterministic
-    under run ``seed`` (independent of ``scenario.seed``): the sample points
-    come from the (seed, STREAM_BOUNDS) generator, and the probes read their
-    noise one row at a time from the streams of a seed derived from
-    (seed, STREAM_PROBES), disjoint from the run's own streams.
+    Deterministic under run ``seed`` (independent of ``scenario.seed``): the
+    sample points come from the (seed, STREAM_BOUNDS) generator, and the
+    probes read their noise as one block from the streams of a seed derived
+    from (seed, STREAM_PROBES), disjoint from the run's own streams.  Probe k
+    reads slot k of 8 spread over the horizon, cycling, so a drifting
+    scenario contributes its whole gradient range to G*; a noise-free
+    scenario reads the same slots at zero noise.
     """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_BOUNDS)))
     quad = scenario.objective
-    if scenario.noise.sigma_temp > 0 or scenario.noise.sigma_gen > 0:
-        # Cycle the sampled contexts across the horizon so a drifting
-        # scenario contributes its whole gradient range to G*.
-        probe_slots = np.unique(np.linspace(0, scenario.horizon - 1, 8,
-                                            dtype=int))
-        streams = noise_streams(derived_seed(seed, STREAM_PROBES))
-        probes = itertools.count()
+    probe_slots = np.unique(np.linspace(0, scenario.horizon - 1, 8, dtype=int))
+    streams = noise_streams(derived_seed(seed, STREAM_PROBES))
 
-        def sample_grad(x):
-            slot = probe_slots[next(probes) % probe_slots.size]
-            return quad.grad(x, _noisy_linear_terms(scenario, [slot], streams)[0])
-    else:
-        b0 = scenario.true_linear_term()
+    def grads(points):
+        b = _noisy_linear_terms(scenario, np.resize(probe_slots, len(points)),
+                                streams)
+        return [quad.grad(x, b_k) for x, b_k in zip(points, b)]
 
-        def sample_grad(x):
-            return quad.grad(x, b0)
-
-    return estimate_bounds(scenario.env_set, sample_grad, rng)
+    return estimate_bounds(scenario.env_set, grads, rng)
 
 
 @dataclass
@@ -331,12 +310,10 @@ def run_scheme(scenario, scheme, seed=None):
     out.feasible = np.empty(T, dtype=bool)
     out.p_g_true = scenario.p_g_true.copy()
     out.c_out_true = scenario.c_out_true.copy()
-    if scheme == "oracle":
-        out.p_g_obs = scenario.p_g_true.copy()
-        out.c_out_obs = np.repeat(scenario.c_out_true[:, None], n_c, axis=1)
-    else:
-        out.p_g_obs, out.c_out_obs, z_in = read_slots(scenario, np.arange(T),
-                                                      noise_streams(seed))
+    # The oracle reads the same slots at zero noise.
+    noise = NoiseConfig() if scheme == "oracle" else scenario.noise
+    out.p_g_obs, out.c_out_obs, z_in = read_slots(scenario, noise, np.arange(T),
+                                                  noise_streams(seed))
     out.c_in_true = np.empty((T, n_c))
     out.c_in_obs = np.empty((T, n_c))
     out.c_in_after = np.empty((T, n_c))
@@ -352,10 +329,7 @@ def run_scheme(scenario, scheme, seed=None):
         out.c_in_true[t] = c_in
 
         pg_view, cout_view = out.p_g_obs[t], out.c_out_obs[t]
-        if scheme == "oracle":
-            cin_view = c_in
-        else:
-            cin_view = observe(c_in, scenario.noise.sigma_temp, z_in[t])
+        cin_view = observe(c_in, noise.sigma_temp, z_in[t])
         out.c_in_obs[t] = cin_view
 
         if scenario.is_static:
@@ -507,6 +481,21 @@ def _deep_merge(base, override):
 
 
 _REQUIRED = object()
+_ABSENT = object()
+
+
+def _get(cfg, path, default=_REQUIRED):
+    """The value at the dotted key ``path`` of a config document, or
+    ``default`` when a key on the way is absent.  Raises ``ConfigError``
+    naming the path for an absent required key."""
+    node = cfg
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"config is missing {path}")
+            return default
+        node = node[key]
+    return node
 
 
 def _number(cfg, path, default=_REQUIRED, integer=False):
@@ -519,14 +508,8 @@ def _number(cfg, path, default=_REQUIRED, integer=False):
     string or a boolean included), a NaN or infinite one, or, with
     ``integer``, a fractional one.
     """
-    node = cfg
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            if default is _REQUIRED:
-                raise ConfigError(f"config is missing {path}")
-            return default
-        node = node[key]
-    return _checked_number(node, path, integer)
+    value = _get(cfg, path, _REQUIRED if default is _REQUIRED else _ABSENT)
+    return default if value is _ABSENT else _checked_number(value, path, integer)
 
 
 def _checked_number(value, path, integer=False):
@@ -559,15 +542,14 @@ def scenario_from_config(cfg, base_dir):
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
-    lines, n_buses = load_network_csv(_resolve(cfg["network"], base_dir))
+    lines, n_buses = load_network_csv(_resolve(_get(cfg, "network"), base_dir))
     bus_names = cfg.get("bus_names")
     if bus_names is not None and len(bus_names) != n_buses:
         raise ConfigError("bus_names length does not match the network")
     name_to_idx = {str(n): i for i, n in enumerate(bus_names or [])}
 
-    gen_cfg = cfg["generation"]
     gen_idx = []
-    for i, b in enumerate(gen_cfg["buses"]):
+    for i, b in enumerate(_get(cfg, "generation.buses")):
         key = str(b)
         if key in name_to_idx:
             gen_idx.append(name_to_idx[key])
@@ -586,13 +568,13 @@ def scenario_from_config(cfg, base_dir):
     else:
         times = start + dt * np.arange(horizon)
 
-    pv = load_timeseries(_resolve(gen_cfg["profile"], base_dir))
+    pv = load_timeseries(_resolve(_get(cfg, "generation.profile"), base_dir))
     norm = pv.resample(times)
     cap = _number(cfg, "generation.capacity_mw")
     cap = np.broadcast_to(cap, (len(gen_idx),)) / s_base
     p_g_true = norm[:, None] * cap[None, :]
 
-    temp = load_timeseries(_resolve(cfg["temperature_profile"], base_dir))
+    temp = load_timeseries(_resolve(_get(cfg, "temperature_profile"), base_dir))
     c_out_true = temp.resample(times)
 
     n_c = len(load_idx)
@@ -607,7 +589,6 @@ def scenario_from_config(cfg, base_dir):
     p_min = _number(cfg, "load.ac_min_mw", 0.0) / s_base
     p_max = _number(cfg, "load.ac_max_mw") / s_base
 
-    bcfg = cfg["buildings"]
     rng_gain = np.random.default_rng(np.random.SeedSequence((seed, STREAM_GAINS)))
     gain_mean = _number(cfg, "buildings.cooling_gain_mean", 1.0)
     gain_std = _number(cfg, "buildings.cooling_gain_std", 0.0)
@@ -621,14 +602,16 @@ def scenario_from_config(cfg, base_dir):
     alpha1 = np.full(n_c, _number(cfg, "buildings.alpha1_per_s", 0.0))
     beta = np.full(n_c, _number(cfg, "buildings.beta"))
 
-    sp = bcfg.get("set_point", {"mode": "common", "value": 70.0})
-    if sp["mode"] == "common":
+    mode = "common"
+    if _get(cfg, "buildings.set_point", None) is not None:
+        mode = _get(cfg, "buildings.set_point.mode")
+    if mode == "common":
         c_set = np.full(n_c, _number(cfg, "buildings.set_point.value", 70.0))
-    elif sp["mode"] == "tracking":
+    elif mode == "tracking":
         # Solved below, once the scenario's objective exists.
         c_set = np.zeros(n_c)
     else:
-        raise ConfigError(f"unknown set_point mode {sp['mode']!r}")
+        raise ConfigError(f"unknown set_point mode {mode!r}")
 
     buildings = BuildingParams(alpha1, alpha2, beta, c_set, dt)
     vb = cfg.get("voltage_band", {})
@@ -639,10 +622,11 @@ def scenario_from_config(cfg, base_dir):
         "v_max": _number(cfg, "voltage_band.v_max", np.inf),
         "include_gen_buses": bool(vb.get("include_gen_buses", True)),
     }
-    ncfg = cfg.get("noise", {})
+    gen_mode = _get(cfg, "noise.gen_mode", "relative")
+    if gen_mode != "relative":
+        raise ConfigError(f"noise.gen_mode must be \"relative\", got {gen_mode!r}")
     noise = NoiseConfig(sigma_temp=_number(cfg, "noise.sigma_temp", 0.0),
-                        sigma_gen=_number(cfg, "noise.sigma_gen", 0.0),
-                        gen_mode=str(ncfg.get("gen_mode", "relative")))
+                        sigma_gen=_number(cfg, "noise.sigma_gen", 0.0))
 
     scenario = Scenario(
         name=str(cfg.get("name", "scenario")),
@@ -662,7 +646,7 @@ def scenario_from_config(cfg, base_dir):
         s_base_mva=s_base,
         bus_names=bus_names,
     )
-    if sp["mode"] == "tracking":
+    if mode == "tracking":
         # Position each building's unconstrained optimum at a fraction of the
         # AC range: solve grad f(target) = 0 for the set point, coupling
         # included.  Keeps the stationary-noise experiment's optimizer

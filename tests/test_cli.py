@@ -201,6 +201,57 @@ def test_nonfinite_config_number_exits_2_at_load(key, value, command, tmp_path,
     assert not out.exists()
 
 
+# --- missing or unknown config entries ------------------------------------------
+
+def _static_config_with(tmp_path, edit):
+    """A 10-slot copy of the bundled static config after ``edit(cfg)``."""
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 10
+    edit(cfg)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+REQUIRED_KEYS = ["network", "generation", "generation.buses",
+                 "generation.profile", "temperature_profile", "buildings",
+                 "buildings.set_point.mode"]
+
+
+@pytest.mark.parametrize("key", REQUIRED_KEYS)
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_missing_config_key_exits_2_naming_it(key, command, tmp_path, capsys):
+    def drop(cfg):
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        del node[leaf]
+
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(_static_config_with(tmp_path, drop)),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_absolute_generation_noise_exits_2(command, tmp_path, capsys):
+    def absolute(cfg):
+        cfg["noise"]["gen_mode"] = "absolute"
+
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(_static_config_with(tmp_path, absolute)),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "noise.gen_mode" in err
+    assert not out.exists()
+
+
 def test_omitted_voltage_limit_stays_open(tmp_path, capsys):
     with open(_data("ieee37_static.json")) as fh:
         cfg = json.load(fh)

@@ -13,7 +13,7 @@ regenerates them; it does not loosen the tolerance.
 The noisy values (stochastic, exact, regret, comparison, ``md_bounds``)
 were recorded under noise version 2 (``usecb.sim.NOISE_VERSION``: reading
 k of a run is row k of one standard-normal sequence per (seed, stream)).
-The oracle values do not read noise and did not move with it.  Running
+The oracle values read at zero noise and did not move with it.  Running
 ``PYTHONPATH=src python tests/test_golden.py`` prints every pinned value
 as the current code computes it.
 """
@@ -184,6 +184,13 @@ GOLDEN_COMPARISON = {
 
 GOLDEN_MD_BOUNDS = (0.4874423042781576, 88.27961881608363)
 
+# ``md_bounds`` with run seed 3 on the whole dynamic day with both noise
+# sigmas at 0.  Its probes read the same 8 slots across the day as a noisy
+# scenario's, at zero noise; G* was 59.55 when a noise-free scenario
+# sampled the true slot-0 gradient only.
+QUIET_DYNAMIC = {"noise": {"sigma_temp": 0.0, "sigma_gen": 0.0}}
+GOLDEN_MD_BOUNDS_QUIET = (0.4874423042781576, 98.32365191436476)
+
 
 def _check_report(report, expected, path="report"):
     """Same keys; floats to rel 1e-12, everything else exactly."""
@@ -217,6 +224,12 @@ def test_md_bounds_matches_golden():
     assert (D, g_star) == pytest.approx(GOLDEN_MD_BOUNDS, rel=1e-12, abs=0.0)
 
 
+def test_noise_free_md_bounds_matches_golden():
+    scn = build_ieee37_scenario(QUIET_DYNAMIC, variant="dynamic")
+    assert md_bounds(scn, 3) == pytest.approx(GOLDEN_MD_BOUNDS_QUIET,
+                                              rel=1e-12, abs=0.0)
+
+
 def _current_values():
     """Every pinned value recomputed by the current code, keyed as above."""
     def pinned(m, keys):
@@ -239,6 +252,8 @@ def _current_values():
         build_ieee37_scenario(), replications=3, base_seed=8, window=50)
     out["GOLDEN_MD_BOUNDS"] = tuple(float(v) for v in md_bounds(
         build_ieee37_scenario({"horizon": 200}, variant="dynamic"), 5))
+    out["GOLDEN_MD_BOUNDS_QUIET"] = tuple(float(v) for v in md_bounds(
+        build_ieee37_scenario(QUIET_DYNAMIC, variant="dynamic"), 3))
     return out
 
 

@@ -22,6 +22,12 @@ def _noisy_quadratic(center, sigma, seed):
     return oracle
 
 
+def _rows(grad_fn):
+    """The gradients map ``estimate_bounds`` takes, one ``grad_fn`` call per
+    sample point."""
+    return lambda points: [grad_fn(x) for x in points]
+
+
 # --- Bregman divergence ------------------------------------------------------
 
 def test_divergence_zero_at_equal_points():
@@ -79,19 +85,20 @@ def test_step_size_formula():
 
 def test_bounds_unit_square():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    D, _ = estimate_bounds(fs, lambda x: np.zeros(2), np.random.default_rng(0))
+    D, _ = estimate_bounds(fs, _rows(lambda x: np.zeros(2)),
+                           np.random.default_rng(0))
     assert D == pytest.approx(1.0)
 
 
 def test_bounds_constant_gradient():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
     g = np.array([3.0, 4.0])
-    _, g_star = estimate_bounds(fs, lambda x: g, np.random.default_rng(0))
+    _, g_star = estimate_bounds(fs, _rows(lambda x: g), np.random.default_rng(0))
     assert g_star == pytest.approx(1.1 * 5.0)
 
 
 def test_bounds_monotone_in_box_size():
-    grad = lambda x: x
+    grad = _rows(lambda x: x)
     small = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
     large = FeasibleSet(p_min=[0.0, 0.0], p_max=[2.0, 2.0])
     d_small, _ = estimate_bounds(small, grad, np.random.default_rng(0))
@@ -109,7 +116,7 @@ def test_run_online_zero_noise_converges_to_grid_minimum():
         return float(np.sum((x - center) ** 2))
 
     oracle = _noisy_quadratic(center, 0.0, seed=0)
-    D, g_star = estimate_bounds(fs, lambda x: 2.0 * (x - center),
+    D, g_star = estimate_bounds(fs, _rows(lambda x: 2.0 * (x - center)),
                                 np.random.default_rng(0))
     points = run_online(fs, oracle, 500, D, g_star, fs.midpoint())
     xs = np.linspace(0, 1, 1001)
@@ -164,7 +171,7 @@ def _toy_regret(T, sigma, seed, center=(0.3, 0.6, 0.5)):
 
     rng = np.random.default_rng(seed + 999)
     D, g_star = estimate_bounds(
-        fs, lambda x: 2.0 * (x - center) + sigma * rng.standard_normal(3),
+        fs, _rows(lambda x: 2.0 * (x - center) + sigma * rng.standard_normal(3)),
         np.random.default_rng(0))
     points = run_online(fs, _noisy_quadratic(center, sigma, seed), T, D,
                         g_star, fs.midpoint())

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,24 +55,34 @@ def test_observe_mean_near_truth():
     assert abs(out.mean() - 7.0) < 4.0 * sigma / np.sqrt(vals.size)
 
 
-def test_observe_relative_mode_scales_with_value():
-    vals = np.array([0.0, 10.0])
-    out = observe(vals, 0.3, _normals(7, 2), relative=True)
+def _generation_reading(p_g_true, sigma_gen, seed):
+    """The generation one ``read_slots`` reading of a one-slot stand-in
+    scenario with true generation ``p_g_true`` sees."""
+    scn = SimpleNamespace(n_loads=1, p_g_true=np.array([p_g_true], dtype=float),
+                          c_out_true=np.zeros(1))
+    return sim.read_slots(scn, NoiseConfig(sigma_gen=sigma_gen), [0],
+                          sim.noise_streams(seed))[0][0]
+
+
+def test_read_slots_generation_noise_scales_with_value():
+    out = _generation_reading([0.0, 10.0], 0.3, 7)
     assert out[0] == 0.0
     assert out[1] != 10.0
 
 
-def test_observe_floor_clamps():
-    vals = np.full(1000, 0.01)
-    out = observe(vals, 1.0, _normals(11, 1000), floor=0.0)
+def test_read_slots_generation_floored_at_zero():
+    out = _generation_reading(np.full(1000, 0.01), 1.0, 11)
     assert np.min(out) >= 0.0
+    assert np.any(out == 0.0)
 
 
 def test_noise_rows_drawn_one_at_a_time_equal_a_block(dynamic_scenario):
+    noise = dynamic_scenario.noise
     slots = np.arange(0, dynamic_scenario.horizon, 7)
-    block = sim.read_slots(dynamic_scenario, slots, sim.noise_streams(5))
+    block = sim.read_slots(dynamic_scenario, noise, slots, sim.noise_streams(5))
     streams = sim.noise_streams(5)
-    rows = [sim.read_slots(dynamic_scenario, [slot], streams) for slot in slots]
+    rows = [sim.read_slots(dynamic_scenario, noise, [slot], streams)
+            for slot in slots]
     for k, part in enumerate(block):
         assert np.array_equal(part, np.concatenate([row[k] for row in rows]))
     assert not np.array_equal(block[0], dynamic_scenario.p_g_true[slots])
@@ -102,7 +113,7 @@ def test_noise_generators_do_not_grow_with_the_horizon(monkeypatch):
     scn = build_ieee37_scenario(variant="regret")
     a_star = experiments.static_problem(scn)[0]
     short, long = (count(lambda T=T: experiments._regret_job(
-        scn, T, 3, 0.5, 20.0, a_star)) for T in (10, 600))
+        scn, (T,), 3, 0.5, 20.0, a_star)) for T in (10, 600))
     assert short == long
 
 
@@ -120,16 +131,46 @@ def test_regret_run_prefix_does_not_depend_on_its_length(monkeypatch):
     a_star = experiments.static_problem(scn)[0]
     D, g_star = sim.md_bounds(scn, 21)
     for T in (100, 1000):
-        experiments._regret_job(scn, T, 21, D, g_star, a_star)
+        experiments._regret_job(scn, (T,), 21, D, g_star, a_star)
     assert runs[1].shape == (1000, scn.n_loads)
     assert np.array_equal(runs[1][:100], runs[0])
+
+
+def test_regret_experiment_runs_each_replication_once(monkeypatch):
+    """One run of the longest horizon gives every horizon's R_T."""
+    lengths = []
+
+    def recorded(fset, oracle, T, *args, _real=experiments.run_online):
+        lengths.append(T)
+        return _real(fset, oracle, T, *args)
+
+    monkeypatch.setattr(experiments, "default_workers", lambda: 1)
+    monkeypatch.setattr(experiments, "run_online", recorded)
+    experiments.run_regret_experiment(build_ieee37_scenario(variant="regret"),
+                                      horizons=(20, 50), replications=3,
+                                      base_seed=4)
+    assert lengths == [50, 50, 50]
+
+
+def test_md_bounds_reads_its_probes_as_one_block(monkeypatch):
+    calls = []
+
+    def recorded(scenario, slots, streams, _real=sim._noisy_linear_terms):
+        calls.append(len(slots))
+        return _real(scenario, slots, streams)
+
+    monkeypatch.setattr(sim, "_noisy_linear_terms", recorded)
+    quiet = {"sigma_temp": 0.0, "sigma_gen": 0.0}
+    for variant, noise in (("static", {}), ("dynamic", {}), ("dynamic", quiet)):
+        calls.clear()
+        sim.md_bounds(build_ieee37_scenario({"horizon": 20, "noise": noise},
+                                            variant=variant), 3)
+        assert len(calls) == 1, (variant, noise)
 
 
 def test_noise_config_validation():
     with pytest.raises(ConfigError):
         NoiseConfig(sigma_temp=-1.0)
-    with pytest.raises(ConfigError):
-        NoiseConfig(gen_mode="bogus")
 
 
 # --- scenario construction -----------------------------------------------------

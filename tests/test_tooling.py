@@ -71,7 +71,7 @@ def _digest(out):
 
 def _expected_outputs():
     variants = {"static": "static", "dynamic": "dynamic", "regret": "regret",
-                "tight": "dynamic"}
+                "tight": "dynamic", "quiet": "dynamic"}
     seeds = {name: json.loads(data_path(f"ieee37_{v}.json").read_text())["seed"]
              for name, v in variants.items()}
     s, r = seeds["static"], seeds["regret"]

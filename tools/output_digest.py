@@ -7,10 +7,11 @@ Usage::
 Runs, with each config's own seed:
 
 * ``simulate`` with every scheme on ``ieee37_static``, ``ieee37_dynamic``,
-  ``ieee37_regret`` and ``ieee37_dynamic`` at ``v_min`` 0.975 (``tight``),
+  ``ieee37_regret``, ``ieee37_dynamic`` at ``v_min`` 0.975 (``tight``) and
+  ``ieee37_dynamic`` with both noise sigmas at 0 (``quiet``),
 * ``compare`` on ``ieee37_static``,
 * ``regret --horizons 100,1000 --replications 4`` on ``ieee37_regret``,
-* ``validate`` and ``gradcheck`` on each of the four configs,
+* ``validate`` and ``gradcheck`` on each of the five configs,
 
 writing into the empty or new directory ``OUT_DIR``, and prints one sorted
 ``sha256  relpath`` line per output file.  Each command's stdout and stderr
@@ -37,23 +38,27 @@ import usecb
 from usecb.cli import main as usecb_main
 from usecb.sim import SCHEMES, data_path
 
+# Config name -> (bundled file, entries merged into its sections).
 CONFIGS = {
     "static": ("ieee37_static.json", None),
     "dynamic": ("ieee37_dynamic.json", None),
     "regret": ("ieee37_regret.json", None),
-    "tight": ("ieee37_dynamic.json", {"v_min": 0.975}),
+    "tight": ("ieee37_dynamic.json", {"voltage_band": {"v_min": 0.975}}),
+    "quiet": ("ieee37_dynamic.json", {"noise": {"sigma_temp": 0.0,
+                                                "sigma_gen": 0.0}}),
 }
 INPUTS = "configs"
 
 
 def _config_path(out, name):
-    fname, band = CONFIGS[name]
-    if band is None:
+    fname, overrides = CONFIGS[name]
+    if overrides is None:
         return str(data_path(fname))
     # The derived config names its data files relatively; they resolve to
     # the bundled copies because none sits beside it.
     cfg = json.loads(data_path(fname).read_text())
-    cfg["voltage_band"] = {**cfg.get("voltage_band", {}), **band}
+    for section, entries in overrides.items():
+        cfg[section] = {**cfg.get(section, {}), **entries}
     path = out / INPUTS / f"{name}.json"
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
