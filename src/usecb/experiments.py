@@ -63,8 +63,9 @@ def static_problem(scenario):
         raise AssumptionError("stationary objective requires a static scenario")
     quad = scenario.objective
     b_true = scenario.true_linear_term()
-    a_star, converged = minimize_projected(lambda x: quad.grad(x, b_true),
-                                           scenario.env_set, quad.L, tol=1e-10)
+    a_star, converged, _ = minimize_projected(
+        lambda x: quad.grad(x, b_true), scenario.scaled_env_set, quad.scale,
+        quad.L_W, tol=1e-10)
     if not converged:
         logging.getLogger(__name__).warning(
             "a_star solve stopped short of its 1e-10 tolerance; regret is "

@@ -19,9 +19,17 @@ KKT residual below 1e-10, or to a fixed point within the rounding floor of
 dual degenerate, so they are merged first, keeping the tightest bounds; the
 band finds them once.  An empty set is certified by a dual point that proves
 every box point breaks the band.
+
+The projection in a diagonal metric ``W``, ``min 0.5 (p - x)'W(p - x)``, is
+the Euclidean one in ``z = W^1/2 p``: :meth:`VoltageBand.scaled` gives the
+band in ``z`` (box ``W^1/2 [p_min, p_max]``, rows ``A_volt W^-1/2``) and
+:meth:`FeasibleSet.rescaled` a set on it.  Column scaling keeps parallel
+rows parallel and dead rows dead, and the offsets do not change.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -72,6 +80,19 @@ class VoltageBand:
             norm2 = norm2[self.live]
         self.A_volt, self.v_min, self.v_max, self.row_norm2 = A, v_min, v_max, norm2
         self.A_mid = A @ (0.5 * (self.p_min + self.p_max))
+
+    def scaled(self, scale):
+        """This band in ``z = scale * p``: box ``scale * [p_min, p_max]`` and
+        rows ``A_volt / scale``, with the same bounds, dead rows and
+        offsets."""
+        band = copy.copy(self)
+        band.p_min, band.p_max = scale * self.p_min, scale * self.p_max
+        band._merge = None
+        if self.A_volt is not None:
+            band.A_volt = self.A_volt / scale
+            band.row_norm2 = np.einsum("ij,ij->i", band.A_volt, band.A_volt)
+            band.A_mid = band.A_volt @ (0.5 * (band.p_min + band.p_max))
+        return band
 
     def offset(self, p_g, p_fixed=None):
         """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
@@ -181,6 +202,16 @@ class FeasibleSet:
         mid_band = offset + band.A_mid
         if np.any(mid_band < self.v_min) or np.any(mid_band > self.v_max):
             self._project_band(self.midpoint())
+
+    def rescaled(self, band):
+        """This set on ``band``, a :meth:`VoltageBand.scaled` copy of its
+        own band: the same offsets, and this set's certificate that it is
+        nonempty carries over."""
+        zset = copy.copy(self)
+        zset.band = band
+        zset.p_min, zset.p_max, zset.A_volt = band.p_min, band.p_max, band.A_volt
+        zset._merged = None
+        return zset
 
     @property
     def dim(self):

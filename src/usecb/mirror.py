@@ -105,24 +105,35 @@ def regret(points, f_true, a_star):
     return float(curve[-1]), curve
 
 
-def minimize_projected(grad_fn, fset, lipschitz, x0=None, tol=1e-10,
+def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
                        max_iter=100_000):
-    """Projected gradient descent with the fixed step ``1 / lipschitz``.
+    """Projected gradient descent in the metric ``W = diag(scale**2)``:
+    ``x <- P_W(x - W^-1 grad_fn(x) / lipschitz)``.
 
-    ``lipschitz`` bounds the Lipschitz constant of ``grad_fn``; with that
-    step every iteration decreases a convex objective (Nesterov 2004,
-    section 2.2), so no line search is needed.  Stops when the projected
-    step moves less than ``tol`` (scaled by the current point).  Used both
-    as the deterministic per-slot solver and to pin down a_star for regret
-    accounting.  Returns ``(x, converged)``; ``converged`` is False when
-    ``max_iter`` steps run out first.
+    ``P_W`` is the projection that ``W`` measures.  In ``z = scale * x`` it
+    is the Euclidean projection onto ``zset``, the feasible set in those
+    coordinates (:meth:`~usecb.feasible.FeasibleSet.rescaled`), so the
+    iteration runs in ``z``; ``x0`` and the result are in ``x``.
+    ``lipschitz`` bounds the Lipschitz constant of the gradient in that
+    metric, the largest eigenvalue of ``W^-1/2 H W^-1/2`` for a quadratic
+    with Hessian ``H``; with that step every iteration decreases a convex
+    objective (Nesterov 2004, section 2.2), so no line search is needed.
+    When ``W`` is close to ``H`` the scaled Hessian is close to the identity
+    and a few steps reach the minimizer.  Stops when a step moves ``x`` less
+    than ``tol`` (scaled by the current point).  Used both as the
+    deterministic per-slot solver and to pin down a_star for regret
+    accounting.  Returns ``(x, converged, steps)``: ``converged`` is False
+    when ``max_iter`` steps run out first.
     """
-    x = fset.project(fset.midpoint() if x0 is None else np.asarray(x0, dtype=float))
+    z = zset.project(zset.midpoint() if x0 is None
+                     else scale * np.asarray(x0, dtype=float))
+    x = z / scale
     step = 1.0 / lipschitz
-    for _ in range(max_iter):
-        cand = fset.project(x - step * grad_fn(x))
+    for k in range(1, max_iter + 1):
+        z = zset.project(z - step * (grad_fn(x) / scale))
+        cand = z / scale
         move = float(np.linalg.norm(cand - x))
         x = cand
         if move <= tol * (1.0 + float(np.linalg.norm(x))):
-            return x, True
-    return x, False
+            return x, True, k
+    return x, False, max_iter

@@ -136,8 +136,10 @@ class Scenario:
     ``band`` its :class:`~usecb.feasible.VoltageBand` and ``env_set`` the
     band's :class:`~usecb.feasible.FeasibleSet` at the true slot-0
     generation, all built once here, so an empty slot-0 set fails at
-    construction.  Only the objective's linear term and the band's offset
-    change from slot to slot.
+    construction.  ``scaled_band`` and ``scaled_env_set`` are the same band
+    and set in the deterministic solver's coordinates ``z = scale * p``
+    (``scale`` from the objective).  Only the objective's linear term and
+    the band's offset change from slot to slot.
     """
 
     name: str
@@ -159,6 +161,8 @@ class Scenario:
     objective: Quadratic = field(init=False, repr=False)
     band: VoltageBand = field(init=False, repr=False)
     env_set: FeasibleSet = field(init=False, repr=False)
+    scaled_band: VoltageBand = field(init=False, repr=False)
+    scaled_env_set: FeasibleSet = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("static", "dynamic"):
@@ -174,6 +178,8 @@ class Scenario:
         self.band = build_band(self.model.blocks, self.bounds)
         self.env_set = build_feasible(self.band, self.p_g_true[0],
                                       p_fixed=self.p_fixed)
+        self.scaled_band = self.band.scaled(self.objective.scale)
+        self.scaled_env_set = self.env_set.rescaled(self.scaled_band)
 
     @property
     def is_static(self):
@@ -283,8 +289,10 @@ class RunResult:
     c_in_true: np.ndarray = None
     c_in_obs: np.ndarray = None
     c_in_after: np.ndarray = None
-    # Per slot, whether the exact/oracle solve reached its tolerance.
+    # Per slot, whether the exact/oracle solve reached its tolerance, and
+    # the steps it took.
     solver_converged: np.ndarray = None
+    solver_iterations: np.ndarray = None
 
 
 def run_scheme(scenario, scheme, seed=None):
@@ -319,6 +327,7 @@ def run_scheme(scenario, scheme, seed=None):
     out.c_in_after = np.empty((T, n_c))
     if scheme != "stochastic":
         out.solver_converged = np.empty(T, dtype=bool)
+        out.solver_iterations = np.empty(T, dtype=int)
 
     c_in = scenario.c_in_init.copy()
     a = env_set.project(env_set.midpoint())
@@ -343,9 +352,11 @@ def run_scheme(scenario, scheme, seed=None):
             g = quad.grad(a, b_ctrl)
             a = fset_t.project(a - step_size(t + 1, D, g_star) * g)
         else:
-            a, out.solver_converged[t] = minimize_projected(
-                lambda x: quad.grad(x, b_ctrl), fset_t, quad.L, x0=a,
-                tol=_EXACT_TOL)
+            zset_t = (scenario.scaled_env_set if scenario.is_static
+                      else fset_t.rescaled(scenario.scaled_band))
+            a, out.solver_converged[t], out.solver_iterations[t] = \
+                minimize_projected(lambda x: quad.grad(x, b_ctrl), zset_t,
+                                   quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
 
         # Bookkeeping against the true physics.
         cons = a + scenario.p_fixed
@@ -378,14 +389,16 @@ def check_window(window):
 
 def metrics(run, trailing_window=100):
     """Aggregate metrics for one run, including the conservation residual;
-    the objective variance covers the last ``trailing_window >= 1`` slots."""
+    the objective variance covers the last ``trailing_window >= 1`` slots.
+    Exact and oracle runs add their per-slot solver's converged fraction and
+    the median and maximum of its steps."""
     check_window(trailing_window)
     scn = run.scenario
     cons = run.p_c + scn.p_fixed
     residual = run.p_0 - (cons.sum(axis=1) - run.p_g_true.sum(axis=1) + run.loss)
     dev = np.abs(run.c_in_after - scn.buildings.c_set)
     w = min(trailing_window, run.f_true.shape[0])
-    return {
+    out = {
         "scheme": run.scheme,
         "seed": run.seed,
         "slots": int(run.f_true.shape[0]),
@@ -400,6 +413,11 @@ def metrics(run, trailing_window=100):
         "all_feasible": bool(run.feasible.all()),
         "conservation_max_residual": float(np.max(np.abs(residual))),
     }
+    if run.solver_converged is not None:
+        out["solver_converged_frac"] = float(run.solver_converged.mean())
+        out["solver_iterations_median"] = float(np.median(run.solver_iterations))
+        out["solver_iterations_max"] = int(run.solver_iterations.max())
+    return out
 
 
 def _fmt(x):

@@ -89,11 +89,15 @@ class Quadratic:
 
     ``A`` (and ``H2 = 2A``, the Hessian) depends only on the buildings, the
     price and the feeder; ``linear_term`` gives ``b`` for a slot's indoor
-    and outdoor temperatures and generation.  ``L`` is the largest
-    eigenvalue of ``H2``, the Lipschitz constant of the gradient.  The
-    inputs stay on the instance, so :func:`usecb_profit` can evaluate the
-    same slot through the physical path.  Raises ``ModelError`` for a
-    nonpositive price or a Hessian that is not positive definite.
+    and outdoor temperatures and generation.  The deterministic solver
+    steps in the metric ``W = diag(H2)``: ``scale`` is ``sqrt(diag(H2))``
+    and ``L_W`` the largest eigenvalue of ``W^-1/2 H2 W^-1/2``, the
+    Lipschitz constant of the gradient in that metric.  The comfort
+    diagonal dominates ``H2``, so the scaled Hessian is close to the
+    identity.  The inputs stay on the instance, so :func:`usecb_profit` can
+    evaluate the same slot through the physical path.  Raises
+    ``ModelError`` for a nonpositive price or a Hessian that is not
+    positive definite.
     """
 
     def __init__(self, lambda_price, buildings, blocks, p_fixed):
@@ -107,10 +111,17 @@ class Quadratic:
         self.p_fixed = p_fixed
         self.A = np.diag(buildings.beta * m * m) / lam + blocks.Q
         self.H2 = 2.0 * self.A
-        eig = np.linalg.eigvalsh(0.5 * (self.H2 + self.H2.T))
+        diag = np.diag(self.H2)
+        if not np.all(diag > 0):
+            raise ModelError("objective Hessian is not positive definite")
+        self.scale = np.sqrt(diag)
+        # By congruence the scaled Hessian is positive definite exactly when
+        # H2 is, so its one decomposition certifies both.
+        scaled = self.H2 / np.outer(self.scale, self.scale)
+        eig = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
         if eig[0] <= 0:
             raise ModelError("objective Hessian is not positive definite")
-        self.L = float(eig[-1])
+        self.L_W = float(eig[-1])
         self.base_b = np.ones(buildings.n) + 2.0 * (blocks.Q @ p_fixed)
         self.NT2 = 2.0 * blocks.N.T
         # The set point enters b only as comfort_w * c_set.

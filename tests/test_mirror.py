@@ -4,6 +4,7 @@ import pytest
 from usecb.feasible import FeasibleSet
 from usecb.mirror import (bregman_divergence, estimate_bounds,
                           minimize_projected, regret, run_online, step_size)
+from usecb.sim import build_ieee37_scenario
 
 
 def _psi(x):
@@ -227,7 +228,7 @@ def test_minimize_projected_boundary_solution():
     def grad(x):
         return 2.0 * (x - center)
 
-    x, converged = minimize_projected(grad, fs, 2.0, tol=1e-10)
+    x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10)
     assert converged
     assert np.allclose(x, [1.0, 0.4], atol=1e-8)
 
@@ -239,11 +240,47 @@ def test_minimize_projected_reports_iteration_cap():
     def grad(x):
         return 2.0 * (x - center)
 
-    x, converged = minimize_projected(grad, fs, 2.0, tol=1e-10, max_iter=1)
+    x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10,
+                                         max_iter=1)
     assert not converged
     assert fs.contains(x)
     # An interior minimizer: the step must stay at 1/L, not grow until the
     # iterates bounce between box corners.
-    x, converged = minimize_projected(grad, fs, 2.0, tol=1e-10)
+    x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10)
     assert converged
     assert np.allclose(x, center, atol=1e-10)
+
+
+def _euclidean_reference(grad_fn, fset, lipschitz, tol):
+    """Projected gradient descent with the fixed Euclidean step
+    ``1 / lipschitz`` from the midpoint."""
+    x = fset.project(fset.midpoint())
+    for _ in range(100_000):
+        cand = fset.project(x - grad_fn(x) / lipschitz)
+        move = float(np.linalg.norm(cand - x))
+        x = cand
+        if move <= tol * (1.0 + float(np.linalg.norm(x))):
+            return x
+    raise AssertionError("the reference did not converge")
+
+
+@pytest.mark.parametrize("variant", ["dynamic", "regret"])
+def test_metric_solver_matches_euclidean_reference(variant):
+    # Slot 0 of the dynamic day, and the regret experiment's a_star problem.
+    # Fixed 1/L steps need 48 and 68 steps to 1e-10 on these Hessians
+    # (condition numbers 3.1 and 4.7); scaled by diag(H2) they are 1.01.
+    scn = build_ieee37_scenario(variant=variant)
+    quad = scn.objective
+    b = scn.true_linear_term()
+
+    def grad(x):
+        return quad.grad(x, b)
+
+    lipschitz = float(np.max(np.linalg.eigvalsh(quad.H2)))
+    reference = _euclidean_reference(grad, scn.env_set, lipschitz, 1e-13)
+    x, converged, steps = minimize_projected(
+        grad, scn.scaled_env_set, quad.scale, quad.L_W, tol=1e-10)
+    assert converged
+    assert steps <= 8
+    assert np.max(np.abs(x - reference)) <= 1e-9
+    assert scn.env_set.contains(x)

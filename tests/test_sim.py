@@ -342,6 +342,33 @@ def test_metrics_roundup(dynamic_scenario):
     assert m["mean_temp_deviation"] >= 0.0
 
 
+SOLVER_KEYS = {"solver_converged_frac", "solver_iterations_median",
+               "solver_iterations_max"}
+
+
+@pytest.mark.parametrize("scheme", ["stochastic", "exact", "oracle"])
+def test_solver_diagnostics_only_for_solved_schemes(scheme):
+    run = run_scheme(build_ieee37_scenario({"horizon": 30}, variant="dynamic"),
+                     scheme)
+    m = metrics(run)
+    if scheme == "stochastic":
+        assert run.solver_iterations is None and not SOLVER_KEYS & set(m)
+        return
+    assert run.solver_iterations.shape == (30,)
+    assert np.all(run.solver_iterations >= 1)
+    assert m["solver_converged_frac"] == 1.0
+    assert m["solver_iterations_median"] == float(np.median(run.solver_iterations))
+    assert m["solver_iterations_max"] == int(run.solver_iterations.max())
+
+
+def test_static_exact_run_takes_few_solver_steps():
+    # Warm-started solves in the diag(H2) metric; fixed Euclidean 1/L steps
+    # took a median of 21 a slot on this run.
+    m = metrics(run_scheme(build_ieee37_scenario({"horizon": 120}), "exact"))
+    assert m["solver_converged_frac"] == 1.0
+    assert m["solver_iterations_median"] <= 6
+
+
 def test_bundled_scenario_ignores_working_directory(tmp_path, monkeypatch):
     rows = data_path("pv_profile.csv").read_text().splitlines()
     zeroed = [rows[0]] + [row.split(",")[0] + ",0.0" for row in rows[1:]]

@@ -181,6 +181,29 @@ def test_objective_rejects_non_psd_hessian():
         Quadratic(1.0, bp, blocks, np.zeros(1))
 
 
+def test_objective_rejects_indefinite_hessian_with_positive_diagonal():
+    # The diagonal passes, the scaled Hessian's eigenvalues do not.
+    blocks = _empty_grid_blocks(2)
+    blocks.Q = np.array([[0.0, 5.0], [5.0, 0.0]])
+    bp = BuildingParams(0.0, 1.0, 1.0, [70.0, 70.0], dt=1.0)
+    with pytest.raises(ModelError, match="Hessian"):
+        Quadratic(1.0, bp, blocks, np.zeros(2))
+
+
+def test_metric_scale_and_lipschitz_constant():
+    _, quad, _, _ = _coupled_objective()
+    np.testing.assert_allclose(quad.scale ** 2, np.diag(quad.H2), rtol=1e-15)
+    scaled = quad.H2 / np.outer(quad.scale, quad.scale)
+    assert np.allclose(np.diag(scaled), 1.0, rtol=0, atol=1e-15)
+    assert quad.L_W == pytest.approx(np.max(np.linalg.eigvalsh(scaled)),
+                                     rel=1e-14)
+    # Without feeder coupling the Hessian is diagonal: the metric is the
+    # Hessian itself and one step of length 1 / L_W = 1 solves.
+    uncoupled = Quadratic(1.0, quad.buildings, _empty_grid_blocks(3),
+                          np.zeros(3))
+    assert uncoupled.L_W == pytest.approx(1.0, rel=1e-15)
+
+
 # --- gradient --------------------------------------------------------------
 
 def test_grad_zero_at_unconstrained_minimizer():

@@ -1,6 +1,7 @@
 """The benchmark's tracer and the package exports still find every name
 they refer to, so deleting a traced or exported global fails here; and the
-output digest tool lists every CLI output, the same on every run."""
+output digest tool lists every CLI output, the same on every run, and says
+how two runs' outputs differ."""
 
 import importlib
 import importlib.util
@@ -18,11 +19,15 @@ SPANS = ROOT / "bench" / "spans.py"
 DIGEST = ROOT / "tools" / "output_digest.py"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load("bench_spans", SPANS)
 
 
 def _lookup(module_name, attr):
@@ -61,9 +66,10 @@ def test_trace_points_install_and_uninstall(tmp_path):
                for (module, attr), raw in zip(points, originals))
 
 
-def _digest(out):
+def _digest(out, *extra):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(DIGEST), str(out), "--horizon", "12"],
+    proc = subprocess.run([sys.executable, str(DIGEST), str(out), "--horizon", "12",
+                           *extra],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -91,3 +97,38 @@ def test_output_digest_repeatable_and_complete(tmp_path):
     first = _digest(tmp_path / "a")
     assert first == _digest(tmp_path / "b")
     assert [line.split("  ", 1)[1] for line in first] == _expected_outputs()
+
+
+def test_output_digest_against_an_identical_run(tmp_path):
+    _digest(tmp_path / "a")
+    *listing, summary = _digest(tmp_path / "b", "--against", str(tmp_path / "a"))
+    assert [line.split("  ", 1)[1] for line in listing] == _expected_outputs()
+    assert summary == f"against {tmp_path / 'a'}: {len(listing)} identical, 0 not"
+
+
+def test_output_digest_against_names_each_difference(tmp_path):
+    digest = _load("output_digest", DIGEST)
+    here, there = tmp_path / "here", tmp_path / "there"
+    for root, objective, extra in ((here, 2.5, {"steps": 5}), (there, 2.0, {})):
+        (root / "sim").mkdir(parents=True)
+        (root / "sim" / "same.txt").write_text("exit 0\n")
+        (root / "sim" / "slots.csv").write_text(
+            f"t,objective,feasible\n0,{objective},True\n1,-1e-3,True\n")
+        (root / "sim" / "summary.json").write_text(json.dumps(
+            {"objective": objective, "scheme": "exact", **extra}))
+    (here / "sim" / "new.txt").write_text("x\n")
+    (there / "sim" / "slots.csv").write_text(
+        "t,objective,feasible\n0,2.0,True\n1,-1e-3,False\n")
+
+    diff = digest.difference(here / "sim" / "summary.json",
+                             there / "sim" / "summary.json")
+    assert diff == {"max_abs": 0.5, "max_rel": 0.2, "at": "objective",
+                    "only_here": ["steps"], "only_there": [], "text": []}
+    assert digest.compare(here, there) == [
+        f"against {there}: 1 identical, 3 not",
+        "only here  sim/new.txt",
+        "differs  sim/slots.csv  max abs 0.5  max rel 0.2 at line 2"
+        "  text differs: line 3",
+        "differs  sim/summary.json  max abs 0.5  max rel 0.2 at objective"
+        "  only here: steps",
+    ]

@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tools/output_digest.py OUT_DIR [--horizon N]
+        [--against OTHER_DIR]
 
 Runs, with each config's own seed:
 
@@ -20,7 +21,12 @@ stripped from the paths it prints.  ``--horizon`` overrides every
 scenario's horizon (the regret horizons stay).  Whichever ``usecb`` is
 importable is the one measured, so two checkouts can be compared by
 running this once with each one's ``src`` on ``PYTHONPATH``; the module
-path goes to stderr.  Exits 1 if any command failed.
+path goes to stderr.  ``--against`` names the ``OUT_DIR`` of such an
+earlier run: after the listing, one line counts the files whose bytes are
+the same in both, and one line per other file says how it differs, with
+the largest absolute and relative difference between its numbers and where
+the larger relative one is (see :func:`compare`).  Exits 1 if any command
+failed.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -110,19 +117,120 @@ def listing(out):
             for rel in sorted(files) if not rel.startswith(INPUTS + "/")]
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def _flatten(node, path=""):
+    """``(key path, leaf)`` pairs of a parsed JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _flatten(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _flatten(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _leaves(path):
+    """Comparable leaves of a file: key path -> value for JSON, and for any
+    other text ``line N`` -> the numbers of line N plus its text with the
+    numbers cut out."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return dict(_flatten(json.loads(text)))
+    leaves = {}
+    for i, line in enumerate(text.splitlines(), 1):
+        leaves[f"line {i}"] = (_NUMBER.sub("#", line),
+                               [float(m) for m in _NUMBER.findall(line)])
+    return leaves
+
+
+def difference(here, there):
+    """How the file ``here`` differs from ``there``: a dict with the largest
+    absolute and relative difference between numbers at the same place
+    (``max_abs``, ``max_rel`` and ``at``, the place of the larger relative
+    one), the places only one file has (``only_here``, ``only_there``) and
+    the places whose text or number count differs (``text``).  The relative
+    difference of two numbers is ``|a - b| / max(|a|, |b|)``."""
+    a, b = _leaves(here), _leaves(there)
+    out = {"max_abs": 0.0, "max_rel": 0.0, "at": None,
+           "only_here": [k for k in a if k not in b],
+           "only_there": [k for k in b if k not in a], "text": []}
+    for key in (k for k in a if k in b):
+        x, y = a[key], b[key]
+        if _is_number(x) and _is_number(y):
+            pairs = [(x, y)]
+        elif isinstance(x, tuple) and x[0] == y[0] and len(x[1]) == len(y[1]):
+            pairs = zip(x[1], y[1])
+        else:
+            if x != y:
+                out["text"].append(key)
+            continue
+        for u, v in pairs:
+            gap = abs(u - v)
+            rel = gap / max(abs(u), abs(v)) if gap else 0.0
+            out["max_abs"] = max(out["max_abs"], gap)
+            if rel > out["max_rel"]:
+                out["max_rel"], out["at"] = rel, key
+    return out
+
+
+def compare(out, other):
+    """Lines saying how the outputs under ``out`` differ from those under
+    ``other``: a count of byte-identical files, then one line per file that
+    differs or is only on one side."""
+    def files(root):
+        return {line.split("  ", 1)[1]: line.split("  ", 1)[0]
+                for line in listing(root)}
+
+    here, there = files(out), files(other)
+    same = [rel for rel in here if here[rel] == there.get(rel)]
+    lines = [f"against {other}: {len(same)} identical, "
+             f"{len(set(here) | set(there)) - len(same)} not"]
+    for rel in sorted(set(here) | set(there)):
+        if rel not in there or rel not in here:
+            lines.append(f"only {'here' if rel in here else 'there'}  {rel}")
+            continue
+        if here[rel] == there[rel]:
+            continue
+        d = difference(out / rel, other / rel)
+        line = (f"differs  {rel}  max abs {d['max_abs']:.3g}  "
+                f"max rel {d['max_rel']:.3g}")
+        if d["at"] is not None:
+            line += f" at {d['at']}"
+        for key, label in (("only_here", "only here"),
+                           ("only_there", "only there"), ("text", "text differs")):
+            if d[key]:
+                line += f"  {label}: {', '.join(d[key])}"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="empty or new output directory")
     parser.add_argument("--horizon", type=int, help="override every horizon")
+    parser.add_argument("--against", metavar="OTHER_DIR",
+                        help="the OUT_DIR of an earlier run to compare with")
     args = parser.parse_args(argv)
     out = Path(args.out).resolve()
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
+    other = None if args.against is None else Path(args.against).resolve()
+    if other is not None and not other.is_dir():
+        parser.error(f"{other} is not a directory")
     out.mkdir(parents=True, exist_ok=True)
     print(f"usecb from {Path(usecb.__file__).parent}", file=sys.stderr)
     failed = [capture for capture, cmd in commands(out, args.horizon)
               if _run(out, capture, cmd) != 0]
     print("\n".join(listing(out)))
+    if other is not None:
+        print("\n".join(compare(out, other)))
     for capture in failed:
         print(f"failed: {capture}", file=sys.stderr)
     return 1 if failed else 0
