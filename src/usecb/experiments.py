@@ -1,12 +1,17 @@
 """Replication experiments built on the simulator and the online solver.
 
 Everything here is deterministic under (config, seed): replication seeds
-derive from the base seed, each run draws its observation noise as rows of
-one sequence per (seed, stream), and results merge by sorted job keys
-regardless of executor scheduling.
-Replications fan out over processes (the per-slot work is many small numpy
-calls, so threads would serialize on the interpreter lock); job functions
-and their arguments stay picklable for that reason.
+derive from the base seed, and each run draws its observation noise as rows
+of one sequence per (seed, stream).  The regret experiment and the static
+comparison run their replications in this process, as one stacked program
+per scheme (:func:`~usecb.sim.run_scheme` on a sequence of seeds,
+:func:`~usecb.mirror.run_online` on a stack of start points), so the
+per-slot cost of the many small numpy calls is paid once for all rows.
+:func:`map_replications` still fans jobs out over processes (threads would
+serialize on the interpreter lock): ``usecb compare`` runs its three
+schemes through it with :func:`run_scheme_job`, so job functions and their
+arguments stay picklable; results merge by sorted job keys regardless of
+executor scheduling.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ def static_problem(scenario):
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     a_star, converged, _ = minimize_projected(
-        lambda x: quad.grad(x, b_true), scenario.scaled_env_set, quad.scale,
-        quad.L_W, tol=1e-10)
+        lambda x, rows: quad.grad(x, b_true), scenario.scaled_env_set,
+        quad.scale, quad.L_W, tol=1e-10)
     if not converged:
         logging.getLogger(__name__).warning(
             "a_star solve stopped short of its 1e-10 tolerance; regret is "
@@ -78,18 +83,31 @@ def run_scheme_job(scenario, scheme, seed):
     return run_scheme(scenario, scheme, seed=seed)
 
 
-def _regret_job(scenario, horizons, seed, D, g_star, a_star):
-    """R_T for each of the ascending ``horizons`` from one run of the longest:
-    step t of a run sees the same readings whatever its length, so the
-    run's first T iterates are those of a run of length T."""
+def _regret_job(scenario, horizons, seeds, D, g_star, a_star):
+    """For each of ``seeds``, R_T at each of the ascending ``horizons``, from
+    one stacked run of the longest: step t of a run sees the same readings
+    whatever its length, so the run's first T iterates are those of a run
+    of length T.  Regret is accounted block by block as the iterates come,
+    so memory does not grow with the horizon."""
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     fset = scenario.env_set
-    points = run_online(fset, scenario_gradient_oracle(scenario, seed),
-                        horizons[-1], D, g_star, fset.midpoint())
-    _, curve = regret(points, lambda x: quad.value(np.asarray(x, float), b_true),
-                      a_star)
-    return [float(curve[T - 1]) for T in horizons]
+    totals = np.empty((len(seeds), len(horizons)))
+    done, running = 0, np.zeros(len(seeds))
+
+    def account(points):
+        nonlocal done, running
+        _, curve = regret(points, lambda x: quad.value(x, b_true), a_star,
+                          running)
+        for i, T in enumerate(horizons):
+            if done < T <= done + curve.shape[1]:
+                totals[:, i] = curve[:, T - 1 - done]
+        done, running = done + curve.shape[1], curve[:, -1]
+
+    run_online(fset, scenario_gradient_oracle(scenario, seeds), horizons[-1],
+               D, g_star, np.tile(fset.midpoint(), (len(seeds), 1)),
+               visit=account)
+    return totals.tolist()
 
 
 def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
@@ -113,10 +131,9 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
     D, g_star = md_bounds(scenario, base_seed)
     alpha = 1.0
 
-    jobs = {rep: (scenario, horizons, replication_seed(base_seed, rep),
-                  D, g_star, a_star)
-            for rep in range(replications)}
-    totals = map_replications(_regret_job, jobs)
+    totals = _regret_job(scenario, horizons,
+                         [replication_seed(base_seed, rep)
+                          for rep in range(replications)], D, g_star, a_star)
 
     per_T = {}
     for i, T in enumerate(horizons):
@@ -155,8 +172,10 @@ def _check_replications(replications):
         raise ConfigError(f"replications must be at least 1, got {replications}")
 
 
-def _comparison_job(scenario, scheme, seed, window):
-    return metrics(run_scheme(scenario, scheme, seed=seed), trailing_window=window)
+def _comparison_job(scenario, scheme, seeds, window):
+    """Metrics of one stacked run of ``scheme`` per seed."""
+    return [metrics(run, trailing_window=window)
+            for run in run_scheme(scenario, scheme, seed=seeds)]
 
 
 def run_static_comparison(scenario, replications=50, base_seed=None,
@@ -173,20 +192,14 @@ def run_static_comparison(scenario, replications=50, base_seed=None,
     base_seed = scenario.seed if base_seed is None else int(base_seed)
     _, f_star = static_problem(scenario)
 
-    jobs = {(scheme, rep): (scenario, scheme,
-                            replication_seed(base_seed, rep), window)
-            for scheme in ("stochastic", "exact") for rep in range(replications)}
-    results = map_replications(_comparison_job, jobs)
+    seeds = [replication_seed(base_seed, rep) for rep in range(replications)]
+    st, ex = (_comparison_job(scenario, scheme, seeds, window)
+              for scheme in ("stochastic", "exact"))
 
     tol = rel_tol * abs(f_star)
-    converged = []
-    var_lower = []
-    for rep in range(replications):
-        st = results[("stochastic", rep)]
-        ex = results[("exact", rep)]
-        converged.append(st["objective_final"] - f_star <= tol)
-        var_lower.append(st["objective_trailing_variance"]
-                         < ex["objective_trailing_variance"])
+    converged = [s["objective_final"] - f_star <= tol for s in st]
+    var_lower = [s["objective_trailing_variance"] < e["objective_trailing_variance"]
+                 for s, e in zip(st, ex)]
 
     return {
         "replications": replications,
@@ -195,11 +208,9 @@ def run_static_comparison(scenario, replications=50, base_seed=None,
         "tolerance": float(tol),
         "converged_fraction": float(np.mean(converged)),
         "variance_lower_fraction": float(np.mean(var_lower)),
-        "all_feasible": bool(all(results[k]["all_feasible"] for k in results)),
+        "all_feasible": bool(all(m["all_feasible"] for m in st + ex)),
         "stochastic_trailing_variance_mean": float(np.mean(
-            [results[("stochastic", r)]["objective_trailing_variance"]
-             for r in range(replications)])),
+            [m["objective_trailing_variance"] for m in st])),
         "exact_trailing_variance_mean": float(np.mean(
-            [results[("exact", r)]["objective_trailing_variance"]
-             for r in range(replications)])),
+            [m["objective_trailing_variance"] for m in ex])),
     }

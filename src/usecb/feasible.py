@@ -34,7 +34,7 @@ import copy
 import numpy as np
 
 from .errors import FeasibilityError, ProjectionError
-from .grid import voltage_approx
+from .grid import matvec, voltage_approx
 
 __all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
 
@@ -96,12 +96,14 @@ class VoltageBand:
 
     def offset(self, p_g, p_fixed=None):
         """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
-        included."""
+        included, for one generation vector or each row of a stack."""
         p_g = np.asarray(p_g, dtype=float)
         p_fixed = (np.zeros(self.p_min.shape[0]) if p_fixed is None
                    else np.asarray(p_fixed, dtype=float))
-        base = np.concatenate([p_g, -p_fixed])
-        return voltage_approx(self.sens, base)[self.first_row:]
+        base = np.empty(p_g.shape[:-1] + (p_g.shape[-1] + p_fixed.shape[0],))
+        base[..., :p_g.shape[-1]] = p_g
+        base[..., p_g.shape[-1]:] = -p_fixed
+        return voltage_approx(self.sens, base)[..., self.first_row:]
 
     def merge_map(self):
         """Which rows are exact multiples of an earlier one, found once.
@@ -165,6 +167,13 @@ class FeasibleSet:
     set from scratch; :func:`build_feasible` places a scenario's
     :class:`VoltageBand` at one slot's offset.  Either way the set is
     certified nonempty on construction.
+
+    ``project`` and ``contains`` take one point or an ``(R, n)`` stack of
+    them, one row each.  A set may also hold a stack of offsets, one per
+    row (:func:`build_feasible` on a stack of generation vectors): it is
+    then R sets on one band, and row r of a stack of points belongs to
+    set r.  Either way each row's result equals, bit for bit, that of the
+    row alone on its own set.
     """
 
     def __init__(self, p_min, p_max, A_volt=None, offset=None,
@@ -178,6 +187,7 @@ class FeasibleSet:
         self.p_min, self.p_max = band.p_min, band.p_max
         self.A_volt, self.v_min, self.v_max = band.A_volt, band.v_min, band.v_max
         self._merged = None
+        self._rows = {}
         self.offset = offset
         if band.A_volt is None:
             return
@@ -185,33 +195,59 @@ class FeasibleSet:
         if band.live is not None:
             # Rows with no control leverage are plain constants: either they
             # already violate the band (empty set) or they are dropped.
-            const = offset[band.dead]
+            const = offset[..., band.dead]
             lo, hi = band.dead_bounds
             bad = (const < lo) | (const > hi)
             if bad.any():
-                worst = float(np.max(np.maximum(lo[bad] - const[bad],
-                                                const[bad] - hi[bad])))
+                worst = float(np.max(np.maximum(lo - const, const - hi)[bad]))
                 raise FeasibilityError(
                     "empty feasible set (constant band row out of range "
                     f"by {worst:.3e})", max_violation=worst)
-            offset = offset[band.live]
+            offset = offset[..., band.live]
         self.offset = offset
         # Certification: the box midpoint is a member unless it breaks the
         # band; then the dual solve started from it either finds a member or
         # certifies that the set is empty.
         mid_band = offset + band.A_mid
-        if np.any(mid_band < self.v_min) or np.any(mid_band > self.v_max):
-            self._project_band(self.midpoint())
+        broken = np.any((mid_band < self.v_min) | (mid_band > self.v_max), axis=-1)
+        for r in np.flatnonzero(broken):
+            self._row(r)._project_band(self.midpoint())
+
+    def _on(self, band, offset):
+        """A copy of this set on ``band`` at already certified ``offset``."""
+        fset = copy.copy(self)
+        fset.band = band
+        fset.p_min, fset.p_max, fset.A_volt = band.p_min, band.p_max, band.A_volt
+        fset.offset = offset
+        fset._merged = None
+        fset._rows = {}
+        return fset
 
     def rescaled(self, band):
         """This set on ``band``, a :meth:`VoltageBand.scaled` copy of its
         own band: the same offsets, and this set's certificate that it is
         nonempty carries over."""
-        zset = copy.copy(self)
-        zset.band = band
-        zset.p_min, zset.p_max, zset.A_volt = band.p_min, band.p_max, band.A_volt
-        zset._merged = None
-        return zset
+        return self._on(band, self.offset)
+
+    def at_offsets(self, offset):
+        """This set's band at ``offset``, offsets that a set on the same band
+        was certified at (dead rows dropped), one row per set."""
+        return self._on(self.band, offset)
+
+    def take(self, rows):
+        """The sets of rows ``rows`` of a stacked set; a set with one offset
+        serves every row and is returned as it is."""
+        if self.offset is None or np.ndim(self.offset) < 2:
+            return self
+        return self.at_offsets(self.offset[rows])
+
+    def _row(self, r):
+        """Row r's set of a stacked set, kept for later band projections."""
+        if self.offset is None or np.ndim(self.offset) < 2:
+            return self
+        if r not in self._rows:
+            self._rows[r] = self.at_offsets(self.offset[r])
+        return self._rows[r]
 
     @property
     def dim(self):
@@ -221,29 +257,37 @@ class FeasibleSet:
         return 0.5 * (self.p_min + self.p_max)
 
     def _band_values(self, p):
-        return self.offset + self.A_volt @ p
+        return self.offset + matvec(self.A_volt, p)
 
     def _max_violation(self, p):
-        v = np.max(np.concatenate([self.p_min - p, p - self.p_max]))
+        v = np.maximum(np.max(self.p_min - p, axis=-1),
+                       np.max(p - self.p_max, axis=-1))
         if self.A_volt is not None and self.A_volt.size:
             band = self._band_values(p)
-            v = max(v, np.max(self.v_min - band), np.max(band - self.v_max))
-        return float(v)
+            v = np.maximum(v, np.maximum(np.max(self.v_min - band, axis=-1),
+                                         np.max(band - self.v_max, axis=-1)))
+        return v
 
     def contains(self, p):
         return self._max_violation(np.asarray(p, dtype=float)) <= _MEMBER_TOL
 
     def project(self, x):
         """Euclidean projection: the box clamp when it meets the band,
-        otherwise the dual Newton solve."""
+        otherwise the dual Newton solve, on the rows of a stack that need
+        it."""
         x = np.asarray(x, dtype=float)
         clamped = np.clip(x, self.p_min, self.p_max)
         if self.A_volt is None or not self.A_volt.size:
             return clamped
         band = self._band_values(clamped)
-        if np.all(band >= self.v_min) and np.all(band <= self.v_max):
+        inside = (band >= self.v_min) & (band <= self.v_max)
+        if inside.all():
             return clamped
-        return self._project_band(x)[0]
+        if x.ndim == 1:
+            return self._project_band(x)[0]
+        for r in np.flatnonzero(~inside.all(axis=-1)):
+            clamped[r] = self._row(r)._project_band(x[r])[0]
+        return clamped
 
     def _band_rows(self):
         """Band rows ``(A, offset, lo, hi, unit)`` with parallel rows merged.
@@ -461,11 +505,13 @@ def _nonneg_qp(Q, b, u):
 
 
 def build_feasible(band, p_g, p_fixed=None):
-    """The constraint set for the current generation vector.
+    """The constraint set for the current generation vector, or the stacked
+    sets of each row of a stack of them.
 
     Only the offsets of ``band`` (from :func:`build_band`) move: the
     generation and the inflexible load ``p_fixed`` shift them, while the
-    controllable load enters through the band's fixed ``A_volt``.
+    controllable load enters through the band's fixed ``A_volt``.  A stack
+    is certified row by row, and raises if any row's set is empty.
     """
     fset = FeasibleSet.__new__(FeasibleSet)
     fset._place(band, None if band.A_volt is None else band.offset(p_g, p_fixed))

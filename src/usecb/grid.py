@@ -34,6 +34,9 @@ __all__ = [
     "compute_sensitivity",
     "grounded_impedance",
     "decompose_blocks",
+    "matvec",
+    "row_dot",
+    "bilinear",
     "voltage_approx",
     "power_loss",
     "full_power_loss",
@@ -161,25 +164,50 @@ def decompose_blocks(X, gen_buses, load_buses):
     return M, Nblk, Q
 
 
+# Row stacks.  An (R, n) stack of vectors goes through the products below
+# as R matrix-vector (or vector-vector) products, one per row, never as
+# one matrix product: each row then rounds exactly as that vector alone
+# does, so a stacked computation equals its rows computed one at a time,
+# bit for bit.
+
+
+def matvec(M, x):
+    """``M @ x`` for a vector ``x``, or for every row of a stack of them."""
+    return (M @ x[..., None])[..., 0]
+
+
+def row_dot(x, y):
+    """``x . y`` for vectors, or row by row for stacks."""
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
+
+
+def bilinear(x, M, y):
+    """``x' M y`` for vectors, or row by row for stacks."""
+    return ((x[..., None, :] @ M) @ y[..., None])[..., 0, 0]
+
+
 def voltage_approx(X, p):
-    """First-order voltage magnitudes in per unit: 1 + Re(X) @ p.
+    """First-order voltage magnitudes in per unit: 1 + Re(X) @ p, for one
+    injection vector or each row of a stack.
 
     Pure formula over whatever matrix/injection pair is supplied; callers
     choose full or reduced sensitivities.  Linear in ``p``.
     """
     p = np.asarray(p, dtype=float)
-    return 1.0 + np.real(X) @ p
+    return 1.0 + matvec(np.real(X), p)
 
 
 def power_loss(M, Nblk, Q, p_g, p_c):
-    """Quadratic line-loss estimate from the block form.
+    """Quadratic line-loss estimate from the block form, for one slot or
+    each row of stacks of slots.
 
     loss = p_g' M p_g - 2 p_g' N p_c + p_c' Q p_c, equal to the full
     quadratic form over the reduced matrix with p = [p_g; -p_c].
     """
     p_g = np.asarray(p_g, dtype=float)
     p_c = np.asarray(p_c, dtype=float)
-    return p_g @ M @ p_g - 2.0 * (p_g @ Nblk @ p_c) + p_c @ Q @ p_c
+    return (bilinear(p_g, M, p_g) - 2.0 * bilinear(p_g, Nblk, p_c)
+            + bilinear(p_c, Q, p_c))
 
 
 def full_power_loss(X, p):
@@ -193,8 +221,9 @@ def full_power_loss(X, p):
 
 
 def grid_intake(p_g, p_c, loss):
-    """Power drawn at the PCC: consumption minus generation plus losses."""
-    return float(np.sum(p_c) - np.sum(p_g) + loss)
+    """Power drawn at the PCC: consumption minus generation plus losses,
+    for one slot or each row of stacks of slots."""
+    return np.sum(p_c, axis=-1) - np.sum(p_g, axis=-1) + loss
 
 
 def radial_line_flows(tree_edges, injections):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import row_dot
+
 __all__ = [
     "bregman_divergence",
     "step_size",
@@ -34,7 +36,8 @@ def bregman_divergence(x, y):
 
 
 def step_size(t, D, G_star):
-    """eta_t = D / (G* sqrt(t)), defined for t >= 1."""
+    """eta_t = D / (G* sqrt(t)), defined for t >= 1; elementwise for arrays
+    of D and G*.  (``(D / G*) / sqrt(t)`` rounds differently.)"""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     return D / (G_star * np.sqrt(t))
@@ -67,48 +70,69 @@ def estimate_bounds(fset, grads, rng):
     D = float(np.linalg.norm(fset.p_max - fset.p_min)) / np.sqrt(2.0)
     corners = _box_corners(fset, rng)
     raw = fset.p_min + rng.random((_SAMPLES, fset.dim)) * (fset.p_max - fset.p_min)
-    points = np.concatenate([corners, [fset.project(x) for x in raw]])
+    points = np.concatenate([corners, fset.project(raw)])
     g_max = max(float(np.linalg.norm(g)) for g in grads(points))
     return D, 1.1 * g_max
 
 
-def run_online(fset, oracle, T, D, G_star, x0):
-    """Run T steps of projected SGD from ``x0`` and return the ``(T, n)``
-    iterates; row t is the point played at step t+1.
+# Steps of run_online's iterates handed out at once: memory does not grow
+# with T, and the per-block cost is spread.
+_BLOCK = 256
 
-    ``oracle(t, a)`` returns a stochastic gradient whose conditional
-    expectation is the true gradient at ``a``; determinism of the run is
-    the oracle's responsibility.  No step follows the last iterate, so the
-    oracle is asked for steps 1 to T-1 only.
+
+def run_online(fset, oracle, T, D, G_star, x0, visit=None):
+    """Run T steps of projected SGD from ``x0``, one start point or an
+    ``(R, n)`` stack of them, one independent run per row.
+
+    Returns the ``(T, n)`` iterates (``(R, T, n)`` for a stack); step t+1
+    plays the iterate at index t.  With ``visit``, the iterates are handed
+    to ``visit(points)`` instead, in consecutive blocks of at most 256 steps
+    (``(k, n)`` or ``(R, k, n)``), and nothing is returned.
+
+    ``oracle(t, a)`` returns a stochastic gradient at ``a`` (one row per
+    row of a stack) whose conditional expectation is the true gradient;
+    determinism of the run is the oracle's responsibility.  No step follows
+    the last iterate, so the oracle is asked for steps 1 to T-1 only.
     """
     if D <= 0 or G_star <= 0:
         raise ValueError("D and G* must be positive")
-    points = np.empty((T, fset.dim))
+    blocks = []
     a = fset.project(np.asarray(x0, dtype=float))
-    for t in range(1, T + 1):
-        points[t - 1] = a
-        if t < T:
-            g = np.asarray(oracle(t, a), dtype=float)
-            a = fset.project(a - step_size(t, D, G_star) * g)
-    return points
+    for start in range(0, T, _BLOCK):
+        points = np.empty(a.shape[:-1] + (min(_BLOCK, T - start), a.shape[-1]))
+        for i in range(points.shape[-2]):
+            t = start + i + 1
+            points[..., i, :] = a
+            if t < T:
+                g = np.asarray(oracle(t, a), dtype=float)
+                a = fset.project(a - step_size(t, D, G_star) * g)
+        (visit or blocks.append)(points)
+    return None if visit else np.concatenate(blocks, axis=-2)
 
 
-def regret(points, f_true, a_star):
+def regret(points, f_true, a_star, start=0.0):
     """Cumulative excess objective over the best fixed point.
 
-    Returns (R_T, curve) where curve[t] = sum over the first t+1 iterates
-    of f_true(a_s) - f_true(a_star).
+    ``f_true`` maps a stack of points to their values.  Returns (R_T,
+    curve) where curve[..., t] is ``start`` plus the sum over the first t+1
+    iterates of f_true(a_s) - f_true(a_star), for ``(T, n)`` iterates or
+    each run of ``(R, T, n)`` ones.  ``start`` carries the running total of
+    earlier blocks of a run in: it enters the cumulative sum as its first
+    term, so blocks accounted one after another add up exactly as the
+    whole run would.
     """
-    f_star = f_true(np.asarray(a_star, dtype=float))
-    gaps = np.array([f_true(p) for p in points]) - f_star
-    curve = np.cumsum(gaps)
-    return float(curve[-1]), curve
+    gaps = f_true(np.asarray(points, dtype=float)) - f_true(
+        np.asarray(a_star, dtype=float))
+    start = np.broadcast_to(start, gaps.shape[:-1])[..., None]
+    curve = np.cumsum(np.concatenate([start, gaps], axis=-1), axis=-1)[..., 1:]
+    return curve[..., -1], curve
 
 
 def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
                        max_iter=100_000):
     """Projected gradient descent in the metric ``W = diag(scale**2)``:
-    ``x <- P_W(x - W^-1 grad_fn(x) / lipschitz)``.
+    ``x <- P_W(x - W^-1 grad_fn(x) / lipschitz)``, from one start point or
+    from each row of an ``(R, n)`` stack of them.
 
     ``P_W`` is the projection that ``W`` measures.  In ``z = scale * x`` it
     is the Euclidean projection onto ``zset``, the feasible set in those
@@ -122,18 +146,46 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     and a few steps reach the minimizer.  Stops when a step moves ``x`` less
     than ``tol`` (scaled by the current point).  Used both as the
     deterministic per-slot solver and to pin down a_star for regret
-    accounting.  Returns ``(x, converged, steps)``: ``converged`` is False
-    when ``max_iter`` steps run out first.
+    accounting.
+
+    ``grad_fn(x, rows)`` returns the gradients at the ``(k, n)`` stack
+    ``x`` of the rows ``rows`` (an index into the stack of start points;
+    one start point is a stack of one row).  Each row stops at its own step
+    and then leaves the stack, so its result equals that of its own solve
+    bit for bit.  ``zset`` may hold one set per row (a stacked set).
+    Returns ``(x, converged, steps)``, one of each per row for a stack:
+    ``converged`` is False when ``max_iter`` steps run out first.
     """
-    z = zset.project(zset.midpoint() if x0 is None
-                     else scale * np.asarray(x0, dtype=float))
+    z = zset.project(np.atleast_2d(zset.midpoint() if x0 is None
+                                   else scale * np.asarray(x0, dtype=float)))
     x = z / scale
+    # (rows, their results, the step they stopped at), as rows finish.
+    finished = []
+    index = np.arange(len(x))
+    rows = slice(None)
     step = 1.0 / lipschitz
     for k in range(1, max_iter + 1):
-        z = zset.project(z - step * (grad_fn(x) / scale))
+        z = zset.project(z - step * (grad_fn(x, rows) / scale))
         cand = z / scale
-        move = float(np.linalg.norm(cand - x))
+        d = cand - x
         x = cand
-        if move <= tol * (1.0 + float(np.linalg.norm(x))):
-            return x, True, k
-    return x, False, max_iter
+        done = np.sqrt(row_dot(d, d)) <= tol * (1.0 + np.sqrt(row_dot(x, x)))
+        if done.all():
+            finished.append((index, x, k))
+            break
+        if done.any():
+            finished.append((index[done], x[done], k))
+            keep = ~done
+            index, x, z, zset = index[keep], x[keep], z[keep], zset.take(keep)
+            rows = index
+    else:
+        finished.append((index, x, None))
+    if x0 is None or np.ndim(x0) == 1:
+        _, x, k = finished[0]
+        return x[0], k is not None, k or max_iter
+    out = np.empty(np.shape(x0))
+    converged = np.empty(len(out), dtype=bool)
+    steps = np.empty(len(out), dtype=int)
+    for rows, x, k in finished:
+        out[rows], converged[rows], steps[rows] = x, k is not None, k or max_iter
+    return out, converged, steps

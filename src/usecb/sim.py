@@ -218,29 +218,33 @@ _ORACLE_CHUNK = 256
 
 def scenario_gradient_oracle(scenario, seed):
     """Stochastic gradient closure over the readings of a run under
-    ``seed``.
+    ``seed``, or of one run per seed of a sequence of R seeds.
 
     ``oracle(t, x)`` returns the gradient at x of the objective as reading t
     of the run sees it, for t = 1, 2, ... in increasing order (as
-    :func:`~usecb.mirror.run_online` asks).  Step t plays slot t-1 (the last
+    :func:`~usecb.mirror.run_online` asks); for R seeds x is an ``(R, n)``
+    stack and row r reads seed r's streams.  Step t plays slot t-1 (the last
     slot past the horizon); static scenarios always play their frozen slot
     0.  The readings and their linear terms are built ``_ORACLE_CHUNK``
     steps at a time, so reading t does not depend on how many steps follow.
     """
     quad = scenario.objective
     last = 0 if scenario.is_static else scenario.horizon - 1
-    streams = noise_streams(seed)
+    streams = [noise_streams(s) for s in (seed if np.ndim(seed) else [seed])]
     start, b = 0, np.empty((0, scenario.n_loads))
 
     def oracle(t, x):
         nonlocal start, b
         if t < start:
             raise ValueError(f"oracle step {t} comes before its block at {start}")
-        while t >= start + len(b):
-            start += len(b)
-            steps = np.arange(start, start + _ORACLE_CHUNK)
-            b = _noisy_linear_terms(scenario, np.clip(steps - 1, 0, last), streams)
-        return quad.grad(x, b[t - start])
+        while t >= start + b.shape[-2]:
+            start += b.shape[-2]
+            slots = np.clip(np.arange(start, start + _ORACLE_CHUNK) - 1, 0, last)
+            b = np.stack([_noisy_linear_terms(scenario, slots, st)
+                          for st in streams])
+            if np.ndim(seed) == 0:
+                b = b[0]
+        return quad.grad(x, b[..., t - start, :])
 
     return oracle
 
@@ -263,16 +267,17 @@ def md_bounds(scenario, seed):
     streams = noise_streams(derived_seed(seed, STREAM_PROBES))
 
     def grads(points):
-        b = _noisy_linear_terms(scenario, np.resize(probe_slots, len(points)),
-                                streams)
-        return [quad.grad(x, b_k) for x, b_k in zip(points, b)]
+        return quad.grad(points, _noisy_linear_terms(
+            scenario, np.resize(probe_slots, len(points)), streams))
 
     return estimate_bounds(scenario.env_set, grads, rng)
 
 
 @dataclass
 class RunResult:
-    """Arrays over the horizon for one (scheme, seed) run."""
+    """Arrays over the horizon for one (scheme, seed) run.  A static run's
+    indoor temperatures never move, so its ``c_in_after`` is its
+    ``c_in_true``."""
 
     scheme: str
     seed: int
@@ -296,90 +301,110 @@ class RunResult:
 
 
 def run_scheme(scenario, scheme, seed=None):
-    """Simulate one control scheme over the scenario horizon."""
+    """Simulate one control scheme over the scenario horizon, under ``seed``
+    (the scenario's by default) or under each of a sequence of seeds.
+
+    A sequence of R seeds returns R results, one per seed, as one program:
+    the R controls form an ``(R, n)`` stack that steps through one slot
+    loop, with stacked gradients, one projection call per step for all rows
+    (each slot's sets built at once, one offset per row, on dynamic days)
+    and stacked solves whose rows stop at their own steps.  Each row keeps
+    its own noise streams, step sizes and solver diagnostics, and equals
+    its single-seed run bit for bit.  A row that raises fails the batch.
+    The bookkeeping against the true physics (loss, intake, true objective,
+    feasibility) runs once per run, over the horizon, after the loop.
+    """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    seed = scenario.seed if seed is None else int(seed)
-    blocks = scenario.model.blocks
-    bld = scenario.buildings
-    T = scenario.horizon
-    n_c = scenario.n_loads
+    seeds = ([int(s) for s in seed] if np.ndim(seed) == 1
+             else [scenario.seed if seed is None else int(seed)])
+    R, T, n_c = len(seeds), scenario.horizon, scenario.n_loads
     quad = scenario.objective
-
     env_set = scenario.env_set
+    static = scenario.is_static
     if scheme == "stochastic":
-        D, g_star = md_bounds(scenario, seed)
+        D, g_star = np.array([md_bounds(scenario, s) for s in seeds]).T
 
-    out = RunResult(scheme, seed, scenario)
-    out.p_c = np.empty((T, n_c))
-    out.p_0 = np.empty(T)
-    out.loss = np.empty(T)
-    out.f_true = np.empty(T)
-    out.feasible = np.empty(T, dtype=bool)
-    out.p_g_true = scenario.p_g_true.copy()
-    out.c_out_true = scenario.c_out_true.copy()
-    # The oracle reads the same slots at zero noise.
+    # The oracle reads the same slots at zero noise.  Each run's readings
+    # land in its rows of the stacks; the indoor readings start as their
+    # standard normals and are overwritten slot by slot.
     noise = NoiseConfig() if scheme == "oracle" else scenario.noise
-    out.p_g_obs, out.c_out_obs, z_in = read_slots(scenario, noise, np.arange(T),
-                                                  noise_streams(seed))
-    out.c_in_true = np.empty((T, n_c))
-    out.c_in_obs = np.empty((T, n_c))
-    out.c_in_after = np.empty((T, n_c))
+    pg_obs = np.empty((R, T, len(scenario.model.gen_buses)))
+    cout_obs = np.empty((R, T, n_c))
+    cin_obs = np.empty((R, T, n_c))
+    for r, s in enumerate(seeds):
+        pg_obs[r], cout_obs[r], cin_obs[r] = read_slots(
+            scenario, noise, np.arange(T), noise_streams(s))
+    # Row r, slot t of ``cin`` is the indoor temperature at the start of
+    # slot t; slot t+1 is the one after it.
+    cin = np.empty((R, 1 if static else T + 1, n_c))
+    cin[:, 0] = scenario.c_in_init
+    c_in = cin[:, 0]
+    p_c = np.empty((R, T, n_c))
     if scheme != "stochastic":
-        out.solver_converged = np.empty(T, dtype=bool)
-        out.solver_iterations = np.empty(T, dtype=int)
-
-    c_in = scenario.c_in_init.copy()
-    a = env_set.project(env_set.midpoint())
+        converged = np.empty((R, T), dtype=bool)
+        iterations = np.empty((R, T), dtype=int)
+    offsets = None
+    if not static and env_set.offset is not None:
+        offsets = np.empty((R, T) + env_set.offset.shape)
+    a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)
 
     for t in range(T):
-        pg_t = scenario.p_g_true[t]
-        cout_t = np.full(n_c, scenario.c_out_true[t])
-        out.c_in_true[t] = c_in
-
-        pg_view, cout_view = out.p_g_obs[t], out.c_out_obs[t]
-        cin_view = observe(c_in, noise.sigma_temp, z_in[t])
-        out.c_in_obs[t] = cin_view
-
-        if scenario.is_static:
+        cin_obs[:, t] = observe(c_in, noise.sigma_temp, cin_obs[:, t])
+        b_ctrl = quad.linear_term(cin_obs[:, t], cout_obs[:, t], pg_obs[:, t])
+        if static:
             fset_t = env_set
         else:
-            fset_t = build_feasible(scenario.band, pg_view,
+            fset_t = build_feasible(scenario.band, pg_obs[:, t],
                                     p_fixed=scenario.p_fixed)
-
-        b_ctrl = quad.linear_term(cin_view, cout_view, pg_view)
+            if offsets is not None:
+                offsets[:, t] = fset_t.offset
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
-            a = fset_t.project(a - step_size(t + 1, D, g_star) * g)
+            a = fset_t.project(a - step_size(t + 1, D, g_star)[:, None] * g)
         else:
-            zset_t = (scenario.scaled_env_set if scenario.is_static
+            zset_t = (scenario.scaled_env_set if static
                       else fset_t.rescaled(scenario.scaled_band))
-            a, out.solver_converged[t], out.solver_iterations[t] = \
-                minimize_projected(lambda x: quad.grad(x, b_ctrl), zset_t,
-                                   quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
+            a, converged[:, t], iterations[:, t] = minimize_projected(
+                lambda x, rows: quad.grad(x, b_ctrl[rows]), zset_t,
+                quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
+        p_c[:, t] = a
+        if not static:
+            c_in = cin[:, t + 1] = thermal_step(c_in, scenario.c_out_true[t], a,
+                                                scenario.buildings)
 
-        # Bookkeeping against the true physics.
-        cons = a + scenario.p_fixed
-        loss_t = power_loss(blocks.M, blocks.N, blocks.Q, pg_t, cons)
-        out.p_c[t] = a
-        out.loss[t] = loss_t
-        out.p_0[t] = grid_intake(pg_t, cons, loss_t)
-        b_true = quad.linear_term(c_in, cout_t, pg_t)
-        out.f_true[t] = quad.value(a, b_true)
-        out.feasible[t] = fset_t.contains(a)
-
-        stepped = thermal_step(c_in, cout_t, a, bld)
-        if scenario.is_static:
-            out.c_in_after[t] = c_in
+    # Bookkeeping against the true physics, one run at a time.
+    blocks = scenario.model.blocks
+    pg_true = scenario.p_g_true
+    outs = []
+    for r, s in enumerate(seeds):
+        out = RunResult(scheme, s, scenario)
+        out.p_c, out.p_g_obs, out.c_out_obs, out.c_in_obs = \
+            p_c[r], pg_obs[r], cout_obs[r], cin_obs[r]
+        out.p_g_true = pg_true.copy()
+        out.c_out_true = scenario.c_out_true.copy()
+        if static:
+            out.c_in_true = out.c_in_after = np.broadcast_to(cin[r, 0], (T, n_c))
         else:
-            out.c_in_after[t] = stepped
-            c_in = stepped
-    if out.solver_converged is not None and not out.solver_converged.all():
-        logging.getLogger(__name__).warning(
-            "%s run (seed %d): the per-slot solve stopped short of its "
-            "tolerance in %d of %d slots", scheme, seed,
-            int(np.count_nonzero(~out.solver_converged)), T)
-    return out
+            out.c_in_true, out.c_in_after = cin[r, :T], cin[r, 1:]
+        cons = out.p_c + scenario.p_fixed
+        out.loss = power_loss(blocks.M, blocks.N, blocks.Q, pg_true, cons)
+        out.p_0 = grid_intake(pg_true, cons, out.loss)
+        b_true = quad.linear_term(out.c_in_true, scenario.c_out_true[:, None],
+                                  pg_true)
+        out.f_true = quad.value(out.p_c, b_true)
+        fsets = env_set if offsets is None else env_set.at_offsets(offsets[r])
+        out.feasible = fsets.contains(out.p_c)
+        if scheme != "stochastic":
+            out.solver_converged, out.solver_iterations = \
+                converged[r], iterations[r]
+            if not out.solver_converged.all():
+                logging.getLogger(__name__).warning(
+                    "%s run (seed %d): the per-slot solve stopped short of its "
+                    "tolerance in %d of %d slots", scheme, s,
+                    int(np.count_nonzero(~out.solver_converged)), T)
+        outs.append(out)
+    return outs if np.ndim(seed) == 1 else outs[0]
 
 
 def check_window(window):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
+from .grid import bilinear, grid_intake, matvec, power_loss, row_dot
 
 __all__ = [
     "BuildingParams",
@@ -133,15 +134,16 @@ class Quadratic:
         that row's readings alone."""
         bld = self.buildings
         drive = c_in + bld.alpha1 * (c_out - c_in) * bld.dt - bld.c_set
-        # A stack of matrix-vector products rounds every row as one product.
-        return (self.base_b - self.comfort_w * drive
-                - (self.NT2 @ p_g[..., None])[..., 0])
+        return self.base_b - self.comfort_w * drive - matvec(self.NT2, p_g)
 
     def value(self, x, b):
-        return float(x @ self.A @ x + b @ x)
+        """f at ``x``, or at each row of a stack with its row of ``b`` (or
+        with one shared ``b``)."""
+        return bilinear(x, self.A, x) + row_dot(b, x)
 
     def grad(self, x, b):
-        return self.H2 @ x + b
+        """The gradient at ``x``, or at each row of a stack."""
+        return matvec(self.H2, x) + b
 
 
 def usecb_profit(c_in, c_out, p_c, quad, p_g):
@@ -152,8 +154,6 @@ def usecb_profit(c_in, c_out, p_c, quad, p_g):
     Evaluated through the physical path (thermal step, loss, intake) so it
     stays an independent check on the expanded quadratic.
     """
-    from .grid import grid_intake, power_loss
-
     p_c = np.asarray(p_c, dtype=float)
     p_g = np.asarray(p_g, dtype=float)
     comfort = float(np.sum(satisfaction(c_in, c_out, p_c, quad.buildings)))

@@ -479,3 +479,33 @@ def test_empty_band_set_raises_like_scratch_set(include_gen):
         _scratch_set(scn, p_g, include_gen)
     assert got.value.max_violation > 0.0
     assert got.value.max_violation == want.value.max_violation
+
+
+# --- row stacks ----------------------------------------------------------------
+
+def test_row_stack_projection_equals_rows_alone(ieee37_tight):
+    """One set and a stack of points, and a stacked set (one offset per row)
+    and a stack of points: each row projects exactly as it does alone on its
+    own set, band rows included."""
+    scn = ieee37_tight
+    slots = (0, 30, 300, 450, 880)
+    rng = np.random.default_rng(5)
+    X = np.stack([scn.env_set.p_max + rng.normal(scale=0.05, size=scn.n_loads)
+                  for _ in slots])
+    X[1] = scn.env_set.midpoint()
+    one = [scn.env_set.project(x) for x in X]
+    assert np.array_equal(scn.env_set.project(X), one)
+
+    stacked = build_feasible(scn.band, scn.p_g_true[list(slots)],
+                             p_fixed=scn.p_fixed)
+    alone = [build_feasible(scn.band, scn.p_g_true[t], p_fixed=scn.p_fixed)
+             for t in slots]
+    assert np.array_equal(stacked.offset, [fs.offset for fs in alone])
+    want = [fs.project(x) for fs, x in zip(alone, X)]
+    assert np.array_equal(stacked.project(X), want)
+    assert np.array_equal(stacked.contains(want), [True] * len(slots))
+    band_rows = [not np.array_equal(w, np.clip(x, fs.p_min, fs.p_max))
+                 for w, x, fs in zip(want, X, alone)]
+    assert any(band_rows) and not all(band_rows)
+    # Rows of a stacked set taken apart keep their own offsets.
+    assert np.array_equal(stacked.take([4, 2]).project(X[[4, 2]]), [want[4], want[2]])

@@ -168,7 +168,7 @@ def _toy_regret(T, sigma, seed, center=(0.3, 0.6, 0.5)):
     fs = FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3))
 
     def f(x):
-        return float(np.sum((x - center) ** 2))
+        return np.sum((x - center) ** 2, axis=-1)
 
     rng = np.random.default_rng(seed + 999)
     D, g_star = estimate_bounds(
@@ -184,7 +184,7 @@ def test_regret_zero_at_optimum():
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([0.5, 0.5])
     points = run_online(fs, lambda t, x: np.zeros(2), 20, 1.0, 1.0, center)
-    total, curve = regret(points, lambda x: float(np.sum((x - center) ** 2)),
+    total, curve = regret(points, lambda x: np.sum((x - center) ** 2, axis=-1),
                           center)
     assert total == pytest.approx(0.0, abs=1e-12)
 
@@ -225,7 +225,7 @@ def test_minimize_projected_boundary_solution():
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([1.7, 0.4])
 
-    def grad(x):
+    def grad(x, rows):
         return 2.0 * (x - center)
 
     x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10)
@@ -237,7 +237,7 @@ def test_minimize_projected_reports_iteration_cap():
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([0.3, 0.6])
 
-    def grad(x):
+    def grad(x, rows):
         return 2.0 * (x - center)
 
     x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10,
@@ -273,7 +273,7 @@ def test_metric_solver_matches_euclidean_reference(variant):
     quad = scn.objective
     b = scn.true_linear_term()
 
-    def grad(x):
+    def grad(x, rows=None):
         return quad.grad(x, b)
 
     lipschitz = float(np.max(np.linalg.eigvalsh(quad.H2)))

@@ -6,6 +6,7 @@ import pytest
 
 from usecb import experiments, sim
 from usecb.errors import ConfigError, FeasibilityError, ModelError
+from usecb.mirror import run_online
 from usecb.sim import (NoiseConfig, build_ieee37_scenario, data_path,
                        load_scenario, metrics, observe, run_scheme)
 
@@ -113,43 +114,42 @@ def test_noise_generators_do_not_grow_with_the_horizon(monkeypatch):
     scn = build_ieee37_scenario(variant="regret")
     a_star = experiments.static_problem(scn)[0]
     short, long = (count(lambda T=T: experiments._regret_job(
-        scn, (T,), 3, 0.5, 20.0, a_star)) for T in (10, 600))
+        scn, (T,), (3,), 0.5, 20.0, a_star)) for T in (10, 600))
     assert short == long
 
 
-def test_regret_run_prefix_does_not_depend_on_its_length(monkeypatch):
+def test_regret_run_prefix_does_not_depend_on_its_length():
     """Step t of a regret run sees the same noise whatever T is, so the
-    first 100 iterates of a T = 1000 run are those of the T = 100 run."""
-    runs = []
-
-    def recorded(*args, _real=experiments.run_online):
-        runs.append(_real(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(experiments, "run_online", recorded)
+    first 100 iterates of a T = 1000 run are those of the T = 100 run, and
+    a stacked run's R_100 is the same whether or not it goes on to 1000."""
     scn = build_ieee37_scenario(variant="regret")
     a_star = experiments.static_problem(scn)[0]
     D, g_star = sim.md_bounds(scn, 21)
-    for T in (100, 1000):
-        experiments._regret_job(scn, (T,), 21, D, g_star, a_star)
+    fset = scn.env_set
+    runs = [run_online(fset, sim.scenario_gradient_oracle(scn, 21), T, D,
+                       g_star, fset.midpoint()) for T in (100, 1000)]
     assert runs[1].shape == (1000, scn.n_loads)
     assert np.array_equal(runs[1][:100], runs[0])
+    short = experiments._regret_job(scn, (100,), (21, 22), D, g_star, a_star)
+    long = experiments._regret_job(scn, (100, 1000), (21, 22), D, g_star, a_star)
+    assert [row[0] for row in long] == [row[0] for row in short]
 
 
 def test_regret_experiment_runs_each_replication_once(monkeypatch):
-    """One run of the longest horizon gives every horizon's R_T."""
-    lengths = []
+    """One stacked run of the longest horizon, one row per replication,
+    gives every horizon's R_T."""
+    calls = []
 
-    def recorded(fset, oracle, T, *args, _real=experiments.run_online):
-        lengths.append(T)
-        return _real(fset, oracle, T, *args)
+    def recorded(fset, oracle, T, D, g_star, x0, *args, _real=run_online,
+                 **kwargs):
+        calls.append((np.shape(x0)[0], T))
+        return _real(fset, oracle, T, D, g_star, x0, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "default_workers", lambda: 1)
     monkeypatch.setattr(experiments, "run_online", recorded)
     experiments.run_regret_experiment(build_ieee37_scenario(variant="regret"),
                                       horizons=(20, 50), replications=3,
                                       base_seed=4)
-    assert lengths == [50, 50, 50]
+    assert calls == [(3, 50)]
 
 
 def test_md_bounds_reads_its_probes_as_one_block(monkeypatch):
@@ -400,3 +400,44 @@ def test_empty_slot0_set_fails_at_construction():
     with pytest.raises(FeasibilityError):
         dataclasses.replace(scn, bounds={**scn.bounds, "v_min": 0.99},
                             p_g_true=np.zeros_like(scn.p_g_true))
+
+
+# --- row stacks ----------------------------------------------------------------
+
+BATCH_SCENARIOS = {
+    "static": ({"horizon": 120}, "static"),
+    "dynamic": ({"horizon": 120}, "dynamic"),
+    "tight": ({"horizon": 120, "voltage_band": {"v_min": 0.975}}, "dynamic"),
+}
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+@pytest.mark.parametrize("case", sorted(BATCH_SCENARIOS))
+def test_batched_rows_equal_single_runs(case, scheme, monkeypatch):
+    """Seeds run as one stacked program give every run exactly as it comes
+    alone, each array bit for bit."""
+    scn = build_ieee37_scenario(*BATCH_SCENARIOS[case])
+    band_calls = []
+    real = sim.FeasibleSet._project_band
+
+    def counted(fset, x):
+        band_calls.append(1)
+        return real(fset, x)
+
+    monkeypatch.setattr(sim.FeasibleSet, "_project_band", counted)
+    seeds = (3, 4, 5)
+    batch = run_scheme(scn, scheme, seed=seeds)
+    took_band = bool(band_calls)
+    assert [run.seed for run in batch] == list(seeds)
+    for run, seed in zip(batch, seeds):
+        alone = run_scheme(scn, scheme, seed=seed)
+        for f in dataclasses.fields(sim.RunResult):
+            got, want = getattr(run, f.name), getattr(alone, f.name)
+            if f.name == "scenario":
+                assert got is want
+            elif want is None:
+                assert got is None, f.name
+            else:
+                assert np.array_equal(got, want), (f.name, seed)
+    if case == "tight":
+        assert took_band

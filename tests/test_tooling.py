@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import usecb
+from usecb import sim
+from usecb.errors import FeasibilityError
 from usecb.sim import SCHEMES, data_path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,16 +45,21 @@ def test_package_all_resolves():
     assert not missing
 
 
-def test_trace_points_install_and_uninstall(tmp_path):
-    spans = _load_spans()
-    points = [(module, attr) for module, attr, _ in spans.TRACE_POINTS]
+def test_trace_points_resolve_in_their_owners_dict():
+    """``--trace 1`` replaces each trace point in its owner's ``__dict__``,
+    so every one must be found there, not inherited or imported lazily."""
     missing = []
-    for module, attr in points:
+    for module, attr, _ in _load_spans().TRACE_POINTS:
         try:
             _lookup(module, attr)
         except (KeyError, AttributeError):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_trace_points_install_and_uninstall(tmp_path):
+    spans = _load_spans()
+    points = [(module, attr) for module, attr, _ in spans.TRACE_POINTS]
     originals = [_lookup(module, attr) for module, attr in points]
 
     tracer = spans.Tracer(str(tmp_path))
@@ -64,6 +71,26 @@ def test_trace_points_install_and_uninstall(tmp_path):
         tracer.uninstall()
     assert all(_lookup(module, attr) is raw
                for (module, attr), raw in zip(points, originals))
+
+
+def test_bench_finds_the_slot_a_failing_run_reached(monkeypatch):
+    """The benchmark reads the slot a run failed at from the loop variable
+    ``t`` of ``run_scheme``'s own frame, so the slot loop must stay there."""
+    workloads = _load("bench_workloads", ROOT / "bench" / "workloads.py")
+    scn = sim.build_ieee37_scenario({"horizon": 20}, variant="dynamic")
+    real, calls = sim.build_feasible, []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 6:
+            raise FeasibilityError("empty feasible set (test)")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_feasible", failing)
+    run, _, _, failure = workloads.scheme_job(scn, "stochastic", 3)
+    assert run is None
+    assert failure["error"] == "FeasibilityError"
+    assert failure["slot"] == 5
 
 
 def _digest(out, *extra):
