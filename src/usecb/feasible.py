@@ -49,7 +49,9 @@ class VoltageBand:
     """The offset-free part of a constraint set: box, band rows and bounds.
 
     Rows with no control leverage (``dead``) are dropped from ``A_volt``;
-    each set checks their constants against the band.  ``sens`` and
+    each set checks their constants against the band.  ``x_min`` and
+    ``x_max`` are the box in the controls' own units: the box itself, or
+    for a :meth:`scaled` band the box of the band it was scaled from.  ``sens`` and
     ``first_row`` turn an injection vector into the offsets of the rows (see
     :func:`build_band`); a band without them takes offsets as given.
     """
@@ -61,6 +63,7 @@ class VoltageBand:
             np.asarray(p_max, dtype=float), self.p_min.shape).copy()
         if np.any(self.p_min > self.p_max):
             raise FeasibilityError("box bounds cross: p_min > p_max")
+        self.x_min, self.x_max = self.p_min, self.p_max
         self.sens, self.first_row = sens, first_row
         self.A_volt = None
         self.v_min, self.v_max = v_min, v_max

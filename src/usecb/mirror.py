@@ -146,7 +146,9 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     and a few steps reach the minimizer.  Stops when a step moves ``x`` less
     than ``tol`` (scaled by the current point).  Used both as the
     deterministic per-slot solver and to pin down a_star for regret
-    accounting.
+    accounting.  A result coordinate whose ``z`` lies on the box is the
+    bound of the box in ``x`` (``zset.band.x_min``/``x_max``) itself:
+    ``(scale * p_max) / scale`` can round off ``p_max``.
 
     ``grad_fn(x, rows)`` returns the gradients at the ``(k, n)`` stack
     ``x`` of the rows ``rows`` (an index into the stack of start points;
@@ -164,6 +166,13 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     index = np.arange(len(x))
     rows = slice(None)
     step = 1.0 / lipschitz
+    x_min, x_max = zset.band.x_min, zset.band.x_max
+
+    def on_box(z, x):
+        np.copyto(x, x_max, where=z >= zset.p_max)
+        np.copyto(x, x_min, where=z <= zset.p_min)
+        return x
+
     for k in range(1, max_iter + 1):
         z = zset.project(z - step * (grad_fn(x, rows) / scale))
         cand = z / scale
@@ -171,15 +180,15 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
         x = cand
         done = np.sqrt(row_dot(d, d)) <= tol * (1.0 + np.sqrt(row_dot(x, x)))
         if done.all():
-            finished.append((index, x, k))
+            finished.append((index, on_box(z, x), k))
             break
         if done.any():
-            finished.append((index[done], x[done], k))
+            finished.append((index[done], on_box(z[done], x[done]), k))
             keep = ~done
             index, x, z, zset = index[keep], x[keep], z[keep], zset.take(keep)
             rows = index
     else:
-        finished.append((index, x, None))
+        finished.append((index, on_box(z, x), None))
     if x0 is None or np.ndim(x0) == 1:
         _, x, k = finished[0]
         return x[0], k is not None, k or max_iter

@@ -441,3 +441,21 @@ def test_batched_rows_equal_single_runs(case, scheme, monkeypatch):
                 assert np.array_equal(got, want), (f.name, seed)
     if case == "tight":
         assert took_band
+
+
+@pytest.mark.parametrize("overrides, variant", [
+    (None, "static"),
+    (None, "dynamic"),
+    ({"voltage_band": {"v_min": 0.975}}, "dynamic"),
+])
+def test_solved_controls_on_the_box_bound_equal_it(overrides, variant):
+    """The solver steps in z = scale * x; a control it leaves on the box
+    comes back as the bound itself, not one rounding off it."""
+    scn = build_ieee37_scenario(overrides, variant=variant)
+    lo, hi = scn.env_set.p_min, scn.env_set.p_max
+    for scheme in ("exact", "oracle"):
+        p_c = run_scheme(scn, scheme).p_c
+        for bound in (lo, hi):
+            near = np.abs(p_c - bound) <= 1e-12
+            assert near.any(), (scheme, variant)
+            assert np.array_equal(p_c[near], np.broadcast_to(bound, p_c.shape)[near])
