@@ -298,25 +298,36 @@ class FeasibleSet:
         The band finds the parallel rows once; each set restates their
         bounds at its own offset on its first band projection and keeps the
         result.  A merged row keeps the tightest bounds of its rows, restated
-        in its own units; bounds that cross certify an empty set.
+        in its own units; bounds that cross certify an empty set.  Bounds
+        that cross by no more than the rounding of their restatement (rows
+        of an equality band, say) meet at their midpoint instead.
         """
         if self._merged is None:
             js, ks, t, unit, keep, A = self.band.merge_map()
             c = self.offset
             lo, hi = self.v_min.copy(), self.v_max.copy()
+            # A bound restated below, (b - c_j) / t + c_k, is off by a few
+            # roundings of its terms; so is a band value that met a bound.
+            size = np.abs(c) + np.abs(np.where(np.isfinite(lo), lo, 0.0)) \
+                + np.abs(np.where(np.isfinite(hi), hi, 0.0))
+            floor = size.copy()
+            np.maximum.at(floor, ks, size[js] / np.abs(t) + np.abs(c[ks]))
             # Row j is t times row k: lo_j <= t a_k p + c_j <= hi_j.
             ends = np.stack([(lo[js] - c[js]) / t, (hi[js] - c[js]) / t]) + c[ks]
             np.maximum.at(lo, ks, ends.min(axis=0))
             np.minimum.at(hi, ks, ends.max(axis=0))
-            # A merged row's violation is at most 1/unit times the largest
-            # violation of the rows it holds, in their own units.
-            if np.any(lo > hi):
-                # The rows that set the crossed bounds split the gap, so the
+            gap = lo - hi
+            crossed = gap > 0.0
+            if np.any(gap[crossed] > 8.0 * _EPS * floor[crossed]):
+                # A merged row's violation is at most 1/unit times the largest
+                # violation of the rows it holds, in their own units, and the
+                # rows that set the crossed bounds split the gap, so the
                 # worse one breaks its bound by at least half of it.
-                worst = float(np.max((lo - hi) * unit)) / 2.0
+                worst = float(np.max(gap * unit)) / 2.0
                 raise FeasibilityError(
                     "empty feasible set (parallel band rows with disjoint "
                     f"ranges; violation at least {worst:.3e})", max_violation=worst)
+            lo[crossed] = hi[crossed] = 0.5 * (lo + hi)[crossed]
             self._merged = (A, c[keep], lo[keep], hi[keep], unit[keep])
         return self._merged
 

@@ -406,6 +406,38 @@ def test_disjoint_parallel_slabs_certified_without_newton(monkeypatch):
     assert 0.0 < err.value.max_violation <= 1.0 / 6.0 + 1e-12
 
 
+def _equality_band_with_copies(rng):
+    """Box [0, 1]^n cut by random rows plus power-of-two copies of the first
+    one, as an equality band at a member of the box."""
+    n = int(rng.integers(2, 7))
+    A = rng.normal(size=(int(rng.integers(1, 4)), n))
+    copies = 2.0 ** rng.integers(-4, 5, size=int(rng.integers(1, 4)))
+    A = np.vstack([A, copies[:, None] * A[0]])
+    c = rng.normal(size=A.shape[0])
+    band = c + A @ rng.uniform(0.0, 1.0, n)
+    return FeasibleSet(np.zeros(n), np.ones(n), A, c, v_min=band, v_max=band)
+
+
+def test_parallel_rows_crossed_by_rounding_are_not_empty():
+    # Restating a copy's bounds in its first row's units rounds, so the
+    # bounds of an equality band can cross by a few ulps; 1314 of these
+    # sets were once called empty.
+    rng = np.random.default_rng(1)
+    for _ in range(2800):
+        fs = _equality_band_with_copies(rng)
+        _, _, lo, hi, _ = fs._band_rows()
+        assert np.all(lo <= hi)
+
+
+def test_parallel_rows_disjoint_by_a_micro_volt_are_empty():
+    a = np.array([1.0, 2.0, -1.0])
+    with pytest.raises(FeasibilityError) as err:
+        FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3),
+                    A_volt=np.vstack([a, 2.0 * a]), offset=np.zeros(2),
+                    v_min=[0.5, 1.0 + 2e-6], v_max=[0.5, 1.0 + 2e-6])
+    assert err.value.max_violation == pytest.approx(0.5e-6, rel=1e-6)
+
+
 def test_dual_certificate_bounds_violation(ieee37_tight):
     # A band no load pattern reaches: every bus would need 1.02 pu.
     fs0 = ieee37_tight.env_set
