@@ -62,6 +62,8 @@ STREAM_GAINS = 11
 STREAM_REP = 12
 
 _EXACT_TOL = 1e-8
+# Slots that run_scheme's bookkeeping takes at once.
+_BOOK_BLOCK = 128
 
 # The observation-noise scheme: reading k of a run is row k of one
 # standard-normal sequence per (seed, stream).  Noisy outputs are comparable
@@ -373,28 +375,31 @@ def run_scheme(scenario, scheme, seed=None):
             c_in = cin[:, t + 1] = thermal_step(c_in, scenario.c_out_true[t], a,
                                                 scenario.buildings)
 
-    # Bookkeeping against the true physics, one run at a time.
+    # Bookkeeping against the true physics, one run and one block of
+    # slots at a time, so its temporaries stay small.
     blocks = scenario.model.blocks
-    pg_true = scenario.p_g_true
     outs = []
     for r, s in enumerate(seeds):
         out = RunResult(scheme, s, scenario)
         out.p_c, out.p_g_obs, out.c_out_obs, out.c_in_obs = \
             p_c[r], pg_obs[r], cout_obs[r], cin_obs[r]
-        out.p_g_true = pg_true.copy()
+        out.p_g_true = scenario.p_g_true.copy()
         out.c_out_true = scenario.c_out_true.copy()
         if static:
             out.c_in_true = out.c_in_after = np.broadcast_to(cin[r, 0], (T, n_c))
         else:
             out.c_in_true, out.c_in_after = cin[r, :T], cin[r, 1:]
-        cons = out.p_c + scenario.p_fixed
-        out.loss = power_loss(blocks.M, blocks.N, blocks.Q, pg_true, cons)
-        out.p_0 = grid_intake(pg_true, cons, out.loss)
-        b_true = quad.linear_term(out.c_in_true, scenario.c_out_true[:, None],
-                                  pg_true)
-        out.f_true = quad.value(out.p_c, b_true)
-        fsets = env_set if offsets is None else env_set.at_offsets(offsets[r])
-        out.feasible = fsets.contains(out.p_c)
+        out.loss, out.p_0, out.f_true = np.empty((3, T))
+        out.feasible = np.empty(T, dtype=bool)
+        for lo in range(0, T, _BOOK_BLOCK):
+            k = slice(lo, lo + _BOOK_BLOCK)
+            pg, cons = out.p_g_true[k], out.p_c[k] + scenario.p_fixed
+            out.loss[k] = power_loss(blocks.M, blocks.N, blocks.Q, pg, cons)
+            out.p_0[k] = grid_intake(pg, cons, out.loss[k])
+            out.f_true[k] = quad.value(out.p_c[k], quad.linear_term(
+                out.c_in_true[k], out.c_out_true[k, None], pg))
+            fsets = env_set if offsets is None else env_set.at_offsets(offsets[r, k])
+            out.feasible[k] = fsets.contains(out.p_c[k])
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \
                 converged[r], iterations[r]
