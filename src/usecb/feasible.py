@@ -49,11 +49,12 @@ class VoltageBand:
     """The offset-free part of a constraint set: box, band rows and bounds.
 
     Rows with no control leverage (``dead``) are dropped from ``A_volt``;
-    each set checks their constants against the band.  ``x_min`` and
-    ``x_max`` are the box in the controls' own units: the box itself, or
-    for a :meth:`scaled` band the box of the band it was scaled from.  ``sens`` and
+    each set checks their constants against the band.  ``sens`` and
     ``first_row`` turn an injection vector into the offsets of the rows (see
     :func:`build_band`); a band without them takes offsets as given.
+    ``x_min`` and ``x_max`` are the box in the controls' own units: the box
+    itself, or for a :meth:`scaled` band the box of the band it was scaled
+    from.
     """
 
     def __init__(self, p_min, p_max, A_volt=None, v_min=-np.inf, v_max=np.inf,
