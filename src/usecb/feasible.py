@@ -213,9 +213,10 @@ class FeasibleSet:
         # band; then the dual solve started from it either finds a member or
         # certifies that the set is empty.
         mid_band = offset + band.A_mid
-        broken = np.any((mid_band < self.v_min) | (mid_band > self.v_max), axis=-1)
-        for r in np.flatnonzero(broken):
-            self._row(r)._project_band(self.midpoint())
+        broken = (mid_band < self.v_min) | (mid_band > self.v_max)
+        if broken.any():
+            for r in np.flatnonzero(broken.any(axis=-1)):
+                self._row(r)._project_band(self.midpoint())
 
     def _on(self, band, offset):
         """A copy of this set on ``band`` at already certified ``offset``."""

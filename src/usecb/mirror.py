@@ -150,9 +150,9 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     bound of the box in ``x`` (``zset.band.x_min``/``x_max``) itself:
     ``(scale * p_max) / scale`` can round off ``p_max``.
 
-    ``grad_fn(x, rows)`` returns the gradients at the ``(k, n)`` stack
-    ``x`` of the rows ``rows`` (an index into the stack of start points;
-    one start point is a stack of one row).  Each row stops at its own step
+    ``grad_fn(x, rows)`` returns the gradients at ``x``, the rows ``rows``
+    of the stack of start points (``rows`` indexes the stack; a stack of
+    one row steps as the plain vector ``x`` of row 0).  Each row stops at its own step
     and then leaves the stack, so its result equals that of its own solve
     bit for bit.  ``zset`` may hold one set per row (a stacked set).
     Returns ``(x, converged, steps)``, one of each per row for a stack:
@@ -165,6 +165,10 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     finished = []
     index = np.arange(len(x))
     rows = slice(None)
+    if len(x) == 1:
+        # One row steps as a plain vector: the same arithmetic, less
+        # overhead per step.
+        z, x, zset, rows = z[0], x[0], zset.take(0), 0
     step = 1.0 / lipschitz
     x_min, x_max = zset.band.x_min, zset.band.x_max
 
@@ -191,7 +195,7 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
         finished.append((index, on_box(z, x), None))
     if x0 is None or np.ndim(x0) == 1:
         _, x, k = finished[0]
-        return x[0], k is not None, k or max_iter
+        return x, k is not None, k or max_iter
     out = np.empty(np.shape(x0))
     converged = np.empty(len(out), dtype=bool)
     steps = np.empty(len(out), dtype=int)
