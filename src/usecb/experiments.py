@@ -3,10 +3,11 @@
 Everything here is deterministic under (config, seed): replication seeds
 derive from the base seed, and each run draws its observation noise as rows
 of one sequence per (seed, stream).  The regret experiment and the static
-comparison run their replications in this process, as one stacked program
-per scheme (:func:`~usecb.sim.run_scheme` on a sequence of seeds,
-:func:`~usecb.mirror.run_online` on a stack of start points), so the
-per-slot cost of the many small numpy calls is paid once for all rows.
+comparison run their replications in this process, as stacked programs
+(:func:`~usecb.mirror.run_online` on a stack of start points, one for all
+replications; :func:`~usecb.sim.run_scheme` on a sequence of seeds, 16
+seeds at a time per scheme), so the per-slot cost of the many small numpy
+calls is paid once for all rows.
 :func:`map_replications` still fans jobs out over processes (threads would
 serialize on the interpreter lock): ``usecb compare`` runs its three
 schemes through it with :func:`run_scheme_job`, so job functions and their
@@ -94,19 +95,15 @@ def _regret_job(scenario, horizons, seeds, D, g_star, a_star):
     fset = scenario.env_set
     totals = np.empty((len(seeds), len(horizons)))
     done, running = 0, np.zeros(len(seeds))
-
-    def account(points):
-        nonlocal done, running
+    for points in run_online(fset, scenario_gradient_oracle(scenario, seeds),
+                             horizons[-1], D, g_star,
+                             np.tile(fset.midpoint(), (len(seeds), 1))):
         _, curve = regret(points, lambda x: quad.value(x, b_true), a_star,
                           running)
         for i, T in enumerate(horizons):
             if done < T <= done + curve.shape[1]:
                 totals[:, i] = curve[:, T - 1 - done]
         done, running = done + curve.shape[1], curve[:, -1]
-
-    run_online(fset, scenario_gradient_oracle(scenario, seeds), horizons[-1],
-               D, g_star, np.tile(fset.midpoint(), (len(seeds), 1)),
-               visit=account)
     return totals.tolist()
 
 
@@ -172,10 +169,21 @@ def _check_replications(replications):
         raise ConfigError(f"replications must be at least 1, got {replications}")
 
 
+# Seeds that one stacked run of the static comparison takes at once: each
+# row holds its (T, n) readings and controls until the run ends.
+_SEED_BLOCK = 16
+
+
 def _comparison_job(scenario, scheme, seeds, window):
-    """Metrics of one stacked run of ``scheme`` per seed."""
-    return [metrics(run, trailing_window=window)
-            for run in run_scheme(scenario, scheme, seed=seeds)]
+    """Metrics of a run of ``scheme`` per seed, from stacked runs of at most
+    16 seeds each, so memory does not grow with the replication count."""
+    out = []
+    for lo in range(0, len(seeds), _SEED_BLOCK):
+        # One comprehension per block: its runs are freed before the next.
+        out += [metrics(run, trailing_window=window)
+                for run in run_scheme(scenario, scheme,
+                                      seed=seeds[lo:lo + _SEED_BLOCK])]
+    return out
 
 
 def run_static_comparison(scenario, replications=50, base_seed=None,

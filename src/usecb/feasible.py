@@ -100,23 +100,22 @@ class VoltageBand:
 
     def offset(self, p_g, p_fixed=None):
         """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
-        included, for one generation vector or each row of a stack."""
+        included."""
         p_g = np.asarray(p_g, dtype=float)
         p_fixed = (np.zeros(self.p_min.shape[0]) if p_fixed is None
                    else np.asarray(p_fixed, dtype=float))
-        base = np.empty(p_g.shape[:-1] + (p_g.shape[-1] + p_fixed.shape[0],))
-        base[..., :p_g.shape[-1]] = p_g
-        base[..., p_g.shape[-1]:] = -p_fixed
-        return voltage_approx(self.sens, base)[..., self.first_row:]
+        base = np.concatenate([p_g, -p_fixed])
+        return voltage_approx(self.sens, base)[self.first_row:]
 
     def merge_map(self):
         """Which rows are exact multiples of an earlier one, found once.
 
-        Returns ``(js, ks, t, unit, keep, A)``: row ``js[i]`` is ``t[i]``
-        times row ``ks[i]``, the first row parallel to it; ``keep`` marks the
-        rows left after merging, ``A`` holds them, and ``unit`` bounds how a
-        merged row's violation compares with those of the rows it holds (see
-        ``FeasibleSet._band_rows``).
+        Returns ``(js, ks, t, unit, reach, keep, A)``: row ``js[i]`` is
+        ``t[i]`` times row ``ks[i]``, the first row parallel to it; ``keep``
+        marks the rows left after merging and ``A`` holds them.  ``unit`` and
+        ``reach`` bound how a merged row's violation compares with those of
+        the rows it holds: a held row's is at least ``unit`` and at most
+        ``reach`` times the merged row's (see ``FeasibleSet._band_rows``).
         """
         if self._merge is None:
             A = self.A_volt
@@ -128,11 +127,12 @@ class VoltageBand:
             js = np.flatnonzero(first != np.arange(A.shape[0]))
             ks = first[js]
             t = gram[ks, js] / gram[ks, ks]
-            unit = np.ones(A.shape[0])
+            unit, reach = np.ones((2, A.shape[0]))
             np.minimum.at(unit, ks, np.abs(t))
+            np.maximum.at(reach, ks, np.abs(t))
             keep = np.ones(A.shape[0], dtype=bool)
             keep[js] = False
-            self._merge = (js, ks, t, unit, keep, A[keep])
+            self._merge = (js, ks, t, unit, reach, keep, A[keep])
         return self._merge
 
 
@@ -173,11 +173,8 @@ class FeasibleSet:
     certified nonempty on construction.
 
     ``project`` and ``contains`` take one point or an ``(R, n)`` stack of
-    them, one row each.  A set may also hold a stack of offsets, one per
-    row (:func:`build_feasible` on a stack of generation vectors): it is
-    then R sets on one band, and row r of a stack of points belongs to
-    set r.  Either way each row's result equals, bit for bit, that of the
-    row alone on its own set.
+    them, one row each; each row's result equals, bit for bit, that of the
+    row alone.
     """
 
     def __init__(self, p_min, p_max, A_volt=None, offset=None,
@@ -191,7 +188,6 @@ class FeasibleSet:
         self.p_min, self.p_max = band.p_min, band.p_max
         self.A_volt, self.v_min, self.v_max = band.A_volt, band.v_min, band.v_max
         self._merged = None
-        self._rows = {}
         self.offset = offset
         if band.A_volt is None:
             return
@@ -199,60 +195,33 @@ class FeasibleSet:
         if band.live is not None:
             # Rows with no control leverage are plain constants: either they
             # already violate the band (empty set) or they are dropped.
-            const = offset[..., band.dead]
+            const = offset[band.dead]
             lo, hi = band.dead_bounds
             bad = (const < lo) | (const > hi)
             if bad.any():
-                worst = float(np.max(np.maximum(lo - const, const - hi)[bad]))
+                worst = float(np.max(np.maximum(lo[bad] - const[bad],
+                                                const[bad] - hi[bad])))
                 raise FeasibilityError(
                     "empty feasible set (constant band row out of range "
                     f"by {worst:.3e})", max_violation=worst)
-            offset = offset[..., band.live]
+            offset = offset[band.live]
         self.offset = offset
         # Certification: the box midpoint is a member unless it breaks the
         # band; then the dual solve started from it either finds a member or
         # certifies that the set is empty.
         mid_band = offset + band.A_mid
-        broken = (mid_band < self.v_min) | (mid_band > self.v_max)
-        if broken.any():
-            for r in np.flatnonzero(broken.any(axis=-1)):
-                self._row(r)._project_band(self.midpoint())
-
-    def _on(self, band, offset):
-        """A copy of this set on ``band`` at already certified ``offset``."""
-        fset = copy.copy(self)
-        fset.band = band
-        fset.p_min, fset.p_max, fset.A_volt = band.p_min, band.p_max, band.A_volt
-        fset.offset = offset
-        fset._merged = None
-        fset._rows = {}
-        return fset
+        if np.any(mid_band < self.v_min) or np.any(mid_band > self.v_max):
+            self._project_band(self.midpoint())
 
     def rescaled(self, band):
         """This set on ``band``, a :meth:`VoltageBand.scaled` copy of its
         own band: the same offsets, and this set's certificate that it is
         nonempty carries over."""
-        return self._on(band, self.offset)
-
-    def at_offsets(self, offset):
-        """This set's band at ``offset``, offsets that a set on the same band
-        was certified at (dead rows dropped), one row per set."""
-        return self._on(self.band, offset)
-
-    def take(self, rows):
-        """The sets of rows ``rows`` of a stacked set; a set with one offset
-        serves every row and is returned as it is."""
-        if self.offset is None or np.ndim(self.offset) < 2:
-            return self
-        return self.at_offsets(self.offset[rows])
-
-    def _row(self, r):
-        """Row r's set of a stacked set, kept for later band projections."""
-        if self.offset is None or np.ndim(self.offset) < 2:
-            return self
-        if r not in self._rows:
-            self._rows[r] = self.at_offsets(self.offset[r])
-        return self._rows[r]
+        zset = copy.copy(self)
+        zset.band = band
+        zset.p_min, zset.p_max, zset.A_volt = band.p_min, band.p_max, band.A_volt
+        zset._merged = None
+        return zset
 
     @property
     def dim(self):
@@ -291,11 +260,12 @@ class FeasibleSet:
         if x.ndim == 1:
             return self._project_band(x)[0]
         for r in np.flatnonzero(~inside.all(axis=-1)):
-            clamped[r] = self._row(r)._project_band(x[r])[0]
+            clamped[r] = self._project_band(x[r])[0]
         return clamped
 
     def _band_rows(self):
-        """Band rows ``(A, offset, lo, hi, unit)`` with parallel rows merged.
+        """Band rows ``(A, offset, lo, hi, unit, reach)`` with parallel rows
+        merged.
 
         The band finds the parallel rows once; each set restates their
         bounds at its own offset on its first band projection and keeps the
@@ -305,7 +275,7 @@ class FeasibleSet:
         of an equality band, say) meet at their midpoint instead.
         """
         if self._merged is None:
-            js, ks, t, unit, keep, A = self.band.merge_map()
+            js, ks, t, unit, reach, keep, A = self.band.merge_map()
             c = self.offset
             lo, hi = self.v_min.copy(), self.v_max.copy()
             # A bound restated below, (b - c_j) / t + c_k, is off by a few
@@ -330,7 +300,8 @@ class FeasibleSet:
                     "empty feasible set (parallel band rows with disjoint "
                     f"ranges; violation at least {worst:.3e})", max_violation=worst)
             lo[crossed] = hi[crossed] = 0.5 * (lo + hi)[crossed]
-            self._merged = (A, c[keep], lo[keep], hi[keep], unit[keep])
+            self._merged = (A, c[keep], lo[keep], hi[keep], unit[keep],
+                            reach[keep])
         return self._merged
 
     def _project_band(self, x):
@@ -349,7 +320,9 @@ class FeasibleSet:
         coordinates are free: ``D`` is then nearly piecewise linear and the
         model overshoots its kinks.)  ``g`` is also the KKT residual: it
         bounds the band violation of ``p(y)`` and vanishes exactly at the
-        projection.  It stops at ``max |g| <= 1e-10``, or at a fixed point of
+        projection.  It stops when that bound is at most 1e-10 on every
+        original row, ``max reach |g| <= 1e-10`` (a row ``t`` times a merged
+        one is off by ``|t|`` times its ``g``), or at a fixed point of
         the iteration (the step no longer moves ``y`` and the shift stays)
         where ``g`` is within the rounding error of ``x - A.T y``.  Weak
         duality certifies an empty set: ``-D(y)`` never exceeds the squared
@@ -357,8 +330,11 @@ class FeasibleSet:
 
         Returns the projection and the multipliers of the merged band rows.
         """
-        A, c, lo, hi, unit = self._band_rows()
+        A, c, lo, hi, unit, reach = self._band_rows()
         p_min, p_max = self.p_min, self.p_max
+
+        def kkt(g):
+            return float(np.max(np.abs(g) * reach))
 
         def point(y):
             aty = A.T @ y
@@ -381,7 +357,7 @@ class FeasibleSet:
         p, aty, g, dual = point(y)
         resid = float(np.max(np.abs(g)))
         for _ in range(_NEWTON_CAP):
-            if resid <= _KKT_TOL:
+            if kkt(g) <= _KKT_TOL:
                 return p, y
             if dual < dual_floor:
                 raise self._emptiness(y, A, c, lo, hi, unit)
@@ -428,6 +404,7 @@ class FeasibleSet:
             y, damping = y_next, damping_next
             p, aty, g, dual = point(y)
             resid = float(np.max(np.abs(g)))
+        resid = kkt(g)
         if resid <= _KKT_TOL:
             return p, y
         raise ProjectionError(
@@ -521,13 +498,11 @@ def _nonneg_qp(Q, b, u):
 
 
 def build_feasible(band, p_g, p_fixed=None):
-    """The constraint set for the current generation vector, or the stacked
-    sets of each row of a stack of them.
+    """The constraint set for the current generation vector.
 
     Only the offsets of ``band`` (from :func:`build_band`) move: the
     generation and the inflexible load ``p_fixed`` shift them, while the
-    controllable load enters through the band's fixed ``A_volt``.  A stack
-    is certified row by row, and raises if any row's set is empty.
+    controllable load enters through the band's fixed ``A_volt``.
     """
     fset = FeasibleSet.__new__(FeasibleSet)
     fset._place(band, None if band.A_volt is None else band.offset(p_g, p_fixed))

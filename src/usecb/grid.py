@@ -187,14 +187,13 @@ def bilinear(x, M, y):
 
 
 def voltage_approx(X, p):
-    """First-order voltage magnitudes in per unit: 1 + Re(X) @ p, for one
-    injection vector or each row of a stack.
+    """First-order voltage magnitudes in per unit: 1 + Re(X) @ p.
 
     Pure formula over whatever matrix/injection pair is supplied; callers
     choose full or reduced sensitivities.  Linear in ``p``.
     """
     p = np.asarray(p, dtype=float)
-    return 1.0 + matvec(np.real(X), p)
+    return 1.0 + np.real(X) @ p
 
 
 def power_loss(M, Nblk, Q, p_g, p_c):

@@ -75,28 +75,24 @@ def estimate_bounds(fset, grads, rng):
     return D, 1.1 * g_max
 
 
-# Steps of run_online's iterates handed out at once: memory does not grow
-# with T, and the per-block cost is spread.
+# Steps of run_online's iterates yielded at once.
 _BLOCK = 256
 
 
-def run_online(fset, oracle, T, D, G_star, x0, visit=None):
+def run_online(fset, oracle, T, D, G_star, x0):
     """Run T steps of projected SGD from ``x0``, one start point or an
     ``(R, n)`` stack of them, one independent run per row.
 
-    Returns the ``(T, n)`` iterates (``(R, T, n)`` for a stack); step t+1
-    plays the iterate at index t.  With ``visit``, the iterates are handed
-    to ``visit(points)`` instead, in consecutive blocks of at most 256 steps
-    (``(k, n)`` or ``(R, k, n)``), and nothing is returned.
-
-    ``oracle(t, a)`` returns a stochastic gradient at ``a`` (one row per
-    row of a stack) whose conditional expectation is the true gradient;
-    determinism of the run is the oracle's responsibility.  No step follows
-    the last iterate, so the oracle is asked for steps 1 to T-1 only.
+    Yields the iterates in consecutive blocks of at most 256 steps, each
+    ``(k, n)`` (``(R, k, n)`` for a stack), so memory does not grow with T;
+    step t+1 plays the iterate at index t of the run.  ``oracle(t, a)``
+    returns a stochastic gradient at ``a`` (one row per row of a stack)
+    whose conditional expectation is the true gradient; determinism of the
+    run is the oracle's responsibility.  No step follows the last iterate,
+    so the oracle is asked for steps 1 to T-1 only.
     """
     if D <= 0 or G_star <= 0:
         raise ValueError("D and G* must be positive")
-    blocks = []
     a = fset.project(np.asarray(x0, dtype=float))
     for start in range(0, T, _BLOCK):
         points = np.empty(a.shape[:-1] + (min(_BLOCK, T - start), a.shape[-1]))
@@ -106,20 +102,19 @@ def run_online(fset, oracle, T, D, G_star, x0, visit=None):
             if t < T:
                 g = np.asarray(oracle(t, a), dtype=float)
                 a = fset.project(a - step_size(t, D, G_star) * g)
-        (visit or blocks.append)(points)
-    return None if visit else np.concatenate(blocks, axis=-2)
+        yield points
 
 
-def regret(points, f_true, a_star, start=0.0):
+def regret(points, f_true, a_star, start):
     """Cumulative excess objective over the best fixed point.
 
     ``f_true`` maps a stack of points to their values.  Returns (R_T,
     curve) where curve[..., t] is ``start`` plus the sum over the first t+1
     iterates of f_true(a_s) - f_true(a_star), for ``(T, n)`` iterates or
     each run of ``(R, T, n)`` ones.  ``start`` carries the running total of
-    earlier blocks of a run in: it enters the cumulative sum as its first
-    term, so blocks accounted one after another add up exactly as the
-    whole run would.
+    earlier blocks of a run in (0 for its first): it enters the cumulative
+    sum as its first term, so blocks accounted one after another add up
+    exactly as the whole run would.
     """
     gaps = f_true(np.asarray(points, dtype=float)) - f_true(
         np.asarray(a_star, dtype=float))
@@ -152,9 +147,9 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
 
     ``grad_fn(x, rows)`` returns the gradients at ``x``, the rows ``rows``
     of the stack of start points (``rows`` indexes the stack; a stack of
-    one row steps as the plain vector ``x`` of row 0).  Each row stops at its own step
-    and then leaves the stack, so its result equals that of its own solve
-    bit for bit.  ``zset`` may hold one set per row (a stacked set).
+    one row steps as the plain vector ``x`` of row 0).  Each row stops at
+    its own step and then leaves the stack, so its result equals that of
+    its own solve bit for bit.
     Returns ``(x, converged, steps)``, one of each per row for a stack:
     ``converged`` is False when ``max_iter`` steps run out first.
     """
@@ -168,7 +163,7 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     if len(x) == 1:
         # One row steps as a plain vector: the same arithmetic, less
         # overhead per step.
-        z, x, zset, rows = z[0], x[0], zset.take(0), 0
+        z, x, rows = z[0], x[0], 0
     step = 1.0 / lipschitz
     x_min, x_max = zset.band.x_min, zset.band.x_max
 
@@ -189,7 +184,7 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
         if done.any():
             finished.append((index[done], on_box(z[done], x[done]), k))
             keep = ~done
-            index, x, z, zset = index[keep], x[keep], z[keep], zset.take(keep)
+            index, x, z = index[keep], x[keep], z[keep]
             rows = index
     else:
         finished.append((index, on_box(z, x), None))

@@ -306,24 +306,28 @@ def run_scheme(scenario, scheme, seed=None):
     """Simulate one control scheme over the scenario horizon, under ``seed``
     (the scenario's by default) or under each of a sequence of seeds.
 
-    A sequence of R seeds returns R results, one per seed, as one program:
-    the R controls form an ``(R, n)`` stack that steps through one slot
-    loop, with stacked gradients, one projection call per step for all rows
-    (each slot's sets built at once, one offset per row, on dynamic days)
-    and stacked solves whose rows stop at their own steps.  Each row keeps
-    its own noise streams, step sizes and solver diagnostics, and equals
-    its single-seed run bit for bit.  A row that raises fails the batch.
-    The bookkeeping against the true physics (loss, intake, true objective,
-    feasibility) runs once per run, over the horizon, after the loop.
+    A sequence of R seeds returns R results, one per seed.  On a static
+    scenario, where every row plays the one slot-0 set, they run as one
+    program: the R controls form an ``(R, n)`` stack that steps through one
+    slot loop, with stacked gradients, one projection call per step for all
+    rows and stacked solves whose rows stop at their own steps.  Each row
+    keeps its own noise streams, step sizes and solver diagnostics, and
+    equals its single-seed run bit for bit; a row that raises fails the
+    batch.  On a dynamic scenario each seed has its own per-slot sets and
+    runs alone.  The bookkeeping against the true physics (loss, intake,
+    true objective, and feasibility of a static run) runs once per run,
+    over the horizon, after the loop.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    static = scenario.is_static
+    if np.ndim(seed) == 1 and not static:
+        return [run_scheme(scenario, scheme, s) for s in seed]
     seeds = ([int(s) for s in seed] if np.ndim(seed) == 1
              else [scenario.seed if seed is None else int(seed)])
     R, T, n_c = len(seeds), scenario.horizon, scenario.n_loads
     quad = scenario.objective
     env_set = scenario.env_set
-    static = scenario.is_static
     if scheme == "stochastic":
         D, g_star = np.array([md_bounds(scenario, s) for s in seeds]).T
 
@@ -343,12 +347,10 @@ def run_scheme(scenario, scheme, seed=None):
     cin[:, 0] = scenario.c_in_init
     c_in = cin[:, 0]
     p_c = np.empty((R, T, n_c))
+    feasible = np.empty((R, T), dtype=bool)
     if scheme != "stochastic":
         converged = np.empty((R, T), dtype=bool)
         iterations = np.empty((R, T), dtype=int)
-    offsets = None
-    if not static and env_set.offset is not None:
-        offsets = np.empty((R, T) + env_set.offset.shape)
     a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)
 
     for t in range(T):
@@ -357,10 +359,9 @@ def run_scheme(scenario, scheme, seed=None):
         if static:
             fset_t = env_set
         else:
-            fset_t = build_feasible(scenario.band, pg_obs[:, t],
+            # A dynamic run is one row: its seeds run alone (above).
+            fset_t = build_feasible(scenario.band, pg_obs[0, t],
                                     p_fixed=scenario.p_fixed)
-            if offsets is not None:
-                offsets[:, t] = fset_t.offset
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
             a = fset_t.project(a - step_size(t + 1, D, g_star)[:, None] * g)
@@ -372,6 +373,7 @@ def run_scheme(scenario, scheme, seed=None):
                 quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
         p_c[:, t] = a
         if not static:
+            feasible[:, t] = fset_t.contains(a)
             c_in = cin[:, t + 1] = thermal_step(c_in, scenario.c_out_true[t], a,
                                                 scenario.buildings)
 
@@ -390,7 +392,7 @@ def run_scheme(scenario, scheme, seed=None):
         else:
             out.c_in_true, out.c_in_after = cin[r, :T], cin[r, 1:]
         out.loss, out.p_0, out.f_true = np.empty((3, T))
-        out.feasible = np.empty(T, dtype=bool)
+        out.feasible = feasible[r]
         for lo in range(0, T, _BOOK_BLOCK):
             k = slice(lo, lo + _BOOK_BLOCK)
             pg, cons = out.p_g_true[k], out.p_c[k] + scenario.p_fixed
@@ -398,8 +400,8 @@ def run_scheme(scenario, scheme, seed=None):
             out.p_0[k] = grid_intake(pg, cons, out.loss[k])
             out.f_true[k] = quad.value(out.p_c[k], quad.linear_term(
                 out.c_in_true[k], out.c_out_true[k, None], pg))
-            fsets = env_set if offsets is None else env_set.at_offsets(offsets[r, k])
-            out.feasible[k] = fsets.contains(out.p_c[k])
+            if static:
+                out.feasible[k] = env_set.contains(out.p_c[k])
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \
                 converged[r], iterations[r]

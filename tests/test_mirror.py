@@ -23,6 +23,11 @@ def _noisy_quadratic(center, sigma, seed):
     return oracle
 
 
+def _iterates(*args):
+    """All of a ``run_online`` run's iterates, its blocks joined."""
+    return np.concatenate(list(run_online(*args)), axis=-2)
+
+
 def _rows(grad_fn):
     """The gradients map ``estimate_bounds`` takes, one ``grad_fn`` call per
     sample point."""
@@ -119,7 +124,7 @@ def test_run_online_zero_noise_converges_to_grid_minimum():
     oracle = _noisy_quadratic(center, 0.0, seed=0)
     D, g_star = estimate_bounds(fs, _rows(lambda x: 2.0 * (x - center)),
                                 np.random.default_rng(0))
-    points = run_online(fs, oracle, 500, D, g_star, fs.midpoint())
+    points = _iterates(fs, oracle, 500, D, g_star, fs.midpoint())
     xs = np.linspace(0, 1, 1001)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vals = (gx - center[0]) ** 2 + (gy - center[1]) ** 2
@@ -129,16 +134,16 @@ def test_run_online_zero_noise_converges_to_grid_minimum():
 
 def test_run_online_zero_gradient_stays_put():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    points = run_online(fs, lambda t, x: np.zeros(2), 50, 1.0, 1.0,
+    points = _iterates(fs, lambda t, x: np.zeros(2), 50, 1.0, 1.0,
                         np.array([0.25, 0.75]))
     assert np.array_equal(points, np.tile([0.25, 0.75], (50, 1)))
 
 
 def test_run_online_seeded_determinism():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    p1 = run_online(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
+    p1 = _iterates(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
                     fs.midpoint())
-    p2 = run_online(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
+    p2 = _iterates(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
                     fs.midpoint())
     assert np.array_equal(p1, p2)
 
@@ -147,18 +152,43 @@ def test_run_online_iterates_always_feasible():
     fs = FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3),
                      A_volt=np.ones((1, 3)), offset=np.zeros(1),
                      v_min=-np.inf, v_max=2.0)
-    points = run_online(fs, _noisy_quadratic([2.0, 2.0, 2.0], 2.0, 3), 300,
+    points = _iterates(fs, _noisy_quadratic([2.0, 2.0, 2.0], 2.0, 3), 300,
                         1.3, 4.0, fs.midpoint())
     for p in points:
         assert fs.contains(p)
+
+
+def test_run_online_yields_blocks_of_at_most_256_steps():
+    fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
+    blocks = list(run_online(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 600,
+                             1.0, 3.0, np.tile(fs.midpoint(), (3, 1))))
+    assert [b.shape for b in blocks] == [(3, 256, 2), (3, 256, 2), (3, 88, 2)]
+
+
+def test_regret_of_blocks_adds_up_to_the_whole_run():
+    center = np.array([0.3, 0.6, 0.5])
+    fs = FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3))
+
+    def f(x):
+        return np.sum((x - center) ** 2, axis=-1)
+
+    def run():
+        return run_online(fs, _noisy_quadratic(center, 1.0, 4), 700, 1.0, 3.0,
+                          fs.midpoint())
+
+    whole, _ = regret(np.concatenate(list(run())), f, center, 0.0)
+    running = 0.0
+    for points in run():
+        running, _ = regret(points, f, center, running)
+    assert running == whole
 
 
 def test_run_online_rejects_nonpositive_bounds():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
     for D, g_star in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
         with pytest.raises(ValueError):
-            run_online(fs, lambda t, x: np.zeros(2), 5, D, g_star,
-                       fs.midpoint())
+            _iterates(fs, lambda t, x: np.zeros(2), 5, D, g_star,
+                      fs.midpoint())
 
 
 # --- regret ----------------------------------------------------------------------
@@ -174,18 +204,18 @@ def _toy_regret(T, sigma, seed, center=(0.3, 0.6, 0.5)):
     D, g_star = estimate_bounds(
         fs, _rows(lambda x: 2.0 * (x - center) + sigma * rng.standard_normal(3)),
         np.random.default_rng(0))
-    points = run_online(fs, _noisy_quadratic(center, sigma, seed), T, D,
+    points = _iterates(fs, _noisy_quadratic(center, sigma, seed), T, D,
                         g_star, fs.midpoint())
-    total, curve = regret(points, f, center)
+    total, curve = regret(points, f, center, 0.0)
     return total, curve, D, g_star
 
 
 def test_regret_zero_at_optimum():
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([0.5, 0.5])
-    points = run_online(fs, lambda t, x: np.zeros(2), 20, 1.0, 1.0, center)
+    points = _iterates(fs, lambda t, x: np.zeros(2), 20, 1.0, 1.0, center)
     total, curve = regret(points, lambda x: np.sum((x - center) ** 2, axis=-1),
-                          center)
+                          center, 0.0)
     assert total == pytest.approx(0.0, abs=1e-12)
 
 

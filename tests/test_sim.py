@@ -126,8 +126,9 @@ def test_regret_run_prefix_does_not_depend_on_its_length():
     a_star = experiments.static_problem(scn)[0]
     D, g_star = sim.md_bounds(scn, 21)
     fset = scn.env_set
-    runs = [run_online(fset, sim.scenario_gradient_oracle(scn, 21), T, D,
-                       g_star, fset.midpoint()) for T in (100, 1000)]
+    runs = [np.concatenate(list(run_online(
+        fset, sim.scenario_gradient_oracle(scn, 21), T, D, g_star,
+        fset.midpoint()))) for T in (100, 1000)]
     assert runs[1].shape == (1000, scn.n_loads)
     assert np.array_equal(runs[1][:100], runs[0])
     short = experiments._regret_job(scn, (100,), (21, 22), D, g_star, a_star)
@@ -150,6 +151,16 @@ def test_regret_experiment_runs_each_replication_once(monkeypatch):
                                       horizons=(20, 50), replications=3,
                                       base_seed=4)
     assert calls == [(3, 50)]
+
+
+def test_static_comparison_blocks_give_each_seed_its_own_run(monkeypatch):
+    """Seeds split over stacked runs of at most ``_SEED_BLOCK`` rows give
+    the metrics of each seed's own run."""
+    monkeypatch.setattr(experiments, "_SEED_BLOCK", 2)
+    scn = build_ieee37_scenario({"horizon": 60})
+    got = experiments._comparison_job(scn, "exact", [3, 4, 5], 20)
+    assert got == [sim.metrics(run_scheme(scn, "exact", seed=s),
+                               trailing_window=20) for s in (3, 4, 5)]
 
 
 def test_md_bounds_reads_its_probes_as_one_block(monkeypatch):
