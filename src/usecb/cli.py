@@ -19,8 +19,8 @@ from .errors import (AssumptionError, ConfigError, FeasibilityError,
 from .experiments import (map_replications, run_regret_experiment,
                           run_scheme_job)
 from .grid import radial_line_flows
-from .sim import (SCHEMES, load_scenario, metrics, run_scheme, write_json,
-                  write_run_csv)
+from .sim import (SCHEMES, atomic_write, load_scenario, metrics, run_scheme,
+                  write_json, write_run_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,10 +157,8 @@ def _cmd_flows(args):
     if args.out:
         lines = ["edge,flow_mw"]
         lines += [f"{a}-{b},{f:.17g}" for (a, b), f in zip(edges, flows)]
-        tmp = args.out + ".tmp"
-        with open(tmp, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, args.out)
     return EXIT_OK
 
 
