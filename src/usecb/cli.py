@@ -19,8 +19,8 @@ from .errors import (AssumptionError, ConfigError, FeasibilityError,
 from .experiments import (map_replications, run_regret_experiment,
                           run_scheme_job)
 from .grid import radial_line_flows
-from .sim import (SCHEMES, atomic_write, load_scenario, metrics, run_scheme,
-                  write_json, write_run_csv)
+from .sim import (SCHEMES, _checked_number, _get, atomic_write, load_scenario,
+                  metrics, run_scheme, write_json, write_run_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,17 +148,24 @@ def _cmd_flows(args):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if cfg.get("kind") != "flows":
         raise ConfigError("flows expects a config with kind: flows")
-    edges = [tuple(int(v) for v in e) for e in cfg["edges"]]
-    injections = np.asarray(cfg["injections_mw"], dtype=float)
-    flows = radial_line_flows(edges, injections)
-    print("edge,flow_mw")
-    for (a, b), f in zip(edges, flows):
-        print(f"{a}-{b},{f:.17g}")
+    edges, injections = _get(cfg, "edges"), _get(cfg, "injections_mw")
+    for key, value in (("edges", edges), ("injections_mw", injections)):
+        if not isinstance(value, list):
+            raise ConfigError(f"config value {key} must be a list, got {value!r}")
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise ConfigError(f"config value edges[{i}] must be a pair of "
+                              f"buses, got {e!r}")
+    edges = [tuple(_checked_number(e, f"edges[{i}]", integer=True).tolist())
+             for i, e in enumerate(edges)]
+    flows = radial_line_flows(edges, _checked_number(injections, "injections_mw"))
+    lines = ["edge,flow_mw"]
+    lines += [f"{a}-{b},{f:.17g}" for (a, b), f in zip(edges, flows)]
+    text = "\n".join(lines) + "\n"
+    print(text, end="")
     if args.out:
-        lines = ["edge,flow_mw"]
-        lines += [f"{a}-{b},{f:.17g}" for (a, b), f in zip(edges, flows)]
         with atomic_write(args.out) as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     return EXIT_OK
 
 

@@ -70,7 +70,7 @@ def static_problem(scenario):
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     a_star, converged, _ = minimize_projected(
-        lambda x, rows: quad.grad(x, b_true), scenario.scaled_env_set,
+        lambda x, rows: quad.grad(x, b_true), scenario.env_set,
         quad.scale, quad.L_W, tol=1e-10)
     if not converged:
         logging.getLogger(__name__).warning(

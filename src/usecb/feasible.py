@@ -20,16 +20,12 @@ dual degenerate, so they are merged first, keeping the tightest bounds; the
 band finds them once.  An empty set is certified by a dual point that proves
 every box point breaks the band.
 
-The projection in a diagonal metric ``W``, ``min 0.5 (p - x)'W(p - x)``, is
-the Euclidean one in ``z = W^1/2 p``: :meth:`VoltageBand.scaled` gives the
-band in ``z`` (box ``W^1/2 [p_min, p_max]``, rows ``A_volt W^-1/2``) and
-:meth:`FeasibleSet.rescaled` a set on it.  Column scaling keeps parallel
-rows parallel and dead rows dead, and the offsets do not change.
+``project(x, scale)`` projects in the metric ``W = diag(scale**2)``: the
+clamp is still the projection onto a box, and the band solve runs as above
+in ``z = scale * p``.  Membership is one test, :meth:`VoltageBand.violation`.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -40,7 +36,7 @@ __all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
 
 _NEWTON_CAP = 200
 _KKT_TOL = 1e-10
-_MEMBER_TOL = 1e-9
+MEMBER_TOL = 1e-9
 _PARALLEL_COS = 1.0 - 1e-12
 _EPS = np.finfo(float).eps
 
@@ -52,9 +48,6 @@ class VoltageBand:
     each set checks their constants against the band.  ``sens`` and
     ``first_row`` turn an injection vector into the offsets of the rows (see
     :func:`build_band`); a band without them takes offsets as given.
-    ``x_min`` and ``x_max`` are the box in the controls' own units: the box
-    itself, or for a :meth:`scaled` band the box of the band it was scaled
-    from.
     """
 
     def __init__(self, p_min, p_max, A_volt=None, v_min=-np.inf, v_max=np.inf,
@@ -64,7 +57,6 @@ class VoltageBand:
             np.asarray(p_max, dtype=float), self.p_min.shape).copy()
         if np.any(self.p_min > self.p_max):
             raise FeasibilityError("box bounds cross: p_min > p_max")
-        self.x_min, self.x_max = self.p_min, self.p_max
         self.sens, self.first_row = sens, first_row
         self.A_volt = None
         self.v_min, self.v_max = v_min, v_max
@@ -85,19 +77,6 @@ class VoltageBand:
         self.A_volt, self.v_min, self.v_max, self.row_norm2 = A, v_min, v_max, norm2
         self.A_mid = A @ (0.5 * (self.p_min + self.p_max))
 
-    def scaled(self, scale):
-        """This band in ``z = scale * p``: box ``scale * [p_min, p_max]`` and
-        rows ``A_volt / scale``, with the same bounds, dead rows and
-        offsets."""
-        band = copy.copy(self)
-        band.p_min, band.p_max = scale * self.p_min, scale * self.p_max
-        band._merge = None
-        if self.A_volt is not None:
-            band.A_volt = self.A_volt / scale
-            band.row_norm2 = np.einsum("ij,ij->i", band.A_volt, band.A_volt)
-            band.A_mid = band.A_volt @ (0.5 * (band.p_min + band.p_max))
-        return band
-
     def offset(self, p_g, p_fixed=None):
         """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
         included."""
@@ -106,6 +85,18 @@ class VoltageBand:
                    else np.asarray(p_fixed, dtype=float))
         base = np.concatenate([p_g, -p_fixed])
         return voltage_approx(self.sens, base)[self.first_row:]
+
+    def violation(self, p, offset):
+        """How far ``p``, a point or a stack of them, lies outside the box
+        and the band at ``offset`` (the live rows' offsets), one value per
+        point; a member's is at most ``MEMBER_TOL``."""
+        v = np.maximum(np.max(self.p_min - p, axis=-1),
+                       np.max(p - self.p_max, axis=-1))
+        if self.A_volt is not None and self.A_volt.size:
+            band = offset + matvec(self.A_volt, p)
+            v = np.maximum(v, np.maximum(np.max(self.v_min - band, axis=-1),
+                                         np.max(band - self.v_max, axis=-1)))
+        return v
 
     def merge_map(self):
         """Which rows are exact multiples of an earlier one, found once.
@@ -213,16 +204,6 @@ class FeasibleSet:
         if np.any(mid_band < self.v_min) or np.any(mid_band > self.v_max):
             self._project_band(self.midpoint())
 
-    def rescaled(self, band):
-        """This set on ``band``, a :meth:`VoltageBand.scaled` copy of its
-        own band: the same offsets, and this set's certificate that it is
-        nonempty carries over."""
-        zset = copy.copy(self)
-        zset.band = band
-        zset.p_min, zset.p_max, zset.A_volt = band.p_min, band.p_max, band.A_volt
-        zset._merged = None
-        return zset
-
     @property
     def dim(self):
         return self.p_min.shape[0]
@@ -230,37 +211,28 @@ class FeasibleSet:
     def midpoint(self):
         return 0.5 * (self.p_min + self.p_max)
 
-    def _band_values(self, p):
-        return self.offset + matvec(self.A_volt, p)
-
     def _max_violation(self, p):
-        v = np.maximum(np.max(self.p_min - p, axis=-1),
-                       np.max(p - self.p_max, axis=-1))
-        if self.A_volt is not None and self.A_volt.size:
-            band = self._band_values(p)
-            v = np.maximum(v, np.maximum(np.max(self.v_min - band, axis=-1),
-                                         np.max(band - self.v_max, axis=-1)))
-        return v
+        return self.band.violation(p, self.offset)
 
     def contains(self, p):
-        return self._max_violation(np.asarray(p, dtype=float)) <= _MEMBER_TOL
+        return self._max_violation(np.asarray(p, dtype=float)) <= MEMBER_TOL
 
-    def project(self, x):
-        """Euclidean projection: the box clamp when it meets the band,
-        otherwise the dual Newton solve, on the rows of a stack that need
-        it."""
+    def project(self, x, scale=None):
+        """Projection in the metric ``diag(scale**2)`` (Euclidean without
+        ``scale``): the box clamp when it meets the band, otherwise the dual
+        Newton solve, on the rows of a stack that need it."""
         x = np.asarray(x, dtype=float)
         clamped = np.clip(x, self.p_min, self.p_max)
         if self.A_volt is None or not self.A_volt.size:
             return clamped
-        band = self._band_values(clamped)
+        band = self.offset + matvec(self.A_volt, clamped)
         inside = (band >= self.v_min) & (band <= self.v_max)
         if inside.all():
             return clamped
         if x.ndim == 1:
-            return self._project_band(x)[0]
+            return self._project_band(x, scale)[0]
         for r in np.flatnonzero(~inside.all(axis=-1)):
-            clamped[r] = self._project_band(x[r])[0]
+            clamped[r] = self._project_band(x[r], scale)[0]
         return clamped
 
     def _band_rows(self):
@@ -304,7 +276,7 @@ class FeasibleSet:
                             reach[keep])
         return self._merged
 
-    def _project_band(self, x):
+    def _project_band(self, x, scale=None):
         """Projection onto box and band by projected Newton on the dual.
 
         With multipliers ``y`` on the merged band rows (``y_k > 0`` prices the
@@ -328,10 +300,19 @@ class FeasibleSet:
         duality certifies an empty set: ``-D(y)`` never exceeds the squared
         distance from ``x`` to a member over two.
 
+        With ``scale`` it projects in the metric ``diag(scale**2)``: the solve
+        runs on ``z = scale * x``, the box ``scale * [p_min, p_max]`` and the
+        rows ``A / scale``, and a result coordinate on that box comes back as
+        the bound itself (``(scale * p_max) / scale`` can round off ``p_max``).
+
         Returns the projection and the multipliers of the merged band rows.
         """
         A, c, lo, hi, unit, reach = self._band_rows()
-        p_min, p_max = self.p_min, self.p_max
+        p_min, p_max, row_norm2 = self.p_min, self.p_max, self.band.row_norm2
+        if scale is not None:
+            x, A, rows = scale * x, A / scale, self.band.A_volt / scale
+            p_min, p_max = scale * p_min, scale * p_max
+            row_norm2 = np.einsum("ij,ij->i", rows, rows)
 
         def kkt(g):
             return float(np.max(np.abs(g) * reach))
@@ -351,16 +332,17 @@ class FeasibleSet:
 
         # No member is farther from x than the farthest box corner.
         dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
-        scale = float(np.mean(self.band.row_norm2))
+        shift = float(np.mean(row_norm2))
         damping = 1.0
         y = np.zeros(A.shape[0])
         p, aty, g, dual = point(y)
         resid = float(np.max(np.abs(g)))
         for _ in range(_NEWTON_CAP):
-            if kkt(g) <= _KKT_TOL:
-                return p, y
+            done = kkt(g) <= _KKT_TOL
+            if done:
+                break
             if dual < dual_floor:
-                raise self._emptiness(y, A, c, lo, hi, unit)
+                raise _emptiness(y, A, c, lo, hi, unit, p_min, p_max)
             # Orthant: the sign of y, or for a zero multiplier the side the
             # subgradient descends into (none if the row is satisfied).
             s = np.sign(y)
@@ -373,15 +355,15 @@ class FeasibleSet:
             H = Af @ Af.T
             # The floor keeps the shifted system regular when more rows bind
             # than box coordinates are free.
-            tau = max(damping * scale * resid, 1e-12 * float(np.trace(H)))
+            tau = max(damping * shift * resid, 1e-12 * float(np.trace(H)))
             # The model in u = s * y, which the orthant bounds below by 0.
             Q = (H + tau * np.eye(rows.size)) * np.outer(s_r, s_r)
             z = s_r * y[rows]
             d = np.zeros_like(y)
             d[rows] = s_r * (_nonneg_qp(Q, s_r * g[rows] - Q @ z, z) - z)
-            alpha = self._exact_step(w, y, d, s, A, c, lo, hi)
+            alpha = _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max)
             if alpha == np.inf:
-                raise self._emptiness(d, A, c, lo, hi, unit)
+                raise _emptiness(d, A, c, lo, hi, unit, p_min, p_max)
             y_next = y + alpha * d
             y_next[s * y_next < 0] = 0.0
             # A model that falls short of the line minimum relaxes the shift,
@@ -398,67 +380,71 @@ class FeasibleSet:
                 # large, lift it toward 1e-10.
                 abs_a = np.abs(A)
                 floor = abs_a @ (np.abs(x) + abs_a.T @ np.abs(y))
-                if resid <= A.shape[0] * _EPS * float(np.max(floor)):
-                    return p, y
+                done = resid <= A.shape[0] * _EPS * float(np.max(floor))
                 break
             y, damping = y_next, damping_next
             p, aty, g, dual = point(y)
             resid = float(np.max(np.abs(g)))
         resid = kkt(g)
-        if resid <= _KKT_TOL:
-            return p, y
-        raise ProjectionError(
-            "band projection stopped short of its KKT tolerance (residual "
-            f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
-            residual=resid)
+        if not done and resid > _KKT_TOL:
+            raise ProjectionError(
+                "band projection stopped short of its KKT tolerance (residual "
+                f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
+                residual=resid)
+        if scale is not None:
+            p = np.where(p >= p_max, self.p_max,
+                         np.where(p <= p_min, self.p_min, p / scale))
+        return p, y
 
-    def _exact_step(self, w, y, d, s, A, c, lo, hi):
-        """Step length that minimizes the dual along ``y + alpha d`` in orthant ``s``.
 
-        Along the ray the dual's slope is ``d.(bound - c) - e.clip(w - alpha e)``
-        with ``e = A.T d``: piecewise linear and nondecreasing, with kinks where a
-        coordinate of ``w - alpha e`` reaches a box bound.  The minimizer is
-        found by evaluating the slope at every kink up to the end of the orthant
-        and interpolating where it turns nonnegative.  A slope still negative
-        past the last kink means the dual falls without bound: the step is
-        infinite and ``d`` certifies an empty set.
-        """
-        p_min, p_max = self.p_min, self.p_max
-        e = A.T @ d
-        base = float(d @ (np.where(s > 0, hi, np.where(s < 0, lo, 0.0)) - c))
-        # The orthant ends where a multiplier moving toward zero reaches it.
-        shrink = s * d < 0
-        end = float(np.min(-y[shrink] / d[shrink])) if shrink.any() else np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kinks = np.concatenate([(w - p_min) / e, (w - p_max) / e])
-        alphas = np.sort(np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < end)]]))
-        if np.isfinite(end):
-            alphas = np.append(alphas, end)
-        slopes = base - np.clip(w - alphas[:, None] * e, p_min, p_max) @ e
-        rising = np.flatnonzero(slopes >= 0.0)
-        if not rising.size:
-            return end
-        i = int(rising[0])
-        if i == 0:
-            return 0.0
-        a0, a1, s0, s1 = alphas[i - 1], alphas[i], slopes[i - 1], slopes[i]
-        return float(a0 + (a1 - a0) * s0 / (s0 - s1))
+def _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max):
+    """Step length that minimizes the dual along ``y + alpha d`` in orthant
+    ``s``, on the box ``[p_min, p_max]``.
 
-    def _emptiness(self, y, A, c, lo, hi, unit):
-        """The error for a dual direction ``y`` that proves the set empty.
+    Along the ray the dual's slope is ``d.(bound - c) - e.clip(w - alpha e)``
+    with ``e = A.T d``: piecewise linear and nondecreasing, with kinks where a
+    coordinate of ``w - alpha e`` reaches a box bound.  The minimizer is
+    found by evaluating the slope at every kink up to the end of the orthant
+    and interpolating where it turns nonnegative.  A slope still negative
+    past the last kink means the dual falls without bound: the step is
+    infinite and ``d`` certifies an empty set.
+    """
+    e = A.T @ d
+    base = float(d @ (np.where(s > 0, hi, np.where(s < 0, lo, 0.0)) - c))
+    # The orthant ends where a multiplier moving toward zero reaches it.
+    shrink = s * d < 0
+    end = float(np.min(-y[shrink] / d[shrink])) if shrink.any() else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = np.concatenate([(w - p_min) / e, (w - p_max) / e])
+    alphas = np.sort(np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < end)]]))
+    if np.isfinite(end):
+        alphas = np.append(alphas, end)
+    slopes = base - np.clip(w - alphas[:, None] * e, p_min, p_max) @ e
+    rising = np.flatnonzero(slopes >= 0.0)
+    if not rising.size:
+        return end
+    i = int(rising[0])
+    if i == 0:
+        return 0.0
+    a0, a1, s0, s1 = alphas[i - 1], alphas[i], slopes[i - 1], slopes[i]
+    return float(a0 + (a1 - a0) * s0 / (s0 - s1))
 
-        Every box point has ``y.(A p + c) >= floor``; when that exceeds the
-        support ``sigma(y)`` of the band no box point meets it, and the excess
-        per unit of ``|y|`` bounds the violation from below.
-        """
-        aty = A.T @ y
-        floor = float(y @ c + np.sum(np.minimum(aty * self.p_min, aty * self.p_max)))
-        up, down = y > 0, y < 0
-        sigma = float(hi[up] @ y[up] + lo[down] @ y[down])
-        worst = (floor - sigma) / float(np.sum(np.abs(y) / unit))
-        return FeasibilityError(
-            "empty feasible set (dual certificate: every box point breaks "
-            f"the band by at least {worst:.3e})", max_violation=worst)
+
+def _emptiness(y, A, c, lo, hi, unit, p_min, p_max):
+    """The error for a dual direction ``y`` that proves the set empty.
+
+    Every point of the box ``[p_min, p_max]`` has ``y.(A p + c) >= floor``;
+    when that exceeds the support ``sigma(y)`` of the band no box point meets
+    it, and the excess per unit of ``|y|`` bounds the violation from below.
+    """
+    aty = A.T @ y
+    floor = float(y @ c + np.sum(np.minimum(aty * p_min, aty * p_max)))
+    up, down = y > 0, y < 0
+    sigma = float(hi[up] @ y[up] + lo[down] @ y[down])
+    worst = (floor - sigma) / float(np.sum(np.abs(y) / unit))
+    return FeasibilityError(
+        "empty feasible set (dual certificate: every box point breaks "
+        f"the band by at least {worst:.3e})", max_violation=worst)
 
 
 def _nonneg_qp(Q, b, u):

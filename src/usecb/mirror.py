@@ -123,27 +123,22 @@ def regret(points, f_true, a_star, start):
     return curve[..., -1], curve
 
 
-def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
+def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
                        max_iter=100_000):
     """Projected gradient descent in the metric ``W = diag(scale**2)``:
     ``x <- P_W(x - W^-1 grad_fn(x) / lipschitz)``, from one start point or
     from each row of an ``(R, n)`` stack of them.
 
-    ``P_W`` is the projection that ``W`` measures.  In ``z = scale * x`` it
-    is the Euclidean projection onto ``zset``, the feasible set in those
-    coordinates (:meth:`~usecb.feasible.FeasibleSet.rescaled`), so the
-    iteration runs in ``z``; ``x0`` and the result are in ``x``.
-    ``lipschitz`` bounds the Lipschitz constant of the gradient in that
-    metric, the largest eigenvalue of ``W^-1/2 H W^-1/2`` for a quadratic
-    with Hessian ``H``; with that step every iteration decreases a convex
-    objective (Nesterov 2004, section 2.2), so no line search is needed.
-    When ``W`` is close to ``H`` the scaled Hessian is close to the identity
-    and a few steps reach the minimizer.  Stops when a step moves ``x`` less
-    than ``tol`` (scaled by the current point).  Used both as the
-    deterministic per-slot solver and to pin down a_star for regret
-    accounting.  A result coordinate whose ``z`` lies on the box is the
-    bound of the box in ``x`` (``zset.band.x_min``/``x_max``) itself:
-    ``(scale * p_max) / scale`` can round off ``p_max``.
+    ``P_W`` is the projection onto ``fset`` that ``W`` measures,
+    ``fset.project(x, scale)``.  ``lipschitz`` bounds the Lipschitz
+    constant of the gradient in that metric, the largest eigenvalue of
+    ``W^-1/2 H W^-1/2`` for a quadratic with Hessian ``H``; with that step
+    every iteration decreases a convex objective (Nesterov 2004, section
+    2.2), so no line search is needed.  When ``W`` is close to ``H`` the
+    scaled Hessian is close to the identity and a few steps reach the
+    minimizer.  Stops when a step moves ``x`` less than ``tol`` (scaled by
+    the current point).  Used both as the deterministic per-slot solver and
+    to pin down a_star for regret accounting.
 
     ``grad_fn(x, rows)`` returns the gradients at ``x``, the rows ``rows``
     of the stack of start points (``rows`` indexes the stack; a stack of
@@ -153,9 +148,8 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     Returns ``(x, converged, steps)``, one of each per row for a stack:
     ``converged`` is False when ``max_iter`` steps run out first.
     """
-    z = zset.project(np.atleast_2d(zset.midpoint() if x0 is None
-                                   else scale * np.asarray(x0, dtype=float)))
-    x = z / scale
+    x = fset.project(np.atleast_2d(fset.midpoint() if x0 is None
+                                   else np.asarray(x0, dtype=float)), scale)
     # (rows, their results, the step they stopped at), as rows finish.
     finished = []
     index = np.arange(len(x))
@@ -163,31 +157,23 @@ def minimize_projected(grad_fn, zset, scale, lipschitz, x0=None, tol=1e-10,
     if len(x) == 1:
         # One row steps as a plain vector: the same arithmetic, less
         # overhead per step.
-        z, x, rows = z[0], x[0], 0
-    step = 1.0 / lipschitz
-    x_min, x_max = zset.band.x_min, zset.band.x_max
-
-    def on_box(z, x):
-        np.copyto(x, x_max, where=z >= zset.p_max)
-        np.copyto(x, x_min, where=z <= zset.p_min)
-        return x
-
+        x, rows = x[0], 0
+    step = 1.0 / (lipschitz * scale * scale)  # W^-1 / lipschitz
     for k in range(1, max_iter + 1):
-        z = zset.project(z - step * (grad_fn(x, rows) / scale))
-        cand = z / scale
+        cand = fset.project(x - step * grad_fn(x, rows), scale)
         d = cand - x
         x = cand
         done = np.sqrt(row_dot(d, d)) <= tol * (1.0 + np.sqrt(row_dot(x, x)))
         if done.all():
-            finished.append((index, on_box(z, x), k))
+            finished.append((index, x, k))
             break
         if done.any():
-            finished.append((index[done], on_box(z[done], x[done]), k))
+            finished.append((index[done], x[done], k))
             keep = ~done
-            index, x, z = index[keep], x[keep], z[keep]
+            index, x = index[keep], x[keep]
             rows = index
     else:
-        finished.append((index, on_box(z, x), None))
+        finished.append((index, x, None))
     if x0 is None or np.ndim(x0) == 1:
         _, x, k = finished[0]
         return x, k is not None, k or max_iter

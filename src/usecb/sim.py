@@ -28,7 +28,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
-from .feasible import FeasibleSet, VoltageBand, build_band, build_feasible
+from .feasible import (MEMBER_TOL, FeasibleSet, VoltageBand, build_band,
+                       build_feasible)
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
 from .thermal import BuildingParams, Quadratic, thermal_step
@@ -140,10 +141,10 @@ class Scenario:
     ``band`` its :class:`~usecb.feasible.VoltageBand` and ``env_set`` the
     band's :class:`~usecb.feasible.FeasibleSet` at the true slot-0
     generation, all built once here, so an empty slot-0 set fails at
-    construction.  ``scaled_band`` and ``scaled_env_set`` are the same band
-    and set in the deterministic solver's coordinates ``z = scale * p``
-    (``scale`` from the objective).  Only the objective's linear term and
-    the band's offset change from slot to slot.
+    construction.  The deterministic solver projects onto the same sets in
+    the objective's metric (``project(x, objective.scale)``).  Only the
+    objective's linear term and the band's offset change from slot to
+    slot.
     """
 
     name: str
@@ -165,8 +166,6 @@ class Scenario:
     objective: Quadratic = field(init=False, repr=False)
     band: VoltageBand = field(init=False, repr=False)
     env_set: FeasibleSet = field(init=False, repr=False)
-    scaled_band: VoltageBand = field(init=False, repr=False)
-    scaled_env_set: FeasibleSet = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("static", "dynamic"):
@@ -182,8 +181,6 @@ class Scenario:
         self.band = build_band(self.model.blocks, self.bounds)
         self.env_set = build_feasible(self.band, self.p_g_true[0],
                                       p_fixed=self.p_fixed)
-        self.scaled_band = self.band.scaled(self.objective.scale)
-        self.scaled_env_set = self.env_set.rescaled(self.scaled_band)
 
     @property
     def is_static(self):
@@ -316,8 +313,9 @@ def run_scheme(scenario, scheme, seed=None):
     keeps its own noise streams, step sizes and solver diagnostics, and
     equals its single-seed run bit for bit; a row that raises fails the
     batch.  On a dynamic scenario each seed has its own per-slot sets and
-    runs alone.  The bookkeeping against the true physics (loss, intake,
-    true objective, and feasibility of a static run) runs once per run,
+    runs alone.  Each slot records the band offsets of its set, and the
+    bookkeeping (loss, intake and true objective against the true physics,
+    and each slot's feasibility against its own set) runs once per run,
     over the horizon, after the loop.
     """
     if scheme not in SCHEMES:
@@ -329,7 +327,7 @@ def run_scheme(scenario, scheme, seed=None):
              else [scenario.seed if seed is None else int(seed)])
     R, T, n_c = len(seeds), scenario.horizon, scenario.n_loads
     quad = scenario.objective
-    env_set = scenario.env_set
+    env_set, band = scenario.env_set, scenario.band
     if scheme == "stochastic":
         D, g_star = np.array([md_bounds(scenario, s) for s in seeds]).T
 
@@ -349,7 +347,9 @@ def run_scheme(scenario, scheme, seed=None):
     cin[:, 0] = scenario.c_in_init
     c_in = cin[:, 0]
     p_c = np.empty((R, T, n_c))
-    feasible = np.empty((R, T), dtype=bool)
+    # The band offsets of each slot's set, to judge its control against
+    # after the loop (a static run plays the slot-0 set throughout).
+    offsets = [env_set.offset] * T
     if scheme != "stochastic":
         converged = np.empty((R, T), dtype=bool)
         iterations = np.empty((R, T), dtype=int)
@@ -362,20 +362,17 @@ def run_scheme(scenario, scheme, seed=None):
             fset_t = env_set
         else:
             # A dynamic run is one row: its seeds run alone (above).
-            fset_t = build_feasible(scenario.band, pg_obs[0, t],
-                                    p_fixed=scenario.p_fixed)
+            fset_t = build_feasible(band, pg_obs[0, t], p_fixed=scenario.p_fixed)
+            offsets[t] = fset_t.offset
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
             a = fset_t.project(a - step_size(t + 1, D, g_star)[:, None] * g)
         else:
-            zset_t = (scenario.scaled_env_set if static
-                      else fset_t.rescaled(scenario.scaled_band))
             a, converged[:, t], iterations[:, t] = minimize_projected(
-                lambda x, rows: quad.grad(x, b_ctrl[rows]), zset_t,
+                lambda x, rows: quad.grad(x, b_ctrl[rows]), fset_t,
                 quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
         p_c[:, t] = a
         if not static:
-            feasible[:, t] = fset_t.contains(a)
             c_in = cin[:, t + 1] = thermal_step(c_in, scenario.c_out_true[t], a,
                                                 scenario.buildings)
 
@@ -394,7 +391,7 @@ def run_scheme(scenario, scheme, seed=None):
         else:
             out.c_in_true, out.c_in_after = cin[r, :T], cin[r, 1:]
         out.loss, out.p_0, out.f_true = np.empty((3, T))
-        out.feasible = feasible[r]
+        out.feasible = np.empty(T, dtype=bool)
         for lo in range(0, T, _BOOK_BLOCK):
             k = slice(lo, lo + _BOOK_BLOCK)
             pg, cons = out.p_g_true[k], out.p_c[k] + scenario.p_fixed
@@ -402,8 +399,8 @@ def run_scheme(scenario, scheme, seed=None):
             out.p_0[k] = grid_intake(pg, cons, out.loss[k])
             out.f_true[k] = quad.value(out.p_c[k], quad.linear_term(
                 out.c_in_true[k], out.c_out_true[k, None], pg))
-            if static:
-                out.feasible[k] = env_set.contains(out.p_c[k])
+            offset = env_set.offset if static else np.asarray(offsets[k])
+            out.feasible[k] = band.violation(out.p_c[k], offset) <= MEMBER_TOL
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \
                 converged[r], iterations[r]
@@ -678,13 +675,16 @@ def scenario_from_config(cfg, base_dir):
         raise ConfigError(f"unknown set_point mode {mode!r}")
 
     buildings = BuildingParams(alpha1, alpha2, beta, c_set, dt)
-    vb = cfg.get("voltage_band", {})
+    include_gen = _get(cfg, "voltage_band.include_gen_buses", True)
+    if not isinstance(include_gen, bool):
+        raise ConfigError("config value voltage_band.include_gen_buses must be "
+                          f"true or false, got {include_gen!r}")
     bounds = {
         "p_min": p_min,
         "p_max": p_max,
         "v_min": _number(cfg, "voltage_band.v_min", -np.inf),
         "v_max": _number(cfg, "voltage_band.v_max", np.inf),
-        "include_gen_buses": bool(vb.get("include_gen_buses", True)),
+        "include_gen_buses": include_gen,
     }
     gen_mode = _get(cfg, "noise.gen_mode", "relative")
     if gen_mode != "relative":

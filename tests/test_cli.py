@@ -42,6 +42,34 @@ def test_flows_cycle_exits_3(tmp_path, capsys):
     assert main(["flows", "--config", str(path)]) == 3
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"edges": None}, "edges"),
+    ({"edges": [[0, "x"], [1, 2], [2, 3]]}, "edges[0][1]"),
+    ({"edges": [[0, 1.5], [1, 2], [2, 3]]}, "edges[0][1]"),
+    ({"edges": [[0, 1, 2], [1, 2], [2, 3]]}, "edges[0]"),
+    ({"injections_mw": ["nan", 0.0, 0.0, 0.0]}, "injections_mw[0]"),
+    ({"injections_mw": 1.0}, "injections_mw"),
+])
+def test_flows_bad_config_exits_2_naming_the_key(change, key, tmp_path, capsys):
+    with open(_data("flows_central.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(change)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "flows.csv"
+    assert main(["flows", "--config", str(path), "--out", str(out)]) == 2
+    assert f" {key} " in capsys.readouterr().err.replace("\n", " ")
+    assert not out.exists()
+
+
+def test_flows_prints_what_it_writes(tmp_path, capsys):
+    out = tmp_path / "flows.csv"
+    assert main(["flows", "--config", _data("flows_central.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 # --- simulate ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -249,6 +277,21 @@ def test_absolute_generation_noise_exits_2(command, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "noise.gen_mode" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_boolean_include_gen_buses_exits_2(value, command, tmp_path, capsys):
+    def edit(cfg):
+        cfg["voltage_band"]["include_gen_buses"] = value
+
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(_static_config_with(tmp_path, edit)),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "voltage_band.include_gen_buses" in err
     assert not out.exists()
 
 

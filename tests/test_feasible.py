@@ -253,12 +253,15 @@ def test_band_projection_kkt_far_point(ieee37_tight):
         assert np.all(y <= 0) and np.any(y < 0)
 
 # --- the diag(H2) metric -------------------------------------------------------
-# The exact solver projects in the metric W = diag(H2): the Euclidean
-# projection onto the set rescaled to z = scale * p.
+# The exact solver projects in the metric W = diag(H2): project(x, scale)
+# with scale = W^1/2.
 
-def _metric_projection(scn, fs, x):
-    scale = scn.objective.scale
-    return fs.rescaled(scn.scaled_band).project(scale * x) / scale
+
+def _z_reference(fs, scale):
+    """The set in z = scale * p, built from scratch: its Euclidean
+    projection of scale * x, over scale, is the W-projection of x."""
+    return FeasibleSet(scale * fs.p_min, scale * fs.p_max, fs.A_volt / scale,
+                       fs.offset, fs.v_min, fs.v_max)
 
 
 @pytest.mark.parametrize("slot", [0, 30, 880])
@@ -267,7 +270,9 @@ def test_metric_projection_variational_inequality(ieee37_tight, slot):
     # every member q.
     scn = ieee37_tight
     fs = build_feasible(scn.band, scn.p_g_true[slot], p_fixed=scn.p_fixed)
-    w = scn.objective.scale ** 2
+    scale = scn.objective.scale
+    w = scale ** 2
+    zs = _z_reference(fs, scale)
     rng = np.random.default_rng(slot)
     # Members on the band's faces and inside the set.
     members = [fs.project(fs.p_min + rng.uniform(-0.5, 1.5, fs.dim)
@@ -279,51 +284,28 @@ def test_metric_projection_variational_inequality(ieee37_tight, slot):
         if fs.contains(np.clip(x, fs.p_min, fs.p_max)):
             continue
         binding += 1
-        p = _metric_projection(scn, fs, x)
+        p = fs.project(x, scale)
         assert fs.contains(p)
         for q in members:
             assert (x - p) @ (w * (q - p)) <= 1e-9
         moved += np.max(np.abs(p - fs.project(x))) > 1e-6
+        assert np.max(np.abs(p - zs.project(scale * x) / scale)) <= 1e-12
     assert binding >= 10
     # The metric matters: the Euclidean projection is another point.
     assert moved == binding
 
 
-@pytest.fixture(scope="module")
-def static_scaled_set():
-    # The static day's slot-0 set in z: its band never binds near the box.
-    return build_ieee37_scenario().scaled_env_set
-
-
-def test_metric_projection_on_a_box_is_the_clamp(static_scaled_set):
+def test_metric_projection_on_a_box_is_the_clamp():
     rng = np.random.default_rng(3)
-    scale = rng.uniform(3.0, 8.0, 4)
     box = FeasibleSet(p_min=np.zeros(4), p_max=[1.0, 2.0, 0.5, 0.1])
-    sets = [box.rescaled(box.band.scaled(scale)), static_scaled_set]
-    for zs in sets:
+    # The static day's slot-0 set: its band never binds near the box.
+    scn = build_ieee37_scenario()
+    cases = [(box, rng.uniform(3.0, 8.0, 4)), (scn.env_set, scn.objective.scale)]
+    for fs, scale in cases:
         for _ in range(200):
-            z = zs.p_min + rng.uniform(-0.5, 1.5, zs.dim) * (zs.p_max - zs.p_min)
-            assert np.array_equal(zs.project(z), np.clip(z, zs.p_min, zs.p_max))
-
-
-def test_scaled_band_keeps_offsets_dead_rows_and_merge_ratios(ieee37_tight):
-    band, zband = ieee37_tight.band, ieee37_tight.scaled_band
-    scale = ieee37_tight.objective.scale
-    assert np.array_equal(zband.dead, band.dead)
-    assert np.array_equal(zband.offset(ieee37_tight.p_g_true[7]),
-                          band.offset(ieee37_tight.p_g_true[7]))
-    np.testing.assert_allclose(zband.A_volt * scale, band.A_volt, rtol=1e-15)
-    js, ks, t, unit, reach, keep, _ = band.merge_map()
-    zjs, zks, zt, zunit, zreach, zkeep, _ = zband.merge_map()
-    assert js.size and np.array_equal(zjs, js) and np.array_equal(zks, ks)
-    assert np.array_equal(zkeep, keep)
-    np.testing.assert_allclose(zt, t, rtol=1e-13)
-    np.testing.assert_allclose(zunit, unit, rtol=1e-13)
-    np.testing.assert_allclose(zreach, reach, rtol=1e-13)
-    # The same set: members map to members.
-    zs = ieee37_tight.scaled_env_set
-    p = ieee37_tight.env_set.project(ieee37_tight.env_set.p_max)
-    assert zs.contains(scale * p)
+            x = fs.p_min + rng.uniform(-0.5, 1.5, fs.dim) * (fs.p_max - fs.p_min)
+            assert np.array_equal(fs.project(x, scale),
+                                  np.clip(x, fs.p_min, fs.p_max))
 
 
 def test_band_projection_kkt_far_point_dependent_rows():

@@ -309,7 +309,7 @@ def test_metric_solver_matches_euclidean_reference(variant):
     lipschitz = float(np.max(np.linalg.eigvalsh(quad.H2)))
     reference = _euclidean_reference(grad, scn.env_set, lipschitz, 1e-13)
     x, converged, steps = minimize_projected(
-        grad, scn.scaled_env_set, quad.scale, quad.L_W, tol=1e-10)
+        grad, scn.env_set, quad.scale, quad.L_W, tol=1e-10)
     assert converged
     assert steps <= 8
     assert np.max(np.abs(x - reference)) <= 1e-9

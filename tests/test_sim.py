@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -432,9 +433,9 @@ def test_batched_rows_equal_single_runs(case, scheme, monkeypatch):
     band_calls = []
     real = sim.FeasibleSet._project_band
 
-    def counted(fset, x):
+    def counted(fset, x, *args):
         band_calls.append(1)
-        return real(fset, x)
+        return real(fset, x, *args)
 
     monkeypatch.setattr(sim.FeasibleSet, "_project_band", counted)
     seeds = (3, 4, 5)
@@ -471,6 +472,42 @@ def test_solved_controls_on_the_box_bound_equal_it(overrides, variant):
             near = np.abs(p_c - bound) <= 1e-12
             assert near.any(), (scheme, variant)
             assert np.array_equal(p_c[near], np.broadcast_to(bound, p_c.shape)[near])
+
+
+# --- feasibility ---------------------------------------------------------------
+
+def test_each_slot_is_judged_against_its_own_set(monkeypatch):
+    """Feasibility is judged after the slot loop from the recorded offsets:
+    each slot against the set of its own generation reading."""
+    scn = load_scenario(str(data_path("ieee37_dynamic.json")),
+                        {"voltage_band": {"v_min": 0.975}})
+    # Clamped controls break the tight band in some slots, not in others.
+    monkeypatch.setattr(sim.FeasibleSet, "project",
+                        lambda fset, x, *args: np.clip(x, fset.p_min, fset.p_max))
+    run = run_scheme(scn, "stochastic", seed=3)
+    own = [sim.build_feasible(scn.band, run.p_g_obs[t], p_fixed=scn.p_fixed)
+           .contains(run.p_c[t]) for t in range(scn.horizon)]
+    assert run.feasible.tolist() == own
+    assert len(set(own)) == 2
+
+
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_box_only_scenarios_run_every_scheme(variant):
+    """Without a voltage band every set is the box: no band rows and no
+    offsets to record."""
+    with open(data_path(f"ieee37_{variant}.json")) as fh:
+        cfg = json.load(fh)
+    del cfg["voltage_band"]
+    cfg["horizon"] = 30
+    scn = sim.scenario_from_config(cfg, base_dir=str(data_path("")))
+    assert scn.band.A_volt is None and scn.env_set.offset is None
+    seed = [3, 4] if variant == "static" else 3
+    for scheme in sim.SCHEMES:
+        out = run_scheme(scn, scheme, seed=seed)
+        for run in (out if isinstance(out, list) else [out]):
+            assert run.feasible.all()
+            assert np.all((run.p_c >= scn.env_set.p_min)
+                          & (run.p_c <= scn.env_set.p_max))
 
 
 # --- output files --------------------------------------------------------------

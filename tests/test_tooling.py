@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import usecb
 from usecb import sim
 from usecb.errors import FeasibilityError
@@ -71,6 +73,27 @@ def test_trace_points_install_and_uninstall(tmp_path):
         tracer.uninstall()
     assert all(_lookup(module, attr) is raw
                for (module, attr), raw in zip(points, originals))
+
+
+def test_traced_metric_projections_match_and_tag_the_band(tmp_path):
+    """The projection wrapper forwards the solver's metric and judges the
+    band path in the controls' own units: a traced tight-band exact run
+    equals the untraced one, and some of its projections are tagged
+    ``band``."""
+    spans = _load_spans()
+    scn = sim.build_ieee37_scenario(
+        {"horizon": 40, "voltage_band": {"v_min": 0.975}}, variant="dynamic")
+    plain = sim.run_scheme(scn, "exact", seed=3)
+    tracer = spans.Tracer(str(tmp_path))
+    try:
+        tracer.install()
+        traced = sim.run_scheme(scn, "exact", seed=3)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced.p_c, plain.p_c)
+    tags = [span[spans.TAG] for span in tracer.spans
+            if span[spans.NAME] == "feasible.project"]
+    assert "band" in tags
 
 
 def test_bench_finds_the_slot_a_failing_run_reached(monkeypatch):
