@@ -8,7 +8,6 @@ output is data (CSV / JSON); plotting stays external.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,8 +18,8 @@ from .errors import (AssumptionError, ConfigError, FeasibilityError,
 from .experiments import (map_replications, run_regret_experiment,
                           run_scheme_job)
 from .grid import radial_line_flows
-from .sim import (SCHEMES, _checked_number, _get, atomic_write, load_scenario,
-                  metrics, run_scheme, write_json, write_run_csv)
+from .sim import (SCHEMES, _checked_number, _get, _read_config, atomic_write,
+                  load_scenario, metrics, run_scheme, write_json, write_run_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,19 +138,11 @@ def _cmd_regret(args):
 
 
 def _cmd_flows(args):
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    cfg = _read_config(args.config)
     if cfg.get("kind") != "flows":
         raise ConfigError("flows expects a config with kind: flows")
-    edges, injections = _get(cfg, "edges"), _get(cfg, "injections_mw")
-    for key, value in (("edges", edges), ("injections_mw", injections)):
-        if not isinstance(value, list):
-            raise ConfigError(f"config value {key} must be a list, got {value!r}")
+    edges = _get(cfg, "edges", kind=list)
+    injections = _get(cfg, "injections_mw", kind=list)
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2:
             raise ConfigError(f"config value edges[{i}] must be a pair of "

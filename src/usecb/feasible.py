@@ -7,17 +7,17 @@ band: each constrained bus contributes one slab
 configured limits, so a :class:`VoltageBand` holds them once per scenario;
 only the offset ``1 + sens @ [p_g, -p_fixed]`` moves with the generation
 and the inflexible load, and each slot's :class:`FeasibleSet` is the band
-at that offset.  When the box clamp already satisfies every slab it is
-itself the projection and is returned directly.  Otherwise the projection
-``min 0.5 ||p - x||^2`` over the set is solved through its dual: for band
-multipliers ``y`` the nearest box point is
-``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a projected Newton
-method on ``y`` with an exact line search on the dual objective drives the
-KKT residual below 1e-10, or to a fixed point within the rounding floor of
-``x - A_volt.T @ y`` when that floor is higher.  Exactly parallel band rows
-(a generator bus and its parent load bus share one sensitivity row) make the
-dual degenerate, so they are merged first, keeping the tightest bounds; the
-band finds them once.  An empty set is certified by a dual point that proves
+at that offset (without voltage limits, a band of zero rows).  When the
+box clamp already satisfies every slab it is itself the projection and is
+returned directly.  Otherwise the projection ``min 0.5 ||p - x||^2`` over
+the set is solved through its dual: for band multipliers ``y`` the nearest
+box point is ``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a
+projected Newton method on ``y`` with an exact line search on the dual
+objective drives the KKT residual below 1e-10 on every row, or to a fixed
+point within the rounding floor of ``x - A_volt.T @ y`` when that floor is
+higher.  Its Levenberg-Marquardt shift keeps the Newton system regular
+when rows repeat (a generator bus and its parent load bus share one
+sensitivity row).  An empty set is certified by a dual point that proves
 every box point breaks the band.
 
 ``project(x, scale)`` projects in the metric ``W = diag(scale**2)``: the
@@ -37,7 +37,6 @@ __all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
 _NEWTON_CAP = 200
 _KKT_TOL = 1e-10
 MEMBER_TOL = 1e-9
-_PARALLEL_COS = 1.0 - 1e-12
 _EPS = np.finfo(float).eps
 
 
@@ -47,34 +46,35 @@ class VoltageBand:
     Rows with no control leverage (``dead``) are dropped from ``A_volt``;
     each set checks their constants against the band.  ``sens`` and
     ``first_row`` turn an injection vector into the offsets of the rows (see
-    :func:`build_band`); a band without them takes offsets as given.
+    :func:`build_band`); a band without them takes offsets as given.  A band
+    without ``A_volt`` has zero rows.
     """
 
-    def __init__(self, p_min, p_max, A_volt=None, v_min=-np.inf, v_max=np.inf,
+    def __init__(self, p_min, p_max, A_volt=(), v_min=-np.inf, v_max=np.inf,
                  sens=None, first_row=0):
         self.p_min = np.atleast_1d(np.asarray(p_min, dtype=float))
         self.p_max = np.broadcast_to(
             np.asarray(p_max, dtype=float), self.p_min.shape).copy()
-        if np.any(self.p_min > self.p_max):
-            raise FeasibilityError("box bounds cross: p_min > p_max")
-        self.sens, self.first_row = sens, first_row
-        self.A_volt = None
-        self.v_min, self.v_max = v_min, v_max
-        self._merge = None
-        if A_volt is None:
-            return
-        A = np.asarray(A_volt, dtype=float)
+        A = np.asarray(A_volt, dtype=float).reshape(-1, self.p_min.shape[0])
         rows = A.shape[0]
         v_min = np.broadcast_to(np.asarray(v_min, dtype=float), (rows,)).copy()
         v_max = np.broadcast_to(np.asarray(v_max, dtype=float), (rows,)).copy()
-        norm2 = np.einsum("ij,ij->i", A, A)
-        self.dead = norm2 < 1e-30
+        if np.any(self.p_min > self.p_max):
+            raise FeasibilityError("box bounds cross: p_min > p_max")
+        gap = v_min - v_max
+        if np.any(gap > 0.0):
+            # A row's value misses one of its two bounds by half the gap.
+            worst = float(np.max(gap)) / 2.0
+            raise FeasibilityError(
+                "empty feasible set (crossed band bounds: v_min > v_max; "
+                f"violation at least {worst:.3e})", max_violation=worst)
+        self.sens, self.first_row = sens, first_row
+        self.dead = np.einsum("ij,ij->i", A, A) < 1e-30
         self.live = ~self.dead if self.dead.any() else None
         if self.live is not None:
             self.dead_bounds = (v_min[self.dead], v_max[self.dead])
             A, v_min, v_max = A[self.live], v_min[self.live], v_max[self.live]
-            norm2 = norm2[self.live]
-        self.A_volt, self.v_min, self.v_max, self.row_norm2 = A, v_min, v_max, norm2
+        self.A_volt, self.v_min, self.v_max = A, v_min, v_max
         self.A_mid = A @ (0.5 * (self.p_min + self.p_max))
 
     def offset(self, p_g, p_fixed=None):
@@ -90,41 +90,12 @@ class VoltageBand:
         """How far ``p``, a point or a stack of them, lies outside the box
         and the band at ``offset`` (the live rows' offsets), one value per
         point; a member's is at most ``MEMBER_TOL``."""
-        v = np.maximum(np.max(self.p_min - p, axis=-1),
-                       np.max(p - self.p_max, axis=-1))
-        if self.A_volt is not None and self.A_volt.size:
-            band = offset + matvec(self.A_volt, p)
-            v = np.maximum(v, np.maximum(np.max(self.v_min - band, axis=-1),
-                                         np.max(band - self.v_max, axis=-1)))
-        return v
-
-    def merge_map(self):
-        """Which rows are exact multiples of an earlier one, found once.
-
-        Returns ``(js, ks, t, unit, reach, keep, A)``: row ``js[i]`` is
-        ``t[i]`` times row ``ks[i]``, the first row parallel to it; ``keep``
-        marks the rows left after merging and ``A`` holds them.  ``unit`` and
-        ``reach`` bound how a merged row's violation compares with those of
-        the rows it holds: a held row's is at least ``unit`` and at most
-        ``reach`` times the merged row's (see ``FeasibleSet._band_rows``).
-        """
-        if self._merge is None:
-            A = self.A_volt
-            gram = A @ A.T
-            norms = np.sqrt(np.diag(gram))
-            parallel = np.abs(gram) >= _PARALLEL_COS * np.outer(norms, norms)
-            # Each row folds into the first row parallel to it (maybe itself).
-            first = np.argmax(parallel, axis=1)
-            js = np.flatnonzero(first != np.arange(A.shape[0]))
-            ks = first[js]
-            t = gram[ks, js] / gram[ks, ks]
-            unit, reach = np.ones((2, A.shape[0]))
-            np.minimum.at(unit, ks, np.abs(t))
-            np.maximum.at(reach, ks, np.abs(t))
-            keep = np.ones(A.shape[0], dtype=bool)
-            keep[js] = False
-            self._merge = (js, ks, t, unit, reach, keep, A[keep])
-        return self._merge
+        band = offset + matvec(self.A_volt, p)
+        box = np.maximum(np.max(self.p_min - p, axis=-1),
+                         np.max(p - self.p_max, axis=-1))
+        return np.maximum(box, np.maximum(
+            np.max(self.v_min - band, axis=-1, initial=-np.inf),
+            np.max(band - self.v_max, axis=-1, initial=-np.inf)))
 
 
 def build_band(blocks, bounds):
@@ -134,15 +105,13 @@ def build_band(blocks, bounds):
     include_gen_buses.  Voltage rows cover every non-PCC bus by default; set
     ``include_gen_buses`` False to constrain load buses only.  The limits
     are per unit, like the feeder model.  Without a finite voltage limit the
-    band has no rows and every set is the plain box.
+    band keeps no rows and every set is the plain box.
     """
     n_c = len(blocks.load_buses)
     p_min = np.broadcast_to(np.asarray(bounds["p_min"], dtype=float), (n_c,)).copy()
     p_max = np.broadcast_to(np.asarray(bounds["p_max"], dtype=float), (n_c,)).copy()
     v_min = float(bounds.get("v_min", -np.inf))
     v_max = float(bounds.get("v_max", np.inf))
-    if not (np.isfinite(v_min) or np.isfinite(v_max)):
-        return VoltageBand(p_min, p_max)
     # Stacked first-order voltages: gen rows use M and N, load rows use
     # N' and Q; the controllable load enters with a minus sign.
     top = np.hstack([blocks.M, blocks.N])
@@ -150,6 +119,8 @@ def build_band(blocks, bounds):
     sens = np.vstack([top, bot])
     n_g = len(blocks.gen_buses)
     first = 0 if bounds.get("include_gen_buses", True) else n_g
+    if not (np.isfinite(v_min) or np.isfinite(v_max)):
+        first = sens.shape[0]
     A_volt = -sens[first:, n_g:]
     return VoltageBand(p_min, p_max, A_volt, v_min, v_max,
                        sens=sens, first_row=first)
@@ -168,9 +139,10 @@ class FeasibleSet:
     row alone.
     """
 
-    def __init__(self, p_min, p_max, A_volt=None, offset=None,
+    def __init__(self, p_min, p_max, A_volt=(), offset=0.0,
                  v_min=-np.inf, v_max=np.inf):
-        self._place(VoltageBand(p_min, p_max, A_volt, v_min, v_max), offset)
+        band = VoltageBand(p_min, p_max, A_volt, v_min, v_max)
+        self._place(band, np.broadcast_to(offset, band.dead.shape).astype(float))
 
     def _place(self, band, offset):
         """Make this the set ``band`` gives at ``offset`` (one value per
@@ -178,11 +150,6 @@ class FeasibleSet:
         self.band = band
         self.p_min, self.p_max = band.p_min, band.p_max
         self.A_volt, self.v_min, self.v_max = band.A_volt, band.v_min, band.v_max
-        self._merged = None
-        self.offset = offset
-        if band.A_volt is None:
-            return
-        offset = np.asarray(offset, dtype=float)
         if band.live is not None:
             # Rows with no control leverage are plain constants: either they
             # already violate the band (empty set) or they are dropped.
@@ -211,20 +178,16 @@ class FeasibleSet:
     def midpoint(self):
         return 0.5 * (self.p_min + self.p_max)
 
-    def _max_violation(self, p):
-        return self.band.violation(p, self.offset)
-
     def contains(self, p):
-        return self._max_violation(np.asarray(p, dtype=float)) <= MEMBER_TOL
+        return self.band.violation(np.asarray(p, dtype=float),
+                                   self.offset) <= MEMBER_TOL
 
-    def project(self, x, scale=None):
-        """Projection in the metric ``diag(scale**2)`` (Euclidean without
-        ``scale``): the box clamp when it meets the band, otherwise the dual
+    def project(self, x, scale=1.0):
+        """Projection in the metric ``diag(scale**2)`` (Euclidean by
+        default): the box clamp when it meets the band, otherwise the dual
         Newton solve, on the rows of a stack that need it."""
         x = np.asarray(x, dtype=float)
         clamped = np.clip(x, self.p_min, self.p_max)
-        if self.A_volt is None or not self.A_volt.size:
-            return clamped
         band = self.offset + matvec(self.A_volt, clamped)
         inside = (band >= self.v_min) & (band <= self.v_max)
         if inside.all():
@@ -235,55 +198,14 @@ class FeasibleSet:
             clamped[r] = self._project_band(x[r], scale)[0]
         return clamped
 
-    def _band_rows(self):
-        """Band rows ``(A, offset, lo, hi, unit, reach)`` with parallel rows
-        merged.
-
-        The band finds the parallel rows once; each set restates their
-        bounds at its own offset on its first band projection and keeps the
-        result.  A merged row keeps the tightest bounds of its rows, restated
-        in its own units; bounds that cross certify an empty set.  Bounds
-        that cross by no more than the rounding of their restatement (rows
-        of an equality band, say) meet at their midpoint instead.
-        """
-        if self._merged is None:
-            js, ks, t, unit, reach, keep, A = self.band.merge_map()
-            c = self.offset
-            lo, hi = self.v_min.copy(), self.v_max.copy()
-            # A bound restated below, (b - c_j) / t + c_k, is off by a few
-            # roundings of its terms; so is a band value that met a bound.
-            size = np.abs(c) + np.abs(np.where(np.isfinite(lo), lo, 0.0)) \
-                + np.abs(np.where(np.isfinite(hi), hi, 0.0))
-            floor = size.copy()
-            np.maximum.at(floor, ks, size[js] / np.abs(t) + np.abs(c[ks]))
-            # Row j is t times row k: lo_j <= t a_k p + c_j <= hi_j.
-            ends = np.stack([(lo[js] - c[js]) / t, (hi[js] - c[js]) / t]) + c[ks]
-            np.maximum.at(lo, ks, ends.min(axis=0))
-            np.minimum.at(hi, ks, ends.max(axis=0))
-            gap = lo - hi
-            crossed = gap > 0.0
-            if np.any(gap[crossed] > 8.0 * _EPS * floor[crossed]):
-                # A merged row's violation is at most 1/unit times the largest
-                # violation of the rows it holds, in their own units, and the
-                # rows that set the crossed bounds split the gap, so the
-                # worse one breaks its bound by at least half of it.
-                worst = float(np.max(gap * unit)) / 2.0
-                raise FeasibilityError(
-                    "empty feasible set (parallel band rows with disjoint "
-                    f"ranges; violation at least {worst:.3e})", max_violation=worst)
-            lo[crossed] = hi[crossed] = 0.5 * (lo + hi)[crossed]
-            self._merged = (A, c[keep], lo[keep], hi[keep], unit[keep],
-                            reach[keep])
-        return self._merged
-
-    def _project_band(self, x, scale=None):
+    def _project_band(self, x, scale=1.0):
         """Projection onto box and band by projected Newton on the dual.
 
-        With multipliers ``y`` on the merged band rows (``y_k > 0`` prices the
-        upper bound, ``y_k < 0`` the lower one), the dual objective to
-        minimize is ``D(y) = -0.5 ||p - x||^2 - y.(A p + c) + sigma(y)``,
-        where ``p = p(y)`` is the clipped point and ``sigma`` the support
-        function of ``[lo, hi]``.  On each orthant of ``y`` it is smooth, with
+        With multipliers ``y`` on the band rows (``y_k > 0`` prices the upper
+        bound, ``y_k < 0`` the lower one), the dual objective to minimize is
+        ``D(y) = -0.5 ||p - x||^2 - y.(A p + c) + sigma(y)``, where
+        ``p = p(y)`` is the clipped point and ``sigma`` the support function
+        of ``[lo, hi]``.  On each orthant of ``y`` it is smooth, with
         gradient ``g = bound - (A p + c)`` and generalized Hessian
         ``A_F A_F.T`` over the free box coordinates ``F``.  Each Newton step
         minimizes that quadratic model, shifted by a Levenberg-Marquardt term
@@ -292,30 +214,23 @@ class FeasibleSet:
         coordinates are free: ``D`` is then nearly piecewise linear and the
         model overshoots its kinks.)  ``g`` is also the KKT residual: it
         bounds the band violation of ``p(y)`` and vanishes exactly at the
-        projection.  It stops when that bound is at most 1e-10 on every
-        original row, ``max reach |g| <= 1e-10`` (a row ``t`` times a merged
-        one is off by ``|t|`` times its ``g``), or at a fixed point of
-        the iteration (the step no longer moves ``y`` and the shift stays)
+        projection.  It stops when ``max |g| <= 1e-10``, or at a fixed point
+        of the iteration (the step no longer moves ``y`` and the shift stays)
         where ``g`` is within the rounding error of ``x - A.T y``.  Weak
         duality certifies an empty set: ``-D(y)`` never exceeds the squared
         distance from ``x`` to a member over two.
 
-        With ``scale`` it projects in the metric ``diag(scale**2)``: the solve
-        runs on ``z = scale * x``, the box ``scale * [p_min, p_max]`` and the
-        rows ``A / scale``, and a result coordinate on that box comes back as
-        the bound itself (``(scale * p_max) / scale`` can round off ``p_max``).
+        It projects in the metric ``diag(scale**2)``: the solve runs on
+        ``z = scale * x``, the box ``scale * [p_min, p_max]`` and the rows
+        ``A / scale``, and a result coordinate on that box comes back as the
+        bound itself (``(scale * p_max) / scale`` can round off ``p_max``).
+        At the default unit scale every one of these steps is exact.
 
-        Returns the projection and the multipliers of the merged band rows.
+        Returns the projection and the multipliers of the band rows.
         """
-        A, c, lo, hi, unit, reach = self._band_rows()
-        p_min, p_max, row_norm2 = self.p_min, self.p_max, self.band.row_norm2
-        if scale is not None:
-            x, A, rows = scale * x, A / scale, self.band.A_volt / scale
-            p_min, p_max = scale * p_min, scale * p_max
-            row_norm2 = np.einsum("ij,ij->i", rows, rows)
-
-        def kkt(g):
-            return float(np.max(np.abs(g) * reach))
+        c, lo, hi = self.offset, self.v_min, self.v_max
+        x, A = scale * x, self.A_volt / scale
+        p_min, p_max = scale * self.p_min, scale * self.p_max
 
         def point(y):
             aty = A.T @ y
@@ -332,17 +247,17 @@ class FeasibleSet:
 
         # No member is farther from x than the farthest box corner.
         dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
-        shift = float(np.mean(row_norm2))
+        shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
         damping = 1.0
         y = np.zeros(A.shape[0])
         p, aty, g, dual = point(y)
         resid = float(np.max(np.abs(g)))
         for _ in range(_NEWTON_CAP):
-            done = kkt(g) <= _KKT_TOL
+            done = resid <= _KKT_TOL
             if done:
                 break
             if dual < dual_floor:
-                raise _emptiness(y, A, c, lo, hi, unit, p_min, p_max)
+                raise _emptiness(y, A, c, lo, hi, p_min, p_max)
             # Orthant: the sign of y, or for a zero multiplier the side the
             # subgradient descends into (none if the row is satisfied).
             s = np.sign(y)
@@ -363,7 +278,7 @@ class FeasibleSet:
             d[rows] = s_r * (_nonneg_qp(Q, s_r * g[rows] - Q @ z, z) - z)
             alpha = _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max)
             if alpha == np.inf:
-                raise _emptiness(d, A, c, lo, hi, unit, p_min, p_max)
+                raise _emptiness(d, A, c, lo, hi, p_min, p_max)
             y_next = y + alpha * d
             y_next[s * y_next < 0] = 0.0
             # A model that falls short of the line minimum relaxes the shift,
@@ -385,15 +300,13 @@ class FeasibleSet:
             y, damping = y_next, damping_next
             p, aty, g, dual = point(y)
             resid = float(np.max(np.abs(g)))
-        resid = kkt(g)
         if not done and resid > _KKT_TOL:
             raise ProjectionError(
                 "band projection stopped short of its KKT tolerance (residual "
                 f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
                 residual=resid)
-        if scale is not None:
-            p = np.where(p >= p_max, self.p_max,
-                         np.where(p <= p_min, self.p_min, p / scale))
+        p = np.where(p >= p_max, self.p_max,
+                     np.where(p <= p_min, self.p_min, p / scale))
         return p, y
 
 
@@ -430,7 +343,7 @@ def _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max):
     return float(a0 + (a1 - a0) * s0 / (s0 - s1))
 
 
-def _emptiness(y, A, c, lo, hi, unit, p_min, p_max):
+def _emptiness(y, A, c, lo, hi, p_min, p_max):
     """The error for a dual direction ``y`` that proves the set empty.
 
     Every point of the box ``[p_min, p_max]`` has ``y.(A p + c) >= floor``;
@@ -441,7 +354,7 @@ def _emptiness(y, A, c, lo, hi, unit, p_min, p_max):
     floor = float(y @ c + np.sum(np.minimum(aty * p_min, aty * p_max)))
     up, down = y > 0, y < 0
     sigma = float(hi[up] @ y[up] + lo[down] @ y[down])
-    worst = (floor - sigma) / float(np.sum(np.abs(y) / unit))
+    worst = (floor - sigma) / float(np.sum(np.abs(y)))
     return FeasibilityError(
         "empty feasible set (dual certificate: every box point breaks "
         f"the band by at least {worst:.3e})", max_violation=worst)
@@ -491,5 +404,5 @@ def build_feasible(band, p_g, p_fixed=None):
     controllable load enters through the band's fixed ``A_volt``.
     """
     fset = FeasibleSet.__new__(FeasibleSet)
-    fset._place(band, None if band.A_volt is None else band.offset(p_g, p_fixed))
+    fset._place(band, band.offset(p_g, p_fixed))
     return fset

@@ -521,7 +521,9 @@ def write_json(obj, path):
         fh.write("\n")
 
 
-def _resolve(name, base_dir):
+def _resolve(cfg, path, base_dir):
+    """The data file named at ``path``: beside the config, else bundled."""
+    name = _get(cfg, path, kind=str)
     cand = os.path.join(base_dir, name)
     if os.path.exists(cand):
         return cand
@@ -545,17 +547,24 @@ _REQUIRED = object()
 _ABSENT = object()
 
 
-def _get(cfg, path, default=_REQUIRED):
+def _get(cfg, path, default=_REQUIRED, kind=None):
     """The value at the dotted key ``path`` of a config document, or
     ``default`` when a key on the way is absent.  Raises ``ConfigError``
-    naming the path for an absent required key."""
-    node = cfg
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
+    naming the key for an absent required key, a section on the way that is
+    not an object, or a value that is not a ``kind`` (``list`` or ``str``)."""
+    node, keys = cfg, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise ConfigError(f"config value {'.'.join(keys[:i])} must be an "
+                              f"object, got {node!r}")
+        if key not in node:
             if default is _REQUIRED:
                 raise ConfigError(f"config is missing {path}")
             return default
         node = node[key]
+    if kind is not None and not isinstance(node, kind):
+        name = {list: "a list", str: "a string"}[kind]
+        raise ConfigError(f"config value {path} must be {name}, got {node!r}")
     return node
 
 
@@ -603,14 +612,14 @@ def scenario_from_config(cfg, base_dir):
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
-    lines, n_buses = load_network_csv(_resolve(_get(cfg, "network"), base_dir))
-    bus_names = cfg.get("bus_names")
+    lines, n_buses = load_network_csv(_resolve(cfg, "network", base_dir))
+    bus_names = _get(cfg, "bus_names", None, kind=list)
     if bus_names is not None and len(bus_names) != n_buses:
         raise ConfigError("bus_names length does not match the network")
     name_to_idx = {str(n): i for i, n in enumerate(bus_names or [])}
 
     gen_idx = []
-    for i, b in enumerate(_get(cfg, "generation.buses")):
+    for i, b in enumerate(_get(cfg, "generation.buses", kind=list)):
         key = str(b)
         if key in name_to_idx:
             gen_idx.append(name_to_idx[key])
@@ -629,13 +638,13 @@ def scenario_from_config(cfg, base_dir):
     else:
         times = start + dt * np.arange(horizon)
 
-    pv = load_timeseries(_resolve(_get(cfg, "generation.profile"), base_dir))
+    pv = load_timeseries(_resolve(cfg, "generation.profile", base_dir))
     norm = pv.resample(times)
     cap = _number(cfg, "generation.capacity_mw")
     cap = np.broadcast_to(cap, (len(gen_idx),)) / s_base
     p_g_true = norm[:, None] * cap[None, :]
 
-    temp = load_timeseries(_resolve(_get(cfg, "temperature_profile"), base_dir))
+    temp = load_timeseries(_resolve(cfg, "temperature_profile", base_dir))
     c_out_true = temp.resample(times)
 
     n_c = len(load_idx)
@@ -724,8 +733,8 @@ def scenario_from_config(cfg, base_dir):
     return scenario
 
 
-def load_scenario(path, overrides=None):
-    """Load a scenario JSON document, optionally merging overrides."""
+def _read_config(path):
+    """The JSON object in the file ``path``; ``ConfigError`` if there is none."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -733,7 +742,14 @@ def load_scenario(path, overrides=None):
         raise ConfigError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = _deep_merge(cfg, overrides)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    return cfg
+
+
+def load_scenario(path, overrides=None):
+    """Load a scenario JSON document, optionally merging overrides."""
+    cfg = _deep_merge(_read_config(path), overrides)
     return scenario_from_config(cfg, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -151,7 +151,7 @@ def test_criterion_6_projection_suite():
             x = rng.normal(scale=2.0, size=3)
             y = rng.normal(scale=2.0, size=3)
             b = fs.project(x)
-            worst_member = max(worst_member, fs._max_violation(b))
+            worst_member = max(worst_member, fs.band.violation(b, fs.offset))
             worst_idem = max(worst_idem,
                              float(np.linalg.norm(fs.project(b) - b)))
             worst_expand = max(worst_expand,

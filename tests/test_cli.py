@@ -295,6 +295,56 @@ def test_non_boolean_include_gen_buses_exits_2(value, command, tmp_path, capsys)
     assert not out.exists()
 
 
+def _set(key, value):
+    def edit(cfg):
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+    return edit
+
+
+# A value of the wrong JSON type: a section that is not an object, a list
+# that is not a list, a file name that is not a string.
+WRONG_TYPES = [("voltage_band", "tight"), ("noise", 7),
+               ("buildings.set_point", "warm"), ("bus_names", 5),
+               ("generation.buses", 5), ("network", 5),
+               ("generation.profile", [0.0, 1.0]), ("temperature_profile", None)]
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPES, ids=[k for k, _ in WRONG_TYPES])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_wrong_config_type_exits_2_naming_the_key(key, value, command, tmp_path,
+                                                  capsys):
+    out = tmp_path / "out"
+    rc = main([command, "--config",
+               str(_static_config_with(tmp_path, _set(key, value))),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"config value {key} must be" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "flows"])
+def test_config_that_is_not_an_object_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main([command, "--config", str(path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_crossed_voltage_band_exits_3(tmp_path, capsys):
+    def crossed(cfg):
+        cfg["voltage_band"].update(v_min=1.05, v_max=0.95)
+
+    rc = main(["validate", "--config", str(_static_config_with(tmp_path, crossed))])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "crossed band bounds" in err and "violation at least 5.000e-02" in err
+
+
 def test_omitted_voltage_limit_stays_open(tmp_path, capsys):
     with open(_data("ieee37_static.json")) as fh:
         cfg = json.load(fh)

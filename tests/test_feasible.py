@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from usecb import feasible
 from usecb.errors import FeasibilityError
 from usecb.feasible import FeasibleSet, build_band, build_feasible
 from usecb.grid import voltage_approx
@@ -147,7 +146,7 @@ def test_projection_matches_grid_search_3d():
 def test_vacuous_band_reduces_to_box(chain4_model):
     fs = build_feasible(build_band(chain4_model.blocks,
                                    {"p_min": 0.0, "p_max": 0.12}), [0.2])
-    assert fs.A_volt is None
+    assert fs.A_volt.shape[0] == 0 and fs.offset.size == 0
     assert np.array_equal(fs.project(np.array([1.0, -1.0])), [0.12, 0.0])
 
 
@@ -204,10 +203,10 @@ def _kkt_check(fs, x):
     """Project x onto the band path and check the KKT conditions of
     min 0.5 ||p - x||^2 over the set; returns the multipliers."""
     p, y = fs._project_band(x)
-    A, c, lo, hi, _, _ = fs._band_rows()
+    A, c, lo, hi = fs.A_volt, fs.offset, fs.v_min, fs.v_max
     v = A @ p + c
-    # Primal feasibility, judged on the original (unmerged) rows.
-    assert fs._max_violation(p) <= 1e-9
+    # Primal feasibility.
+    assert fs.band.violation(p, fs.offset) <= 1e-9
     # Dual sign and complementarity: y > 0 prices the upper bound, y < 0 the
     # lower one, and a priced row sits on its bound.
     assert np.all(np.abs(v - hi)[y > 0] <= 1e-9)
@@ -363,21 +362,12 @@ def test_parallel_rows_merge_to_tightest_bounds(ieee37_tight):
     v_max = np.full(A.shape[0], 1.05)
     v_min[j], v_max[k] = 0.977, 1.04
     fs = FeasibleSet(fs0.p_min, fs0.p_max, A, c, v_min=v_min, v_max=v_max)
-    A_m, c_m, lo, hi, _, _ = fs._band_rows()
-    assert A_m.shape[0] == A.shape[0] - 3
-    row = int(np.flatnonzero(np.all(A_m == A[k], axis=1))[0])
-    assert np.isclose(lo[row], 0.977 - c[j] + c[k], rtol=0, atol=1e-15)
-    assert hi[row] == 1.04
     p = fs.project(fs.p_max)
     assert fs.contains(p)
     assert c[j] + A[j] @ p >= 0.977 - 1e-9
 
 
-def test_disjoint_parallel_slabs_certified_without_newton(monkeypatch):
-    def fail(*args):
-        raise AssertionError("emptiness should be certified before any Newton step")
-
-    monkeypatch.setattr(feasible, "_nonneg_qp", fail)
+def test_disjoint_parallel_slabs_certified_empty():
     a = np.array([1.0, 2.0, -1.0])
     with pytest.raises(FeasibilityError) as err:
         FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3),
@@ -402,17 +392,20 @@ def _equality_band_with_copies(rng):
 
 
 def test_parallel_rows_crossed_by_rounding_are_not_empty():
-    # Restating a copy's bounds in its first row's units rounds, so the
-    # bounds of an equality band can cross by a few ulps; 1314 of these
-    # sets were once called empty.  A copy t times its first row sees t
-    # times the merged row's residual, so projections stop on the copies'
-    # residuals: 7 of these once returned points outside the set.
-    rng = np.random.default_rng(1)
-    for _ in range(2800):
+    # An equality band whose rows repeat, scaled, makes the dual degenerate,
+    # and a copy t times its first row sees t times that row's residual:
+    # every projection must still stop on a member.  The first 500 sets are
+    # also projected from a far point and in a random diagonal metric, drawn
+    # from a generator of their own.
+    rng, far = np.random.default_rng(1), np.random.default_rng(2)
+    for i in range(2800):
         fs = _equality_band_with_copies(rng)
-        _, _, lo, hi, _, _ = fs._band_rows()
-        assert np.all(lo <= hi)
-        assert fs.contains(fs.project(rng.uniform(-0.5, 1.5, fs.dim)))
+        x = rng.uniform(-0.5, 1.5, fs.dim)
+        assert fs.contains(fs.project(x))
+        if i < 500:
+            assert fs.contains(fs.project(far.normal(scale=300.0, size=fs.dim)))
+            scale = np.exp(far.uniform(-1.5, 1.5, fs.dim))
+            assert fs.contains(fs.project(x, scale))
 
 
 def test_parallel_rows_disjoint_by_a_micro_volt_are_empty():
@@ -421,7 +414,39 @@ def test_parallel_rows_disjoint_by_a_micro_volt_are_empty():
         FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3),
                     A_volt=np.vstack([a, 2.0 * a]), offset=np.zeros(2),
                     v_min=[0.5, 1.0 + 2e-6], v_max=[0.5, 1.0 + 2e-6])
-    assert err.value.max_violation == pytest.approx(0.5e-6, rel=1e-6)
+    # The rows need a.p = 0.5 and a.p = 0.5 + 1e-6, and the copy's violation
+    # counts double: at best both miss by 2e-6/3 (at a.p = 0.5 + 2e-6/3).
+    assert 0.0 < err.value.max_violation <= 2e-6 / 3
+
+
+@pytest.mark.parametrize("above", [1e-3, 1e-6])
+def test_binding_copies_both_sit_on_the_bound(ieee37_tight, above):
+    # With no generation each generator row repeats its parent load row up
+    # to rounding, offset included.  A lower bound on one such pair, just
+    # above its value at p_max, binds both rows of the pair at once.
+    scn = ieee37_tight
+    fs0 = build_feasible(scn.band, scn.p_g_true[0], p_fixed=scn.p_fixed)
+    assert not scn.p_g_true[0].any()
+    A, c = fs0.A_volt, fs0.offset
+    for pair in ([0, 15], [1, 22], [2, 27]):
+        assert np.allclose(A[pair[0]], A[pair[1]], rtol=0, atol=1e-17)
+        assert c[pair[0]] == c[pair[1]]
+        v_min = np.full(A.shape[0], -np.inf)
+        v_min[pair] = (c + A @ fs0.p_max)[pair] + above
+        fs = FeasibleSet(fs0.p_min, fs0.p_max, A, c, v_min=v_min)
+        for scale in (1.0, scn.objective.scale):
+            p = fs.project(fs.p_max, scale)
+            assert fs.contains(p)
+            assert np.all(np.abs(c + A @ p - v_min)[pair] <= 1e-9)
+        _kkt_check(fs, fs.p_max)
+
+
+def test_crossed_band_bounds_rejected():
+    with pytest.raises(FeasibilityError, match="crossed band bounds") as err:
+        FeasibleSet(p_min=[0.0], p_max=[1.0], A_volt=np.array([[1.0]]),
+                    offset=np.array([0.0]), v_min=1.0, v_max=0.5)
+    # Every value misses one of the two bounds by at least half their gap.
+    assert err.value.max_violation == 0.25
 
 
 def test_dual_certificate_bounds_violation(ieee37_tight):
@@ -471,8 +496,8 @@ def test_band_sets_match_scratch_sets(band):
         ref = _scratch_set(scn, p_g, include_gen)
         assert np.array_equal(fs.A_volt, ref.A_volt)
         assert np.array_equal(fs.offset, ref.offset)
-        for got, want in zip(fs._band_rows(), ref._band_rows()):
-            assert np.array_equal(got, want)
+        assert np.array_equal(fs.v_min, ref.v_min)
+        assert np.array_equal(fs.v_max, ref.v_max)
         points = [fs.midpoint(), fs.p_max, fs.p_min - 0.1]
         points += [fs.p_max + rng.normal(scale=0.05, size=fs.dim) for _ in range(8)]
         points += [fs.p_max + rng.uniform(100.0, 300.0, size=fs.dim)]

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import usecb
 from usecb import sim
@@ -172,13 +173,37 @@ def test_output_digest_against_names_each_difference(tmp_path):
 
     diff = digest.difference(here / "sim" / "summary.json",
                              there / "sim" / "summary.json")
-    assert diff == {"max_abs": 0.5, "max_rel": 0.2, "at": "objective",
+    assert diff == {"max_abs": 0.5, "abs_column": "objective", "max_rel": 0.2,
+                    "rel_column": "objective", "at": "objective",
                     "only_here": ["steps"], "only_there": [], "text": []}
     assert digest.compare(here, there) == [
         f"against {there}: 1 identical, 3 not",
         "only here  sim/new.txt",
-        "differs  sim/slots.csv  max abs 0.5  max rel 0.2 at line 2"
-        "  text differs: line 3",
-        "differs  sim/summary.json  max abs 0.5  max rel 0.2 at objective"
-        "  only here: steps",
+        "differs  sim/slots.csv  max abs 0.5 (objective)  max rel 0.2 at line 2"
+        " (objective)  text differs: line 3",
+        "differs  sim/summary.json  max abs 0.5 (objective)  max rel 0.2 at "
+        "objective  only here: steps",
     ]
+
+
+def test_output_digest_against_names_the_csv_columns(tmp_path):
+    """A control that moves by 1e-8 and an objective that moves by 3e-7 are
+    told apart: the largest absolute difference is the objective's, the
+    largest relative one the control's, and each line names its column."""
+    digest = _load("output_digest", DIGEST)
+    header = "t,u_0,u_1,objective,feasible\n"
+    for root, u_1, objective in ((tmp_path / "here", 0.25, -50.0),
+                                 (tmp_path / "there", 0.25 + 1e-8, -50.0 + 3e-7)):
+        root.mkdir()
+        (root / "slots.csv").write_text(
+            header + f"0,0.5,{u_1!r},-49.0,True\n1,0.5,0.25,{objective!r},True\n")
+
+    diff = digest.difference(tmp_path / "here" / "slots.csv",
+                             tmp_path / "there" / "slots.csv")
+    assert diff["abs_column"] == "objective" and diff["rel_column"] == "u_1"
+    assert diff["at"] == "line 2" and diff["text"] == []
+    assert diff["max_abs"] == pytest.approx(3e-7, rel=1e-6)
+    assert diff["max_rel"] == pytest.approx(1e-8 / (0.25 + 1e-8), rel=1e-6)
+    assert digest.compare(tmp_path / "here", tmp_path / "there")[1] == (
+        f"differs  slots.csv  max abs {diff['max_abs']:.3g} (objective)  "
+        f"max rel {diff['max_rel']:.3g} at line 2 (u_1)")

@@ -24,9 +24,9 @@ running this once with each one's ``src`` on ``PYTHONPATH``; the module
 path goes to stderr.  ``--against`` names the ``OUT_DIR`` of such an
 earlier run: after the listing, one line counts the files whose bytes are
 the same in both, and one line per other file says how it differs, with
-the largest absolute and relative difference between its numbers and where
-the larger relative one is (see :func:`compare`).  Exits 1 if any command
-failed.
+the largest absolute and relative difference between its numbers, the CSV
+column or JSON key of each, and the line of the larger relative one (see
+:func:`compare`).  Exits 1 if any command failed.
 """
 
 from __future__ import annotations
@@ -138,45 +138,64 @@ def _is_number(value):
 
 def _leaves(path):
     """Comparable leaves of a file: key path -> value for JSON, and for any
-    other text ``line N`` -> the numbers of line N plus its text with the
-    numbers cut out."""
+    other text ``line N`` -> the text of line N with its numbers cut out,
+    its numbers, and the name of each number's column (its header field in
+    a CSV file, else None)."""
     text = path.read_text()
     if path.suffix == ".json":
         return dict(_flatten(json.loads(text)))
+    lines = text.splitlines()
     leaves = {}
-    for i, line in enumerate(text.splitlines(), 1):
-        leaves[f"line {i}"] = (_NUMBER.sub("#", line),
-                               [float(m) for m in _NUMBER.findall(line)])
+    if path.suffix == ".csv" and lines:
+        header = lines[0].split(",")
+        leaves["line 1"] = (lines[0], [], [])
+        for i, line in enumerate(lines[1:], 2):
+            fields = line.split(",")
+            numeric = [j for j, f in enumerate(fields) if _NUMBER.fullmatch(f)]
+            numbers = [float(fields[j]) for j in numeric]
+            names = [header[j] for j in numeric]
+            for j in numeric:
+                fields[j] = "#"
+            leaves[f"line {i}"] = (",".join(fields), numbers, names)
+        return leaves
+    for i, line in enumerate(lines, 1):
+        numbers = [float(m) for m in _NUMBER.findall(line)]
+        leaves[f"line {i}"] = (_NUMBER.sub("#", line), numbers,
+                               [None] * len(numbers))
     return leaves
 
 
 def difference(here, there):
     """How the file ``here`` differs from ``there``: a dict with the largest
     absolute and relative difference between numbers at the same place
-    (``max_abs``, ``max_rel`` and ``at``, the place of the larger relative
-    one), the places only one file has (``only_here``, ``only_there``) and
-    the places whose text or number count differs (``text``).  The relative
-    difference of two numbers is ``|a - b| / max(|a|, |b|)``."""
+    (``max_abs`` and ``max_rel``), the column of each (``abs_column`` and
+    ``rel_column``: a CSV header field or a JSON key path, else None), the
+    place of the larger relative one (``at``), the places only one file has
+    (``only_here``, ``only_there``) and the places whose text or number
+    count differs (``text``).  The relative difference of two numbers is
+    ``|a - b| / max(|a|, |b|)``."""
     a, b = _leaves(here), _leaves(there)
-    out = {"max_abs": 0.0, "max_rel": 0.0, "at": None,
+    out = {"max_abs": 0.0, "abs_column": None, "max_rel": 0.0,
+           "rel_column": None, "at": None,
            "only_here": [k for k in a if k not in b],
            "only_there": [k for k in b if k not in a], "text": []}
     for key in (k for k in a if k in b):
         x, y = a[key], b[key]
         if _is_number(x) and _is_number(y):
-            pairs = [(x, y)]
+            pairs = [(x, y, key)]
         elif isinstance(x, tuple) and x[0] == y[0] and len(x[1]) == len(y[1]):
-            pairs = zip(x[1], y[1])
+            pairs = zip(x[1], y[1], x[2])
         else:
             if x != y:
                 out["text"].append(key)
             continue
-        for u, v in pairs:
+        for u, v, column in pairs:
             gap = abs(u - v)
             rel = gap / max(abs(u), abs(v)) if gap else 0.0
-            out["max_abs"] = max(out["max_abs"], gap)
+            if gap > out["max_abs"]:
+                out["max_abs"], out["abs_column"] = gap, column
             if rel > out["max_rel"]:
-                out["max_rel"], out["at"] = rel, key
+                out["max_rel"], out["rel_column"], out["at"] = rel, column, key
     return out
 
 
@@ -199,10 +218,14 @@ def compare(out, other):
         if here[rel] == there[rel]:
             continue
         d = difference(out / rel, other / rel)
-        line = (f"differs  {rel}  max abs {d['max_abs']:.3g}  "
-                f"max rel {d['max_rel']:.3g}")
+        line = f"differs  {rel}  max abs {d['max_abs']:.3g}"
+        if d["abs_column"] is not None:
+            line += f" ({d['abs_column']})"
+        line += f"  max rel {d['max_rel']:.3g}"
         if d["at"] is not None:
             line += f" at {d['at']}"
+            if d["rel_column"] not in (None, d["at"]):
+                line += f" ({d['rel_column']})"
         for key, label in (("only_here", "only here"),
                            ("only_there", "only there"), ("text", "text differs")):
             if d[key]:
