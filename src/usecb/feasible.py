@@ -6,19 +6,22 @@ band: each constrained bus contributes one slab
 ``A_volt`` and the slab bounds depend only on the feeder topology and the
 configured limits, so a :class:`VoltageBand` holds them once per scenario;
 only the offset ``1 + sens @ [p_g, -p_fixed]`` moves with the generation
-and the inflexible load, and each slot's :class:`FeasibleSet` is the band
-at that offset (without voltage limits, a band of zero rows).  When the
-box clamp already satisfies every slab it is itself the projection and is
-returned directly.  Otherwise the projection ``min 0.5 ||p - x||^2`` over
-the set is solved through its dual: for band multipliers ``y`` the nearest
-box point is ``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a
-projected Newton method on ``y`` with an exact line search on the dual
-objective drives the KKT residual below 1e-10 on every row, or to a fixed
-point within the rounding floor of ``x - A_volt.T @ y`` when that floor is
-higher.  Its Levenberg-Marquardt shift keeps the Newton system regular
-when rows repeat (a generator bus and its parent load bus share one
-sensitivity row).  An empty set is certified by a dual point that proves
-every box point breaks the band.
+and the inflexible load.  ``band.offset`` evaluates it for one slot or for
+a whole horizon of generation readings at once, and
+``build_feasible(band, offset)`` places the band at one slot's offsets as
+that slot's certified :class:`FeasibleSet` (without voltage limits, a band
+of zero rows).  When the box clamp already satisfies every slab it is
+itself the projection and is returned directly.  Otherwise the projection
+``min 0.5 ||p - x||^2`` over the set is solved through its dual: for band
+multipliers ``y`` the nearest box point is
+``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a projected Newton
+method on ``y`` with an exact line search on the dual objective drives the
+KKT residual below 1e-10 on every row, or to a fixed point within the
+rounding floor of ``x - A_volt.T @ y`` when that floor is higher and the
+point is a member.  Its Levenberg-Marquardt shift keeps the Newton system
+regular when rows repeat (a generator bus and its parent load bus share
+one sensitivity row).  An empty set is certified by a dual point that
+proves every box point breaks the band.
 
 ``project(x, scale)`` projects in the metric ``W = diag(scale**2)``: the
 clamp is still the projection onto a box, and the band solve runs as above
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FeasibilityError, ProjectionError
-from .grid import matvec, voltage_approx
+from .grid import matvec
 
 __all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
 
@@ -79,12 +82,16 @@ class VoltageBand:
 
     def offset(self, p_g, p_fixed=None):
         """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
-        included."""
+        included, for one generation vector or for each row of a ``(T,
+        n_g)`` stack; each row equals, bit for bit, that of its vector
+        alone."""
         p_g = np.asarray(p_g, dtype=float)
         p_fixed = (np.zeros(self.p_min.shape[0]) if p_fixed is None
                    else np.asarray(p_fixed, dtype=float))
-        base = np.concatenate([p_g, -p_fixed])
-        return voltage_approx(self.sens, base)[self.first_row:]
+        base = np.concatenate(
+            [p_g, np.broadcast_to(-p_fixed, p_g.shape[:-1] + p_fixed.shape)],
+            axis=-1)
+        return 1.0 + matvec(self.sens, base)[..., self.first_row:]
 
     def violation(self, p, offset):
         """How far ``p``, a point or a stack of them, lies outside the box
@@ -168,7 +175,7 @@ class FeasibleSet:
         # band; then the dual solve started from it either finds a member or
         # certifies that the set is empty.
         mid_band = offset + band.A_mid
-        if np.any(mid_band < self.v_min) or np.any(mid_band > self.v_max):
+        if (mid_band < self.v_min).any() or (mid_band > self.v_max).any():
             self._project_band(self.midpoint())
 
     @property
@@ -187,7 +194,7 @@ class FeasibleSet:
         default): the box clamp when it meets the band, otherwise the dual
         Newton solve, on the rows of a stack that need it."""
         x = np.asarray(x, dtype=float)
-        clamped = np.clip(x, self.p_min, self.p_max)
+        clamped = np.minimum(np.maximum(x, self.p_min), self.p_max)
         band = self.offset + matvec(self.A_volt, clamped)
         inside = (band >= self.v_min) & (band <= self.v_max)
         if inside.all():
@@ -216,7 +223,8 @@ class FeasibleSet:
         bounds the band violation of ``p(y)`` and vanishes exactly at the
         projection.  It stops when ``max |g| <= 1e-10``, or at a fixed point
         of the iteration (the step no longer moves ``y`` and the shift stays)
-        where ``g`` is within the rounding error of ``x - A.T y``.  Weak
+        where ``g`` is within the rounding error of ``x - A.T y``; a fixed
+        point whose result is not a member raises ``ProjectionError``.  Weak
         duality certifies an empty set: ``-D(y)`` never exceeds the squared
         distance from ``x`` to a member over two.
 
@@ -252,9 +260,9 @@ class FeasibleSet:
         y = np.zeros(A.shape[0])
         p, aty, g, dual = point(y)
         resid = float(np.max(np.abs(g)))
+        fixed = False
         for _ in range(_NEWTON_CAP):
-            done = resid <= _KKT_TOL
-            if done:
+            if resid <= _KKT_TOL:
                 break
             if dual < dual_floor:
                 raise _emptiness(y, A, c, lo, hi, p_min, p_max)
@@ -292,21 +300,29 @@ class FeasibleSet:
                 # with m rows, each coordinate of x - A.T y may be off by
                 # m eps (|x| + |A|.T |y|), and A p passes that on.  Only far
                 # points on nearly dependent rows, whose multipliers grow
-                # large, lift it toward 1e-10.
+                # large, lift it toward 1e-10, and past MEMBER_TOL they fail
+                # the membership test below.
                 abs_a = np.abs(A)
                 floor = abs_a @ (np.abs(x) + abs_a.T @ np.abs(y))
-                done = resid <= A.shape[0] * _EPS * float(np.max(floor))
+                fixed = resid <= A.shape[0] * _EPS * float(np.max(floor))
                 break
             y, damping = y_next, damping_next
             p, aty, g, dual = point(y)
             resid = float(np.max(np.abs(g)))
-        if not done and resid > _KKT_TOL:
+        if not fixed and resid > _KKT_TOL:
             raise ProjectionError(
                 "band projection stopped short of its KKT tolerance (residual "
                 f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
                 residual=resid)
         p = np.where(p >= p_max, self.p_max,
                      np.where(p <= p_min, self.p_min, p / scale))
+        if fixed:
+            worst = float(self.band.violation(p, self.offset))
+            if worst > MEMBER_TOL:
+                raise ProjectionError(
+                    "band projection stopped at a fixed point outside the set "
+                    f"(violation {worst:.3e}, residual {resid:.3e})",
+                    residual=resid)
         return p, y
 
 
@@ -396,13 +412,15 @@ def _nonneg_qp(Q, b, u):
     return u
 
 
-def build_feasible(band, p_g, p_fixed=None):
-    """The constraint set for the current generation vector.
+def build_feasible(band, offset):
+    """The constraint set ``band`` (from :func:`build_band`) gives at one
+    slot's row offsets, ``band.offset(p_g, p_fixed)`` (dead rows included),
+    certified nonempty.
 
-    Only the offsets of ``band`` (from :func:`build_band`) move: the
-    generation and the inflexible load ``p_fixed`` shift them, while the
-    controllable load enters through the band's fixed ``A_volt``.
+    Only the offsets move from slot to slot: the generation and the
+    inflexible load shift them, while the controllable load enters through
+    the band's fixed ``A_volt``.
     """
     fset = FeasibleSet.__new__(FeasibleSet)
-    fset._place(band, band.offset(p_g, p_fixed))
+    fset._place(band, offset)
     return fset

@@ -37,9 +37,9 @@ def bregman_divergence(x, y):
 
 def step_size(t, D, G_star):
     """eta_t = D / (G* sqrt(t)), defined for t >= 1; elementwise for arrays
-    of D and G*.  (``(D / G*) / sqrt(t)`` rounds differently.)"""
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
+    of t, D and G*.  (``(D / G*) / sqrt(t)`` rounds differently.)"""
+    if np.any(np.asarray(t) < 1):
+        raise ValueError(f"step index must be >= 1, got {np.min(t)}")
     return D / (G_star * np.sqrt(t))
 
 

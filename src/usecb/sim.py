@@ -179,8 +179,8 @@ class Scenario:
         self.objective = Quadratic(self.lambda_price, self.buildings,
                                    self.model.blocks, self.p_fixed)
         self.band = build_band(self.model.blocks, self.bounds)
-        self.env_set = build_feasible(self.band, self.p_g_true[0],
-                                      p_fixed=self.p_fixed)
+        self.env_set = build_feasible(
+            self.band, self.band.offset(self.p_g_true[0], self.p_fixed))
 
     @property
     def is_static(self):
@@ -313,10 +313,13 @@ def run_scheme(scenario, scheme, seed=None):
     keeps its own noise streams, step sizes and solver diagnostics, and
     equals its single-seed run bit for bit; a row that raises fails the
     batch.  On a dynamic scenario each seed has its own per-slot sets and
-    runs alone.  Each slot records the band offsets of its set, and the
-    bookkeeping (loss, intake and true objective against the true physics,
-    and each slot's feasibility against its own set) runs once per run,
-    over the horizon, after the loop.
+    runs alone.  Work that does not depend on the control runs before the
+    slot loop, over the whole horizon: the step sizes, the generation part
+    of each slot's linear term and, on a dynamic day, every slot's band
+    offsets from its generation reading, so each slot's
+    ``build_feasible(band, offsets[t])`` only places and certifies its set.  The bookkeeping (loss, intake and true objective against the
+    true physics, and each slot's feasibility against its own set) runs
+    once per run, over the horizon, after the loop.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -347,26 +350,30 @@ def run_scheme(scenario, scheme, seed=None):
     cin[:, 0] = scenario.c_in_init
     c_in = cin[:, 0]
     p_c = np.empty((R, T, n_c))
-    # The band offsets of each slot's set, to judge its control against
-    # after the loop (a static run plays the slot-0 set throughout).
-    offsets = [env_set.offset] * T
-    if scheme != "stochastic":
+    if static:
+        fset_t = env_set
+    else:
+        # Every slot's band offsets, dead rows included, from its reading (a
+        # dynamic run is one row: its seeds run alone, above); feasibility
+        # is judged against their live rows after the loop.
+        offsets = band.offset(pg_obs[0], scenario.p_fixed)
+        live_offsets = offsets if band.live is None else offsets[:, band.live]
+    gen_b = quad.generation_term(pg_obs)
+    if scheme == "stochastic":
+        eta = step_size(np.arange(1, T + 1), D[:, None], g_star[:, None])
+    else:
         converged = np.empty((R, T), dtype=bool)
         iterations = np.empty((R, T), dtype=int)
     a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)
 
     for t in range(T):
         cin_obs[:, t] = observe(c_in, noise.sigma_temp, cin_obs[:, t])
-        b_ctrl = quad.linear_term(cin_obs[:, t], cout_obs[:, t], pg_obs[:, t])
-        if static:
-            fset_t = env_set
-        else:
-            # A dynamic run is one row: its seeds run alone (above).
-            fset_t = build_feasible(band, pg_obs[0, t], p_fixed=scenario.p_fixed)
-            offsets[t] = fset_t.offset
+        b_ctrl = quad.linear_term_at(cin_obs[:, t], cout_obs[:, t], gen_b[:, t])
+        if not static:
+            fset_t = build_feasible(band, offsets[t])
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
-            a = fset_t.project(a - step_size(t + 1, D, g_star)[:, None] * g)
+            a = fset_t.project(a - eta[:, t, None] * g)
         else:
             a, converged[:, t], iterations[:, t] = minimize_projected(
                 lambda x, rows: quad.grad(x, b_ctrl[rows]), fset_t,
@@ -399,7 +406,7 @@ def run_scheme(scenario, scheme, seed=None):
             out.p_0[k] = grid_intake(pg, cons, out.loss[k])
             out.f_true[k] = quad.value(out.p_c[k], quad.linear_term(
                 out.c_in_true[k], out.c_out_true[k, None], pg))
-            offset = env_set.offset if static else np.asarray(offsets[k])
+            offset = env_set.offset if static else live_offsets[k]
             out.feasible[k] = band.violation(out.p_c[k], offset) <= MEMBER_TOL
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \

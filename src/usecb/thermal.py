@@ -132,9 +132,20 @@ class Quadratic:
         """``b`` for one slot's readings, or the ``(R, n)`` rows of ``b`` for
         ``R`` rows of readings; each row equals, bit for bit, the term of
         that row's readings alone."""
+        return self.linear_term_at(c_in, c_out, self.generation_term(p_g))
+
+    def generation_term(self, p_g):
+        """What the generation ``p_g`` takes off ``b``, for one vector or
+        each row of a stack; a caller that holds every slot's reading
+        evaluates it for all of them at once."""
+        return matvec(self.NT2, p_g)
+
+    def linear_term_at(self, c_in, c_out, gen):
+        """``b`` for the temperature readings and the ``generation_term``
+        ``gen`` of the generation reading."""
         bld = self.buildings
         drive = c_in + bld.alpha1 * (c_out - c_in) * bld.dt - bld.c_set
-        return self.base_b - self.comfort_w * drive - matvec(self.NT2, p_g)
+        return self.base_b - self.comfort_w * drive - gen
 
     def value(self, x, b):
         """f at ``x``, or at each row of a stack with its row of ``b`` (or

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from usecb.errors import FeasibilityError
-from usecb.feasible import FeasibleSet, build_band, build_feasible
+from usecb.errors import FeasibilityError, ProjectionError
+from usecb.feasible import FeasibleSet, VoltageBand, build_band, build_feasible
 from usecb.grid import voltage_approx
-from usecb.sim import build_ieee37_scenario
+from usecb.sim import build_ieee37_scenario, noise_streams, read_slots
 
 from conftest import grid_search_projection
+
+
+def _slot_set(band, p_g, p_fixed=None):
+    """The set ``band`` gives at the offsets of one generation vector."""
+    return build_feasible(band, band.offset(p_g, p_fixed))
 
 
 def _banded_set():
@@ -144,8 +149,8 @@ def test_projection_matches_grid_search_3d():
 # --- construction from grid blocks ------------------------------------------
 
 def test_vacuous_band_reduces_to_box(chain4_model):
-    fs = build_feasible(build_band(chain4_model.blocks,
-                                   {"p_min": 0.0, "p_max": 0.12}), [0.2])
+    fs = _slot_set(build_band(chain4_model.blocks,
+                              {"p_min": 0.0, "p_max": 0.12}), [0.2])
     assert fs.A_volt.shape[0] == 0 and fs.offset.size == 0
     assert np.array_equal(fs.project(np.array([1.0, -1.0])), [0.12, 0.0])
 
@@ -153,19 +158,17 @@ def test_vacuous_band_reduces_to_box(chain4_model):
 def test_offsets_monotone_in_generation(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.95, "v_max": 1.05}
     band = build_band(chain4_model.blocks, bounds)
-    lo = build_feasible(band, [0.1])
-    hi = build_feasible(band, [0.5])
+    lo = _slot_set(band, [0.1])
+    hi = _slot_set(band, [0.5])
     assert np.all(hi.offset >= lo.offset)
 
 
 def test_gen_rows_switch(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.95, "v_max": 1.05}
-    all_rows = build_feasible(build_band(chain4_model.blocks,
-                                         {**bounds, "include_gen_buses": True}),
-                              [0.2])
-    load_rows = build_feasible(build_band(chain4_model.blocks,
-                                          {**bounds, "include_gen_buses": False}),
-                               [0.2])
+    all_rows = _slot_set(build_band(chain4_model.blocks,
+                                    {**bounds, "include_gen_buses": True}), [0.2])
+    load_rows = _slot_set(build_band(chain4_model.blocks,
+                                     {**bounds, "include_gen_buses": False}), [0.2])
     assert all_rows.A_volt.shape[0] == 3
     assert load_rows.A_volt.shape[0] == 2
 
@@ -173,15 +176,15 @@ def test_gen_rows_switch(chain4_model):
 def test_fixed_load_shifts_offsets_down(chain4_model):
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.9, "v_max": 1.1}
     band = build_band(chain4_model.blocks, bounds)
-    bare = build_feasible(band, [0.2])
-    loaded = build_feasible(band, [0.2], p_fixed=np.array([0.05, 0.05]))
+    bare = _slot_set(band, [0.2])
+    loaded = _slot_set(band, [0.2], np.array([0.05, 0.05]))
     assert np.all(loaded.offset <= bare.offset)
 
 
 def test_binding_band_projection_feasible(chain4_model):
     # Tighten the band until it actually cuts the box, then project corners.
     bounds = {"p_min": 0.0, "p_max": 0.12, "v_min": 0.9985, "v_max": 1.05}
-    fs = build_feasible(build_band(chain4_model.blocks, bounds), [0.0])
+    fs = _slot_set(build_band(chain4_model.blocks, bounds), [0.0])
     corner = fs.p_max.copy()
     proj = fs.project(corner)
     assert fs.contains(proj)
@@ -223,8 +226,8 @@ def _kkt_check(fs, x):
 
 @pytest.mark.parametrize("slot", [0, 30, 880])
 def test_band_projection_kkt_ieee37(ieee37_tight, slot):
-    fs = build_feasible(ieee37_tight.band, ieee37_tight.p_g_true[slot],
-                        p_fixed=ieee37_tight.p_fixed)
+    fs = _slot_set(ieee37_tight.band, ieee37_tight.p_g_true[slot],
+                   ieee37_tight.p_fixed)
     rng = np.random.default_rng(slot)
     binding = 0
     for _ in range(40):
@@ -268,7 +271,7 @@ def test_metric_projection_variational_inequality(ieee37_tight, slot):
     # p is the W-projection of x exactly when (x - p)'W(q - p) <= 0 for
     # every member q.
     scn = ieee37_tight
-    fs = build_feasible(scn.band, scn.p_g_true[slot], p_fixed=scn.p_fixed)
+    fs = _slot_set(scn.band, scn.p_g_true[slot], scn.p_fixed)
     scale = scn.objective.scale
     w = scale ** 2
     zs = _z_reference(fs, scale)
@@ -337,10 +340,33 @@ def test_band_projection_kkt_far_point_dependent_rows():
     _kkt_check(fs, x)
 
 
+def test_fixed_point_exit_returns_a_member_or_raises():
+    # Found by stress: an equality band on a row and two scaled copies of it,
+    # a point hundreds of box widths away and a diagonal metric.  The solve
+    # stops at a fixed point within its rounding floor, but that point breaks
+    # the band by 2.4e-9, more than membership allows; it must raise.
+    A = np.array([[-2.1155285871883094, 0.44782864980104564],
+                  [-0.9598548427463628, 0.21944913853623974],
+                  [-9.09293143842356, 1.92485000366494]])
+    c = np.array([-0.9507160487656418, -0.6142157318008946, 0.2068053863963996])
+    band = np.array([-0.9769373049363479, -0.6141789526114925,
+                     0.09410159877873399])
+    x = np.array([-187.7069888553478, -161.9893685716249])
+    scale = np.array([0.2639156853919712, 4.32650282815956])
+    fs = FeasibleSet(np.zeros(2), np.ones(2), A, c, v_min=band, v_max=band)
+    assert fs.contains(fs.project(x))
+    try:
+        p = fs.project(x, scale)
+    except ProjectionError as err:
+        assert "fixed point outside the set" in str(err)
+    else:
+        assert fs.contains(p)
+
+
 def test_band_projection_kkt_one_sided(ieee37_tight):
     # Only an upper voltage bound; it binds when the loads are light.
     scn = ieee37_tight
-    fs0 = build_feasible(scn.band, scn.p_g_true[450], p_fixed=scn.p_fixed)
+    fs0 = _slot_set(scn.band, scn.p_g_true[450], scn.p_fixed)
     fs = FeasibleSet(fs0.p_min, fs0.p_max, fs0.A_volt, fs0.offset,
                      v_min=-np.inf, v_max=1.0)
     rng = np.random.default_rng(5)
@@ -425,7 +451,7 @@ def test_binding_copies_both_sit_on_the_bound(ieee37_tight, above):
     # to rounding, offset included.  A lower bound on one such pair, just
     # above its value at p_max, binds both rows of the pair at once.
     scn = ieee37_tight
-    fs0 = build_feasible(scn.band, scn.p_g_true[0], p_fixed=scn.p_fixed)
+    fs0 = _slot_set(scn.band, scn.p_g_true[0], scn.p_fixed)
     assert not scn.p_g_true[0].any()
     A, c = fs0.A_volt, fs0.offset
     for pair in ([0, 15], [1, 22], [2, 27]):
@@ -492,7 +518,7 @@ def test_band_sets_match_scratch_sets(band):
              for _ in range(3)]
     band_paths = 0
     for p_g in gens:
-        fs = build_feasible(scn.band, p_g, p_fixed=scn.p_fixed)
+        fs = _slot_set(scn.band, p_g, scn.p_fixed)
         ref = _scratch_set(scn, p_g, include_gen)
         assert np.array_equal(fs.A_volt, ref.A_volt)
         assert np.array_equal(fs.offset, ref.offset)
@@ -517,11 +543,54 @@ def test_empty_band_set_raises_like_scratch_set(include_gen):
         variant="static")
     p_g = np.zeros(scn.p_g_true.shape[1])
     with pytest.raises(FeasibilityError) as got:
-        build_feasible(scn.band, p_g, p_fixed=scn.p_fixed)
+        _slot_set(scn.band, p_g, scn.p_fixed)
     with pytest.raises(FeasibilityError) as want:
         _scratch_set(scn, p_g, include_gen)
     assert got.value.max_violation > 0.0
     assert got.value.max_violation == want.value.max_violation
+
+
+@pytest.mark.parametrize("include_gen", [True, False])
+@pytest.mark.parametrize("v_min", [0.95, 0.975])
+def test_stacked_offsets_equal_each_slot_alone(v_min, include_gen):
+    """A day of generation readings gives, row by row, the offsets of each
+    reading alone and of the per-slot formula, bit for bit."""
+    scn = build_ieee37_scenario(
+        {"voltage_band": {"v_min": v_min, "include_gen_buses": include_gen}},
+        variant="dynamic")
+    band = scn.band
+    p_g = read_slots(scn, scn.noise, np.arange(scn.horizon), noise_streams(1))[0]
+    stack = band.offset(p_g, scn.p_fixed)
+    assert stack.shape == (scn.horizon, band.dead.size)
+    for t in range(scn.horizon):
+        alone = voltage_approx(band.sens, np.concatenate([p_g[t], -scn.p_fixed]))
+        assert np.array_equal(stack[t], alone[band.first_row:])
+        assert np.array_equal(stack[t], band.offset(p_g[t], scn.p_fixed))
+
+
+def test_stacked_offsets_keep_dead_rows():
+    """Rows with no control leverage stay in the stack, each row as its
+    slot's alone, and each slot's set checks them and keeps the live rest."""
+    scn = build_ieee37_scenario({"voltage_band": {"v_min": 0.975}},
+                                variant="dynamic")
+    n_g = scn.p_g_true.shape[1]
+    sens = scn.band.sens.copy()
+    sens[[n_g + 4, n_g + 9], n_g:] = 0.0
+    band = VoltageBand(scn.band.p_min, scn.band.p_max, -sens[:, n_g:],
+                       scn.bounds["v_min"], scn.bounds["v_max"], sens=sens)
+    assert band.dead.sum() == 2
+    p_g = read_slots(scn, scn.noise, np.arange(scn.horizon), noise_streams(2))[0]
+    stack = band.offset(p_g, scn.p_fixed)
+    for t in range(scn.horizon):
+        assert np.array_equal(stack[t], band.offset(p_g[t], scn.p_fixed))
+    for t in (0, 300, 450, 880):
+        fs = build_feasible(band, stack[t])
+        assert np.array_equal(fs.offset, stack[t][band.live])
+    # A dead row's constant below the band empties the set.
+    low = stack[450].copy()
+    low[n_g + 4] = 0.9
+    with pytest.raises(FeasibilityError):
+        build_feasible(band, low)
 
 
 # --- row stacks ----------------------------------------------------------------
@@ -530,7 +599,7 @@ def test_row_stack_projection_equals_rows_alone(ieee37_tight):
     """One set and a stack of points: each row projects exactly as it does
     alone, band rows included."""
     scn = ieee37_tight
-    fs = build_feasible(scn.band, scn.p_g_true[880], p_fixed=scn.p_fixed)
+    fs = _slot_set(scn.band, scn.p_g_true[880], scn.p_fixed)
     rng = np.random.default_rng(5)
     X = fs.p_max + rng.normal(scale=0.05, size=(5, scn.n_loads))
     X[1] = fs.midpoint()

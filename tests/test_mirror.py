@@ -87,6 +87,16 @@ def test_step_size_formula():
         step_size(0, 1.0, 2.0)
 
 
+def test_step_sizes_of_a_block_equal_each_step():
+    D, G = np.array([1.3, 0.7]), np.array([120.7, 98.3])
+    steps = np.arange(1, 60)
+    block = step_size(steps, D[:, None], G[:, None])
+    for t in steps:
+        assert np.array_equal(block[:, t - 1], step_size(int(t), D, G))
+    with pytest.raises(ValueError):
+        step_size(np.arange(0, 5), D[:, None], G[:, None])
+
+
 # --- bound estimation ----------------------------------------------------------
 
 def test_bounds_unit_square():

@@ -408,6 +408,27 @@ def test_static_run_builds_no_constraint_set(scheme, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_dynamic_run_builds_one_constraint_set_per_slot(scheme, monkeypatch):
+    """Each slot of a dynamic run places and certifies its own set once, at
+    the offsets of that slot's generation reading (a static run builds
+    none, above)."""
+    scn = build_ieee37_scenario({"horizon": 20}, variant="dynamic")
+    calls = []
+    real = sim.build_feasible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_feasible", counted)
+    run = run_scheme(scn, scheme)
+    assert len(calls) == scn.horizon
+    for t, (band, offset) in enumerate(calls):
+        assert band is scn.band
+        assert np.array_equal(offset, band.offset(run.p_g_obs[t], scn.p_fixed))
+
+
 def test_empty_slot0_set_fails_at_construction():
     scn = build_ieee37_scenario({"horizon": 20})
     with pytest.raises(FeasibilityError):
@@ -485,7 +506,7 @@ def test_each_slot_is_judged_against_its_own_set(monkeypatch):
     monkeypatch.setattr(sim.FeasibleSet, "project",
                         lambda fset, x, *args: np.clip(x, fset.p_min, fset.p_max))
     run = run_scheme(scn, "stochastic", seed=3)
-    own = [sim.build_feasible(scn.band, run.p_g_obs[t], p_fixed=scn.p_fixed)
+    own = [sim.build_feasible(scn.band, scn.band.offset(run.p_g_obs[t], scn.p_fixed))
            .contains(run.p_c[t]) for t in range(scn.horizon)]
     assert run.feasible.tolist() == own
     assert len(set(own)) == 2

@@ -25,7 +25,7 @@ def test_scheme_completes_on_binding_band(scheme, v_min):
     # set it was projected onto (built from the generation the scheme saw).
     on_band = 0
     for t in range(scn.horizon):
-        fs = build_feasible(scn.band, run.p_g_obs[t], p_fixed=scn.p_fixed)
+        fs = build_feasible(scn.band, scn.band.offset(run.p_g_obs[t], scn.p_fixed))
         volts = fs.offset + fs.A_volt @ run.p_c[t]
         on_band += int(np.min(volts - fs.v_min) <= 1e-9)
     assert on_band >= 1

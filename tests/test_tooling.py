@@ -3,6 +3,7 @@ they refer to, so deleting a traced or exported global fails here; and the
 output digest tool lists every CLI output, the same on every run, and says
 how two runs' outputs differ."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -111,6 +112,24 @@ def test_bench_finds_the_slot_a_failing_run_reached(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sim, "build_feasible", failing)
+    run, _, _, failure = workloads.scheme_job(scn, "stochastic", 3)
+    assert run is None
+    assert failure["error"] == "FeasibilityError"
+    assert failure["slot"] == 5
+
+
+def test_bench_finds_the_slot_whose_own_set_is_empty():
+    """No mock: generation that drops to zero at slot 5 under a 0.99 floor
+    empties that slot's set while slot 0's holds, so the run fails at slot
+    5 and the benchmark reports it."""
+    workloads = _load("bench_workloads", ROOT / "bench" / "workloads.py")
+    scn = sim.build_ieee37_scenario({"horizon": 20}, variant="dynamic")
+    p_g = np.ones_like(scn.p_g_true)
+    p_g[5] = 0.0
+    scn = dataclasses.replace(scn, bounds={**scn.bounds, "v_min": 0.99},
+                              p_g_true=p_g)
+    with pytest.raises(FeasibilityError):
+        sim.run_scheme(scn, "stochastic", 3)
     run, _, _, failure = workloads.scheme_job(scn, "stochastic", 3)
     assert run is None
     assert failure["error"] == "FeasibilityError"
