@@ -96,12 +96,14 @@ def run_online(fset, oracle, T, D, G_star, x0):
     a = fset.project(np.asarray(x0, dtype=float))
     for start in range(0, T, _BLOCK):
         points = np.empty(a.shape[:-1] + (min(_BLOCK, T - start), a.shape[-1]))
+        eta = step_size(np.arange(start + 1, start + points.shape[-2] + 1),
+                        D, G_star)
         for i in range(points.shape[-2]):
             t = start + i + 1
             points[..., i, :] = a
             if t < T:
                 g = np.asarray(oracle(t, a), dtype=float)
-                a = fset.project(a - step_size(t, D, G_star) * g)
+                a = fset.project(a - eta[i] * g)
         yield points
 
 
