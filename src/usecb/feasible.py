@@ -14,14 +14,19 @@ of zero rows).  When the box clamp already satisfies every slab it is
 itself the projection and is returned directly.  Otherwise the projection
 ``min 0.5 ||p - x||^2`` over the set is solved through its dual: for band
 multipliers ``y`` the nearest box point is
-``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``, and a projected Newton
-method on ``y`` with an exact line search on the dual objective drives the
-KKT residual below 1e-10 on every row, or to a fixed point within the
-rounding floor of ``x - A_volt.T @ y`` when that floor is higher and the
-point is a member.  Its Levenberg-Marquardt shift keeps the Newton system
-regular when rows repeat (a generator bus and its parent load bus share
-one sensitivity row).  An empty set is certified by a dual point that
-proves every box point breaks the band.
+``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``.  A one-row solve comes
+first: it prices only the most violated row ``k``, at the root of
+``a_k . p(y_k e_k) + c_k = bound_k`` found by breakpoint search over the
+box kinks, as for the continuous quadratic knapsack (Kiwiel, Math. Program.
+2008), and returns that point when every row meets the KKT tolerance.
+When one row is not enough, a projected Newton method on ``y`` from zero,
+with an exact line search on the dual objective, drives the KKT residual
+below 1e-10 on every row, or to a fixed point within the rounding floor of
+``x - A_volt.T @ y`` when that floor is higher and the point is a member.
+Its Levenberg-Marquardt shift keeps the Newton system regular when rows
+repeat (a generator bus and its parent load bus share one sensitivity row).
+An empty set is certified by a dual point that proves every box point
+breaks the band.
 
 ``project(x, scale)`` projects in the metric ``W = diag(scale**2)``: the
 clamp is still the projection onto a box, and the band solve runs as above
@@ -206,7 +211,17 @@ class FeasibleSet:
         return clamped
 
     def _project_band(self, x, scale=1.0):
-        """Projection onto box and band by projected Newton on the dual.
+        """Projection onto box and band: a one-row solve, else projected
+        Newton on the dual.
+
+        The one-row solve takes the row ``k`` the point ``p(0)`` breaks
+        most and the multiplier sign that prices its broken bound, finds
+        ``y_k`` where the row meets that bound by the breakpoint search of
+        :func:`_exact_step` along ``e_k``, and returns ``p(y_k e_k)`` if
+        ``max |g| <= 1e-10`` there, Newton's own stopping rule.  Otherwise,
+        and when no ``y_k`` exists (the box cannot meet the row), Newton
+        runs from ``y = 0`` as it would alone, so its results and emptiness
+        certificates do not depend on the attempt.
 
         With multipliers ``y`` on the band rows (``y_k > 0`` prices the upper
         bound, ``y_k < 0`` the lower one), the dual objective to minimize is
@@ -260,6 +275,19 @@ class FeasibleSet:
         y = np.zeros(A.shape[0])
         p, aty, g, dual = point(y)
         resid = float(np.max(np.abs(g)))
+        if resid > _KKT_TOL:
+            # One-row solve: price only the most violated row, at the root of
+            # its slope found by breakpoint search, and keep it if Newton's
+            # stopping rule accepts it; else Newton starts from y = 0.
+            d = np.zeros_like(y)
+            k = int(np.argmax(np.abs(g)))
+            d[k] = -np.sign(g[k])
+            alpha = _exact_step(x, y, d, d, A, c, lo, hi, p_min, p_max)
+            if alpha < np.inf:
+                one = point(alpha * d)
+                one_resid = float(np.max(np.abs(one[2])))
+                if one_resid <= _KKT_TOL:
+                    y, (p, aty, g, dual), resid = alpha * d, one, one_resid
         fixed = False
         for _ in range(_NEWTON_CAP):
             if resid <= _KKT_TOL:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from usecb import feasible
 from usecb.grid import GridModel, Line
 
 
@@ -61,6 +62,25 @@ def _scan(fset, x, pts, best, best_d):
     if d[k] < best_d:
         return pts[k].copy(), float(d[k])
     return best, best_d
+
+
+def count_newton_steps(monkeypatch):
+    """Record, per band projection, how many ``_nonneg_qp`` calls (Newton
+    steps) it makes: one entry per projection, appended as it starts."""
+    calls = []
+    project_band, nonneg_qp = feasible.FeasibleSet._project_band, feasible._nonneg_qp
+
+    def counted(self, *args):
+        calls.append(0)
+        return project_band(self, *args)
+
+    def qp(*args):
+        calls[-1] += 1
+        return nonneg_qp(*args)
+
+    monkeypatch.setattr(feasible.FeasibleSet, "_project_band", counted)
+    monkeypatch.setattr(feasible, "_nonneg_qp", qp)
+    return calls
 
 
 @pytest.fixture

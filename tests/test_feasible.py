@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from usecb import feasible
 from usecb.errors import FeasibilityError, ProjectionError
 from usecb.feasible import FeasibleSet, VoltageBand, build_band, build_feasible
 from usecb.grid import voltage_approx
 from usecb.sim import build_ieee37_scenario, noise_streams, read_slots
 
-from conftest import grid_search_projection
+from conftest import count_newton_steps, grid_search_projection
 
 
 def _slot_set(band, p_g, p_fixed=None):
@@ -202,10 +203,11 @@ def ieee37_tight():
                                  variant="dynamic")
 
 
-def _kkt_check(fs, x):
+def _kkt_check(fs, x, scale=1.0):
     """Project x onto the band path and check the KKT conditions of
-    min 0.5 ||p - x||^2 over the set; returns the multipliers."""
-    p, y = fs._project_band(x)
+    min 0.5 ||scale * (p - x)||^2 over the set, which the solve meets in
+    z = scale * p on the rows A / scale; returns the multipliers."""
+    p, y = fs._project_band(x, scale)
     A, c, lo, hi = fs.A_volt, fs.offset, fs.v_min, fs.v_max
     v = A @ p + c
     # Primal feasibility.
@@ -214,9 +216,10 @@ def _kkt_check(fs, x):
     # lower one, and a priced row sits on its bound.
     assert np.all(np.abs(v - hi)[y > 0] <= 1e-9)
     assert np.all(np.abs(v - lo)[y < 0] <= 1e-9)
-    # Stationarity p - x + A.T y + mu = 0, with box multipliers mu that vanish
-    # off the box faces and push inward on them.
-    mu = x - p - A.T @ y
+    # Stationarity z - scale * x + (A / scale).T y + mu = 0 in z = scale * p,
+    # with box multipliers mu that vanish off the box faces and push inward
+    # on them.
+    mu = scale * (x - p) - (A / scale).T @ y
     inside = (p > fs.p_min) & (p < fs.p_max)
     assert np.all(np.abs(mu[inside]) <= 1e-12)
     assert np.all(mu[p == fs.p_max] >= -1e-12)
@@ -609,3 +612,113 @@ def test_row_stack_projection_equals_rows_alone(ieee37_tight):
     band_rows = [not np.array_equal(w, np.clip(x, fs.p_min, fs.p_max))
                  for w, x in zip(want, X)]
     assert any(band_rows) and not all(band_rows)
+
+
+# --- the one-row solve ------------------------------------------------------------
+# Before its Newton solve the band projection prices only the most violated
+# row, at the root its breakpoint search finds, and keeps that point when
+# every row then meets Newton's stopping rule.
+
+
+def _newton_only(monkeypatch):
+    """Make every band projection skip its one-row solve: the first step
+    search of each projection reports an infinite step, so Newton starts
+    from y = 0 as it would alone."""
+    project_band, exact_step = feasible.FeasibleSet._project_band, feasible._exact_step
+    first = [False]
+
+    def start(self, *args):
+        first[0] = True
+        return project_band(self, *args)
+
+    def step(*args):
+        if first[0]:
+            first[0] = False
+            return np.inf
+        return exact_step(*args)
+
+    monkeypatch.setattr(feasible.FeasibleSet, "_project_band", start)
+    monkeypatch.setattr(feasible, "_exact_step", step)
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_one_row_solve_meets_kkt_without_newton(ieee37_tight, monkeypatch, metric):
+    scn = ieee37_tight
+    scale = scn.objective.scale if metric else 1.0
+    calls = count_newton_steps(monkeypatch)
+    accepted = 0
+    for slot in (0, 30, 880):
+        fs = _slot_set(scn.band, scn.p_g_true[slot], scn.p_fixed)
+        rng = np.random.default_rng(slot)
+        for _ in range(40):
+            x = fs.p_max + rng.normal(scale=0.05, size=fs.dim)
+            if fs.contains(np.clip(x, fs.p_min, fs.p_max)):
+                continue
+            y = _kkt_check(fs, x, scale)
+            if calls[-1] == 0:
+                accepted += 1
+                assert np.count_nonzero(y) == 1
+    assert accepted >= 20
+
+
+def test_two_active_rows_fall_back_to_newton(monkeypatch):
+    # Box [0, 1]^2 cut by p1 <= 0.5 and p2 <= 0.5: from (0.9, 1) the one-row
+    # solve prices p2 alone and leaves p1 = 0.9 above its bound.
+    fs = FeasibleSet(np.zeros(2), np.ones(2), np.eye(2), np.zeros(2),
+                     v_max=0.5)
+    x = np.array([0.9, 1.0])
+    calls = count_newton_steps(monkeypatch)
+    p, y = fs._project_band(x)
+    assert len(calls) == 1 and calls[0] > 0
+    assert np.count_nonzero(y) == 2
+    assert np.array_equal(p, [0.5, 0.5])
+    _newton_only(monkeypatch)
+    q, z = fs._project_band(x)
+    assert np.array_equal(p, q) and np.array_equal(y, z)
+
+
+def test_one_row_solve_on_a_row_with_zero_entries(monkeypatch):
+    # The row leaves p2 and p3 alone: their kinks divide by a zero entry,
+    # to nan where x sits on a bound and to inf elsewhere.  The root of
+    # clip(0.8 - y) + clip(2 - y) = 0.5 over [0, 1] is y = 1.5.
+    fs = FeasibleSet(np.zeros(4), np.ones(4), [[1.0, 0.0, 0.0, 1.0]], [0.0],
+                     v_max=0.5)
+    x = np.array([0.8, 0.0, 1.0, 2.0])
+    calls = count_newton_steps(monkeypatch)
+    with np.errstate(all="raise"):
+        p, y = fs._project_band(x)
+    assert calls == [0]
+    assert np.array_equal(p, [0.0, 0.0, 1.0, 0.5]) and np.array_equal(y, [1.5])
+    _kkt_check(fs, x)
+
+
+def test_one_row_out_of_reach_is_certified_empty(monkeypatch):
+    # a.p + 0.5 peaks at 1.5 over the box (p = (1, 0, any)), half a volt
+    # short of v_min: the breakpoint search finds no root, and the Newton
+    # solve certifies the set empty with its own bound.
+    args = ([0.0, 0.0, 0.0], [1.0, 2.0, 1.0], [[1.0, -2.0, 0.0]], [0.5])
+    with pytest.raises(FeasibilityError) as err:
+        FeasibleSet(*args, v_min=2.0)
+    assert err.value.max_violation == pytest.approx(0.5, rel=1e-15)
+    _newton_only(monkeypatch)
+    with pytest.raises(FeasibilityError) as alone:
+        FeasibleSet(*args, v_min=2.0)
+    assert err.value.max_violation == alone.value.max_violation
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_stack_mixing_one_row_and_newton_solves(ieee37_tight, monkeypatch, metric):
+    scn = ieee37_tight
+    scale = scn.objective.scale if metric else 1.0
+    fs = _slot_set(scn.band, scn.p_g_true[30], scn.p_fixed)
+    rng = np.random.default_rng(7)
+    # Most of these points bind one row at their projection, some several,
+    # and one meets the band on the clamp.
+    X = np.vstack([fs.p_max + rng.normal(scale=0.05, size=(8, fs.dim)),
+                   fs.p_max + rng.uniform(100.0, 300.0, size=(4, fs.dim)),
+                   fs.midpoint()])
+    calls = count_newton_steps(monkeypatch)
+    want = [fs.project(x, scale) for x in X]
+    newton = [c > 0 for c in calls]
+    assert any(newton) and not all(newton) and len(calls) < len(X)
+    assert np.array_equal(fs.project(X, scale), want)

@@ -11,6 +11,8 @@ import pytest
 from usecb.feasible import build_feasible
 from usecb.sim import data_path, load_scenario, metrics, run_scheme
 
+from conftest import count_newton_steps
+
 
 @pytest.mark.parametrize("v_min", [0.975, 0.98])
 @pytest.mark.parametrize("scheme", ["stochastic", "exact", "oracle"])
@@ -29,3 +31,14 @@ def test_scheme_completes_on_binding_band(scheme, v_min):
         volts = fs.offset + fs.A_volt @ run.p_c[t]
         on_band += int(np.min(volts - fs.v_min) <= 1e-9)
     assert on_band >= 1
+
+
+def test_band_projections_mostly_skip_newton(monkeypatch):
+    # A work count, not a timing: on the tight day most band projections end
+    # in the one-row solve, with no Newton step (no ``_nonneg_qp`` call).
+    scn = load_scenario(str(data_path("ieee37_dynamic.json")),
+                        {"voltage_band": {"v_min": 0.975}, "horizon": 60})
+    calls = count_newton_steps(monkeypatch)
+    run_scheme(scn, "stochastic")
+    newton = sum(c > 0 for c in calls)
+    assert len(calls) >= 4 and 4 * newton <= len(calls)
