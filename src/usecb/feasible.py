@@ -10,10 +10,15 @@ and the inflexible load.  ``band.offset`` evaluates it for one slot or for
 a whole horizon of generation readings at once, and
 ``build_feasible(band, offset)`` places the band at one slot's offsets as
 that slot's certified :class:`FeasibleSet` (without voltage limits, a band
-of zero rows).  When the box clamp already satisfies every slab it is
-itself the projection and is returned directly.  Otherwise the projection
-``min 0.5 ||p - x||^2`` over the set is solved through its dual: for band
-multipliers ``y`` the nearest box point is
+of zero rows).  Each live row's radius over the box, ``|A_volt| @ (p_max -
+p_min) / 2`` widened by a rounding margin, is kept beside ``A_volt @
+midpoint``, so :meth:`VoltageBand.holds_box` decides for one slot, or for a
+whole horizon of offsets at once, whether the band holds every box point.
+Such a set is marked ``box_only``: it is never empty, needs no certificate,
+and its projection is the box clamp, returned before any band arithmetic.
+On any other set the clamp is still returned when it satisfies every slab.
+Otherwise the projection ``min 0.5 ||p - x||^2`` over the set is solved
+through its dual: for band multipliers ``y`` the nearest box point is
 ``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``.  A one-row solve comes
 first: it prices only the most violated row ``k``, at the root of
 ``a_k . p(y_k e_k) + c_k = bound_k`` found by breakpoint search over the
@@ -55,7 +60,9 @@ class VoltageBand:
     each set checks their constants against the band.  ``sens`` and
     ``first_row`` turn an injection vector into the offsets of the rows (see
     :func:`build_band`); a band without them takes offsets as given.  A band
-    without ``A_volt`` has zero rows.
+    without ``A_volt`` has zero rows.  ``A_mid`` is each live row of
+    ``A_volt`` at the box midpoint and ``A_rad`` its radius over the box,
+    with a rounding margin.
     """
 
     def __init__(self, p_min, p_max, A_volt=(), v_min=-np.inf, v_max=np.inf,
@@ -84,6 +91,15 @@ class VoltageBand:
             A, v_min, v_max = A[self.live], v_min[self.live], v_max[self.live]
         self.A_volt, self.v_min, self.v_max = A, v_min, v_max
         self.A_mid = A @ (0.5 * (self.p_min + self.p_max))
+        # Each row's reach over the box about A_mid, widened by a bound on
+        # the rounding of offset + A @ p and of this test: n + 8 epsilons
+        # of the terms' and the bounds' sizes.
+        abs_a = np.abs(A)
+        size = abs_a @ np.maximum(np.abs(self.p_min), np.abs(self.p_max))
+        for bound in (v_min, v_max):
+            size = size + np.where(np.isfinite(bound), np.abs(bound), 0.0)
+        self.A_rad = (abs_a @ (0.5 * (self.p_max - self.p_min))
+                      + (A.shape[1] + 8) * _EPS * size)
 
     def offset(self, p_g, p_fixed=None):
         """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
@@ -97,6 +113,22 @@ class VoltageBand:
             [p_g, np.broadcast_to(-p_fixed, p_g.shape[:-1] + p_fixed.shape)],
             axis=-1)
         return 1.0 + matvec(self.sens, base)[..., self.first_row:]
+
+    def holds_box(self, offset):
+        """Whether the band at ``offset`` (dead rows included) holds the
+        whole box, for one slot or each row of a ``(T, rows)`` stack: every
+        dead row's constant is in range and every live row stays within
+        its bounds over the box, rounding included.  Where it holds, the
+        box clamp is the projection."""
+        ok = True
+        if self.live is not None:
+            const = offset[..., self.dead]
+            lo, hi = self.dead_bounds
+            ok = ((const >= lo) & (const <= hi)).all(axis=-1)
+            offset = offset[..., self.live]
+        mid = offset + self.A_mid
+        return ok & ((mid - self.A_rad >= self.v_min)
+                     & (mid + self.A_rad <= self.v_max)).all(axis=-1)
 
     def violation(self, p, offset):
         """How far ``p``, a point or a stack of them, lies outside the box
@@ -144,7 +176,8 @@ class FeasibleSet:
     ``FeasibleSet(p_min, p_max, A_volt, offset, v_min, v_max)`` builds a
     set from scratch; :func:`build_feasible` places a scenario's
     :class:`VoltageBand` at one slot's offset.  Either way the set is
-    certified nonempty on construction.
+    certified nonempty on construction; ``box_only`` says whether its band
+    holds the whole box (see :meth:`VoltageBand.holds_box`).
 
     ``project`` and ``contains`` take one point or an ``(R, n)`` stack of
     them, one row each; each row's result equals, bit for bit, that of the
@@ -158,10 +191,14 @@ class FeasibleSet:
 
     def _place(self, band, offset):
         """Make this the set ``band`` gives at ``offset`` (one value per
-        band row, dead rows included) and certify it."""
+        band row, dead rows included) and certify it: a set whose band holds
+        the box is marked ``box_only`` and needs no certificate."""
         self.band = band
         self.p_min, self.p_max = band.p_min, band.p_max
         self.A_volt, self.v_min, self.v_max = band.A_volt, band.v_min, band.v_max
+        # A band that holds the box leaves the plain box: never empty, and
+        # projected by the clamp alone.
+        self.box_only = bool(band.holds_box(offset))
         if band.live is not None:
             # Rows with no control leverage are plain constants: either they
             # already violate the band (empty set) or they are dropped.
@@ -176,6 +213,8 @@ class FeasibleSet:
                     f"by {worst:.3e})", max_violation=worst)
             offset = offset[band.live]
         self.offset = offset
+        if self.box_only:
+            return
         # Certification: the box midpoint is a member unless it breaks the
         # band; then the dual solve started from it either finds a member or
         # certifies that the set is empty.
@@ -196,10 +235,13 @@ class FeasibleSet:
 
     def project(self, x, scale=1.0):
         """Projection in the metric ``diag(scale**2)`` (Euclidean by
-        default): the box clamp when it meets the band, otherwise the dual
-        Newton solve, on the rows of a stack that need it."""
+        default): the box clamp on a ``box_only`` set, without evaluating the
+        band; otherwise the clamp when it meets the band, else the band
+        solve, on the rows of a stack that need it."""
         x = np.asarray(x, dtype=float)
         clamped = np.minimum(np.maximum(x, self.p_min), self.p_max)
+        if self.box_only:
+            return clamped
         band = self.offset + matvec(self.A_volt, clamped)
         inside = (band >= self.v_min) & (band <= self.v_max)
         if inside.all():
@@ -268,9 +310,6 @@ class FeasibleSet:
             dx = p - x
             return p, aty, g, float(y @ g) - 0.5 * float(dx @ dx)
 
-        # No member is farther from x than the farthest box corner.
-        dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
-        shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
         damping = 1.0
         y = np.zeros(A.shape[0])
         p, aty, g, dual = point(y)
@@ -288,6 +327,11 @@ class FeasibleSet:
                 one_resid = float(np.max(np.abs(one[2])))
                 if one_resid <= _KKT_TOL:
                     y, (p, aty, g, dual), resid = alpha * d, one, one_resid
+        if not resid <= _KKT_TOL:
+            # Newton's set-up, only where Newton runs (a nan residual too).
+            # No member is farther from x than the farthest box corner.
+            dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
+            shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
         fixed = False
         for _ in range(_NEWTON_CAP):
             if resid <= _KKT_TOL:

@@ -319,11 +319,13 @@ def run_scheme(scenario, scheme, seed=None):
     does not depend on the control runs before the slot loop, over the
     whole horizon: the step sizes, the generation part of each slot's
     linear term and, on a dynamic day, every slot's band offsets from its
-    generation reading, so each slot's ``build_feasible(band, offsets[t])``
-    only places and certifies its set.  The bookkeeping (loss, intake and
-    true objective against the true physics, and each slot's feasibility
-    against its own set) runs once per run, over the horizon, after the
-    loop.
+    generation reading and whether the band there holds the whole box
+    (:meth:`~usecb.feasible.VoltageBand.holds_box`).  Those slots project
+    onto one shared plain box, by the clamp alone; each other slot's
+    ``build_feasible(band, offsets[t])`` only places and certifies its set.
+    The bookkeeping (loss, intake and true objective against the true
+    physics, and each slot's feasibility against its own set) runs once per
+    run, over the horizon, after the loop.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -365,6 +367,10 @@ def run_scheme(scenario, scheme, seed=None):
         # is judged against their live rows after the loop.
         offsets = band.offset(pg_obs[0], scenario.p_fixed)
         live_offsets = offsets if band.live is None else offsets[:, band.live]
+        # Slots whose band holds the box share one plain box; every other
+        # slot places and certifies its own set in the loop.
+        box_slot = band.holds_box(offsets).tolist()
+        box_set = FeasibleSet(band.p_min, band.p_max)
     gen_b = quad.generation_term(pg_obs)
     if scheme == "stochastic":
         eta = step_size(np.arange(1, T + 1), D[:, None], g_star[:, None])
@@ -378,7 +384,7 @@ def run_scheme(scenario, scheme, seed=None):
         b_ctrl = quad.linear_term_at(cin_obs[row, t], cout_obs[row, t],
                                      gen_b[row, t])
         if not static:
-            fset_t = build_feasible(band, offsets[t])
+            fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
             a = fset_t.project(a - eta[row, t, None] * g)

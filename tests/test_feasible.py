@@ -1,10 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usecb import feasible
-from usecb.errors import FeasibilityError, ProjectionError
+from usecb.errors import FeasibilityError, ProjectionError, UsecbError
+from usecb.experiments import static_problem
 from usecb.feasible import FeasibleSet, VoltageBand, build_band, build_feasible
-from usecb.grid import voltage_approx
+from usecb.grid import matvec, voltage_approx
 from usecb.sim import build_ieee37_scenario, noise_streams, read_slots
 
 from conftest import count_newton_steps, grid_search_projection
@@ -722,3 +727,137 @@ def test_stack_mixing_one_row_and_newton_solves(ieee37_tight, monkeypatch, metri
     newton = [c > 0 for c in calls]
     assert any(newton) and not all(newton) and len(calls) < len(X)
     assert np.array_equal(fs.project(X, scale), want)
+
+
+# --- sets whose band holds the box ---------------------------------------------
+# Where every box point meets the band, with a margin for rounding, the set
+# is marked box_only: it skips the certificate and projects by the clamp
+# without evaluating the band.
+
+
+def _full_path(fs):
+    """``fs`` with its band tested on every projection."""
+    full = copy.copy(fs)
+    full.box_only = False
+    return full
+
+
+@st.composite
+def box_holding_sets(draw):
+    """A box and rows of several scales, with bounds that hold the box at
+    a relative gap ``f`` beyond the rounding margin (0: right at it), one of
+    them possibly open; points whose clamps fall inside, on faces and on
+    corners, and a diagonal metric."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(0, 5))
+    size = 10.0 ** draw(st.integers(-3, 2))
+    p_min = rng.uniform(-1.0, 1.0, n) * size
+    p_max = p_min + rng.uniform(0.0, 2.0, n) * size
+    A = rng.normal(size=(m, n)) * 10.0 ** draw(st.integers(-3, 1))
+    offset = rng.normal(1.0, 0.1, m)
+    f = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    band = VoltageBand(p_min, p_max, A)
+    # The margin grows with the bounds' size, so place them once more at
+    # the margin of the band that has them.
+    for _ in range(2):
+        lo = offset + band.A_mid - band.A_rad * (1.0 + f)
+        hi = offset + band.A_mid + band.A_rad * (1.0 + f)
+        band = VoltageBand(p_min, p_max, A, lo, hi)
+    if m and draw(st.booleans()):
+        lo[0] = -np.inf
+    fs = FeasibleSet(p_min, p_max, A, offset, lo, hi)
+    X = p_min + (p_max - p_min) * rng.uniform(-1.0, 2.0, (6, n))
+    X[0] = np.where(rng.random(n) < 0.5, p_min - size, p_max + size)
+    X[1] = np.where(rng.random(n) < 0.5, -np.inf, np.inf)
+    # The corners where each row peaks and bottoms out over the box.
+    up = A > 0
+    X = np.vstack([X, np.where(up, p_max + size, p_min - size),
+                   np.where(up, p_min - size, p_max + size)])
+    return fs, X, rng.uniform(0.1, 10.0, n), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_holding_sets())
+def test_box_only_projection_equals_the_band_tested_one(case):
+    """A box_only set's clamp passes the band test as ``project`` evaluates
+    it, rounding included, at every row's extreme corners, and is, bit for
+    bit, what testing the band gives: for points, stacks and in a diagonal
+    metric."""
+    fs, X, scale, f = case
+    if f > 0.0:
+        assert fs.box_only
+    if not fs.box_only:
+        return
+    clamp = np.minimum(np.maximum(X, fs.p_min), fs.p_max)
+    band = fs.offset + matvec(fs.A_volt, clamp)
+    assert ((band >= fs.v_min) & (band <= fs.v_max)).all()
+    full = _full_path(fs)
+    assert np.array_equal(full.project(X), clamp)
+    for s in (1.0, scale):
+        assert np.array_equal(fs.project(X, s), full.project(X, s))
+        for x in X:
+            assert np.array_equal(fs.project(x, s), full.project(x, s))
+
+
+@pytest.mark.parametrize("short", [4.0, -4.0])
+def test_band_within_the_margin_of_the_box_takes_the_full_path(short, monkeypatch):
+    # Box [0, 1]^2 and p1 + p2 <= 2 - short eps: the corner (1, 1) is cut
+    # off (short > 0) or just kept (short < 0), by less than the margin, so
+    # the set tests its band, and the cut corner goes to the band solve
+    # (which keeps it, well inside its KKT tolerance).
+    v_max = 2.0 - short * feasible._EPS
+    fs = FeasibleSet(np.zeros(2), np.ones(2), [[1.0, 1.0]], [0.0], v_max=v_max)
+    assert not fs.box_only
+    assert fs.band.A_rad[0] - 1.0 > abs(short) * feasible._EPS
+    calls = count_newton_steps(monkeypatch)
+    assert np.array_equal(fs.project(np.array([5.0, 5.0])), [1.0, 1.0])
+    assert len(calls) == (short > 0)
+
+
+def test_nan_point_on_a_banded_set_raises_a_package_error():
+    # The Newton set-up is skipped where the one-row solve meets the
+    # tolerance; a nan residual meets nothing, so Newton runs and needs it.
+    with pytest.raises(UsecbError):
+        _banded_set().project(np.array([np.nan, 2.0]))
+
+
+def test_dead_row_out_of_range_empties_a_box_holding_set():
+    # The live row p1 + p2 in [0, 2] sits inside [-1, 10]; the dead row's
+    # constant 20 does not.
+    args = (np.zeros(2), np.ones(2), [[0.0, 0.0], [1.0, 1.0]])
+    assert FeasibleSet(*args, [5.0, 0.0], -1.0, 10.0).box_only
+    band = VoltageBand(*args, -1.0, 10.0)
+    assert np.array_equal(band.holds_box(np.array([[5.0, 0.0], [20.0, 0.0]])),
+                          [True, False])
+    with pytest.raises(FeasibilityError):
+        FeasibleSet(*args, [20.0, 0.0], -1.0, 10.0)
+
+
+@pytest.mark.parametrize("variant", ["static", "regret", "dynamic"])
+def test_bundled_sets_are_box_only(variant):
+    scn = build_ieee37_scenario(variant=variant)
+    assert scn.env_set.box_only
+    assert FeasibleSet(scn.band.p_min, scn.band.p_max).box_only
+
+
+def test_slot_flags_equal_each_slot_set(ieee37_tight):
+    """The horizon's flags are each slot's set's own, and the tight day
+    has slots of both kinds."""
+    scn = ieee37_tight
+    offsets = scn.band.offset(scn.p_g_true, scn.p_fixed)
+    flags = scn.band.holds_box(offsets)
+    assert flags.any() and not flags.all()
+    for t in range(0, scn.horizon, 15):
+        assert build_feasible(scn.band, offsets[t]).box_only == flags[t]
+
+
+def test_static_tight_band_binds_at_the_optimum():
+    """``ieee37_static`` at ``v_min`` 0.985 (the output digest's
+    ``static_tight``) is not box_only, and a band row is active at a*."""
+    scn = build_ieee37_scenario({"voltage_band": {"v_min": 0.985}},
+                                variant="static")
+    fs = scn.env_set
+    assert not fs.box_only
+    a_star, _ = static_problem(scn)
+    volts = fs.offset + fs.A_volt @ a_star
+    assert np.min(volts - fs.v_min) <= 1e-9

@@ -410,10 +410,14 @@ def test_static_run_builds_no_constraint_set(scheme, monkeypatch):
 
 @pytest.mark.parametrize("scheme", sim.SCHEMES)
 def test_dynamic_run_builds_one_constraint_set_per_slot(scheme, monkeypatch):
-    """Each slot of a dynamic run places and certifies its own set once, at
-    the offsets of that slot's generation reading (a static run builds
-    none, above)."""
-    scn = build_ieee37_scenario({"horizon": 20}, variant="dynamic")
+    """Each slot of a dynamic run whose band cuts the box places and
+    certifies its own set once, at the offsets of that slot's generation
+    reading: on the tight band every one of these 20 slots does.  Slots
+    whose band holds the box, every slot of the loose day, build none and
+    project onto the plain box (a static run builds none, above)."""
+    scn = build_ieee37_scenario({"horizon": 20, "voltage_band": {"v_min": 0.975}},
+                                variant="dynamic")
+    loose = build_ieee37_scenario({"horizon": 20}, variant="dynamic")
     calls = []
     real = sim.build_feasible
 
@@ -427,6 +431,9 @@ def test_dynamic_run_builds_one_constraint_set_per_slot(scheme, monkeypatch):
     for t, (band, offset) in enumerate(calls):
         assert band is scn.band
         assert np.array_equal(offset, band.offset(run.p_g_obs[t], scn.p_fixed))
+    calls.clear()
+    run_scheme(loose, scheme)
+    assert not calls
 
 
 def test_empty_slot0_set_fails_at_construction():

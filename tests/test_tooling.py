@@ -100,9 +100,12 @@ def test_traced_metric_projections_match_and_tag_the_band(tmp_path):
 
 def test_bench_finds_the_slot_a_failing_run_reached(monkeypatch):
     """The benchmark reads the slot a run failed at from the loop variable
-    ``t`` of ``run_scheme``'s own frame, so the slot loop must stay there."""
+    ``t`` of ``run_scheme``'s own frame, so the slot loop must stay there.
+    At ``v_min`` 0.975 every slot's band cuts the box, so each slot builds
+    its own set and the sixth build is slot 5's."""
     workloads = _load("bench_workloads", ROOT / "bench" / "workloads.py")
-    scn = sim.build_ieee37_scenario({"horizon": 20}, variant="dynamic")
+    scn = sim.build_ieee37_scenario(
+        {"horizon": 20, "voltage_band": {"v_min": 0.975}}, variant="dynamic")
     real, calls = sim.build_feasible, []
 
     def failing(*args, **kwargs):
@@ -147,7 +150,7 @@ def _digest(out, *extra):
 
 def _expected_outputs():
     variants = {"static": "static", "dynamic": "dynamic", "regret": "regret",
-                "tight": "dynamic", "quiet": "dynamic"}
+                "tight": "dynamic", "quiet": "dynamic", "static_tight": "static"}
     seeds = {name: json.loads(data_path(f"ieee37_{v}.json").read_text())["seed"]
              for name, v in variants.items()}
     s, r = seeds["static"], seeds["regret"]
@@ -161,6 +164,14 @@ def _expected_outputs():
                       f"simulate/{name}/slots_{scheme}_{seed}.csv",
                       f"simulate/{name}/summary_{scheme}_{seed}.json"}
     return sorted(paths)
+
+
+def test_output_digest_covers_every_bundled_config():
+    digest = _load("output_digest", DIGEST)
+    bundled = {path.name for path in data_path("ieee37_static.json").parent.glob(
+        "ieee37_*.json")}
+    assert "ieee37_dynamic.json" in bundled
+    assert bundled <= {fname for fname, _ in digest.CONFIGS.values()}
 
 
 def test_output_digest_repeatable_and_complete(tmp_path):

@@ -8,11 +8,13 @@ Usage::
 Runs, with each config's own seed:
 
 * ``simulate`` with every scheme on ``ieee37_static``, ``ieee37_dynamic``,
-  ``ieee37_regret``, ``ieee37_dynamic`` at ``v_min`` 0.975 (``tight``) and
-  ``ieee37_dynamic`` with both noise sigmas at 0 (``quiet``),
+  ``ieee37_regret``, ``ieee37_dynamic`` at ``v_min`` 0.975 (``tight``),
+  ``ieee37_dynamic`` with both noise sigmas at 0 (``quiet``) and
+  ``ieee37_static`` at ``v_min`` 0.985 (``static_tight``, whose band binds
+  one row at the optimum),
 * ``compare`` on ``ieee37_static``,
 * ``regret --horizons 100,1000 --replications 4`` on ``ieee37_regret``,
-* ``validate`` and ``gradcheck`` on each of the five configs,
+* ``validate`` and ``gradcheck`` on each of the six configs,
 
 writing into the empty or new directory ``OUT_DIR``, and prints one sorted
 ``sha256  relpath`` line per output file.  Each command's stdout and stderr
@@ -53,6 +55,7 @@ CONFIGS = {
     "tight": ("ieee37_dynamic.json", {"voltage_band": {"v_min": 0.975}}),
     "quiet": ("ieee37_dynamic.json", {"noise": {"sigma_temp": 0.0,
                                                 "sigma_gen": 0.0}}),
+    "static_tight": ("ieee37_static.json", {"voltage_band": {"v_min": 0.985}}),
 }
 INPUTS = "configs"
 
