@@ -85,11 +85,11 @@ def run_scheme_job(scenario, scheme, seed):
 
 
 def _regret_job(scenario, horizons, seeds, D, g_star, a_star):
-    """For each of ``seeds``, R_T at each of the ascending ``horizons``, from
-    one stacked run of the longest: step t of a run sees the same readings
-    whatever its length, so the run's first T iterates are those of a run
-    of length T.  Regret is accounted block by block as the iterates come,
-    so memory does not grow with the horizon."""
+    """R_T of each of ``seeds`` (rows) at each of the ascending ``horizons``
+    (columns), from one stacked run of the longest: step t of a run sees the
+    same readings whatever its length, so the run's first T iterates are
+    those of a run of length T.  Regret is accounted block by block as the
+    iterates come, so memory does not grow with the horizon."""
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     fset = scenario.env_set
@@ -104,7 +104,7 @@ def _regret_job(scenario, horizons, seeds, D, g_star, a_star):
             if done < T <= done + curve.shape[1]:
                 totals[:, i] = curve[:, T - 1 - done]
         done, running = done + curve.shape[1], curve[:, -1]
-    return totals.tolist()
+    return totals
 
 
 def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
@@ -134,7 +134,7 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
 
     per_T = {}
     for i, T in enumerate(horizons):
-        vals = np.array([totals[rep][i] for rep in range(replications)])
+        vals = totals[:, i]
         envelope = 2.0 * D * g_star * math.sqrt(T / alpha)
         threshold = envelope + envelope
         per_T[T] = {

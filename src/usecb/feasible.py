@@ -10,7 +10,7 @@ and the inflexible load.  ``band.offset`` evaluates it for one slot or for
 a whole horizon of generation readings at once, and
 ``build_feasible(band, offset)`` places the band at one slot's offsets as
 that slot's certified :class:`FeasibleSet` (without voltage limits, a band
-of zero rows).  Each live row's radius over the box, ``|A_volt| @ (p_max -
+of zero rows).  Each row's radius over the box, ``|A_volt| @ (p_max -
 p_min) / 2`` widened by a rounding margin, is kept beside ``A_volt @
 midpoint``, so :meth:`VoltageBand.holds_box` decides for one slot, or for a
 whole horizon of offsets at once, whether the band holds every box point.
@@ -56,12 +56,12 @@ _EPS = np.finfo(float).eps
 class VoltageBand:
     """The offset-free part of a constraint set: box, band rows and bounds.
 
-    Rows with no control leverage (``dead``) are dropped from ``A_volt``;
-    each set checks their constants against the band.  ``sens`` and
-    ``first_row`` turn an injection vector into the offsets of the rows (see
-    :func:`build_band`); a band without them takes offsets as given.  A band
-    without ``A_volt`` has zero rows.  ``A_mid`` is each live row of
-    ``A_volt`` at the box midpoint and ``A_rad`` its radius over the box,
+    Rows with no control leverage (``dead``) are constants: ``A_volt`` keeps
+    them as zero rows, and a set whose constant leaves its range is empty.
+    ``sens`` and ``first_row`` turn an injection vector into the offsets of
+    the rows (see :func:`build_band`); a band without them takes offsets as
+    given.  A band without ``A_volt`` has zero rows.  ``A_mid`` is each row
+    of ``A_volt`` at the box midpoint and ``A_rad`` its radius over the box,
     with a rounding margin.
     """
 
@@ -85,10 +85,8 @@ class VoltageBand:
                 f"violation at least {worst:.3e})", max_violation=worst)
         self.sens, self.first_row = sens, first_row
         self.dead = np.einsum("ij,ij->i", A, A) < 1e-30
-        self.live = ~self.dead if self.dead.any() else None
-        if self.live is not None:
-            self.dead_bounds = (v_min[self.dead], v_max[self.dead])
-            A, v_min, v_max = A[self.live], v_min[self.live], v_max[self.live]
+        # On a zero row A @ p is 0 exactly: an in-range constant never binds.
+        A = np.where(self.dead[:, None], 0.0, A)
         self.A_volt, self.v_min, self.v_max = A, v_min, v_max
         self.A_mid = A @ (0.5 * (self.p_min + self.p_max))
         # Each row's reach over the box about A_mid, widened by a bound on
@@ -102,10 +100,9 @@ class VoltageBand:
                       + (A.shape[1] + 8) * _EPS * size)
 
     def offset(self, p_g, p_fixed=None):
-        """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, dead rows
-        included, for one generation vector or for each row of a ``(T,
-        n_g)`` stack; each row equals, bit for bit, that of its vector
-        alone."""
+        """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, for one
+        generation vector or for each row of a ``(T, n_g)`` stack; each row
+        equals, bit for bit, that of its vector alone."""
         p_g = np.asarray(p_g, dtype=float)
         p_fixed = (np.zeros(self.p_min.shape[0]) if p_fixed is None
                    else np.asarray(p_fixed, dtype=float))
@@ -115,25 +112,18 @@ class VoltageBand:
         return 1.0 + matvec(self.sens, base)[..., self.first_row:]
 
     def holds_box(self, offset):
-        """Whether the band at ``offset`` (dead rows included) holds the
-        whole box, for one slot or each row of a ``(T, rows)`` stack: every
-        dead row's constant is in range and every live row stays within
-        its bounds over the box, rounding included.  Where it holds, the
-        box clamp is the projection."""
-        ok = True
-        if self.live is not None:
-            const = offset[..., self.dead]
-            lo, hi = self.dead_bounds
-            ok = ((const >= lo) & (const <= hi)).all(axis=-1)
-            offset = offset[..., self.live]
+        """Whether the band at ``offset`` holds the whole box, for one slot
+        or each row of a ``(T, rows)`` stack: every row stays within its
+        bounds over the box, rounding included.  Where it holds, the box
+        clamp is the projection."""
         mid = offset + self.A_mid
-        return ok & ((mid - self.A_rad >= self.v_min)
-                     & (mid + self.A_rad <= self.v_max)).all(axis=-1)
+        return ((mid - self.A_rad >= self.v_min)
+                & (mid + self.A_rad <= self.v_max)).all(axis=-1)
 
     def violation(self, p, offset):
         """How far ``p``, a point or a stack of them, lies outside the box
-        and the band at ``offset`` (the live rows' offsets), one value per
-        point; a member's is at most ``MEMBER_TOL``."""
+        and the band at ``offset``, one value per point; a member's is at
+        most ``MEMBER_TOL``."""
         band = offset + matvec(self.A_volt, p)
         box = np.maximum(np.max(self.p_min - p, axis=-1),
                          np.max(p - self.p_max, axis=-1))
@@ -191,35 +181,28 @@ class FeasibleSet:
 
     def _place(self, band, offset):
         """Make this the set ``band`` gives at ``offset`` (one value per
-        band row, dead rows included) and certify it: a set whose band holds
-        the box is marked ``box_only`` and needs no certificate."""
-        self.band = band
+        band row) and certify it: a set whose band holds the box is marked
+        ``box_only`` and needs no certificate."""
+        self.band, self.offset = band, offset
         self.p_min, self.p_max = band.p_min, band.p_max
         self.A_volt, self.v_min, self.v_max = band.A_volt, band.v_min, band.v_max
         # A band that holds the box leaves the plain box: never empty, and
         # projected by the clamp alone.
         self.box_only = bool(band.holds_box(offset))
-        if band.live is not None:
-            # Rows with no control leverage are plain constants: either they
-            # already violate the band (empty set) or they are dropped.
-            const = offset[band.dead]
-            lo, hi = band.dead_bounds
-            bad = (const < lo) | (const > hi)
-            if bad.any():
-                worst = float(np.max(np.maximum(lo[bad] - const[bad],
-                                                const[bad] - hi[bad])))
-                raise FeasibilityError(
-                    "empty feasible set (constant band row out of range "
-                    f"by {worst:.3e})", max_violation=worst)
-            offset = offset[band.live]
-        self.offset = offset
         if self.box_only:
             return
         # Certification: the box midpoint is a member unless it breaks the
         # band; then the dual solve started from it either finds a member or
-        # certifies that the set is empty.
+        # certifies that the set is empty.  A constant row out of range breaks
+        # the band at every point, the midpoint too, and empties the set.
         mid_band = offset + band.A_mid
         if (mid_band < self.v_min).any() or (mid_band > self.v_max).any():
+            gap = np.maximum(self.v_min - offset, offset - self.v_max)[band.dead]
+            if (gap > 0.0).any():
+                worst = float(gap.max())
+                raise FeasibilityError(
+                    "empty feasible set (constant band row out of range "
+                    f"by {worst:.3e})", max_violation=worst)
             self._project_band(self.midpoint())
 
     @property
@@ -314,6 +297,10 @@ class FeasibleSet:
         y = np.zeros(A.shape[0])
         p, aty, g, dual = point(y)
         resid = float(np.max(np.abs(g)))
+        if not np.isfinite(resid):
+            raise ProjectionError(
+                f"cannot project a non-finite point (residual {resid})",
+                residual=resid)
         if resid > _KKT_TOL:
             # One-row solve: price only the most violated row, at the root of
             # its slope found by breakpoint search, and keep it if Newton's
@@ -327,8 +314,8 @@ class FeasibleSet:
                 one_resid = float(np.max(np.abs(one[2])))
                 if one_resid <= _KKT_TOL:
                     y, (p, aty, g, dual), resid = alpha * d, one, one_resid
-        if not resid <= _KKT_TOL:
-            # Newton's set-up, only where Newton runs (a nan residual too).
+        if resid > _KKT_TOL:
+            # Newton's set-up, only where Newton runs.
             # No member is farther from x than the farthest box corner.
             dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
             shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
@@ -486,8 +473,7 @@ def _nonneg_qp(Q, b, u):
 
 def build_feasible(band, offset):
     """The constraint set ``band`` (from :func:`build_band`) gives at one
-    slot's row offsets, ``band.offset(p_g, p_fixed)`` (dead rows included),
-    certified nonempty.
+    slot's row offsets, ``band.offset(p_g, p_fixed)``, certified nonempty.
 
     Only the offsets move from slot to slot: the generation and the
     inflexible load shift them, while the controllable load enters through

@@ -362,11 +362,10 @@ def run_scheme(scenario, scheme, seed=None):
     if static:
         fset_t = env_set
     else:
-        # Every slot's band offsets, dead rows included, from its reading (a
-        # dynamic run is one row: its seeds run alone, above); feasibility
-        # is judged against their live rows after the loop.
+        # Every slot's band offsets from its reading (a dynamic run is one
+        # row: its seeds run alone, above); feasibility is judged against
+        # them after the loop.
         offsets = band.offset(pg_obs[0], scenario.p_fixed)
-        live_offsets = offsets if band.live is None else offsets[:, band.live]
         # Slots whose band holds the box share one plain box; every other
         # slot places and certifies its own set in the loop.
         box_slot = band.holds_box(offsets).tolist()
@@ -420,7 +419,7 @@ def run_scheme(scenario, scheme, seed=None):
             out.p_0[k] = grid_intake(pg, cons, out.loss[k])
             out.f_true[k] = quad.value(out.p_c[k], quad.linear_term(
                 out.c_in_true[k], out.c_out_true[k, None], pg))
-            offset = env_set.offset if static else live_offsets[k]
+            offset = env_set.offset if static else offsets[k]
             out.feasible[k] = band.violation(out.p_c[k], offset) <= MEMBER_TOL
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \
@@ -629,6 +628,9 @@ def scenario_from_config(cfg, base_dir):
     if kind == "flows":
         raise ConfigError("flows configs describe radial cases, not scenarios")
     s_base = _number(cfg, "s_base_mva", 1.0)
+    if s_base <= 0:
+        raise ConfigError(
+            f"config value s_base_mva must be positive, got {s_base!r}")
     seed = _number(cfg, "seed", 0, integer=True)
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
@@ -678,11 +680,18 @@ def scenario_from_config(cfg, base_dir):
 
     p_fixed = np.full(n_c, _number(cfg, "load.fixed_mw", 0.0) / s_base)
     p_min = _number(cfg, "load.ac_min_mw", 0.0) / s_base
-    p_max = _number(cfg, "load.ac_max_mw") / s_base
+    ac_max = _number(cfg, "load.ac_max_mw")
+    if ac_max <= 0:
+        raise ConfigError(
+            f"config value load.ac_max_mw must be positive, got {ac_max!r}")
+    p_max = ac_max / s_base
 
     rng_gain = np.random.default_rng(np.random.SeedSequence((seed, STREAM_GAINS)))
     gain_mean = _number(cfg, "buildings.cooling_gain_mean", 1.0)
     gain_std = _number(cfg, "buildings.cooling_gain_std", 0.0)
+    if gain_std < 0:
+        raise ConfigError("config value buildings.cooling_gain_std must be "
+                          f"nonnegative, got {gain_std!r}")
     gains = rng_gain.normal(gain_mean, gain_std, n_c)
     for _ in range(100):
         bad = gains <= 0

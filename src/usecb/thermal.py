@@ -97,8 +97,8 @@ class Quadratic:
     diagonal dominates ``H2``, so the scaled Hessian is close to the
     identity.  The inputs stay on the instance, so :func:`usecb_profit` can
     evaluate the same slot through the physical path.  Raises
-    ``ModelError`` for a nonpositive price or a Hessian that is not
-    positive definite.
+    ``ModelError`` for a nonpositive price or a Hessian that is not finite
+    or not positive definite.
     """
 
     def __init__(self, lambda_price, buildings, blocks, p_fixed):
@@ -119,6 +119,8 @@ class Quadratic:
         # By congruence the scaled Hessian is positive definite exactly when
         # H2 is, so its one decomposition certifies both.
         scaled = self.H2 / np.outer(self.scale, self.scale)
+        if not np.all(np.isfinite(scaled)):
+            raise ModelError("objective Hessian is not finite")
         eig = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
         if eig[0] <= 0:
             raise ModelError("objective Hessian is not positive definite")

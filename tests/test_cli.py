@@ -229,6 +229,33 @@ def test_nonfinite_config_number_exits_2_at_load(key, value, command, tmp_path,
     assert not out.exists()
 
 
+# Zero or negative values the loader rejects, each naming its key.
+OUT_OF_RANGE = {"s_base_mva": (0, -1), "load.ac_max_mw": (0, -1),
+                "buildings.cooling_gain_std": (-1,)}
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS + ["buildings.cooling_gain_mean"])
+@pytest.mark.parametrize("value", [0, -1, 1e300])
+def test_out_of_range_config_number_exits_with_a_code(key, value, tmp_path,
+                                                      capsys):
+    """Zero, negative and huge numbers end ``validate`` with an exit code of
+    its taxonomy, never a traceback."""
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 25
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc in (0, 2, 3, 4)
+    if value in OUT_OF_RANGE.get(key, ()):
+        assert rc == 2 and key in capsys.readouterr().err
+
+
 # --- missing or unknown config entries ------------------------------------------
 
 def _static_config_with(tmp_path, edit):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usecb import feasible
-from usecb.errors import FeasibilityError, ProjectionError, UsecbError
+from usecb.errors import FeasibilityError, ProjectionError
 from usecb.experiments import static_problem
 from usecb.feasible import FeasibleSet, VoltageBand, build_band, build_feasible
 from usecb.grid import matvec, voltage_approx
@@ -78,19 +78,22 @@ def test_empty_intersection_certified():
     assert err.value.max_violation > 0
 
 
-def test_zero_leverage_rows_dropped_or_fatal():
-    # An all-zero band row is a constant: in range it is dropped, out of
-    # range it certifies emptiness.
+def test_zero_leverage_rows_kept_or_fatal():
+    # A band row without control leverage is a constant: in range it stays
+    # as a zero row (a row of norm below 1e-15 included), out of range it
+    # empties the set by exactly its distance to the range.
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0],
-                     A_volt=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                     A_volt=np.array([[1e-17, 0.0], [1.0, 1.0]]),
                      offset=np.array([0.5, 0.0]),
                      v_min=0.0, v_max=1.0)
-    assert fs.A_volt.shape[0] == 1
+    assert np.array_equal(fs.A_volt, [[0.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(fs.offset, [0.5, 0.0])
     assert np.allclose(fs.project(np.array([1.0, 1.0])), [0.5, 0.5], atol=1e-9)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match="constant band row") as err:
         FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0],
-                    A_volt=np.array([[0.0, 0.0]]), offset=np.array([2.0]),
-                    v_min=0.0, v_max=1.0)
+                    A_volt=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                    offset=np.array([2.5, 0.0]), v_min=0.0, v_max=1.0)
+    assert err.value.max_violation == 1.5
 
 
 # --- randomized properties ---------------------------------------------------
@@ -578,7 +581,8 @@ def test_stacked_offsets_equal_each_slot_alone(v_min, include_gen):
 
 def test_stacked_offsets_keep_dead_rows():
     """Rows with no control leverage stay in the stack, each row as its
-    slot's alone, and each slot's set checks them and keeps the live rest."""
+    slot's alone, and each slot's set takes the slot's offsets as they are,
+    constants included, and checks the constants."""
     scn = build_ieee37_scenario({"voltage_band": {"v_min": 0.975}},
                                 variant="dynamic")
     n_g = scn.p_g_true.shape[1]
@@ -593,7 +597,8 @@ def test_stacked_offsets_keep_dead_rows():
         assert np.array_equal(stack[t], band.offset(p_g[t], scn.p_fixed))
     for t in (0, 300, 450, 880):
         fs = build_feasible(band, stack[t])
-        assert np.array_equal(fs.offset, stack[t][band.live])
+        assert np.array_equal(fs.offset, stack[t])
+        assert not fs.A_volt[[n_g + 4, n_g + 9]].any()
     # A dead row's constant below the band empties the set.
     low = stack[450].copy()
     low[n_g + 4] = 0.9
@@ -729,6 +734,45 @@ def test_stack_mixing_one_row_and_newton_solves(ieee37_tight, monkeypatch, metri
     assert np.array_equal(fs.project(X, scale), want)
 
 
+@pytest.mark.parametrize("metric", [False, True])
+def test_constant_rows_leave_the_projection_unchanged(ieee37_tight, monkeypatch,
+                                                      metric):
+    """In-range constant rows, kept as zero rows, move no projection: bit
+    for bit on the clamp and one-row paths, and within 1e-12, at the KKT
+    conditions, where Newton runs (its shift and rounding floor count the
+    rows); for points and for a stack."""
+    scn = ieee37_tight
+    scale = scn.objective.scale if metric else 1.0
+    ref = _slot_set(scn.band, scn.p_g_true[30], scn.p_fixed)
+    at = [0, 17, 17, ref.v_min.size]
+    fs = FeasibleSet(ref.p_min, ref.p_max, np.insert(ref.A_volt, at, 0.0, axis=0),
+                     np.insert(ref.offset, at, [0.98, 1.0, 1.04, 0.975]),
+                     np.insert(ref.v_min, at, ref.v_min[0]),
+                     np.insert(ref.v_max, at, ref.v_max[0]))
+    assert not fs.box_only and not ref.box_only
+    rng = np.random.default_rng(7)
+    X = np.vstack([fs.p_max + rng.normal(scale=0.05, size=(8, fs.dim)),
+                   fs.p_max + rng.uniform(100.0, 300.0, size=(4, fs.dim)),
+                   fs.midpoint()])
+    calls = count_newton_steps(monkeypatch)
+    paths = []
+    for x in X:
+        before = len(calls)
+        ref.project(x, scale)
+        paths.append("clamp" if len(calls) == before
+                     else "newton" if calls[-1] else "one-row")
+    assert set(paths) == {"clamp", "one-row", "newton"}
+    for got, want in ((fs.project(X, scale), ref.project(X, scale)),
+                      ([fs.project(x, scale) for x in X],
+                       [ref.project(x, scale) for x in X])):
+        for path, x, g, w in zip(paths, X, got, want):
+            if path == "newton":
+                assert np.max(np.abs(g - w)) <= 1e-12
+                _kkt_check(fs, x, scale)
+            else:
+                assert np.array_equal(g, w)
+
+
 # --- sets whose band holds the box ---------------------------------------------
 # Where every box point meets the band, with a margin for rounding, the set
 # is marked box_only: it skips the certificate and projects by the clamp
@@ -744,16 +788,19 @@ def _full_path(fs):
 
 @st.composite
 def box_holding_sets(draw):
-    """A box and rows of several scales, with bounds that hold the box at
-    a relative gap ``f`` beyond the rounding margin (0: right at it), one of
-    them possibly open; points whose clamps fall inside, on faces and on
-    corners, and a diagonal metric."""
+    """A box and rows of several scales, zero rows among them, with bounds
+    that hold the box at a relative gap ``f`` beyond the rounding margin
+    (0: right at it), one of them possibly open; points whose clamps fall
+    inside, on faces and on corners, and a diagonal metric."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = draw(st.integers(1, 8)), draw(st.integers(0, 5))
     size = 10.0 ** draw(st.integers(-3, 2))
     p_min = rng.uniform(-1.0, 1.0, n) * size
     p_max = p_min + rng.uniform(0.0, 2.0, n) * size
     A = rng.normal(size=(m, n)) * 10.0 ** draw(st.integers(-3, 1))
+    zero = draw(st.integers(0, 2))
+    A = np.insert(A, rng.integers(0, m + 1, zero), 0.0, axis=0)
+    m += zero
     offset = rng.normal(1.0, 0.1, m)
     f = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
     band = VoltageBand(p_min, p_max, A)
@@ -815,9 +862,9 @@ def test_band_within_the_margin_of_the_box_takes_the_full_path(short, monkeypatc
 
 
 def test_nan_point_on_a_banded_set_raises_a_package_error():
-    # The Newton set-up is skipped where the one-row solve meets the
-    # tolerance; a nan residual meets nothing, so Newton runs and needs it.
-    with pytest.raises(UsecbError):
+    # A nan coordinate gives a nan residual, which no solve can meet and
+    # which must not read as an emptiness certificate.
+    with pytest.raises(ProjectionError, match="non-finite point"):
         _banded_set().project(np.array([np.nan, 2.0]))
 
 

@@ -506,17 +506,27 @@ def test_solved_controls_on_the_box_bound_equal_it(overrides, variant):
 
 def test_each_slot_is_judged_against_its_own_set(monkeypatch):
     """Feasibility is judged after the slot loop from the recorded offsets:
-    each slot against the set of its own generation reading."""
+    each slot against the set of its own generation reading, on the band
+    and on one with two constant rows."""
     scn = load_scenario(str(data_path("ieee37_dynamic.json")),
                         {"voltage_band": {"v_min": 0.975}})
+    n_g = scn.p_g_true.shape[1]
+    sens = scn.band.sens.copy()
+    sens[[n_g + 4, n_g + 9], n_g:] = 0.0
+    dead = sim.VoltageBand(scn.band.p_min, scn.band.p_max, -sens[:, n_g:],
+                           scn.bounds["v_min"], scn.bounds["v_max"], sens=sens)
+    assert dead.dead.sum() == 2
     # Clamped controls break the tight band in some slots, not in others.
     monkeypatch.setattr(sim.FeasibleSet, "project",
                         lambda fset, x, *args: np.clip(x, fset.p_min, fset.p_max))
-    run = run_scheme(scn, "stochastic", seed=3)
-    own = [sim.build_feasible(scn.band, scn.band.offset(run.p_g_obs[t], scn.p_fixed))
-           .contains(run.p_c[t]) for t in range(scn.horizon)]
-    assert run.feasible.tolist() == own
-    assert len(set(own)) == 2
+    for band in (scn.band, dead):
+        scn.band = band
+        run = run_scheme(scn, "stochastic", seed=3)
+        own = [sim.build_feasible(scn.band, scn.band.offset(run.p_g_obs[t],
+                                                            scn.p_fixed))
+               .contains(run.p_c[t]) for t in range(scn.horizon)]
+        assert run.feasible.tolist() == own
+        assert len(set(own)) == 2
 
 
 @pytest.mark.parametrize("variant", ["static", "dynamic"])
