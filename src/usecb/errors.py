@@ -31,7 +31,8 @@ class FeasibilityError(ModelError):
 
 
 class ProjectionError(UsecbError):
-    """Projection did not reach its KKT tolerance within the iteration cap."""
+    """A projection could not be carried out: a non-finite point, or a solve
+    that stopped short of its KKT tolerance."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -20,7 +20,8 @@ On any other set the clamp is still returned when it satisfies every slab.
 Otherwise the projection ``min 0.5 ||p - x||^2`` over the set is solved
 through its dual: for band multipliers ``y`` the nearest box point is
 ``p(y) = clip(x - A_volt.T @ y, p_min, p_max)``.  A one-row solve comes
-first: it prices only the most violated row ``k``, at the root of
+first, from the clamp and band values ``project`` already holds: it prices
+only the most violated row ``k``, at the root of
 ``a_k . p(y_k e_k) + c_k = bound_k`` found by breakpoint search over the
 box kinks, as for the continuous quadratic knapsack (Kiwiel, Math. Program.
 2008), and returns that point when every row meets the KKT tolerance.
@@ -220,7 +221,9 @@ class FeasibleSet:
         """Projection in the metric ``diag(scale**2)`` (Euclidean by
         default): the box clamp on a ``box_only`` set, without evaluating the
         band; otherwise the clamp when it meets the band, else the band
-        solve, on the rows of a stack that need it."""
+        solve, on the rows of a stack that need it.  At unit scale the band
+        solve starts from this clamp and its band values; in another metric
+        it clamps in its own coordinates."""
         x = np.asarray(x, dtype=float)
         clamped = np.minimum(np.maximum(x, self.p_min), self.p_max)
         if self.box_only:
@@ -229,44 +232,35 @@ class FeasibleSet:
         inside = (band >= self.v_min) & (band <= self.v_max)
         if inside.all():
             return clamped
+        unit = np.ndim(scale) == 0 and scale == 1.0
         if x.ndim == 1:
-            return self._project_band(x, scale)[0]
+            start = (clamped, band) if unit else ()
+            return self._project_band(x, scale, *start)[0]
         for r in np.flatnonzero(~inside.all(axis=-1)):
-            clamped[r] = self._project_band(x[r], scale)[0]
+            start = (clamped[r], band[r]) if unit else ()
+            clamped[r] = self._project_band(x[r], scale, *start)[0]
         return clamped
 
-    def _project_band(self, x, scale=1.0):
+    def _project_band(self, x, scale=1.0, clamped=None, band=None):
         """Projection onto box and band: a one-row solve, else projected
         Newton on the dual.
 
-        The one-row solve takes the row ``k`` the point ``p(0)`` breaks
-        most and the multiplier sign that prices its broken bound, finds
-        ``y_k`` where the row meets that bound by the breakpoint search of
-        :func:`_exact_step` along ``e_k``, and returns ``p(y_k e_k)`` if
-        ``max |g| <= 1e-10`` there, Newton's own stopping rule.  Otherwise,
-        and when no ``y_k`` exists (the box cannot meet the row), Newton
-        runs from ``y = 0`` as it would alone, so its results and emptiness
-        certificates do not depend on the attempt.
+        It starts from the clamp ``p(0)`` and its band values, ``clamped``
+        and ``band`` when the caller holds them (at unit scale), and returns
+        the clamp when ``max |g| <= 1e-10`` there.  Otherwise the one-row
+        solve (:func:`_one_row`) prices the row the clamp breaks most, and
+        when that is not enough, or the box cannot meet the row, Newton runs
+        from ``y = 0`` as it would alone (:func:`_newton`), so its results
+        and emptiness certificates do not depend on the attempt.
 
         With multipliers ``y`` on the band rows (``y_k > 0`` prices the upper
-        bound, ``y_k < 0`` the lower one), the dual objective to minimize is
-        ``D(y) = -0.5 ||p - x||^2 - y.(A p + c) + sigma(y)``, where
-        ``p = p(y)`` is the clipped point and ``sigma`` the support function
-        of ``[lo, hi]``.  On each orthant of ``y`` it is smooth, with
-        gradient ``g = bound - (A p + c)`` and generalized Hessian
-        ``A_F A_F.T`` over the free box coordinates ``F``.  Each Newton step
-        minimizes that quadratic model, shifted by a Levenberg-Marquardt term
-        that keeps it regular, over the current orthant; its length is the
-        exact minimizer of ``D`` along it.  (Backtracking stalls when few box
-        coordinates are free: ``D`` is then nearly piecewise linear and the
-        model overshoots its kinks.)  ``g`` is also the KKT residual: it
-        bounds the band violation of ``p(y)`` and vanishes exactly at the
-        projection.  It stops when ``max |g| <= 1e-10``, or at a fixed point
-        of the iteration (the step no longer moves ``y`` and the shift stays)
-        where ``g`` is within the rounding error of ``x - A.T y``; a fixed
-        point whose result is not a member raises ``ProjectionError``.  Weak
-        duality certifies an empty set: ``-D(y)`` never exceeds the squared
-        distance from ``x`` to a member over two.
+        bound, ``y_k < 0`` the lower one), the point is the clipped
+        ``p(y) = clip(x - A.T y)`` and the KKT residual ``g = bound - (A p +
+        c)``, where each row is priced at the bound its multiplier's sign
+        selects and a row with a zero multiplier at the nearest point of its
+        range.  ``g`` bounds the band violation of ``p(y)`` and vanishes
+        exactly at the projection.  A non-finite point raises
+        ``ProjectionError``.
 
         It projects in the metric ``diag(scale**2)``: the solve runs on
         ``z = scale * x``, the box ``scale * [p_min, p_max]`` and the rows
@@ -279,100 +273,24 @@ class FeasibleSet:
         c, lo, hi = self.offset, self.v_min, self.v_max
         x, A = scale * x, self.A_volt / scale
         p_min, p_max = scale * self.p_min, scale * self.p_max
-
-        def point(y):
-            aty = A.T @ y
-            p = np.minimum(np.maximum(x - aty, p_min), p_max)
-            v = A @ p + c
-            # Each row is priced at the bound its multiplier's sign selects;
-            # a zero multiplier targets the nearest point of its range, which
-            # makes g the minimum-norm subgradient.
-            target = np.where(y > 0, hi, np.where(
-                y < 0, lo, np.minimum(np.maximum(v, lo), hi)))
-            g = target - v
-            dx = p - x
-            return p, aty, g, float(y @ g) - 0.5 * float(dx @ dx)
-
-        damping = 1.0
-        y = np.zeros(A.shape[0])
-        p, aty, g, dual = point(y)
+        if clamped is None:
+            clamped = np.minimum(np.maximum(x, p_min), p_max)
+            band = A @ clamped + c
+        g = np.minimum(np.maximum(band, lo), hi) - band
         resid = float(np.max(np.abs(g)))
         if not np.isfinite(resid):
             raise ProjectionError(
                 f"cannot project a non-finite point (residual {resid})",
                 residual=resid)
-        if resid > _KKT_TOL:
-            # One-row solve: price only the most violated row, at the root of
-            # its slope found by breakpoint search, and keep it if Newton's
-            # stopping rule accepts it; else Newton starts from y = 0.
-            d = np.zeros_like(y)
-            k = int(np.argmax(np.abs(g)))
-            d[k] = -np.sign(g[k])
-            alpha = _exact_step(x, y, d, d, A, c, lo, hi, p_min, p_max)
-            if alpha < np.inf:
-                one = point(alpha * d)
-                one_resid = float(np.max(np.abs(one[2])))
-                if one_resid <= _KKT_TOL:
-                    y, (p, aty, g, dual), resid = alpha * d, one, one_resid
-        if resid > _KKT_TOL:
-            # Newton's set-up, only where Newton runs.
-            # No member is farther from x than the farthest box corner.
-            dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
-            shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
         fixed = False
-        for _ in range(_NEWTON_CAP):
-            if resid <= _KKT_TOL:
-                break
-            if dual < dual_floor:
-                raise _emptiness(y, A, c, lo, hi, p_min, p_max)
-            # Orthant: the sign of y, or for a zero multiplier the side the
-            # subgradient descends into (none if the row is satisfied).
-            s = np.sign(y)
-            idle = s == 0
-            s[idle] = -np.sign(g[idle])
-            rows = s.nonzero()[0]
-            s_r = s[rows]
-            w = x - aty
-            Af = A[rows][:, (w > p_min) & (w < p_max)]
-            H = Af @ Af.T
-            # The floor keeps the shifted system regular when more rows bind
-            # than box coordinates are free.
-            tau = max(damping * shift * resid, 1e-12 * float(np.trace(H)))
-            # The model in u = s * y, which the orthant bounds below by 0.
-            Q = (H + tau * np.eye(rows.size)) * np.outer(s_r, s_r)
-            z = s_r * y[rows]
-            d = np.zeros_like(y)
-            d[rows] = s_r * (_nonneg_qp(Q, s_r * g[rows] - Q @ z, z) - z)
-            alpha = _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max)
-            if alpha == np.inf:
-                raise _emptiness(d, A, c, lo, hi, p_min, p_max)
-            y_next = y + alpha * d
-            y_next[s * y_next < 0] = 0.0
-            # A model that falls short of the line minimum relaxes the shift,
-            # one that overshoots it stiffens the shift.
-            damping_next = (max(damping * 0.1, 1e-6) if alpha >= 1.0
-                            else min(damping * 10.0, 1e6))
-            if damping_next == damping and np.array_equal(y_next, y):
-                # A fixed point: the step is lost to rounding in y and the
-                # shift stays, so every further step would repeat this one.
-                # What is left of g is rounding if it is within the floor:
-                # with m rows, each coordinate of x - A.T y may be off by
-                # m eps (|x| + |A|.T |y|), and A p passes that on.  Only far
-                # points on nearly dependent rows, whose multipliers grow
-                # large, lift it toward 1e-10, and past MEMBER_TOL they fail
-                # the membership test below.
-                abs_a = np.abs(A)
-                floor = abs_a @ (np.abs(x) + abs_a.T @ np.abs(y))
-                fixed = resid <= A.shape[0] * _EPS * float(np.max(floor))
-                break
-            y, damping = y_next, damping_next
-            p, aty, g, dual = point(y)
-            resid = float(np.max(np.abs(g)))
-        if not fixed and resid > _KKT_TOL:
-            raise ProjectionError(
-                "band projection stopped short of its KKT tolerance (residual "
-                f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
-                residual=resid)
+        if resid <= _KKT_TOL:
+            p, y = clamped, np.zeros(A.shape[0])
+        else:
+            solved = _one_row(x, g, A, c, lo, hi, p_min, p_max)
+            if solved is None:
+                p, y, resid, fixed = _newton(x, A, c, lo, hi, p_min, p_max)
+            else:
+                p, y = solved
         p = np.where(p >= p_max, self.p_max,
                      np.where(p <= p_min, self.p_min, p / scale))
         if fixed:
@@ -385,29 +303,173 @@ class FeasibleSet:
         return p, y
 
 
+def _one_row(x, g, A, c, lo, hi, p_min, p_max):
+    """The one-row solve: price only the row ``k`` the clamp breaks most.
+
+    ``g`` is the KKT residual of the clamp.  With ``s = -sign(g_k)``, the
+    sign of the multiplier that prices the broken bound, the dual's slope
+    along ``y = alpha s e_k`` is ``s (bound_k - c_k) - e.clip(x - alpha e)``
+    with ``e = s A[k]``, and its root ``alpha`` is found by breakpoint search
+    over the box kinks (:func:`_slope_root`), as for the continuous
+    quadratic knapsack (Kiwiel, Math. Program. 2008).  Returns ``(p, y)`` at
+    ``y = alpha s e_k`` when every row meets Newton's stopping rule there,
+    ``max |g| <= 1e-10``; else, and when no root exists (the box cannot meet
+    the row), None.
+    """
+    k = int(np.argmax(np.abs(g)))
+    s = -np.sign(g[k])
+    e = s * A[k]
+    bound = hi[k] if s > 0 else lo[k]
+    alpha = _slope_root(x, e, s * (bound - c[k]), np.inf, p_min, p_max)
+    if alpha == np.inf:
+        return None
+    p = np.minimum(np.maximum(x - alpha * e, p_min), p_max)
+    v = A @ p + c
+    g = np.minimum(np.maximum(v, lo), hi) - v
+    if alpha > 0.0:
+        # A priced row targets its bound, not the nearest point of its range.
+        g[k] = bound - v[k]
+    if float(np.max(np.abs(g))) > _KKT_TOL:
+        return None
+    y = np.zeros(A.shape[0])
+    y[k] = alpha * s
+    return p, y
+
+
+def _newton(x, A, c, lo, hi, p_min, p_max):
+    """Projected Newton on the dual of the band projection, from ``y = 0``.
+
+    The dual objective to minimize is ``D(y) = -0.5 ||p - x||^2 - y.(A p +
+    c) + sigma(y)``, where ``p = p(y)`` is the clipped point and ``sigma``
+    the support function of ``[lo, hi]``.  On each orthant of ``y`` it is
+    smooth, with gradient ``g`` and generalized Hessian ``A_F A_F.T`` over
+    the free box coordinates ``F``.  Each step minimizes that quadratic
+    model, shifted by a Levenberg-Marquardt term that keeps it regular, over
+    the current orthant; its length is the exact minimizer of ``D`` along it
+    (:func:`_exact_step`).  (Backtracking stalls when few box coordinates
+    are free: ``D`` is then nearly piecewise linear and the model overshoots
+    its kinks.)  It stops when ``max |g| <= 1e-10``, or at a fixed point of
+    the iteration (the step no longer moves ``y`` and the shift stays) where
+    ``g`` is within the rounding error of ``x - A.T y``; the caller checks
+    that a fixed point's result is a member.  Weak duality certifies an
+    empty set: ``-D(y)`` never exceeds the squared distance from ``x`` to a
+    member over two.
+
+    Returns ``(p, y, resid, fixed)``: the point, the multipliers, the
+    residual and whether it stopped at a fixed point.
+    """
+
+    def point(y):
+        aty = A.T @ y
+        p = np.minimum(np.maximum(x - aty, p_min), p_max)
+        v = A @ p + c
+        # Each row is priced at the bound its multiplier's sign selects;
+        # a zero multiplier targets the nearest point of its range, which
+        # makes g the minimum-norm subgradient.
+        target = np.where(y > 0, hi, np.where(
+            y < 0, lo, np.minimum(np.maximum(v, lo), hi)))
+        g = target - v
+        dx = p - x
+        return p, aty, g, float(y @ g) - 0.5 * float(dx @ dx)
+
+    damping = 1.0
+    y = np.zeros(A.shape[0])
+    p, aty, g, dual = point(y)
+    resid = float(np.max(np.abs(g)))
+    # No member is farther from x than the farthest box corner.
+    dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
+    shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
+    for _ in range(_NEWTON_CAP):
+        if resid <= _KKT_TOL:
+            return p, y, resid, False
+        if dual < dual_floor:
+            raise _emptiness(y, A, c, lo, hi, p_min, p_max)
+        # Orthant: the sign of y, or for a zero multiplier the side the
+        # subgradient descends into (none if the row is satisfied).
+        s = np.sign(y)
+        idle = s == 0
+        s[idle] = -np.sign(g[idle])
+        rows = s.nonzero()[0]
+        s_r = s[rows]
+        w = x - aty
+        Af = A[rows][:, (w > p_min) & (w < p_max)]
+        H = Af @ Af.T
+        # The floor keeps the shifted system regular when more rows bind
+        # than box coordinates are free.
+        tau = max(damping * shift * resid, 1e-12 * float(np.trace(H)))
+        # The model in u = s * y, which the orthant bounds below by 0.
+        Q = (H + tau * np.eye(rows.size)) * np.outer(s_r, s_r)
+        z = s_r * y[rows]
+        d = np.zeros_like(y)
+        d[rows] = s_r * (_nonneg_qp(Q, s_r * g[rows] - Q @ z, z) - z)
+        alpha = _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max)
+        if alpha == np.inf:
+            raise _emptiness(d, A, c, lo, hi, p_min, p_max)
+        y_next = y + alpha * d
+        y_next[s * y_next < 0] = 0.0
+        # A model that falls short of the line minimum relaxes the shift,
+        # one that overshoots it stiffens the shift.
+        damping_next = (max(damping * 0.1, 1e-6) if alpha >= 1.0
+                        else min(damping * 10.0, 1e6))
+        if damping_next == damping and np.array_equal(y_next, y):
+            # A fixed point: the step is lost to rounding in y and the
+            # shift stays, so every further step would repeat this one.
+            # What is left of g is rounding if it is within the floor:
+            # with m rows, each coordinate of x - A.T y may be off by
+            # m eps (|x| + |A|.T |y|), and A p passes that on.  Only far
+            # points on nearly dependent rows, whose multipliers grow
+            # large, lift it toward 1e-10, and past MEMBER_TOL they fail
+            # the caller's membership test.
+            abs_a = np.abs(A)
+            floor = abs_a @ (np.abs(x) + abs_a.T @ np.abs(y))
+            if resid <= A.shape[0] * _EPS * float(np.max(floor)):
+                return p, y, resid, True
+            break
+        y, damping = y_next, damping_next
+        p, aty, g, dual = point(y)
+        resid = float(np.max(np.abs(g)))
+    if resid <= _KKT_TOL:
+        return p, y, resid, False
+    raise ProjectionError(
+        "band projection stopped short of its KKT tolerance (residual "
+        f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
+        residual=resid)
+
+
 def _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max):
     """Step length that minimizes the dual along ``y + alpha d`` in orthant
     ``s``, on the box ``[p_min, p_max]``.
 
     Along the ray the dual's slope is ``d.(bound - c) - e.clip(w - alpha e)``
-    with ``e = A.T d``: piecewise linear and nondecreasing, with kinks where a
-    coordinate of ``w - alpha e`` reaches a box bound.  The minimizer is
-    found by evaluating the slope at every kink up to the end of the orthant
-    and interpolating where it turns nonnegative.  A slope still negative
-    past the last kink means the dual falls without bound: the step is
-    infinite and ``d`` certifies an empty set.
+    with ``e = A.T d``; :func:`_slope_root` finds where it turns nonnegative
+    up to the end of the orthant.
     """
     e = A.T @ d
     base = float(d @ (np.where(s > 0, hi, np.where(s < 0, lo, 0.0)) - c))
     # The orthant ends where a multiplier moving toward zero reaches it.
     shrink = s * d < 0
     end = float(np.min(-y[shrink] / d[shrink])) if shrink.any() else np.inf
+    return _slope_root(w, e, base, end, p_min, p_max)
+
+
+def _slope_root(w, e, base, end, p_min, p_max):
+    """The smallest ``alpha`` in ``[0, end]`` where the slope ``base -
+    e.clip(w - alpha e, p_min, p_max)`` turns nonnegative.
+
+    The slope is piecewise linear and nondecreasing, with kinks where a
+    coordinate of ``w - alpha e`` reaches a box bound.  It is evaluated at
+    every kink up to ``end`` and interpolated where it turns nonnegative.
+    A slope still negative past the last kink means the dual falls without
+    bound: the step is ``end``, infinite when the ray has no end, and then
+    the direction certifies an empty set.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         kinks = np.concatenate([(w - p_min) / e, (w - p_max) / e])
     alphas = np.sort(np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < end)]]))
     if np.isfinite(end):
         alphas = np.append(alphas, end)
-    slopes = base - np.clip(w - alphas[:, None] * e, p_min, p_max) @ e
+    slopes = base - np.minimum(np.maximum(w - alphas[:, None] * e, p_min),
+                               p_max) @ e
     rising = np.flatnonzero(slopes >= 0.0)
     if not rising.size:
         return end

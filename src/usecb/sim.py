@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ProjectionError
 from .feasible import (MEMBER_TOL, FeasibleSet, VoltageBand, build_band,
                        build_feasible)
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
@@ -67,6 +67,9 @@ STREAM_REP = 12
 _EXACT_TOL = 1e-8
 # Slots that run_scheme's bookkeeping and write_run_csv take at once.
 _BOOK_BLOCK = 128
+# Slots whose readings and linear terms a static run builds at once: small,
+# so the (R, block, n) temporaries of a stack of seeds stay small.
+_STATIC_BLOCK = 16
 
 # The observation-noise scheme: reading k of a run is row k of one
 # standard-normal sequence per (seed, stream).  Noisy outputs are comparable
@@ -323,9 +326,15 @@ def run_scheme(scenario, scheme, seed=None):
     (:meth:`~usecb.feasible.VoltageBand.holds_box`).  Those slots project
     onto one shared plain box, by the clamp alone; each other slot's
     ``build_feasible(band, offsets[t])`` only places and certifies its set.
-    The bookkeeping (loss, intake and true objective against the true
-    physics, and each slot's feasibility against its own set) runs once per
-    run, over the horizon, after the loop.
+    A static run's indoor temperatures never move, so its indoor readings
+    and linear terms do not depend on the control either: they are built
+    for a block of ``_STATIC_BLOCK`` slots at a time, ahead of the steps
+    that read them, and each slot's row equals its per-slot value bit for
+    bit.  After the loop, a non-finite control (a nan step, which the clamp
+    of a box-only set passes on) raises ``ProjectionError`` naming the seed
+    and its first such slot.  The bookkeeping (loss, intake and true
+    objective against the true physics, and each slot's feasibility against
+    its own set) runs once per run, over the horizon, after the loop.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -379,10 +388,20 @@ def run_scheme(scenario, scheme, seed=None):
     a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)[row]
 
     for t in range(T):
-        cin_obs[row, t] = observe(c_in, noise.sigma_temp, cin_obs[row, t])
-        b_ctrl = quad.linear_term_at(cin_obs[row, t], cout_obs[row, t],
-                                     gen_b[row, t])
-        if not static:
+        if static:
+            if t % _STATIC_BLOCK == 0:
+                # A static run's indoor temperatures never move: read them
+                # and build the linear terms for the next block of slots.
+                blk = slice(t, t + _STATIC_BLOCK)
+                cin_obs[:, blk] = observe(c_in[:, None], noise.sigma_temp,
+                                          cin_obs[:, blk])
+                b_blk = quad.linear_term_at(cin_obs[:, blk], cout_obs[:, blk],
+                                            gen_b[:, blk])
+            b_ctrl = b_blk[:, t % _STATIC_BLOCK]
+        else:
+            cin_obs[0, t] = observe(c_in, noise.sigma_temp, cin_obs[0, t])
+            b_ctrl = quad.linear_term_at(cin_obs[0, t], cout_obs[0, t],
+                                         gen_b[0, t])
             fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
@@ -395,6 +414,14 @@ def run_scheme(scenario, scheme, seed=None):
         if not static:
             c_in = cin[0, t + 1] = thermal_step(c_in, scenario.c_out_true[t], a,
                                                 scenario.buildings)
+
+    # A non-finite step comes back from the clamp of a box-only set as a
+    # non-finite control; one test per run, not per slot, catches it.
+    bad = ~np.isfinite(p_c).all(axis=-1)
+    if bad.any():
+        r, t = np.argwhere(bad)[0]
+        raise ProjectionError(
+            f"{scheme} run (seed {seeds[r]}): non-finite control at slot {t}")
 
     # Bookkeeping against the true physics, one run and one block of
     # slots at a time, so its temporaries stay small.

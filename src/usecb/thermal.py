@@ -110,15 +110,18 @@ class Quadratic:
         self.buildings = buildings
         self.blocks = blocks
         self.p_fixed = p_fixed
-        self.A = np.diag(buildings.beta * m * m) / lam + blocks.Q
-        self.H2 = 2.0 * self.A
-        diag = np.diag(self.H2)
-        if not np.all(diag > 0):
-            raise ModelError("objective Hessian is not positive definite")
-        self.scale = np.sqrt(diag)
-        # By congruence the scaled Hessian is positive definite exactly when
-        # H2 is, so its one decomposition certifies both.
-        scaled = self.H2 / np.outer(self.scale, self.scale)
+        # Numbers too large for the Hessian end in the finiteness check
+        # below, not in a numpy warning first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.A = np.diag(buildings.beta * m * m) / lam + blocks.Q
+            self.H2 = 2.0 * self.A
+            diag = np.diag(self.H2)
+            if not np.all(diag > 0):
+                raise ModelError("objective Hessian is not positive definite")
+            self.scale = np.sqrt(diag)
+            # By congruence the scaled Hessian is positive definite exactly
+            # when H2 is, so its one decomposition certifies both.
+            scaled = self.H2 / np.outer(self.scale, self.scale)
         if not np.all(np.isfinite(scaled)):
             raise ModelError("objective Hessian is not finite")
         eig = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
 
@@ -254,6 +257,27 @@ def test_out_of_range_config_number_exits_with_a_code(key, value, tmp_path,
     assert rc in (0, 2, 3, 4)
     if value in OUT_OF_RANGE.get(key, ()):
         assert rc == 2 and key in capsys.readouterr().err
+
+
+def test_overflowing_objective_fails_without_a_numpy_warning(tmp_path):
+    """A cooling gain that overflows the objective's Hessian ends ``validate``
+    with the package's own error alone: the same exit code and message when
+    warnings are errors."""
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 25
+    cfg["buildings"]["cooling_gain_mean"] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    results = []
+    for action in ("default", "error"):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter(action)
+            results.append((main(["validate", "--config", str(path)]),
+                            err.getvalue()))
+    assert results[0] == results[1]
+    assert results[0] == (3, "error: objective Hessian is not finite\n")
 
 
 # --- missing or unknown config entries ------------------------------------------

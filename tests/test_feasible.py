@@ -254,6 +254,43 @@ def test_band_projection_kkt_ieee37(ieee37_tight, slot):
 
 
 
+@pytest.mark.parametrize("metric", [False, True])
+def test_project_returns_the_band_solve_bit_for_bit(ieee37_tight, metric):
+    """``project`` hands its clamp and band values to the band solve at unit
+    scale; in either metric it returns what the band solve returns alone.
+    Points whose clamp breaks the band by less than 1e-10 come back as the
+    clamp, with no multiplier (in the objective's metric, after the round
+    trip through ``z = scale * x``)."""
+    scn = ieee37_tight
+    scale = scn.objective.scale if metric else 1.0
+    near = 0
+    for slot in (0, 30, 880):
+        fs = _slot_set(scn.band, scn.p_g_true[slot], scn.p_fixed)
+        rng = np.random.default_rng(slot)
+        for x in fs.p_max + rng.normal(scale=0.05, size=(30, fs.dim)):
+            band = fs.offset + fs.A_volt @ np.clip(x, fs.p_min, fs.p_max)
+            if np.all((band >= fs.v_min) & (band <= fs.v_max)):
+                continue  # the clamp path
+            p, y = fs._project_band(x, scale)
+            assert np.array_equal(fs.project(x, scale), p)
+            k = int(np.argmax(np.abs(y)))
+            if np.count_nonzero(y) != 1 or y[k] > 0:
+                continue
+            # Step off the priced lower bound along the row, on the free
+            # coordinates, to 5e-11 below it.
+            free = (p > fs.p_min) & (p < fs.p_max)
+            a = np.where(free, fs.A_volt[k], 0.0)
+            x_near = p - 5e-11 * a / (a @ a)
+            band = fs.offset + fs.A_volt @ x_near
+            assert fs.contains(x_near) and np.min(band - fs.v_min) < 0.0
+            p, y = fs._project_band(x_near, scale)
+            assert not y.any()
+            assert np.max(np.abs(p - x_near)) <= (1e-15 if metric else 0.0)
+            assert np.array_equal(fs.project(x_near, scale), p)
+            near += 1
+    assert near >= 10
+
+
 def test_band_projection_kkt_far_point(ieee37_tight):
     # The exact scheme's long gradient steps land far outside the box.  Then
     # almost no box coordinate is free, the dual is nearly piecewise linear,
@@ -631,24 +668,17 @@ def test_row_stack_projection_equals_rows_alone(ieee37_tight):
 
 
 def _newton_only(monkeypatch):
-    """Make every band projection skip its one-row solve: the first step
-    search of each projection reports an infinite step, so Newton starts
-    from y = 0 as it would alone."""
-    project_band, exact_step = feasible.FeasibleSet._project_band, feasible._exact_step
-    first = [False]
+    """Make every band projection decline its one-row solve, so Newton
+    starts from y = 0 as it would alone; returns the list the declined
+    attempts are counted in, so a test can see that it took effect."""
+    declined = []
 
-    def start(self, *args):
-        first[0] = True
-        return project_band(self, *args)
+    def one_row(*args):
+        declined.append(1)
+        return None
 
-    def step(*args):
-        if first[0]:
-            first[0] = False
-            return np.inf
-        return exact_step(*args)
-
-    monkeypatch.setattr(feasible.FeasibleSet, "_project_band", start)
-    monkeypatch.setattr(feasible, "_exact_step", step)
+    monkeypatch.setattr(feasible, "_one_row", one_row)
+    return declined
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -656,7 +686,7 @@ def test_one_row_solve_meets_kkt_without_newton(ieee37_tight, monkeypatch, metri
     scn = ieee37_tight
     scale = scn.objective.scale if metric else 1.0
     calls = count_newton_steps(monkeypatch)
-    accepted = 0
+    accepted = []
     for slot in (0, 30, 880):
         fs = _slot_set(scn.band, scn.p_g_true[slot], scn.p_fixed)
         rng = np.random.default_rng(slot)
@@ -666,9 +696,14 @@ def test_one_row_solve_meets_kkt_without_newton(ieee37_tight, monkeypatch, metri
                 continue
             y = _kkt_check(fs, x, scale)
             if calls[-1] == 0:
-                accepted += 1
+                accepted.append((fs, x, fs._project_band(x, scale)[0]))
                 assert np.count_nonzero(y) == 1
-    assert accepted >= 20
+    assert len(accepted) >= 20
+    # Newton alone reaches the same points, within its rounding.
+    declined = _newton_only(monkeypatch)
+    for fs, x, p in accepted:
+        assert np.max(np.abs(fs._project_band(x, scale)[0] - p)) <= 1e-13
+    assert len(declined) == len(accepted)
 
 
 def test_two_active_rows_fall_back_to_newton(monkeypatch):
@@ -682,8 +717,9 @@ def test_two_active_rows_fall_back_to_newton(monkeypatch):
     assert len(calls) == 1 and calls[0] > 0
     assert np.count_nonzero(y) == 2
     assert np.array_equal(p, [0.5, 0.5])
-    _newton_only(monkeypatch)
+    declined = _newton_only(monkeypatch)
     q, z = fs._project_band(x)
+    assert declined == [1]
     assert np.array_equal(p, q) and np.array_equal(y, z)
 
 
@@ -710,9 +746,10 @@ def test_one_row_out_of_reach_is_certified_empty(monkeypatch):
     with pytest.raises(FeasibilityError) as err:
         FeasibleSet(*args, v_min=2.0)
     assert err.value.max_violation == pytest.approx(0.5, rel=1e-15)
-    _newton_only(monkeypatch)
+    declined = _newton_only(monkeypatch)
     with pytest.raises(FeasibilityError) as alone:
         FeasibleSet(*args, v_min=2.0)
+    assert declined == [1]
     assert err.value.max_violation == alone.value.max_violation
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from usecb import experiments, sim
-from usecb.errors import ConfigError, FeasibilityError, ModelError
+from usecb.errors import (ConfigError, FeasibilityError, ModelError,
+                          ProjectionError)
 from usecb.mirror import run_online
 from usecb.sim import (NoiseConfig, build_ieee37_scenario, data_path,
                        load_scenario, metrics, observe, run_scheme)
@@ -408,6 +409,49 @@ def test_static_run_builds_no_constraint_set(scheme, monkeypatch):
     assert not calls
 
 
+def test_static_run_builds_its_linear_terms_by_block(monkeypatch):
+    """A static run reads its frozen indoor temperatures and builds its
+    linear terms a block of slots at a time, not once per slot."""
+    scn = build_ieee37_scenario({"horizon": 500})
+    calls = []
+    real = sim.Quadratic.linear_term_at
+
+    def counted(quad, *args):
+        calls.append(1)
+        return real(quad, *args)
+
+    monkeypatch.setattr(sim.Quadratic, "linear_term_at", counted)
+    run_scheme(scn, "stochastic")
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_nonfinite_control_raises_naming_seed_and_slot(variant, monkeypatch):
+    """A nan gradient at one slot gives a nan step, which the box clamp of
+    a box-only set passes on; the run raises once, after its slot loop,
+    naming the seed and that slot."""
+    scn = build_ieee37_scenario({"horizon": 40}, variant=variant)
+    assert scn.env_set.box_only
+    calls = []
+    real = sim.Quadratic.grad
+
+    def grad(quad, x, b):
+        calls.append(1)
+        g = real(quad, x, b)
+        return np.full_like(g, np.nan) if len(calls) == bad else g
+
+    bad = 0
+    monkeypatch.setattr(sim.Quadratic, "grad", grad)
+    run_scheme(scn, "stochastic", seed=3)
+    # The slot loop makes the run's last grad calls, one per slot.
+    slot = 17
+    bad = len(calls) - scn.horizon + slot + 1
+    calls.clear()
+    with pytest.raises(ProjectionError,
+                       match=f"stochastic run \\(seed 3\\).*at slot {slot}$"):
+        run_scheme(scn, "stochastic", seed=3)
+
+
 @pytest.mark.parametrize("scheme", sim.SCHEMES)
 def test_dynamic_run_builds_one_constraint_set_per_slot(scheme, monkeypatch):
     """Each slot of a dynamic run whose band cuts the box places and
@@ -447,6 +491,8 @@ def test_empty_slot0_set_fails_at_construction():
 
 BATCH_SCENARIOS = {
     "static": ({"horizon": 120}, "static"),
+    # A horizon that is not a whole number of the static run's blocks.
+    "static_37": ({"horizon": 37}, "static"),
     "dynamic": ({"horizon": 120}, "dynamic"),
     "tight": ({"horizon": 120, "voltage_band": {"v_min": 0.975}}, "dynamic"),
 }

@@ -139,12 +139,12 @@ def test_bench_finds_the_slot_whose_own_set_is_empty():
     assert failure["slot"] == 5
 
 
-def _digest(out, *extra):
+def _digest(out, *extra, code=0):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(DIGEST), str(out), "--horizon", "12",
                            *extra],
                           env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -185,6 +185,19 @@ def test_output_digest_against_an_identical_run(tmp_path):
     *listing, summary = _digest(tmp_path / "b", "--against", str(tmp_path / "a"))
     assert [line.split("  ", 1)[1] for line in listing] == _expected_outputs()
     assert summary == f"against {tmp_path / 'a'}: {len(listing)} identical, 0 not"
+
+
+def test_output_digest_against_a_differing_run_exits_with_its_code(tmp_path):
+    """Every command succeeds, but one file differs from the earlier run:
+    the digest says so and exits with its own code, not 0 or 1."""
+    digest = _load("output_digest", DIGEST)
+    _digest(tmp_path / "a")
+    (tmp_path / "a" / "validate" / "static.txt").write_text("exit 0\n")
+    *_, summary, line = _digest(tmp_path / "b", "--against", str(tmp_path / "a"),
+                                code=digest.DIFFERS)
+    assert digest.DIFFERS not in (0, 1)
+    assert summary.endswith(" identical, 1 not")
+    assert line.startswith("differs  validate/static.txt")
 
 
 def test_output_digest_against_names_each_difference(tmp_path):

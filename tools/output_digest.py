@@ -28,7 +28,8 @@ earlier run: after the listing, one line counts the files whose bytes are
 the same in both, and one line per other file says how it differs, with
 the largest absolute and relative difference between its numbers, the CSV
 column or JSON key of each, and the line of the larger relative one (see
-:func:`compare`).  Exits 1 if any command failed.
+:func:`compare`).  Exits 1 if any command failed, else 3 if a file
+differs from, or is missing in, the ``--against`` run.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ CONFIGS = {
     "static_tight": ("ieee37_static.json", {"voltage_band": {"v_min": 0.985}}),
 }
 INPUTS = "configs"
+# Exit code when --against finds a file that differs.
+DIFFERS = 3
 
 
 def _config_path(out, name):
@@ -255,11 +258,15 @@ def main(argv=None):
     failed = [capture for capture, cmd in commands(out, args.horizon)
               if _run(out, capture, cmd) != 0]
     print("\n".join(listing(out)))
+    differs = False
     if other is not None:
-        print("\n".join(compare(out, other)))
+        lines = compare(out, other)
+        print("\n".join(lines))
+        # A summary line, then one line per file that differs.
+        differs = len(lines) > 1
     for capture in failed:
         print(f"failed: {capture}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if failed else DIFFERS if differs else 0
 
 
 if __name__ == "__main__":
