@@ -31,8 +31,9 @@ class FeasibilityError(ModelError):
 
 
 class ProjectionError(UsecbError):
-    """A projection could not be carried out: a non-finite point, or a solve
-    that stopped short of its KKT tolerance."""
+    """A projection could not be carried out: a non-finite point, a solve
+    that stopped short of its KKT tolerance, or a dual solve that ended
+    without a valid certificate that the set is empty."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -376,8 +376,10 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
     y = np.zeros(A.shape[0])
     p, aty, g, dual = point(y)
     resid = float(np.max(np.abs(g)))
-    # No member is farther from x than the farthest box corner.
-    dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
+    # No member is farther from x than the farthest box corner (an
+    # infinite floor on a huge box only turns the test off).
+    with np.errstate(over="ignore"):
+        dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
     shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
     for _ in range(_NEWTON_CAP):
         if resid <= _KKT_TOL:
@@ -477,7 +479,10 @@ def _slope_root(w, e, base, end, p_min, p_max):
     if i == 0:
         return 0.0
     a0, a1, s0, s1 = alphas[i - 1], alphas[i], slopes[i - 1], slopes[i]
-    return float(a0 + (a1 - a0) * s0 / (s0 - s1))
+    # On a huge box the product can overflow to an infinite step, whose
+    # certificate _emptiness then declines.
+    with np.errstate(over="ignore"):
+        return float(a0 + (a1 - a0) * s0 / (s0 - s1))
 
 
 def _emptiness(y, A, c, lo, hi, p_min, p_max):
@@ -486,12 +491,19 @@ def _emptiness(y, A, c, lo, hi, p_min, p_max):
     Every point of the box ``[p_min, p_max]`` has ``y.(A p + c) >= floor``;
     when that exceeds the support ``sigma(y)`` of the band no box point meets
     it, and the excess per unit of ``|y|`` bounds the violation from below.
+    Only a finite, positive bound certifies anything: for any other (a
+    direction that rounding, not the band, made unbounded) the error is a
+    ``ProjectionError`` instead.
     """
     aty = A.T @ y
     floor = float(y @ c + np.sum(np.minimum(aty * p_min, aty * p_max)))
     up, down = y > 0, y < 0
     sigma = float(hi[up] @ y[up] + lo[down] @ y[down])
     worst = (floor - sigma) / float(np.sum(np.abs(y)))
+    if not (np.isfinite(worst) and worst > 0.0):
+        return ProjectionError(
+            "band projection failed: the dual solve gives no valid emptiness "
+            f"certificate (bound {worst:.3e})")
     return FeasibilityError(
         "empty feasible set (dual certificate: every box point breaks "
         f"the band by at least {worst:.3e})", max_violation=worst)

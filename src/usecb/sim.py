@@ -321,9 +321,16 @@ def run_scheme(scenario, scheme, seed=None):
     exactly as a one-row stack does at less cost per numpy call.  Work that
     does not depend on the control runs before the slot loop, over the
     whole horizon: the step sizes, the generation part of each slot's
-    linear term and, on a dynamic day, every slot's band offsets from its
+    linear term and, on a dynamic day, the noise of each indoor reading,
+    the input part of each linear term (``Quadratic.input_term``), the
+    outdoor part of each thermal step, every slot's band offsets from its
     generation reading and whether the band there holds the whole box
-    (:meth:`~usecb.feasible.VoltageBand.holds_box`).  Those slots project
+    (:meth:`~usecb.feasible.VoltageBand.holds_box`).  A dynamic slot then
+    reads its indoor temperature, forms ``b = input - temp_w * reading``
+    and, after the step or solve, advances the indoor temperature by
+    ``keep * c_in + outdoor - control_gain * control``: the same bits as
+    ``observe``, ``linear_term_at`` and ``thermal_step``, whose
+    coefficients it reads.  Slots whose band holds the box project
     onto one shared plain box, by the clamp alone; each other slot's
     ``build_feasible(band, offsets[t])`` only places and certifies its set.
     A static run's indoor temperatures never move, so its indoor readings
@@ -368,6 +375,7 @@ def run_scheme(scenario, scheme, seed=None):
     row = slice(None) if static else 0
     c_in = cin[row, 0]
     p_c = np.empty((R, T, n_c))
+    gen_b = quad.generation_term(pg_obs)
     if static:
         fset_t = env_set
     else:
@@ -379,7 +387,15 @@ def run_scheme(scenario, scheme, seed=None):
         # slot places and certifies its own set in the loop.
         box_slot = band.holds_box(offsets).tolist()
         box_set = FeasibleSet(band.p_min, band.p_max)
-    gen_b = quad.generation_term(pg_obs)
+        # Each slot's terms that do not depend on the control: the noise of
+        # its indoor reading, the input part of its linear term and the
+        # outdoor part of its thermal step (the step from 0 degrees indoors
+        # with no AC, which is exactly outdoor_gain * c_out).
+        bld = scenario.buildings
+        noise_in = noise.sigma_temp * cin_obs[0]
+        b_in = quad.input_term(cout_obs[0], gen_b[0])
+        outdoor = thermal_step(0.0, scenario.c_out_true[:, None], 0.0, bld)
+        temp_w, keep, control_gain = quad.temp_w, bld.keep, bld.control_gain
     if scheme == "stochastic":
         eta = step_size(np.arange(1, T + 1), D[:, None], g_star[:, None])
     else:
@@ -399,9 +415,9 @@ def run_scheme(scenario, scheme, seed=None):
                                             gen_b[:, blk])
             b_ctrl = b_blk[:, t % _STATIC_BLOCK]
         else:
-            cin_obs[0, t] = observe(c_in, noise.sigma_temp, cin_obs[0, t])
-            b_ctrl = quad.linear_term_at(cin_obs[0, t], cout_obs[0, t],
-                                         gen_b[0, t])
+            # observe() and linear_term_at() of this slot's readings.
+            c_obs = cin_obs[0, t] = c_in + noise_in[t]
+            b_ctrl = b_in[t] - temp_w * c_obs
             fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
         if scheme == "stochastic":
             g = quad.grad(a, b_ctrl)
@@ -412,8 +428,8 @@ def run_scheme(scenario, scheme, seed=None):
                 fset_t, quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
         p_c[row, t] = a
         if not static:
-            c_in = cin[0, t + 1] = thermal_step(c_in, scenario.c_out_true[t], a,
-                                                scenario.buildings)
+            # thermal_step(c_in, c_out_true[t], a, bld), bit for bit.
+            c_in = cin[0, t + 1] = keep * c_in + outdoor[t] - control_gain * a
 
     # A non-finite step comes back from the clamp of a box-only set as a
     # non-finite control; one test per run, not per slot, catches it.
@@ -682,6 +698,8 @@ def scenario_from_config(cfg, base_dir):
 
     horizon = _number(cfg, "horizon", integer=True)
     dt = _number(cfg, "dt_s", 48.0)
+    if dt <= 0:
+        raise ConfigError(f"config value dt_s must be positive, got {dt!r}")
     start = _number(cfg, "start_s", 0.0)
     if kind == "static":
         times = np.full(horizon, start)

@@ -9,10 +9,20 @@ cost.  Maximizing profit equals minimizing the convex quadratic
 ``f(p) = p'Ap + b'p``, and :class:`Quadratic` is the one place that derives
 it: ``A`` depends only on the buildings, the price and the feeder, so it is
 built (and checked positive definite) once per scenario, and only ``b``
-follows the slot's temperatures and generation.  :func:`usecb_profit`
-evaluates the profit through the physical path instead (thermal step,
-loss, intake), and the identity ``profit + lambda * f == const`` checks
-the one derivation against it.
+follows the slot's temperatures and generation.
+
+Both models are affine in the indoor temperature, and each is written
+once in that form.  :class:`BuildingParams` holds the step's coefficients,
+so :func:`thermal_step` is ``keep c_in + outdoor_gain c_out - control_gain
+p_c``; :meth:`Quadratic.linear_term_at` is ``input_term(c_out, gen) -
+temp_w c_in``, where the input term holds the outdoor, set-point and
+generation parts.  A caller that holds a run's readings evaluates the
+input terms and the outdoor parts of the steps for every slot at once,
+and each slot then computes only what depends on the control.
+
+:func:`usecb_profit` evaluates the profit through the physical path
+instead (thermal step, loss, intake), and the identity ``profit + lambda *
+f == const`` checks the one derivation against it.
 """
 
 from __future__ import annotations
@@ -42,6 +52,10 @@ class BuildingParams:
     beta:   comfort weight, currency per squared degree.
     c_set:  set-point temperature per building.
     dt:     slot length.
+
+    Derived at construction, the coefficients of :func:`thermal_step`:
+    ``keep = 1 - alpha1 dt``, ``outdoor_gain = alpha1 dt`` and
+    ``control_gain = alpha2 dt``.
     """
 
     alpha1: np.ndarray
@@ -63,6 +77,9 @@ class BuildingParams:
             raise ModelError("alpha2 must be positive")
         if np.any(self.beta <= 0):
             raise ModelError("beta must be positive")
+        self.outdoor_gain = self.alpha1 * self.dt
+        self.keep = 1.0 - self.outdoor_gain
+        self.control_gain = self.alpha2 * self.dt
 
     @property
     def n(self):
@@ -71,10 +88,10 @@ class BuildingParams:
 
 def thermal_step(c_in, c_out, p_c, params):
     """Predicted indoor temperature after one slot of AC power ``p_c >= 0``
-    from indoor ``c_in`` and outdoor ``c_out`` temperatures per building."""
-    c_in = np.asarray(c_in, dtype=float)
-    dt = params.dt
-    return c_in + params.alpha1 * (c_out - c_in) * dt - params.alpha2 * p_c * dt
+    from indoor ``c_in`` and outdoor ``c_out`` temperatures per building:
+    ``keep c_in + outdoor_gain c_out - control_gain p_c``, affine in each."""
+    return (params.keep * c_in + params.outdoor_gain * c_out
+            - params.control_gain * p_c)
 
 
 def satisfaction(c_in, c_out, p_c, params):
@@ -90,22 +107,22 @@ class Quadratic:
 
     ``A`` (and ``H2 = 2A``, the Hessian) depends only on the buildings, the
     price and the feeder; ``linear_term`` gives ``b`` for a slot's indoor
-    and outdoor temperatures and generation.  The deterministic solver
-    steps in the metric ``W = diag(H2)``: ``scale`` is ``sqrt(diag(H2))``
-    and ``L_W`` the largest eigenvalue of ``W^-1/2 H2 W^-1/2``, the
-    Lipschitz constant of the gradient in that metric.  The comfort
-    diagonal dominates ``H2``, so the scaled Hessian is close to the
-    identity.  The inputs stay on the instance, so :func:`usecb_profit` can
-    evaluate the same slot through the physical path.  Raises
-    ``ModelError`` for a nonpositive price or a Hessian that is not finite
-    or not positive definite.
+    and outdoor temperatures and generation, affine in the indoor one
+    (``linear_term_at``).  The deterministic solver steps in the metric
+    ``W = diag(H2)``: ``scale`` is ``sqrt(diag(H2))`` and ``L_W`` the
+    largest eigenvalue of ``W^-1/2 H2 W^-1/2``, the Lipschitz constant of
+    the gradient in that metric.  The comfort diagonal dominates ``H2``, so
+    the scaled Hessian is close to the identity.  The inputs stay on the
+    instance, so :func:`usecb_profit` can evaluate the same slot through
+    the physical path.  Raises ``ModelError`` for a nonpositive price or a
+    Hessian that is not finite or not positive definite.
     """
 
     def __init__(self, lambda_price, buildings, blocks, p_fixed):
         if lambda_price <= 0:
             raise ModelError("electricity price must be positive")
         lam = lambda_price
-        m = buildings.alpha2 * buildings.dt
+        m = buildings.control_gain
         self.lambda_price = lambda_price
         self.buildings = buildings
         self.blocks = blocks
@@ -130,8 +147,10 @@ class Quadratic:
         self.L_W = float(eig[-1])
         self.base_b = np.ones(buildings.n) + 2.0 * (blocks.Q @ p_fixed)
         self.NT2 = 2.0 * blocks.N.T
-        # The set point enters b only as comfort_w * c_set.
+        # The set point enters b only as comfort_w * c_set, the indoor
+        # reading only as -temp_w * c_in.
         self.comfort_w = 2.0 * buildings.beta * m / lam
+        self.temp_w = self.comfort_w * buildings.keep
 
     def linear_term(self, c_in, c_out, p_g):
         """``b`` for one slot's readings, or the ``(R, n)`` rows of ``b`` for
@@ -147,9 +166,17 @@ class Quadratic:
 
     def linear_term_at(self, c_in, c_out, gen):
         """``b`` for the temperature readings and the ``generation_term``
-        ``gen`` of the generation reading."""
+        ``gen`` of the generation reading:
+        ``input_term(c_out, gen) - temp_w * c_in``."""
+        return self.input_term(c_out, gen) - self.temp_w * c_in
+
+    def input_term(self, c_out, gen):
+        """The part of ``b`` that does not depend on the indoor reading, for
+        the outdoor reading ``c_out`` and the ``generation_term`` ``gen``;
+        a caller that holds every slot's readings evaluates it for all of
+        them at once.  The set point is read at call time."""
         bld = self.buildings
-        drive = c_in + bld.alpha1 * (c_out - c_in) * bld.dt - bld.c_set
+        drive = bld.outdoor_gain * c_out - bld.c_set
         return self.base_b - self.comfort_w * drive - gen
 
     def value(self, x, b):

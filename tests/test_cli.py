@@ -234,7 +234,7 @@ def test_nonfinite_config_number_exits_2_at_load(key, value, command, tmp_path,
 
 # Zero or negative values the loader rejects, each naming its key.
 OUT_OF_RANGE = {"s_base_mva": (0, -1), "load.ac_max_mw": (0, -1),
-                "buildings.cooling_gain_std": (-1,)}
+                "buildings.cooling_gain_std": (-1,), "dt_s": (0, -1)}
 
 
 @pytest.mark.parametrize("key", NUMERIC_KEYS + ["buildings.cooling_gain_mean"])
@@ -278,6 +278,30 @@ def test_overflowing_objective_fails_without_a_numpy_warning(tmp_path):
                             err.getvalue()))
     assert results[0] == results[1]
     assert results[0] == (3, "error: objective Hessian is not finite\n")
+
+
+def test_huge_box_is_not_called_empty(tmp_path):
+    """A box so large that the band solve's step overflows ends ``validate``
+    with a projection failure, never a false certificate that the set is
+    empty (a bound of "at least" a negative number), and with the same exit
+    code and message when warnings are errors."""
+    with open(_data("ieee37_static.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 25
+    cfg["load"]["ac_max_mw"] = 1e300
+    path = tmp_path / "huge_box.json"
+    path.write_text(json.dumps(cfg))
+    results = []
+    for action in ("default", "error"):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter(action)
+            results.append((main(["validate", "--config", str(path)]),
+                            err.getvalue()))
+    assert results[0] == results[1]
+    code, message = results[0]
+    assert code == 3 and message.startswith("error: band projection failed")
+    assert "empty feasible set" not in message and "at least -" not in message
 
 
 # --- missing or unknown config entries ------------------------------------------

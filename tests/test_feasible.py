@@ -453,6 +453,23 @@ def test_disjoint_parallel_slabs_certified_empty():
     assert 0.0 < err.value.max_violation <= 1.0 / 6.0 + 1e-12
 
 
+@pytest.mark.parametrize("y, bound", [(1.0, "-1.000e+00"), (np.nan, "nan")])
+def test_dual_direction_that_certifies_nothing_is_a_projection_error(y, bound):
+    """On the box [0, 1] with ``-1 <= p <= 1``, a set that is not empty, no
+    dual direction proves emptiness: the bound it gives is not a finite
+    positive number, and the error says the solve failed."""
+    A, c = np.ones((1, 1)), np.zeros(1)
+    args = (A, c, -np.ones(1), np.ones(1), np.zeros(1), np.ones(1))
+    with np.errstate(all="raise"):
+        err = feasible._emptiness(np.array([y]), *args)
+    assert isinstance(err, ProjectionError)
+    assert str(err).endswith(f"(bound {bound})")
+    # Against a band of p >= 2 the same direction, reversed, does.
+    got = feasible._emptiness(-np.ones(1), A, c, np.full(1, 2.0), np.full(1, 3.0),
+                              np.zeros(1), np.ones(1))
+    assert isinstance(got, FeasibilityError) and got.max_violation == 1.0
+
+
 def _equality_band_with_copies(rng):
     """Box [0, 1]^n cut by random rows plus power-of-two copies of the first
     one, as an equality band at a member of the box."""

@@ -9,7 +9,7 @@ import pytest
 from usecb import experiments, sim
 from usecb.errors import (ConfigError, FeasibilityError, ModelError,
                           ProjectionError)
-from usecb.mirror import run_online
+from usecb.mirror import run_online, step_size
 from usecb.sim import (NoiseConfig, build_ieee37_scenario, data_path,
                        load_scenario, metrics, observe, run_scheme)
 
@@ -423,6 +423,72 @@ def test_static_run_builds_its_linear_terms_by_block(monkeypatch):
     monkeypatch.setattr(sim.Quadratic, "linear_term_at", counted)
     run_scheme(scn, "stochastic")
     assert len(calls) < 100
+
+
+def test_dynamic_run_builds_its_input_terms_before_the_loop(monkeypatch):
+    """A dynamic day's slot loop computes only what depends on the control:
+    the linear terms and thermal steps of the 900 slots are not derived
+    slot by slot."""
+    scn = build_ieee37_scenario(variant="dynamic")
+    assert scn.horizon == 900
+    calls = []
+    real_term, real_step = sim.Quadratic.linear_term_at, sim.thermal_step
+
+    def term(quad, *args):
+        calls.append("linear_term_at")
+        return real_term(quad, *args)
+
+    def step(*args):
+        calls.append("thermal_step")
+        return real_step(*args)
+
+    monkeypatch.setattr(sim.Quadratic, "linear_term_at", term)
+    monkeypatch.setattr(sim, "thermal_step", step)
+    run_scheme(scn, "stochastic")
+    assert len(calls) < 20
+
+
+DAYS = {"loose": None, "tight": {"voltage_band": {"v_min": 0.975}}}
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+@pytest.mark.parametrize("day", sorted(DAYS))
+def test_dynamic_run_steps_by_the_thermal_model(day, scheme):
+    """Every slot's indoor temperature after the control is the one
+    ``thermal_step`` derives from the slot's true temperatures and its
+    control, bit for bit."""
+    scn = build_ieee37_scenario({"horizon": 120, **(DAYS[day] or {})},
+                                variant="dynamic")
+    run = run_scheme(scn, scheme)
+    for t in range(scn.horizon):
+        want = sim.thermal_step(run.c_in_true[t], run.c_out_true[t],
+                                run.p_c[t], scn.buildings)
+        assert np.array_equal(run.c_in_after[t], want), t
+    assert np.array_equal(run.c_in_true[1:], run.c_in_after[:-1])
+
+
+@pytest.mark.parametrize("day", sorted(DAYS))
+def test_dynamic_stochastic_run_steps_on_the_linear_term(day):
+    """Each slot's indoor reading is ``observe`` of its indoor temperature,
+    and each control is the projection of the step from the previous one on
+    ``linear_term_at`` of the slot's readings, bit for bit."""
+    scn = build_ieee37_scenario({"horizon": 120, **(DAYS[day] or {})},
+                                variant="dynamic")
+    seed = 5
+    run = run_scheme(scn, "stochastic", seed=seed)
+    quad, band = scn.objective, scn.band
+    z_in = sim.read_slots(scn, scn.noise, np.arange(scn.horizon),
+                          sim.noise_streams(seed))[2]
+    D, g_star = sim.md_bounds(scn, seed)
+    a = scn.env_set.project(scn.env_set.midpoint())
+    for t in range(scn.horizon):
+        assert np.array_equal(run.c_in_obs[t], observe(
+            run.c_in_true[t], scn.noise.sigma_temp, z_in[t])), t
+        b = quad.linear_term_at(run.c_in_obs[t], run.c_out_obs[t],
+                                quad.generation_term(run.p_g_obs[t]))
+        fset = sim.build_feasible(band, band.offset(run.p_g_obs[t], scn.p_fixed))
+        a = fset.project(a - step_size(t + 1, D, g_star) * quad.grad(a, b))
+        assert np.array_equal(run.p_c[t], a), t
 
 
 @pytest.mark.parametrize("variant", ["static", "dynamic"])

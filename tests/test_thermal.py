@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usecb.errors import ModelError
 from usecb.grid import SensitivityBlocks
@@ -73,6 +75,59 @@ def test_building_params_validation():
         BuildingParams(-0.1, 0.5, 1.0, [70.0], dt=1.0)
     with pytest.raises(ModelError):
         BuildingParams(0.1, 0.5, 1.0, [70.0], dt=0.0)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def affine_cases(draw):
+    """Buildings and readings beyond the bundled configs' scales: up to a
+    whole slot's heat exchange, temperatures of either sign, and a
+    generation term of either sign."""
+    n = draw(st.integers(1, 4))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    dt = draw(st.floats(1.0, 3600.0))
+    bp = BuildingParams(alpha1=vec(0.0, 1.0) / dt, alpha2=vec(1e-3, 1.0),
+                        beta=vec(1e-3, 10.0), c_set=vec(-20.0, 120.0), dt=dt)
+    quad = Quadratic(draw(st.floats(0.1, 10.0)), bp, _empty_grid_blocks(n),
+                     vec(0.0, 1.0))
+    return (quad, vec(-40.0, 130.0), vec(-40.0, 130.0), vec(0.0, 10.0),
+            vec(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_cases())
+def test_affine_forms_match_the_expanded_formulas(case):
+    """``thermal_step`` and ``linear_term_at`` in affine form agree with the
+    formulas they restate, ``c_in + alpha1 (c_out - c_in) dt - alpha2 p_c
+    dt`` and ``base_b - comfort_w (that step at p_c = 0 - c_set) - gen``,
+    within a few ulps of the size of their terms."""
+    quad, c_in, c_out, p_c, gen = case
+    bp = quad.buildings
+    a1dt = bp.alpha1 * bp.dt
+    free = c_in + bp.alpha1 * (c_out - c_in) * bp.dt
+    size = np.abs(c_in) + a1dt * (np.abs(c_in) + np.abs(c_out))
+    old = free - bp.alpha2 * p_c * bp.dt
+    gap = np.abs(thermal_step(c_in, c_out, p_c, bp) - old)
+    assert np.all(gap <= 8 * EPS * (size + bp.control_gain * p_c))
+    old_b = quad.base_b - quad.comfort_w * (free - bp.c_set) - gen
+    gap_b = np.abs(quad.linear_term_at(c_in, c_out, gen) - old_b)
+    size_b = (quad.base_b + quad.comfort_w * (size + np.abs(bp.c_set))
+              + np.abs(gen))
+    assert np.all(gap_b <= 8 * EPS * size_b)
+
+
+def test_input_term_reads_the_set_point_at_call_time():
+    """A set point written after the objective exists (tracking mode) moves
+    ``b`` by ``comfort_w`` per degree."""
+    (c_in, c_out), quad, p_g, b = _coupled_objective()
+    quad.buildings.c_set += 1.0
+    moved = quad.linear_term(c_in, c_out, p_g)
+    assert np.allclose(moved - b, quad.comfort_w, rtol=1e-9, atol=0.0)
 
 
 # --- satisfaction ----------------------------------------------------------

@@ -223,7 +223,7 @@ def test_output_digest_against_names_each_difference(tmp_path):
         f"against {there}: 1 identical, 3 not",
         "only here  sim/new.txt",
         "differs  sim/slots.csv  max abs 0.5 (objective)  max rel 0.2 at line 2"
-        " (objective)  text differs: line 3",
+        " (objective)  max rel to column 0.2 (objective)  text differs: line 3",
         "differs  sim/summary.json  max abs 0.5 (objective)  max rel 0.2 at "
         "objective  only here: steps",
     ]
@@ -232,7 +232,10 @@ def test_output_digest_against_names_each_difference(tmp_path):
 def test_output_digest_against_names_the_csv_columns(tmp_path):
     """A control that moves by 1e-8 and an objective that moves by 3e-7 are
     told apart: the largest absolute difference is the objective's, the
-    largest relative one the control's, and each line names its column."""
+    largest relative one the control's, and each line names its column.
+    Relative to its column's largest magnitude, a near-zero control that
+    moves by a rounding reads as a rounding, however large its own
+    relative move."""
     digest = _load("output_digest", DIGEST)
     header = "t,u_0,u_1,objective,feasible\n"
     for root, u_1, objective in ((tmp_path / "here", 0.25, -50.0),
@@ -247,6 +250,20 @@ def test_output_digest_against_names_the_csv_columns(tmp_path):
     assert diff["at"] == "line 2" and diff["text"] == []
     assert diff["max_abs"] == pytest.approx(3e-7, rel=1e-6)
     assert diff["max_rel"] == pytest.approx(1e-8 / (0.25 + 1e-8), rel=1e-6)
+    assert diff["col_rel_column"] == "u_1"
+    assert diff["max_col_rel"] == pytest.approx(1e-8 / (0.25 + 1e-8), rel=1e-6)
     assert digest.compare(tmp_path / "here", tmp_path / "there")[1] == (
         f"differs  slots.csv  max abs {diff['max_abs']:.3g} (objective)  "
-        f"max rel {diff['max_rel']:.3g} at line 2 (u_1)")
+        f"max rel {diff['max_rel']:.3g} at line 2 (u_1)  "
+        f"max rel to column {diff['max_col_rel']:.3g} (u_1)")
+
+    for root, u_0 in ((tmp_path / "here", 1e-17), (tmp_path / "there", 2e-17)):
+        (root / "near.csv").write_text(
+            header + f"0,{u_0!r},0.25,-49.0,True\n1,0.5,0.25,-50.0,True\n")
+    near = digest.difference(tmp_path / "here" / "near.csv",
+                             tmp_path / "there" / "near.csv")
+    assert near["max_rel"] == pytest.approx(0.5) and near["rel_column"] == "u_0"
+    assert near["col_rel_column"] == "u_0"
+    assert near["max_col_rel"] == pytest.approx(1e-17 / 0.5)
+    # Other files have no columns to measure against.
+    assert "max_col_rel" not in digest.difference(DIGEST, DIGEST)

@@ -27,8 +27,10 @@ path goes to stderr.  ``--against`` names the ``OUT_DIR`` of such an
 earlier run: after the listing, one line counts the files whose bytes are
 the same in both, and one line per other file says how it differs, with
 the largest absolute and relative difference between its numbers, the CSV
-column or JSON key of each, and the line of the larger relative one (see
-:func:`compare`).  Exits 1 if any command failed, else 3 if a file
+column or JSON key of each, and the line of the larger relative one, and
+for a CSV file the largest difference relative to its column's largest
+magnitude, so that a rounding-level move of a near-zero entry reads as one
+(see :func:`compare`).  Exits 1 if any command failed, else 3 if a file
 differs from, or is missing in, the ``--against`` run.
 """
 
@@ -179,12 +181,17 @@ def difference(here, there):
     place of the larger relative one (``at``), the places only one file has
     (``only_here``, ``only_there``) and the places whose text or number
     count differs (``text``).  The relative difference of two numbers is
-    ``|a - b| / max(|a|, |b|)``."""
+    ``|a - b| / max(|a|, |b|)``.  For CSV files it adds the largest
+    difference in a column over the largest magnitude in that column in
+    either file (``max_col_rel``) and that column (``col_rel_column``)."""
     a, b = _leaves(here), _leaves(there)
     out = {"max_abs": 0.0, "abs_column": None, "max_rel": 0.0,
            "rel_column": None, "at": None,
            "only_here": [k for k in a if k not in b],
            "only_there": [k for k in b if k not in a], "text": []}
+    csv = here.suffix == ".csv"
+    # Per CSV column: its largest difference and its largest magnitude.
+    col_gap, col_size = {}, {}
     for key in (k for k in a if k in b):
         x, y = a[key], b[key]
         if _is_number(x) and _is_number(y):
@@ -202,6 +209,15 @@ def difference(here, there):
                 out["max_abs"], out["abs_column"] = gap, column
             if rel > out["max_rel"]:
                 out["max_rel"], out["rel_column"], out["at"] = rel, column, key
+            if csv:
+                col_gap[column] = max(col_gap.get(column, 0.0), gap)
+                col_size[column] = max(col_size.get(column, 0.0), abs(u), abs(v))
+    if csv:
+        out["max_col_rel"], out["col_rel_column"] = 0.0, None
+        for column, gap in col_gap.items():
+            if gap and gap / col_size[column] > out["max_col_rel"]:
+                out["max_col_rel"] = gap / col_size[column]
+                out["col_rel_column"] = column
     return out
 
 
@@ -232,6 +248,9 @@ def compare(out, other):
             line += f" at {d['at']}"
             if d["rel_column"] not in (None, d["at"]):
                 line += f" ({d['rel_column']})"
+        if d.get("col_rel_column") is not None:
+            line += (f"  max rel to column {d['max_col_rel']:.3g}"
+                     f" ({d['col_rel_column']})")
         for key, label in (("only_here", "only here"),
                            ("only_there", "only there"), ("text", "text differs")):
             if d[key]:
