@@ -9,10 +9,11 @@ horizon.  ``run_scheme`` drives one of three controllers through it:
   observations,
 * ``oracle``: the same minimization on the true data (lower-bound trace).
 
-Thermal states always advance with the true physics and the applied
-control.  Static scenarios freeze the inputs (and the indoor temperatures)
-so that the per-slot objective is stationary; every slot then plays the
-scenario's slot-0 constraint set, built once from the true generation.
+Every run goes through one slot loop, and thermal states advance with the
+true physics and the applied control.  A static scenario is the case of a
+fixed set and a frozen indoor state: its inputs and indoor temperatures
+never move, so the per-slot objective is stationary, and every slot plays
+the scenario's slot-0 constraint set, built once from the true generation.
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ STREAM_REP = 12
 _EXACT_TOL = 1e-8
 # Slots that run_scheme's bookkeeping and write_run_csv take at once.
 _BOOK_BLOCK = 128
-# Slots whose readings and linear terms a static run builds at once: small,
-# so the (R, block, n) temporaries of a stack of seeds stay small.
-_STATIC_BLOCK = 16
 
 # The observation-noise scheme: reading k of a run is row k of one
 # standard-normal sequence per (seed, stream).  Noisy outputs are comparable
@@ -279,9 +277,9 @@ def md_bounds(scenario, seed):
 
 @dataclass
 class RunResult:
-    """Arrays over the horizon for one (scheme, seed) run.  A static run's
-    indoor temperatures never move, so its ``c_in_after`` is its
-    ``c_in_true``."""
+    """Arrays over the horizon for one (scheme, seed) run.  ``c_in_true``
+    and ``c_in_after`` are read-only views of the run's indoor states; a
+    static run's never move, so its ``c_in_after`` is its ``c_in_true``."""
 
     scheme: str
     seed: int
@@ -310,38 +308,33 @@ def run_scheme(scenario, scheme, seed=None):
 
     A sequence of R seeds returns R results, one per seed.  On a static
     scenario, where every row plays the one slot-0 set, they run as one
-    program: the R controls form an ``(R, n)`` stack that steps through one
-    slot loop, with stacked gradients, one projection call per step for all
-    rows and stacked solves whose rows stop at their own steps.  Each row
-    keeps its own noise streams, step sizes and solver diagnostics, and
-    equals its single-seed run bit for bit; a row that raises fails the
-    batch.  On a dynamic scenario each seed has its own per-slot sets and
-    runs alone, and its slot loop steps the control, the readings and the
-    indoor temperatures as plain vectors (row 0 of the stacks), which round
-    exactly as a one-row stack does at less cost per numpy call.  Work that
-    does not depend on the control runs before the slot loop, over the
-    whole horizon: the step sizes, the generation part of each slot's
-    linear term and, on a dynamic day, the noise of each indoor reading,
-    the input part of each linear term (``Quadratic.input_term``), the
-    outdoor part of each thermal step, every slot's band offsets from its
-    generation reading and whether the band there holds the whole box
-    (:meth:`~usecb.feasible.VoltageBand.holds_box`).  A dynamic slot then
-    reads its indoor temperature, forms ``b = input - temp_w * reading``
-    and, after the step or solve, advances the indoor temperature by
-    ``keep * c_in + outdoor - control_gain * control``: the same bits as
-    ``observe``, ``linear_term_at`` and ``thermal_step``, whose
-    coefficients it reads.  Slots whose band holds the box project
-    onto one shared plain box, by the clamp alone; each other slot's
-    ``build_feasible(band, offsets[t])`` only places and certifies its set.
-    A static run's indoor temperatures never move, so its indoor readings
-    and linear terms do not depend on the control either: they are built
-    for a block of ``_STATIC_BLOCK`` slots at a time, ahead of the steps
-    that read them, and each slot's row equals its per-slot value bit for
-    bit.  After the loop, a non-finite control (a nan step, which the clamp
-    of a box-only set passes on) raises ``ProjectionError`` naming the seed
-    and its first such slot.  The bookkeeping (loss, intake and true
-    objective against the true physics, and each slot's feasibility against
-    its own set) runs once per run, over the horizon, after the loop.
+    program: the R controls form an ``(R, n)`` stack, with stacked
+    gradients, one projection call per step for all rows and stacked
+    solves whose rows stop at their own steps.  Each row keeps its own
+    noise streams, step sizes and solver diagnostics, and equals its
+    single-seed run bit for bit; a row that raises fails the batch.  On a
+    dynamic scenario each seed has its own per-slot sets and runs alone.
+    A run of one seed steps plain vectors (row 0 of the stacks), which
+    round exactly as a one-row stack does at less cost per numpy call.
+
+    Every run has one slot loop.  Before it, over the whole horizon, runs
+    the work that does not depend on the control: the step sizes, the
+    noise of each indoor reading, the input part of each linear term
+    (``Quadratic.input_term``) and, on a dynamic day, the outdoor part of
+    each thermal step and every slot's band offsets from its generation
+    reading.  A slot reads its indoor temperature, forms ``b = input -
+    temp_w * reading`` and steps or solves, the same bits as ``observe``
+    and ``linear_term_at``.  A static slot plays the scenario's set and
+    leaves the indoor temperatures frozen.  A dynamic slot projects onto
+    one shared plain box where its band holds the box
+    (:meth:`~usecb.feasible.VoltageBand.holds_box`), else onto
+    ``build_feasible(band, offsets[t])``, and advances the indoor
+    temperature by ``keep * c_in + outdoor - control_gain * control``, the
+    bits of ``thermal_step``.  After the loop, a non-finite control (a nan
+    step, which the clamp of a box-only set passes on) raises
+    ``ProjectionError`` naming the seed and its first such slot, and the
+    bookkeeping (loss, intake and true objective against the true physics,
+    and each slot's feasibility against its own set) runs once per run.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -351,51 +344,48 @@ def run_scheme(scenario, scheme, seed=None):
     seeds = ([int(s) for s in seed] if np.ndim(seed) == 1
              else [scenario.seed if seed is None else int(seed)])
     R, T, n_c = len(seeds), scenario.horizon, scenario.n_loads
-    quad = scenario.objective
+    quad, bld = scenario.objective, scenario.buildings
     env_set, band = scenario.env_set, scenario.band
     if scheme == "stochastic":
         D, g_star = np.array([md_bounds(scenario, s) for s in seeds]).T
 
     # The oracle reads the same slots at zero noise.  Each run's readings
-    # land in its rows of the stacks; the indoor readings start as their
-    # standard normals and are overwritten slot by slot.
+    # land in its rows of the stacks, with the parts of each slot that do
+    # not depend on the control: the input part of its linear term, built
+    # one run at a time so that its temporaries stay one run's size, and
+    # the noise of its indoor reading, which the slot loop overwrites with
+    # the reading.
     noise = NoiseConfig() if scheme == "oracle" else scenario.noise
     pg_obs = np.empty((R, T, len(scenario.model.gen_buses)))
     cout_obs = np.empty((R, T, n_c))
     cin_obs = np.empty((R, T, n_c))
+    b_in = np.empty((R, T, n_c))
     for r, s in enumerate(seeds):
         pg_obs[r], cout_obs[r], cin_obs[r] = read_slots(
             scenario, noise, np.arange(T), noise_streams(s))
+        b_in[r] = quad.input_term(cout_obs[r], quad.generation_term(pg_obs[r]))
+    cin_obs *= noise.sigma_temp
+    temp_w, keep, control_gain = quad.temp_w, bld.keep, bld.control_gain
     # Row r, slot t of ``cin`` is the indoor temperature at the start of
     # slot t; slot t+1 is the one after it.
     cin = np.empty((R, 1 if static else T + 1, n_c))
     cin[:, 0] = scenario.c_in_init
-    # A static run steps its (R, n) stacks; a dynamic run is one row and
-    # steps plain vectors, with less overhead per numpy call.
-    row = slice(None) if static else 0
+    row = 0 if R == 1 else slice(None)
     c_in = cin[row, 0]
     p_c = np.empty((R, T, n_c))
-    gen_b = quad.generation_term(pg_obs)
     if static:
         fset_t = env_set
+        offsets = np.broadcast_to(env_set.offset, (T, env_set.offset.size))
     else:
-        # Every slot's band offsets from its reading (a dynamic run is one
-        # row: its seeds run alone, above); feasibility is judged against
-        # them after the loop.
+        # Every slot's band offsets from its reading; feasibility is judged
+        # against them after the loop.  Slots whose band holds the box share
+        # one plain box; every other slot places and certifies its own set
+        # in the loop.  The outdoor part of each thermal step is the step
+        # from 0 degrees indoors with no AC, exactly outdoor_gain * c_out.
         offsets = band.offset(pg_obs[0], scenario.p_fixed)
-        # Slots whose band holds the box share one plain box; every other
-        # slot places and certifies its own set in the loop.
         box_slot = band.holds_box(offsets).tolist()
         box_set = FeasibleSet(band.p_min, band.p_max)
-        # Each slot's terms that do not depend on the control: the noise of
-        # its indoor reading, the input part of its linear term and the
-        # outdoor part of its thermal step (the step from 0 degrees indoors
-        # with no AC, which is exactly outdoor_gain * c_out).
-        bld = scenario.buildings
-        noise_in = noise.sigma_temp * cin_obs[0]
-        b_in = quad.input_term(cout_obs[0], gen_b[0])
         outdoor = thermal_step(0.0, scenario.c_out_true[:, None], 0.0, bld)
-        temp_w, keep, control_gain = quad.temp_w, bld.keep, bld.control_gain
     if scheme == "stochastic":
         eta = step_size(np.arange(1, T + 1), D[:, None], g_star[:, None])
     else:
@@ -404,27 +394,17 @@ def run_scheme(scenario, scheme, seed=None):
     a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)[row]
 
     for t in range(T):
-        if static:
-            if t % _STATIC_BLOCK == 0:
-                # A static run's indoor temperatures never move: read them
-                # and build the linear terms for the next block of slots.
-                blk = slice(t, t + _STATIC_BLOCK)
-                cin_obs[:, blk] = observe(c_in[:, None], noise.sigma_temp,
-                                          cin_obs[:, blk])
-                b_blk = quad.linear_term_at(cin_obs[:, blk], cout_obs[:, blk],
-                                            gen_b[:, blk])
-            b_ctrl = b_blk[:, t % _STATIC_BLOCK]
-        else:
-            # observe() and linear_term_at() of this slot's readings.
-            c_obs = cin_obs[0, t] = c_in + noise_in[t]
-            b_ctrl = b_in[t] - temp_w * c_obs
+        # observe() and linear_term_at() of this slot's readings.
+        c_obs = cin_obs[row, t] = c_in + cin_obs[row, t]
+        b = b_in[row, t] - temp_w * c_obs
+        if not static:
             fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
         if scheme == "stochastic":
-            g = quad.grad(a, b_ctrl)
+            g = quad.grad(a, b)
             a = fset_t.project(a - eta[row, t, None] * g)
         else:
             a, converged[row, t], iterations[row, t] = minimize_projected(
-                lambda x, rows: quad.grad(x, b_ctrl[rows] if static else b_ctrl),
+                lambda x, rows: quad.grad(x, b[rows] if R > 1 else b),
                 fset_t, quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
         p_c[row, t] = a
         if not static:
@@ -449,10 +429,8 @@ def run_scheme(scenario, scheme, seed=None):
             p_c[r], pg_obs[r], cout_obs[r], cin_obs[r]
         out.p_g_true = scenario.p_g_true.copy()
         out.c_out_true = scenario.c_out_true.copy()
-        if static:
-            out.c_in_true = out.c_in_after = np.broadcast_to(cin[r, 0], (T, n_c))
-        else:
-            out.c_in_true, out.c_in_after = cin[r, :T], cin[r, 1:]
+        c = np.broadcast_to(cin[r], (T + 1, n_c))
+        out.c_in_true, out.c_in_after = c[:T], c[1:]
         out.loss, out.p_0, out.f_true = np.empty((3, T))
         out.feasible = np.empty(T, dtype=bool)
         for lo in range(0, T, _BOOK_BLOCK):
@@ -462,8 +440,7 @@ def run_scheme(scenario, scheme, seed=None):
             out.p_0[k] = grid_intake(pg, cons, out.loss[k])
             out.f_true[k] = quad.value(out.p_c[k], quad.linear_term(
                 out.c_in_true[k], out.c_out_true[k, None], pg))
-            offset = env_set.offset if static else offsets[k]
-            out.feasible[k] = band.violation(out.p_c[k], offset) <= MEMBER_TOL
+            out.feasible[k] = band.violation(out.p_c[k], offsets[k]) <= MEMBER_TOL
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \
                 converged[r], iterations[r]

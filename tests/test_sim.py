@@ -409,28 +409,11 @@ def test_static_run_builds_no_constraint_set(scheme, monkeypatch):
     assert not calls
 
 
-def test_static_run_builds_its_linear_terms_by_block(monkeypatch):
-    """A static run reads its frozen indoor temperatures and builds its
-    linear terms a block of slots at a time, not once per slot."""
-    scn = build_ieee37_scenario({"horizon": 500})
-    calls = []
-    real = sim.Quadratic.linear_term_at
-
-    def counted(quad, *args):
-        calls.append(1)
-        return real(quad, *args)
-
-    monkeypatch.setattr(sim.Quadratic, "linear_term_at", counted)
-    run_scheme(scn, "stochastic")
-    assert len(calls) < 100
-
-
-def test_dynamic_run_builds_its_input_terms_before_the_loop(monkeypatch):
-    """A dynamic day's slot loop computes only what depends on the control:
-    the linear terms and thermal steps of the 900 slots are not derived
-    slot by slot."""
-    scn = build_ieee37_scenario(variant="dynamic")
-    assert scn.horizon == 900
+@pytest.mark.parametrize("variant, horizon", [("static", 500), ("dynamic", 900)])
+def test_run_derives_nothing_slot_by_slot(variant, horizon, monkeypatch):
+    """A run's slot loop computes only what depends on the control: its
+    linear terms and thermal steps are not derived slot by slot."""
+    scn = build_ieee37_scenario({"horizon": horizon}, variant=variant)
     calls = []
     real_term, real_step = sim.Quadratic.linear_term_at, sim.thermal_step
 
@@ -467,13 +450,17 @@ def test_dynamic_run_steps_by_the_thermal_model(day, scheme):
     assert np.array_equal(run.c_in_true[1:], run.c_in_after[:-1])
 
 
-@pytest.mark.parametrize("day", sorted(DAYS))
-def test_dynamic_stochastic_run_steps_on_the_linear_term(day):
+@pytest.mark.parametrize("day", sorted(DAYS) + ["static"])
+def test_stochastic_run_steps_on_the_linear_term(day):
     """Each slot's indoor reading is ``observe`` of its indoor temperature,
     and each control is the projection of the step from the previous one on
-    ``linear_term_at`` of the slot's readings, bit for bit."""
-    scn = build_ieee37_scenario({"horizon": 120, **(DAYS[day] or {})},
-                                variant="dynamic")
+    ``linear_term_at`` of the slot's readings, bit for bit: onto the slot's
+    own set on a dynamic day, onto the scenario's set on a static run."""
+    if day == "static":
+        scn = build_ieee37_scenario({"horizon": 120})
+    else:
+        scn = build_ieee37_scenario({"horizon": 120, **(DAYS[day] or {})},
+                                    variant="dynamic")
     seed = 5
     run = run_scheme(scn, "stochastic", seed=seed)
     quad, band = scn.objective, scn.band
@@ -486,7 +473,8 @@ def test_dynamic_stochastic_run_steps_on_the_linear_term(day):
             run.c_in_true[t], scn.noise.sigma_temp, z_in[t])), t
         b = quad.linear_term_at(run.c_in_obs[t], run.c_out_obs[t],
                                 quad.generation_term(run.p_g_obs[t]))
-        fset = sim.build_feasible(band, band.offset(run.p_g_obs[t], scn.p_fixed))
+        fset = (scn.env_set if scn.is_static else sim.build_feasible(
+            band, band.offset(run.p_g_obs[t], scn.p_fixed)))
         a = fset.project(a - step_size(t + 1, D, g_star) * quad.grad(a, b))
         assert np.array_equal(run.p_c[t], a), t
 
@@ -557,8 +545,11 @@ def test_empty_slot0_set_fails_at_construction():
 
 BATCH_SCENARIOS = {
     "static": ({"horizon": 120}, "static"),
-    # A horizon that is not a whole number of the static run's blocks.
+    # An odd horizon, shorter than a block of the bookkeeping.
     "static_37": ({"horizon": 37}, "static"),
+    # A static set whose band binds, so every step projects the stack of
+    # rows onto the band at once.
+    "static_tight": ({"horizon": 120, "voltage_band": {"v_min": 0.985}}, "static"),
     "dynamic": ({"horizon": 120}, "dynamic"),
     "tight": ({"horizon": 120, "voltage_band": {"v_min": 0.975}}, "dynamic"),
 }
@@ -592,7 +583,7 @@ def test_batched_rows_equal_single_runs(case, scheme, monkeypatch):
                 assert got is None, f.name
             else:
                 assert np.array_equal(got, want), (f.name, seed)
-    if case == "tight":
+    if case in ("tight", "static_tight"):
         assert took_band
 
 

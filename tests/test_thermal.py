@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from usecb.errors import ModelError
@@ -78,6 +78,9 @@ def test_building_params_validation():
 
 
 EPS = np.finfo(float).eps
+# A product that underflows rounds by up to half of TINY, absolute, not
+# relative to its size.
+TINY = np.finfo(float).smallest_subnormal
 
 
 @st.composite
@@ -99,13 +102,26 @@ def affine_cases(draw):
             vec(-1.0, 1.0))
 
 
+def _underflow_case(alpha2, dt, p_c):
+    """One building at 0 degrees in and out, whose ``alpha2 p_c``
+    underflows."""
+    bp = BuildingParams(alpha1=0.0, alpha2=alpha2, beta=1.0, c_set=0.0, dt=dt)
+    zero = np.zeros(1)
+    return (Quadratic(1.0, bp, _empty_grid_blocks(1), zero), zero, zero,
+            np.array([p_c]), zero)
+
+
 @settings(max_examples=300, deadline=None)
 @given(affine_cases())
+@example(_underflow_case(0.5, 2.0, 5e-324))
+@example(_underflow_case(0.25, 10.0, 2.22507386e-313))
 def test_affine_forms_match_the_expanded_formulas(case):
     """``thermal_step`` and ``linear_term_at`` in affine form agree with the
     formulas they restate, ``c_in + alpha1 (c_out - c_in) dt - alpha2 p_c
     dt`` and ``base_b - comfort_w (that step at p_c = 0 - c_set) - gen``,
-    within a few ulps of the size of their terms."""
+    within a few ulps of the size of their terms.  Where ``alpha2 p_c``
+    underflows, the formula's rounding of it is absolute, and ``dt`` then
+    scales it: the step's bound has a floor of ``(dt + 2)`` subnormal ulps."""
     quad, c_in, c_out, p_c, gen = case
     bp = quad.buildings
     a1dt = bp.alpha1 * bp.dt
@@ -113,7 +129,8 @@ def test_affine_forms_match_the_expanded_formulas(case):
     size = np.abs(c_in) + a1dt * (np.abs(c_in) + np.abs(c_out))
     old = free - bp.alpha2 * p_c * bp.dt
     gap = np.abs(thermal_step(c_in, c_out, p_c, bp) - old)
-    assert np.all(gap <= 8 * EPS * (size + bp.control_gain * p_c))
+    assert np.all(gap <= 8 * EPS * (size + bp.control_gain * p_c)
+                  + (bp.dt + 2) * TINY)
     old_b = quad.base_b - quad.comfort_w * (free - bp.c_set) - gen
     gap_b = np.abs(quad.linear_term_at(c_in, c_out, gen) - old_b)
     size_b = (quad.base_b + quad.comfort_w * (size + np.abs(bp.c_set))
