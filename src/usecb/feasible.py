@@ -46,12 +46,20 @@ import numpy as np
 from .errors import FeasibilityError, ProjectionError
 from .grid import matvec
 
-__all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
+__all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible",
+           "clamp"]
 
 _NEWTON_CAP = 200
 _KKT_TOL = 1e-10
 MEMBER_TOL = 1e-9
 _EPS = np.finfo(float).eps
+
+
+def clamp(x, p_min, p_max, out=None):
+    """The box clamp ``min(max(x, p_min), p_max)``, the projection onto the
+    box, into ``out`` when given; the only place the clamp is written."""
+    out = np.maximum(x, p_min, out=out)
+    return np.minimum(out, p_max, out=out)
 
 
 class VoltageBand:
@@ -225,7 +233,7 @@ class FeasibleSet:
         solve starts from this clamp and its band values; in another metric
         it clamps in its own coordinates."""
         x = np.asarray(x, dtype=float)
-        clamped = np.minimum(np.maximum(x, self.p_min), self.p_max)
+        clamped = clamp(x, self.p_min, self.p_max)
         if self.box_only:
             return clamped
         band = self.offset + matvec(self.A_volt, clamped)
@@ -266,17 +274,22 @@ class FeasibleSet:
         ``z = scale * x``, the box ``scale * [p_min, p_max]`` and the rows
         ``A / scale``, and a result coordinate on that box comes back as the
         bound itself (``(scale * p_max) / scale`` can round off ``p_max``).
-        At the default unit scale every one of these steps is exact.
+        At a scalar unit scale every one of these steps is exact, so the
+        solve skips them and keeps only the snap to the bound (which turns a
+        ``-0.0`` on a zero bound into the bound).
 
         Returns the projection and the multipliers of the band rows.
         """
         c, lo, hi = self.offset, self.v_min, self.v_max
-        x, A = scale * x, self.A_volt / scale
-        p_min, p_max = scale * self.p_min, scale * self.p_max
+        unit = np.ndim(scale) == 0 and scale == 1.0
+        A, p_min, p_max = self.A_volt, self.p_min, self.p_max
+        if not unit:
+            x, A = scale * x, A / scale
+            p_min, p_max = scale * p_min, scale * p_max
         if clamped is None:
-            clamped = np.minimum(np.maximum(x, p_min), p_max)
+            clamped = clamp(x, p_min, p_max)
             band = A @ clamped + c
-        g = np.minimum(np.maximum(band, lo), hi) - band
+        g = clamp(band, lo, hi) - band
         resid = float(np.max(np.abs(g)))
         if not np.isfinite(resid):
             raise ProjectionError(
@@ -292,7 +305,7 @@ class FeasibleSet:
             else:
                 p, y = solved
         p = np.where(p >= p_max, self.p_max,
-                     np.where(p <= p_min, self.p_min, p / scale))
+                     np.where(p <= p_min, self.p_min, p if unit else p / scale))
         if fixed:
             worst = float(self.band.violation(p, self.offset))
             if worst > MEMBER_TOL:
@@ -323,9 +336,9 @@ def _one_row(x, g, A, c, lo, hi, p_min, p_max):
     alpha = _slope_root(x, e, s * (bound - c[k]), np.inf, p_min, p_max)
     if alpha == np.inf:
         return None
-    p = np.minimum(np.maximum(x - alpha * e, p_min), p_max)
+    p = clamp(x - alpha * e, p_min, p_max)
     v = A @ p + c
-    g = np.minimum(np.maximum(v, lo), hi) - v
+    g = clamp(v, lo, hi) - v
     if alpha > 0.0:
         # A priced row targets its bound, not the nearest point of its range.
         g[k] = bound - v[k]
@@ -361,13 +374,13 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
 
     def point(y):
         aty = A.T @ y
-        p = np.minimum(np.maximum(x - aty, p_min), p_max)
+        p = clamp(x - aty, p_min, p_max)
         v = A @ p + c
         # Each row is priced at the bound its multiplier's sign selects;
         # a zero multiplier targets the nearest point of its range, which
         # makes g the minimum-norm subgradient.
         target = np.where(y > 0, hi, np.where(
-            y < 0, lo, np.minimum(np.maximum(v, lo), hi)))
+            y < 0, lo, clamp(v, lo, hi)))
         g = target - v
         dx = p - x
         return p, aty, g, float(y @ g) - 0.5 * float(dx @ dx)
@@ -470,8 +483,7 @@ def _slope_root(w, e, base, end, p_min, p_max):
     alphas = np.sort(np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < end)]]))
     if np.isfinite(end):
         alphas = np.append(alphas, end)
-    slopes = base - np.minimum(np.maximum(w - alphas[:, None] * e, p_min),
-                               p_max) @ e
+    slopes = base - clamp(w - alphas[:, None] * e, p_min, p_max) @ e
     rising = np.flatnonzero(slopes >= 0.0)
     if not rising.size:
         return end

@@ -168,16 +168,22 @@ def decompose_blocks(X, gen_buses, load_buses):
 # as R matrix-vector (or vector-vector) products, one per row, never as
 # one matrix product: each row then rounds exactly as that vector alone
 # does, so a stacked computation equals its rows computed one at a time,
-# bit for bit.
+# bit for bit.  A single vector takes the plain product, which numpy runs
+# through the same matrix-vector (or dot) kernel as a row of the column
+# form, at less overhead.
 
 
 def matvec(M, x):
     """``M @ x`` for a vector ``x``, or for every row of a stack of them."""
+    if x.ndim == 1:
+        return M @ x
     return (M @ x[..., None])[..., 0]
 
 
 def row_dot(x, y):
     """``x . y`` for vectors, or row by row for stacks."""
+    if x.ndim == 1 and y.ndim == 1:
+        return x @ y
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .feasible import clamp
 from .grid import row_dot
 
 __all__ = [
@@ -71,7 +72,8 @@ def estimate_bounds(fset, grads, rng):
     corners = _box_corners(fset, rng)
     raw = fset.p_min + rng.random((_SAMPLES, fset.dim)) * (fset.p_max - fset.p_min)
     points = np.concatenate([corners, fset.project(raw)])
-    g_max = max(float(np.linalg.norm(g)) for g in grads(points))
+    G = np.asarray(grads(points), dtype=float)
+    g_max = float(np.max(np.sqrt(row_dot(G, G))))
     return D, 1.1 * g_max
 
 
@@ -89,21 +91,27 @@ def run_online(fset, oracle, T, D, G_star, x0):
     returns a stochastic gradient at ``a`` (one row per row of a stack)
     whose conditional expectation is the true gradient; determinism of the
     run is the oracle's responsibility.  No step follows the last iterate,
-    so the oracle is asked for steps 1 to T-1 only.
+    so the oracle is asked for steps 1 to T-1 only.  On a ``box_only`` set
+    each step is clamped in place, the projection ``project`` would return.
     """
     if D <= 0 or G_star <= 0:
         raise ValueError("D and G* must be positive")
     a = fset.project(np.asarray(x0, dtype=float))
+    step = np.empty_like(a)
     for start in range(0, T, _BLOCK):
         points = np.empty(a.shape[:-1] + (min(_BLOCK, T - start), a.shape[-1]))
         eta = step_size(np.arange(start + 1, start + points.shape[-2] + 1),
-                        D, G_star)
-        for i in range(points.shape[-2]):
+                        D, G_star).tolist()
+        for i, eta_t in enumerate(eta):
             t = start + i + 1
             points[..., i, :] = a
             if t < T:
                 g = np.asarray(oracle(t, a), dtype=float)
-                a = fset.project(a - eta[i] * g)
+                np.subtract(a, np.multiply(eta_t, g, out=step), out=step)
+                if fset.box_only:
+                    clamp(step, fset.p_min, fset.p_max, out=a)
+                else:
+                    a = fset.project(step)
         yield points
 
 
@@ -132,7 +140,8 @@ def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
     from each row of an ``(R, n)`` stack of them.
 
     ``P_W`` is the projection onto ``fset`` that ``W`` measures,
-    ``fset.project(x, scale)``.  ``lipschitz`` bounds the Lipschitz
+    ``fset.project(x, scale)``, which on a ``box_only`` set is the clamp in
+    any metric: there each step is clamped in place.  ``lipschitz`` bounds the Lipschitz
     constant of the gradient in that metric, the largest eigenvalue of
     ``W^-1/2 H W^-1/2`` for a quadratic with Hessian ``H``; with that step
     every iteration decreases a convex objective (Nesterov 2004, section
@@ -162,14 +171,21 @@ def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
         x, rows = x[0], 0
     step = 1.0 / (lipschitz * scale * scale)  # W^-1 / lipschitz
     for k in range(1, max_iter + 1):
-        cand = fset.project(x - step * grad_fn(x, rows), scale)
+        cand = step * grad_fn(x, rows)
+        np.subtract(x, cand, out=cand)
+        if fset.box_only:
+            # The projection in any diagonal metric is the clamp.
+            clamp(cand, fset.p_min, fset.p_max, out=cand)
+        else:
+            cand = fset.project(cand, scale)
         d = cand - x
         x = cand
         done = np.sqrt(row_dot(d, d)) <= tol * (1.0 + np.sqrt(row_dot(x, x)))
-        if done.all():
+        stopped = np.count_nonzero(done)
+        if stopped == len(index):
             finished.append((index, x, k))
             break
-        if done.any():
+        if stopped:
             finished.append((index[done], x[done], k))
             keep = ~done
             index, x = index[keep], x[keep]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ProjectionError
 from .feasible import (MEMBER_TOL, FeasibleSet, VoltageBand, build_band,
-                       build_feasible)
+                       build_feasible, clamp)
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
 from .thermal import BuildingParams, Quadratic, thermal_step
@@ -330,7 +330,10 @@ def run_scheme(scenario, scheme, seed=None):
     (:meth:`~usecb.feasible.VoltageBand.holds_box`), else onto
     ``build_feasible(band, offsets[t])``, and advances the indoor
     temperature by ``keep * c_in + outdoor - control_gain * control``, the
-    bits of ``thermal_step``.  After the loop, a non-finite control (a nan
+    bits of ``thermal_step``.  A stochastic step onto a ``box_only`` set is
+    clamped straight into the slot's control, the point ``project`` would
+    return; the slot's reading, linear term, step and indoor temperature
+    are written in place.  After the loop, a non-finite control (a nan
     step, which the clamp of a box-only set passes on) raises
     ``ProjectionError`` naming the seed and its first such slot, and the
     bookkeeping (loss, intake and true objective against the true physics,
@@ -387,29 +390,40 @@ def run_scheme(scenario, scheme, seed=None):
         box_set = FeasibleSet(band.p_min, band.p_max)
         outdoor = thermal_step(0.0, scenario.c_out_true[:, None], 0.0, bld)
     if scheme == "stochastic":
+        # Each slot's step size: a float for one seed, an (R, 1) column for
+        # a stack.
         eta = step_size(np.arange(1, T + 1), D[:, None], g_star[:, None])
+        eta = eta[0].tolist() if R == 1 else eta.T[:, :, None]
     else:
         converged = np.empty((R, T), dtype=bool)
         iterations = np.empty((R, T), dtype=int)
     a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)[row]
+    # The slot's linear term and a scratch vector, written in place.
+    b, tmp = np.empty((2,) + a.shape)
 
     for t in range(T):
         # observe() and linear_term_at() of this slot's readings.
-        c_obs = cin_obs[row, t] = c_in + cin_obs[row, t]
-        b = b_in[row, t] - temp_w * c_obs
+        c_obs = np.add(c_in, cin_obs[row, t], out=cin_obs[row, t])
+        np.subtract(b_in[row, t], np.multiply(temp_w, c_obs, out=tmp), out=b)
         if not static:
             fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
         if scheme == "stochastic":
-            g = quad.grad(a, b)
-            a = fset_t.project(a - eta[row, t, None] * g)
+            np.subtract(a, np.multiply(eta[t], quad.grad(a, b), out=tmp), out=tmp)
+            if fset_t.box_only:
+                # What project returns on a box-only set.
+                a = clamp(tmp, fset_t.p_min, fset_t.p_max, out=p_c[row, t])
+            else:
+                a = p_c[row, t] = fset_t.project(tmp)
         else:
             a, converged[row, t], iterations[row, t] = minimize_projected(
                 lambda x, rows: quad.grad(x, b[rows] if R > 1 else b),
                 fset_t, quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
-        p_c[row, t] = a
+            p_c[row, t] = a
         if not static:
             # thermal_step(c_in, c_out_true[t], a, bld), bit for bit.
-            c_in = cin[0, t + 1] = keep * c_in + outdoor[t] - control_gain * a
+            c_in = np.multiply(keep, c_in, out=cin[0, t + 1])
+            np.add(c_in, outdoor[t], out=c_in)
+            np.subtract(c_in, np.multiply(control_gain, a, out=tmp), out=c_in)
 
     # A non-finite step comes back from the clamp of a box-only set as a
     # non-finite control; one test per run, not per slot, catches it.

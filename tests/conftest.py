@@ -64,6 +64,14 @@ def _scan(fset, x, pts, best, best_d):
     return best, best_d
 
 
+def same_bits(got, want):
+    """Whether two arrays (or scalars) hold the same bytes: the same dtype,
+    shape and bits, telling ``-0.0`` from ``0.0``."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
 def count_newton_steps(monkeypatch):
     """Record, per band projection, how many ``_nonneg_qp`` calls (Newton
     steps) it makes: one entry per projection, appended as it starts."""

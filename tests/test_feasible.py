@@ -12,7 +12,7 @@ from usecb.feasible import FeasibleSet, VoltageBand, build_band, build_feasible
 from usecb.grid import matvec, voltage_approx
 from usecb.sim import build_ieee37_scenario, noise_streams, read_slots
 
-from conftest import count_newton_steps, grid_search_projection
+from conftest import count_newton_steps, grid_search_projection, same_bits
 
 
 def _slot_set(band, p_g, p_fixed=None):
@@ -289,6 +289,41 @@ def test_project_returns_the_band_solve_bit_for_bit(ieee37_tight, metric):
             assert np.array_equal(fs.project(x_near, scale), p)
             near += 1
     assert near >= 10
+
+
+def test_unit_scale_shortcut_equals_the_general_path(ieee37_tight):
+    """At the scalar scale 1.0 the band solve skips scaling ``x``, the rows
+    and the box and dividing its result, all exact there: ``project`` and
+    ``_project_band`` return what the general path gives at ``scale =
+    ones(n)``, multipliers included, bit for bit, on points whose clamp
+    breaks the tight band.  A ``-0.0`` coordinate on a zero bound comes back
+    as the bound, whichever zero the clamp keeps (numpy's ``maximum`` may
+    return either of two equal arguments)."""
+    scn = ieee37_tight
+    ones = np.ones(scn.n_loads)
+    broken = 0
+    for slot in (0, 30, 880):
+        fs = _slot_set(scn.band, scn.p_g_true[slot], scn.p_fixed)
+        rng = np.random.default_rng(slot)
+        for x in fs.p_max + rng.normal(scale=0.05, size=(30, fs.dim)):
+            band = fs.offset + fs.A_volt @ np.clip(x, fs.p_min, fs.p_max)
+            if np.all((band >= fs.v_min) & (band <= fs.v_max)):
+                continue
+            broken += 1
+            p, y = fs._project_band(x)
+            q, z = fs._project_band(x, ones)
+            assert same_bits(p, q) and same_bits(y, z)
+            assert same_bits(fs.project(x), p)
+            assert same_bits(fs.project(x, ones), p)
+    assert broken >= 20
+    fs = _slot_set(scn.band, scn.p_g_true[0], scn.p_fixed)
+    assert fs.p_min[0] == 0.0
+    for x in (fs.midpoint(), fs.p_max.copy()):
+        x[0] = -0.0
+        p, y = fs._project_band(x)
+        q, z = fs._project_band(x, ones)
+        assert same_bits(p, q) and same_bits(y, z)
+        assert same_bits(p[0], fs.p_min[0])
 
 
 def test_band_projection_kkt_far_point(ieee37_tight):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usecb.errors import IngestionError, ModelError
 from usecb.grid import (GridModel, Line, build_admittance, compute_sensitivity,
                         decompose_blocks, full_power_loss, grid_intake,
-                        grounded_impedance, load_network_csv, power_loss,
-                        radial_line_flows, voltage_approx)
+                        grounded_impedance, load_network_csv, matvec,
+                        power_loss, radial_line_flows, row_dot, voltage_approx)
+from usecb.sim import build_ieee37_scenario
 
-from conftest import ac_twobus_exact
+from conftest import ac_twobus_exact, same_bits
 
 
 def _random_tree_lines(rng, n):
@@ -280,3 +283,46 @@ def test_load_network_csv_requires_header(tmp_path):
     path.write_text("0,1,0.02,0.04,0\n")
     with pytest.raises(IngestionError, match="header"):
         load_network_csv(path)
+
+
+# --- vector and stacked products ----------------------------------------------
+
+def _check_vector_forms(M, x, y):
+    """A vector's plain product equals the column form that a row of a
+    stack takes, bit for bit, and so does each row of a stack."""
+    assert same_bits(matvec(M, x), (M @ x[..., None])[..., 0])
+    assert same_bits(row_dot(x, y), (x[..., None, :] @ y[..., None])[..., 0, 0])
+    stack = np.stack([x, y, -x])
+    assert same_bits(matvec(M, stack), np.stack([matvec(M, v) for v in stack]))
+    assert same_bits(row_dot(stack, stack),
+                      np.array([row_dot(v, v) for v in stack]))
+
+
+@st.composite
+def product_cases(draw):
+    """A matrix and two vectors of 1 to 120 entries, each scaled by its own
+    power of ten between 1e-5 and 1e5."""
+    m, n = draw(st.integers(1, 120)), draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def scaled(shape):
+        return rng.standard_normal(shape) * 10.0 ** draw(st.floats(-5.0, 5.0))
+
+    return scaled((m, n)), scaled(n), scaled(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_vector_products_equal_the_column_form(case):
+    _check_vector_forms(*case)
+
+
+@pytest.mark.parametrize("matrix", ["H2", "A_volt"])
+def test_vector_products_on_the_bundled_matrices(matrix):
+    scn = build_ieee37_scenario({"horizon": 20})
+    M = scn.objective.H2 if matrix == "H2" else scn.band.A_volt
+    lo, hi = scn.env_set.p_min, scn.env_set.p_max
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x, y = lo + rng.random((2, lo.size)) * (hi - lo)
+        _check_vector_forms(M, x, y)
