@@ -46,8 +46,7 @@ import numpy as np
 from .errors import FeasibilityError, ProjectionError
 from .grid import matvec
 
-__all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible",
-           "clamp"]
+__all__ = ["FeasibleSet", "VoltageBand", "build_band", "build_feasible"]
 
 _NEWTON_CAP = 200
 _KKT_TOL = 1e-10
@@ -225,29 +224,33 @@ class FeasibleSet:
         return self.band.violation(np.asarray(p, dtype=float),
                                    self.offset) <= MEMBER_TOL
 
-    def project(self, x, scale=1.0):
+    def project(self, x, scale=1.0, out=None):
         """Projection in the metric ``diag(scale**2)`` (Euclidean by
         default): the box clamp on a ``box_only`` set, without evaluating the
         band; otherwise the clamp when it meets the band, else the band
         solve, on the rows of a stack that need it.  At unit scale the band
         solve starts from this clamp and its band values; in another metric
-        it clamps in its own coordinates."""
-        x = np.asarray(x, dtype=float)
-        clamped = clamp(x, self.p_min, self.p_max)
+        it clamps in its own coordinates.  The result is written into
+        ``out`` when given, which may be ``x`` itself."""
         if self.box_only:
-            return clamped
-        band = self.offset + matvec(self.A_volt, clamped)
+            return clamp(x, self.p_min, self.p_max, out=out)
+        x = np.asarray(x, dtype=float)
+        p = clamp(x, self.p_min, self.p_max)
+        band = self.offset + matvec(self.A_volt, p)
         inside = (band >= self.v_min) & (band <= self.v_max)
-        if inside.all():
-            return clamped
         unit = np.ndim(scale) == 0 and scale == 1.0
         if x.ndim == 1:
-            start = (clamped, band) if unit else ()
-            return self._project_band(x, scale, *start)[0]
-        for r in np.flatnonzero(~inside.all(axis=-1)):
-            start = (clamped[r], band[r]) if unit else ()
-            clamped[r] = self._project_band(x[r], scale, *start)[0]
-        return clamped
+            if not inside.all():
+                start = (p, band) if unit else ()
+                p = self._project_band(x, scale, *start)[0]
+        else:
+            for r in np.flatnonzero(~inside.all(axis=-1)):
+                start = (p[r], band[r]) if unit else ()
+                p[r] = self._project_band(x[r], scale, *start)[0]
+        if out is None:
+            return p
+        out[...] = p
+        return out
 
     def _project_band(self, x, scale=1.0, clamped=None, band=None):
         """Projection onto box and band: a one-row solve, else projected
@@ -274,18 +277,13 @@ class FeasibleSet:
         ``z = scale * x``, the box ``scale * [p_min, p_max]`` and the rows
         ``A / scale``, and a result coordinate on that box comes back as the
         bound itself (``(scale * p_max) / scale`` can round off ``p_max``).
-        At a scalar unit scale every one of these steps is exact, so the
-        solve skips them and keeps only the snap to the bound (which turns a
-        ``-0.0`` on a zero bound into the bound).
+        At the default unit scale every one of these steps is exact.
 
         Returns the projection and the multipliers of the band rows.
         """
         c, lo, hi = self.offset, self.v_min, self.v_max
-        unit = np.ndim(scale) == 0 and scale == 1.0
-        A, p_min, p_max = self.A_volt, self.p_min, self.p_max
-        if not unit:
-            x, A = scale * x, A / scale
-            p_min, p_max = scale * p_min, scale * p_max
+        x, A = scale * x, self.A_volt / scale
+        p_min, p_max = scale * self.p_min, scale * self.p_max
         if clamped is None:
             clamped = clamp(x, p_min, p_max)
             band = A @ clamped + c
@@ -305,7 +303,7 @@ class FeasibleSet:
             else:
                 p, y = solved
         p = np.where(p >= p_max, self.p_max,
-                     np.where(p <= p_min, self.p_min, p if unit else p / scale))
+                     np.where(p <= p_min, self.p_min, p / scale))
         if fixed:
             worst = float(self.band.violation(p, self.offset))
             if worst > MEMBER_TOL:

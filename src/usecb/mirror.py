@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .feasible import clamp
 from .grid import row_dot
 
 __all__ = [
@@ -91,8 +90,7 @@ def run_online(fset, oracle, T, D, G_star, x0):
     returns a stochastic gradient at ``a`` (one row per row of a stack)
     whose conditional expectation is the true gradient; determinism of the
     run is the oracle's responsibility.  No step follows the last iterate,
-    so the oracle is asked for steps 1 to T-1 only.  On a ``box_only`` set
-    each step is clamped in place, the projection ``project`` would return.
+    so the oracle is asked for steps 1 to T-1 only.
     """
     if D <= 0 or G_star <= 0:
         raise ValueError("D and G* must be positive")
@@ -108,10 +106,7 @@ def run_online(fset, oracle, T, D, G_star, x0):
             if t < T:
                 g = np.asarray(oracle(t, a), dtype=float)
                 np.subtract(a, np.multiply(eta_t, g, out=step), out=step)
-                if fset.box_only:
-                    clamp(step, fset.p_min, fset.p_max, out=a)
-                else:
-                    a = fset.project(step)
+                fset.project(step, out=a)
         yield points
 
 
@@ -140,8 +135,7 @@ def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
     from each row of an ``(R, n)`` stack of them.
 
     ``P_W`` is the projection onto ``fset`` that ``W`` measures,
-    ``fset.project(x, scale)``, which on a ``box_only`` set is the clamp in
-    any metric: there each step is clamped in place.  ``lipschitz`` bounds the Lipschitz
+    ``fset.project(x, scale)``.  ``lipschitz`` bounds the Lipschitz
     constant of the gradient in that metric, the largest eigenvalue of
     ``W^-1/2 H W^-1/2`` for a quadratic with Hessian ``H``; with that step
     every iteration decreases a convex objective (Nesterov 2004, section
@@ -171,14 +165,9 @@ def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
         x, rows = x[0], 0
     step = 1.0 / (lipschitz * scale * scale)  # W^-1 / lipschitz
     for k in range(1, max_iter + 1):
-        cand = step * grad_fn(x, rows)
-        np.subtract(x, cand, out=cand)
-        if fset.box_only:
-            # The projection in any diagonal metric is the clamp.
-            clamp(cand, fset.p_min, fset.p_max, out=cand)
-        else:
-            cand = fset.project(cand, scale)
-        d = cand - x
+        d = step * grad_fn(x, rows)
+        cand = fset.project(np.subtract(x, d, out=d), scale)
+        d = np.subtract(cand, x, out=d)
         x = cand
         done = np.sqrt(row_dot(d, d)) <= tol * (1.0 + np.sqrt(row_dot(x, x)))
         stopped = np.count_nonzero(done)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ProjectionError
 from .feasible import (MEMBER_TOL, FeasibleSet, VoltageBand, build_band,
-                       build_feasible, clamp)
+                       build_feasible)
 from .grid import GridModel, grid_intake, load_network_csv, power_loss
 from .mirror import estimate_bounds, minimize_projected, step_size
 from .thermal import BuildingParams, Quadratic, thermal_step
@@ -330,14 +330,13 @@ def run_scheme(scenario, scheme, seed=None):
     (:meth:`~usecb.feasible.VoltageBand.holds_box`), else onto
     ``build_feasible(band, offsets[t])``, and advances the indoor
     temperature by ``keep * c_in + outdoor - control_gain * control``, the
-    bits of ``thermal_step``.  A stochastic step onto a ``box_only`` set is
-    clamped straight into the slot's control, the point ``project`` would
-    return; the slot's reading, linear term, step and indoor temperature
-    are written in place.  After the loop, a non-finite control (a nan
-    step, which the clamp of a box-only set passes on) raises
-    ``ProjectionError`` naming the seed and its first such slot, and the
-    bookkeeping (loss, intake and true objective against the true physics,
-    and each slot's feasibility against its own set) runs once per run.
+    bits of ``thermal_step``.  The slot's reading, linear term, step,
+    projected control and indoor temperature are written in place.  After
+    the loop, a non-finite control (a nan step, which the clamp of a
+    box-only set passes on) raises ``ProjectionError`` naming the seed and
+    its first such slot, and the bookkeeping (loss, intake and true
+    objective against the true physics, and each slot's feasibility against
+    its own set) runs once per run.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -409,11 +408,7 @@ def run_scheme(scenario, scheme, seed=None):
             fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
         if scheme == "stochastic":
             np.subtract(a, np.multiply(eta[t], quad.grad(a, b), out=tmp), out=tmp)
-            if fset_t.box_only:
-                # What project returns on a box-only set.
-                a = clamp(tmp, fset_t.p_min, fset_t.p_max, out=p_c[row, t])
-            else:
-                a = p_c[row, t] = fset_t.project(tmp)
+            a = fset_t.project(tmp, out=p_c[row, t])
         else:
             a, converged[row, t], iterations[row, t] = minimize_projected(
                 lambda x, rows: quad.grad(x, b[rows] if R > 1 else b),

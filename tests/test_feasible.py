@@ -291,39 +291,32 @@ def test_project_returns_the_band_solve_bit_for_bit(ieee37_tight, metric):
     assert near >= 10
 
 
-def test_unit_scale_shortcut_equals_the_general_path(ieee37_tight):
-    """At the scalar scale 1.0 the band solve skips scaling ``x``, the rows
-    and the box and dividing its result, all exact there: ``project`` and
-    ``_project_band`` return what the general path gives at ``scale =
-    ones(n)``, multipliers included, bit for bit, on points whose clamp
-    breaks the tight band.  A ``-0.0`` coordinate on a zero bound comes back
-    as the bound, whichever zero the clamp keeps (numpy's ``maximum`` may
-    return either of two equal arguments)."""
+@pytest.mark.parametrize("metric", [False, True])
+def test_project_into_out_returns_the_projection(ieee37_tight, metric):
+    """``project(x, scale, out=buf)`` writes into ``buf`` and returns it,
+    holding the bits ``project(x, scale)`` returns, on a box-only set and
+    on tight slot sets whose clamp breaks the band, for points and stacks,
+    also when ``out`` is ``x`` itself."""
     scn = ieee37_tight
-    ones = np.ones(scn.n_loads)
+    scale = scn.objective.scale if metric else 1.0
+    sets = [FeasibleSet(scn.band.p_min, scn.band.p_max)] + [
+        _slot_set(scn.band, scn.p_g_true[slot], scn.p_fixed)
+        for slot in (0, 30, 880)]
+    assert sets[0].box_only and not any(fs.box_only for fs in sets[1:])
     broken = 0
-    for slot in (0, 30, 880):
-        fs = _slot_set(scn.band, scn.p_g_true[slot], scn.p_fixed)
-        rng = np.random.default_rng(slot)
-        for x in fs.p_max + rng.normal(scale=0.05, size=(30, fs.dim)):
-            band = fs.offset + fs.A_volt @ np.clip(x, fs.p_min, fs.p_max)
-            if np.all((band >= fs.v_min) & (band <= fs.v_max)):
-                continue
-            broken += 1
-            p, y = fs._project_band(x)
-            q, z = fs._project_band(x, ones)
-            assert same_bits(p, q) and same_bits(y, z)
-            assert same_bits(fs.project(x), p)
-            assert same_bits(fs.project(x, ones), p)
+    for i, fs in enumerate(sets):
+        rng = np.random.default_rng(i)
+        X = fs.p_max + rng.normal(scale=0.05, size=(30, fs.dim))
+        broken += np.count_nonzero(~fs.contains(np.clip(X, fs.p_min, fs.p_max)))
+        for x in (*X, X):
+            want = fs.project(x, scale)
+            out = np.empty_like(x)
+            assert fs.project(x, scale, out=out) is out
+            assert same_bits(out, want)
+            x = x.copy()
+            assert fs.project(x, scale, out=x) is x
+            assert same_bits(x, want)
     assert broken >= 20
-    fs = _slot_set(scn.band, scn.p_g_true[0], scn.p_fixed)
-    assert fs.p_min[0] == 0.0
-    for x in (fs.midpoint(), fs.p_max.copy()):
-        x[0] = -0.0
-        p, y = fs._project_band(x)
-        q, z = fs._project_band(x, ones)
-        assert same_bits(p, q) and same_bits(y, z)
-        assert same_bits(p[0], fs.p_min[0])
 
 
 def test_band_projection_kkt_far_point(ieee37_tight):
