@@ -70,8 +70,7 @@ def static_problem(scenario):
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     a_star, converged, _ = minimize_projected(
-        lambda x, rows: quad.grad(x, b_true), scenario.env_set,
-        quad.scale, quad.L_W, tol=1e-10)
+        quad.grad, b_true, scenario.env_set, quad.scale, quad.L_W, tol=1e-10)
     if not converged:
         logging.getLogger(__name__).warning(
             "a_star solve stopped short of its 1e-10 tolerance; regret is "

@@ -107,13 +107,12 @@ class VoltageBand:
         self.A_rad = (abs_a @ (0.5 * (self.p_max - self.p_min))
                       + (A.shape[1] + 8) * _EPS * size)
 
-    def offset(self, p_g, p_fixed=None):
+    def offset(self, p_g, p_fixed):
         """Row offsets ``1 + sens @ [p_g, -p_fixed]`` in per unit, for one
         generation vector or for each row of a ``(T, n_g)`` stack; each row
         equals, bit for bit, that of its vector alone."""
         p_g = np.asarray(p_g, dtype=float)
-        p_fixed = (np.zeros(self.p_min.shape[0]) if p_fixed is None
-                   else np.asarray(p_fixed, dtype=float))
+        p_fixed = np.asarray(p_fixed, dtype=float)
         base = np.concatenate(
             [p_g, np.broadcast_to(-p_fixed, p_g.shape[:-1] + p_fixed.shape)],
             axis=-1)

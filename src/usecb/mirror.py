@@ -128,10 +128,13 @@ def regret(points, f_true, a_star, start):
     return curve[..., -1], curve
 
 
-def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
-                       max_iter=100_000):
+# Steps after which minimize_projected gives up on its tolerance.
+_MAX_ITER = 100_000
+
+
+def minimize_projected(grad, b, fset, scale, lipschitz, x0=None, tol=1e-10):
     """Projected gradient descent in the metric ``W = diag(scale**2)``:
-    ``x <- P_W(x - W^-1 grad_fn(x) / lipschitz)``, from one start point or
+    ``x <- P_W(x - W^-1 grad(x, b) / lipschitz)``, from one start point or
     from each row of an ``(R, n)`` stack of them.
 
     ``P_W`` is the projection onto ``fset`` that ``W`` measures,
@@ -145,27 +148,24 @@ def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
     the current point).  Used both as the deterministic per-slot solver and
     to pin down a_star for regret accounting.
 
-    ``grad_fn(x, rows)`` returns the gradients at ``x``, the rows ``rows``
-    of the stack of start points (``rows`` indexes the stack; a stack of
-    one row steps as the plain vector ``x`` of row 0).  Each row stops at
-    its own step and then leaves the stack, so its result equals that of
-    its own solve bit for bit.
-    Returns ``(x, converged, steps)``, one of each per row for a stack:
-    ``converged`` is False when ``max_iter`` steps run out first.
+    ``grad(x, b)`` is the gradient at ``x`` of the objective with data
+    ``b``, :meth:`~usecb.thermal.Quadratic.grad` for instance; for a stack,
+    ``b`` has one row per row of the stack.  Each row stops at its own step
+    and then leaves the stack with its row of ``b``, so its result equals
+    that of its own solve bit for bit.  The start point is the projection
+    of ``x0`` (of the set's midpoint by default) as given, a vector or a
+    stack.  Returns ``(x, converged, steps)``, one of each per row for a
+    stack: ``converged`` is False when ``_MAX_ITER`` steps run out first.
     """
-    x = fset.project(np.atleast_2d(fset.midpoint() if x0 is None
-                                   else np.asarray(x0, dtype=float)), scale)
+    x = fset.project(fset.midpoint() if x0 is None
+                     else np.asarray(x0, dtype=float), scale)
+    shape = x.shape
     # (rows, their results, the step they stopped at), as rows finish.
     finished = []
-    index = np.arange(len(x))
-    rows = slice(None)
-    if len(x) == 1:
-        # One row steps as a plain vector: the same arithmetic, less
-        # overhead per step.
-        x, rows = x[0], 0
+    index = np.arange(len(x) if x.ndim == 2 else 1)
     step = 1.0 / (lipschitz * scale * scale)  # W^-1 / lipschitz
-    for k in range(1, max_iter + 1):
-        d = step * grad_fn(x, rows)
+    for k in range(1, _MAX_ITER + 1):
+        d = step * grad(x, b)
         cand = fset.project(np.subtract(x, d, out=d), scale)
         d = np.subtract(cand, x, out=d)
         x = cand
@@ -177,16 +177,15 @@ def minimize_projected(grad_fn, fset, scale, lipschitz, x0=None, tol=1e-10,
         if stopped:
             finished.append((index[done], x[done], k))
             keep = ~done
-            index, x = index[keep], x[keep]
-            rows = index
+            index, x, b = index[keep], x[keep], b[keep]
     else:
         finished.append((index, x, None))
-    if x0 is None or np.ndim(x0) == 1:
+    if len(shape) == 1:
         _, x, k = finished[0]
-        return x, k is not None, k or max_iter
-    out = np.empty(np.shape(x0))
+        return x, k is not None, k or _MAX_ITER
+    out = np.empty(shape)
     converged = np.empty(len(out), dtype=bool)
     steps = np.empty(len(out), dtype=int)
     for rows, x, k in finished:
-        out[rows], converged[rows], steps[rows] = x, k is not None, k or max_iter
+        out[rows], converged[rows], steps[rows] = x, k is not None, k or _MAX_ITER
     return out, converged, steps

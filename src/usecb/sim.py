@@ -218,35 +218,32 @@ def _noisy_linear_terms(scenario, slots, streams):
 _ORACLE_CHUNK = 256
 
 
-def scenario_gradient_oracle(scenario, seed):
-    """Stochastic gradient closure over the readings of a run under
-    ``seed``, or of one run per seed of a sequence of R seeds.
+def scenario_gradient_oracle(scenario, seeds):
+    """Stochastic gradient closure over the readings of one run per seed of
+    the sequence ``seeds`` on the static ``scenario``.
 
-    ``oracle(t, x)`` returns the gradient at x of the objective as reading t
-    of the run sees it, for t = 1, 2, ... in increasing order (as
-    :func:`~usecb.mirror.run_online` asks); for R seeds x is an ``(R, n)``
-    stack and row r reads seed r's streams.  Step t plays slot t-1 (the last
-    slot past the horizon); static scenarios always play their frozen slot
-    0.  The readings and their linear terms are built ``_ORACLE_CHUNK``
-    steps at a time, so reading t does not depend on how many steps follow.
+    ``oracle(t, x)`` returns, for t = 1, 2, ... in increasing order (as
+    :func:`~usecb.mirror.run_online` asks), the gradients at the ``(R, n)``
+    stack ``x`` of the objective as reading t of each run sees it: row r
+    reads seed r's streams.  Every reading is of the frozen slot 0, and
+    reading t is row t of the run's streams (row 0 goes unused).  The
+    readings and their linear terms are built ``_ORACLE_CHUNK`` steps at a
+    time, so reading t does not depend on how many steps follow.
     """
     quad = scenario.objective
-    last = 0 if scenario.is_static else scenario.horizon - 1
-    streams = [noise_streams(s) for s in (seed if np.ndim(seed) else [seed])]
-    start, b = 0, np.empty((0, scenario.n_loads))
+    streams = [noise_streams(s) for s in seeds]
+    slots = np.zeros(_ORACLE_CHUNK, dtype=int)
+    start, b = 0, np.empty((len(seeds), 0, scenario.n_loads))
 
     def oracle(t, x):
         nonlocal start, b
         if t < start:
             raise ValueError(f"oracle step {t} comes before its block at {start}")
-        while t >= start + b.shape[-2]:
-            start += b.shape[-2]
-            slots = np.clip(np.arange(start, start + _ORACLE_CHUNK) - 1, 0, last)
+        while t >= start + b.shape[1]:
+            start += b.shape[1]
             b = np.stack([_noisy_linear_terms(scenario, slots, st)
                           for st in streams])
-            if np.ndim(seed) == 0:
-                b = b[0]
-        return quad.grad(x, b[..., t - start, :])
+        return quad.grad(x, b[:, t - start])
 
     return oracle
 
@@ -324,7 +321,7 @@ def run_scheme(scenario, scheme, seed=None):
     each thermal step and every slot's band offsets from its generation
     reading.  A slot reads its indoor temperature, forms ``b = input -
     temp_w * reading`` and steps or solves, the same bits as ``observe``
-    and ``linear_term_at``.  A static slot plays the scenario's set and
+    and ``linear_term``.  A static slot plays the scenario's set and
     leaves the indoor temperatures frozen.  A dynamic slot projects onto
     one shared plain box where its band holds the box
     (:meth:`~usecb.feasible.VoltageBand.holds_box`), else onto
@@ -365,7 +362,7 @@ def run_scheme(scenario, scheme, seed=None):
     for r, s in enumerate(seeds):
         pg_obs[r], cout_obs[r], cin_obs[r] = read_slots(
             scenario, noise, np.arange(T), noise_streams(s))
-        b_in[r] = quad.input_term(cout_obs[r], quad.generation_term(pg_obs[r]))
+        b_in[r] = quad.input_term(cout_obs[r], pg_obs[r])
     cin_obs *= noise.sigma_temp
     temp_w, keep, control_gain = quad.temp_w, bld.keep, bld.control_gain
     # Row r, slot t of ``cin`` is the indoor temperature at the start of
@@ -401,7 +398,7 @@ def run_scheme(scenario, scheme, seed=None):
     b, tmp = np.empty((2,) + a.shape)
 
     for t in range(T):
-        # observe() and linear_term_at() of this slot's readings.
+        # observe() and linear_term() of this slot's readings.
         c_obs = np.add(c_in, cin_obs[row, t], out=cin_obs[row, t])
         np.subtract(b_in[row, t], np.multiply(temp_w, c_obs, out=tmp), out=b)
         if not static:
@@ -411,8 +408,7 @@ def run_scheme(scenario, scheme, seed=None):
             a = fset_t.project(tmp, out=p_c[row, t])
         else:
             a, converged[row, t], iterations[row, t] = minimize_projected(
-                lambda x, rows: quad.grad(x, b[rows] if R > 1 else b),
-                fset_t, quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
+                quad.grad, b, fset_t, quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
             p_c[row, t] = a
         if not static:
             # thermal_step(c_in, c_out_true[t], a, bld), bit for bit.
@@ -548,25 +544,16 @@ def write_run_csv(run, path):
 
 
 def write_json(obj, path):
-    """Deterministic JSON dump (sorted keys, 17 significant digits)."""
+    """Deterministic JSON dump (sorted keys, 17 significant digits); numpy
+    arrays are written as lists and numpy scalars as their Python values."""
 
-    def clean(o):
-        if isinstance(o, dict):
-            return {k: clean(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [clean(v) for v in o]
-        if isinstance(o, (np.floating, float)):
-            return float(o)
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, np.ndarray):
-            return [clean(v) for v in o.tolist()]
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        return o
+    def plain(o):
+        if isinstance(o, (np.ndarray, np.generic)):
+            return o.tolist()
+        raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
     with atomic_write(path) as fh:
-        json.dump(clean(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=plain)
         fh.write("\n")
 
 

@@ -14,11 +14,11 @@ follows the slot's temperatures and generation.
 Both models are affine in the indoor temperature, and each is written
 once in that form.  :class:`BuildingParams` holds the step's coefficients,
 so :func:`thermal_step` is ``keep c_in + outdoor_gain c_out - control_gain
-p_c``; :meth:`Quadratic.linear_term_at` is ``input_term(c_out, gen) -
-temp_w c_in``, where the input term holds the outdoor, set-point and
-generation parts.  A caller that holds a run's readings evaluates the
-input terms and the outdoor parts of the steps for every slot at once,
-and each slot then computes only what depends on the control.
+p_c``; :meth:`Quadratic.linear_term` is ``input_term(c_out, p_g) - temp_w
+c_in``, where the input term holds the outdoor, set-point and generation
+parts.  A caller that holds a run's readings evaluates the input terms and
+the outdoor parts of the steps for every slot at once, and each slot then
+computes only what depends on the control.
 
 :func:`usecb_profit` evaluates the profit through the physical path
 instead (thermal step, loss, intake), and the identity ``profit + lambda *
@@ -107,9 +107,9 @@ class Quadratic:
 
     ``A`` (and ``H2 = 2A``, the Hessian) depends only on the buildings, the
     price and the feeder; ``linear_term`` gives ``b`` for a slot's indoor
-    and outdoor temperatures and generation, affine in the indoor one
-    (``linear_term_at``).  The deterministic solver steps in the metric
-    ``W = diag(H2)``: ``scale`` is ``sqrt(diag(H2))`` and ``L_W`` the
+    and outdoor temperatures and generation, affine in the indoor one, and
+    ``input_term`` the rest of it.  The deterministic solver steps in the
+    metric ``W = diag(H2)``: ``scale`` is ``sqrt(diag(H2))`` and ``L_W`` the
     largest eigenvalue of ``W^-1/2 H2 W^-1/2``, the Lipschitz constant of
     the gradient in that metric.  The comfort diagonal dominates ``H2``, so
     the scaled Hessian is close to the identity.  The inputs stay on the
@@ -154,30 +154,19 @@ class Quadratic:
 
     def linear_term(self, c_in, c_out, p_g):
         """``b`` for one slot's readings, or the ``(R, n)`` rows of ``b`` for
-        ``R`` rows of readings; each row equals, bit for bit, the term of
-        that row's readings alone."""
-        return self.linear_term_at(c_in, c_out, self.generation_term(p_g))
+        ``R`` rows of readings: ``input_term(c_out, p_g) - temp_w * c_in``.
+        Each row equals, bit for bit, the term of that row's readings alone."""
+        return self.input_term(c_out, p_g) - self.temp_w * c_in
 
-    def generation_term(self, p_g):
-        """What the generation ``p_g`` takes off ``b``, for one vector or
-        each row of a stack; a caller that holds every slot's reading
-        evaluates it for all of them at once."""
-        return matvec(self.NT2, p_g)
-
-    def linear_term_at(self, c_in, c_out, gen):
-        """``b`` for the temperature readings and the ``generation_term``
-        ``gen`` of the generation reading:
-        ``input_term(c_out, gen) - temp_w * c_in``."""
-        return self.input_term(c_out, gen) - self.temp_w * c_in
-
-    def input_term(self, c_out, gen):
+    def input_term(self, c_out, p_g):
         """The part of ``b`` that does not depend on the indoor reading, for
-        the outdoor reading ``c_out`` and the ``generation_term`` ``gen``;
-        a caller that holds every slot's readings evaluates it for all of
-        them at once.  The set point is read at call time."""
+        the outdoor reading ``c_out`` and the generation reading ``p_g``, one
+        of each or rows of them; a caller that holds every slot's readings
+        evaluates it for all of them at once.  The set point is read at call
+        time."""
         bld = self.buildings
         drive = bld.outdoor_gain * c_out - bld.c_set
-        return self.base_b - self.comfort_w * drive - gen
+        return self.base_b - self.comfort_w * drive - matvec(self.NT2, p_g)
 
     def value(self, x, b):
         """f at ``x``, or at each row of a stack with its row of ``b`` (or

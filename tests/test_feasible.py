@@ -16,7 +16,10 @@ from conftest import count_newton_steps, grid_search_projection, same_bits
 
 
 def _slot_set(band, p_g, p_fixed=None):
-    """The set ``band`` gives at the offsets of one generation vector."""
+    """The set ``band`` gives at the offsets of one generation vector, with
+    no fixed load unless ``p_fixed`` is given."""
+    if p_fixed is None:
+        p_fixed = np.zeros(band.p_min.size)
     return build_feasible(band, band.offset(p_g, p_fixed))
 
 

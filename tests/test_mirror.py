@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from usecb import mirror
 from usecb.feasible import FeasibleSet
 from usecb.mirror import (bregman_divergence, estimate_bounds,
                           minimize_projected, regret, run_online, step_size)
@@ -265,28 +266,32 @@ def test_minimize_projected_boundary_solution():
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([1.7, 0.4])
 
-    def grad(x, rows):
-        return 2.0 * (x - center)
+    def grad(x, c):
+        return 2.0 * (x - c)
 
-    x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10)
+    x, converged, _ = minimize_projected(grad, center, fs, np.ones(2), 2.0,
+                                         tol=1e-10)
     assert converged
     assert np.allclose(x, [1.0, 0.4], atol=1e-8)
 
 
-def test_minimize_projected_reports_iteration_cap():
+def test_minimize_projected_reports_iteration_cap(monkeypatch):
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([0.3, 0.6])
 
-    def grad(x, rows):
-        return 2.0 * (x - center)
+    def grad(x, c):
+        return 2.0 * (x - c)
 
-    x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10,
-                                         max_iter=1)
+    with monkeypatch.context() as m:
+        m.setattr(mirror, "_MAX_ITER", 1)
+        x, converged, _ = minimize_projected(grad, center, fs, np.ones(2), 2.0,
+                                             tol=1e-10)
     assert not converged
     assert fs.contains(x)
     # An interior minimizer: the step must stay at 1/L, not grow until the
     # iterates bounce between box corners.
-    x, converged, _ = minimize_projected(grad, fs, np.ones(2), 2.0, tol=1e-10)
+    x, converged, _ = minimize_projected(grad, center, fs, np.ones(2), 2.0,
+                                         tol=1e-10)
     assert converged
     assert np.allclose(x, center, atol=1e-10)
 
@@ -312,15 +317,38 @@ def test_metric_solver_matches_euclidean_reference(variant):
     scn = build_ieee37_scenario(variant=variant)
     quad = scn.objective
     b = scn.true_linear_term()
-
-    def grad(x, rows=None):
-        return quad.grad(x, b)
-
     lipschitz = float(np.max(np.linalg.eigvalsh(quad.H2)))
-    reference = _euclidean_reference(grad, scn.env_set, lipschitz, 1e-13)
+    reference = _euclidean_reference(lambda x: quad.grad(x, b), scn.env_set,
+                                     lipschitz, 1e-13)
     x, converged, steps = minimize_projected(
-        grad, scn.env_set, quad.scale, quad.L_W, tol=1e-10)
+        quad.grad, b, scn.env_set, quad.scale, quad.L_W, tol=1e-10)
     assert converged
     assert steps <= 8
     assert np.max(np.abs(x - reference)) <= 1e-9
     assert scn.env_set.contains(x)
+
+
+def test_stacked_rows_leave_with_their_data(monkeypatch):
+    """Rows of a stack stop at their own steps, one at the step cap, and
+    leave the stack with their rows of ``b``: each row's result, its
+    convergence and its step count equal its own solve's, bit for bit."""
+    monkeypatch.setattr(mirror, "_MAX_ITER", 170)
+    fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
+    h = np.array([1.0, 0.1])
+
+    def grad(x, b):
+        return h * x + b
+
+    # Minimizers (1, 1) off the box, (0.3, 0.52) and (0.2, 0.9) inside it,
+    # the last one too far from the midpoint for 170 steps at rate 0.9.
+    b = np.array([[-3.0, -2.0], [-0.3, -0.052], [-0.2, -0.09]])
+    x0 = np.tile(fs.midpoint(), (3, 1))
+    x, converged, steps = minimize_projected(grad, b, fs, np.ones(2), 1.0,
+                                             x0=x0, tol=1e-10)
+    assert converged.tolist() == [True, True, False]
+    assert steps.tolist() == [2, 157, 170]
+    for r in range(3):
+        own = minimize_projected(grad, b[r], fs, np.ones(2), 1.0, x0=x0[r],
+                                 tol=1e-10)
+        assert np.array_equal(x[r], own[0]), r
+        assert (converged[r], steps[r]) == own[1:], r

@@ -130,8 +130,8 @@ def test_regret_run_prefix_does_not_depend_on_its_length():
     D, g_star = sim.md_bounds(scn, 21)
     fset = scn.env_set
     runs = [np.concatenate(list(run_online(
-        fset, sim.scenario_gradient_oracle(scn, 21), T, D, g_star,
-        fset.midpoint()))) for T in (100, 1000)]
+        fset, sim.scenario_gradient_oracle(scn, [21]), T, D, g_star,
+        fset.midpoint()[None])), axis=1)[0] for T in (100, 1000)]
     assert runs[1].shape == (1000, scn.n_loads)
     assert np.array_equal(runs[1][:100], runs[0])
     short = experiments._regret_job(scn, (100,), (21, 22), D, g_star, a_star)
@@ -415,17 +415,18 @@ def test_run_derives_nothing_slot_by_slot(variant, horizon, monkeypatch):
     linear terms and thermal steps are not derived slot by slot."""
     scn = build_ieee37_scenario({"horizon": horizon}, variant=variant)
     calls = []
-    real_term, real_step = sim.Quadratic.linear_term_at, sim.thermal_step
+    # Every linear term goes through input_term, linear_term's included.
+    real_term, real_step = sim.Quadratic.input_term, sim.thermal_step
 
     def term(quad, *args):
-        calls.append("linear_term_at")
+        calls.append("input_term")
         return real_term(quad, *args)
 
     def step(*args):
         calls.append("thermal_step")
         return real_step(*args)
 
-    monkeypatch.setattr(sim.Quadratic, "linear_term_at", term)
+    monkeypatch.setattr(sim.Quadratic, "input_term", term)
     monkeypatch.setattr(sim, "thermal_step", step)
     run_scheme(scn, "stochastic")
     assert len(calls) < 20
@@ -454,7 +455,7 @@ def test_dynamic_run_steps_by_the_thermal_model(day, scheme):
 def test_stochastic_run_steps_on_the_linear_term(day):
     """Each slot's indoor reading is ``observe`` of its indoor temperature,
     and each control is the projection of the step from the previous one on
-    ``linear_term_at`` of the slot's readings, bit for bit: onto the slot's
+    ``linear_term`` of the slot's readings, bit for bit: onto the slot's
     own set on a dynamic day, onto the scenario's set on a static run."""
     if day == "static":
         scn = build_ieee37_scenario({"horizon": 120})
@@ -471,8 +472,8 @@ def test_stochastic_run_steps_on_the_linear_term(day):
     for t in range(scn.horizon):
         assert np.array_equal(run.c_in_obs[t], observe(
             run.c_in_true[t], scn.noise.sigma_temp, z_in[t])), t
-        b = quad.linear_term_at(run.c_in_obs[t], run.c_out_obs[t],
-                                quad.generation_term(run.p_g_obs[t]))
+        b = quad.linear_term(run.c_in_obs[t], run.c_out_obs[t],
+                             run.p_g_obs[t])
         fset = (scn.env_set if scn.is_static else sim.build_feasible(
             band, band.offset(run.p_g_obs[t], scn.p_fixed)))
         a = fset.project(a - step_size(t + 1, D, g_star) * quad.grad(a, b))

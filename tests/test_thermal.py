@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from usecb.errors import ModelError
-from usecb.grid import SensitivityBlocks
+from usecb.grid import SensitivityBlocks, matvec
 from usecb.thermal import (BuildingParams, Quadratic, satisfaction,
                            thermal_step, usecb_profit)
 
@@ -19,6 +21,13 @@ def _empty_grid_blocks(n_loads, n_gens=0):
         Q=np.zeros((n_loads, n_loads)),
         gen_buses=tuple(range(1, n_gens + 1)),
         load_buses=tuple(range(n_gens + 1, n + 1)))
+
+
+def _identity_gen_blocks(n):
+    """Uncoupled blocks with one generator per load and ``2 N' = I``, so a
+    generation reading is its own generation term."""
+    return dataclasses.replace(_empty_grid_blocks(n, n_gens=n),
+                               N=0.5 * np.eye(n))
 
 
 def _coupled_objective(rng=None, n=3):
@@ -96,7 +105,7 @@ def affine_cases(draw):
     dt = draw(st.floats(1.0, 3600.0))
     bp = BuildingParams(alpha1=vec(0.0, 1.0) / dt, alpha2=vec(1e-3, 1.0),
                         beta=vec(1e-3, 10.0), c_set=vec(-20.0, 120.0), dt=dt)
-    quad = Quadratic(draw(st.floats(0.1, 10.0)), bp, _empty_grid_blocks(n),
+    quad = Quadratic(draw(st.floats(0.1, 10.0)), bp, _identity_gen_blocks(n),
                      vec(0.0, 1.0))
     return (quad, vec(-40.0, 130.0), vec(-40.0, 130.0), vec(0.0, 10.0),
             vec(-1.0, 1.0))
@@ -107,7 +116,7 @@ def _underflow_case(alpha2, dt, p_c):
     underflows."""
     bp = BuildingParams(alpha1=0.0, alpha2=alpha2, beta=1.0, c_set=0.0, dt=dt)
     zero = np.zeros(1)
-    return (Quadratic(1.0, bp, _empty_grid_blocks(1), zero), zero, zero,
+    return (Quadratic(1.0, bp, _identity_gen_blocks(1), zero), zero, zero,
             np.array([p_c]), zero)
 
 
@@ -116,7 +125,7 @@ def _underflow_case(alpha2, dt, p_c):
 @example(_underflow_case(0.5, 2.0, 5e-324))
 @example(_underflow_case(0.25, 10.0, 2.22507386e-313))
 def test_affine_forms_match_the_expanded_formulas(case):
-    """``thermal_step`` and ``linear_term_at`` in affine form agree with the
+    """``thermal_step`` and ``linear_term`` in affine form agree with the
     formulas they restate, ``c_in + alpha1 (c_out - c_in) dt - alpha2 p_c
     dt`` and ``base_b - comfort_w (that step at p_c = 0 - c_set) - gen``,
     within a few ulps of the size of their terms.  Where ``alpha2 p_c``
@@ -132,7 +141,9 @@ def test_affine_forms_match_the_expanded_formulas(case):
     assert np.all(gap <= 8 * EPS * (size + bp.control_gain * p_c)
                   + (bp.dt + 2) * TINY)
     old_b = quad.base_b - quad.comfort_w * (free - bp.c_set) - gen
-    gap_b = np.abs(quad.linear_term_at(c_in, c_out, gen) - old_b)
+    # The generation reading ``gen`` is its own term on these blocks.
+    assert np.array_equal(matvec(quad.NT2, gen), gen)
+    gap_b = np.abs(quad.linear_term(c_in, c_out, gen) - old_b)
     size_b = (quad.base_b + quad.comfort_w * (size + np.abs(bp.c_set))
               + np.abs(gen))
     assert np.all(gap_b <= 8 * EPS * size_b)

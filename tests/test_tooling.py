@@ -45,7 +45,14 @@ def _lookup(module_name, attr):
 
 
 def test_package_all_resolves():
-    missing = [name for name in usecb.__all__ if not hasattr(usecb, name)]
+    """Every name in the ``__all__`` of the package and of each submodule
+    it lists exists, so a deleted public name fails here, not on import."""
+    missing = [f"{module}.{name}"
+               for module in ("usecb", "usecb.grid", "usecb.thermal",
+                              "usecb.feasible", "usecb.mirror", "usecb.sim",
+                              "usecb.experiments", "usecb.timeseries")
+               for name in importlib.import_module(module).__all__
+               if not hasattr(importlib.import_module(module), name)]
     assert not missing
 
 
