@@ -41,6 +41,8 @@ in ``z = scale * p``.  Membership is one test, :meth:`VoltageBand.violation`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import FeasibilityError, ProjectionError
@@ -380,7 +382,10 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
             y < 0, lo, clamp(v, lo, hi)))
         g = target - v
         dx = p - x
-        return p, aty, g, float(y @ g) - 0.5 * float(dx @ dx)
+        # On a huge box the squared distance can overflow; a dual of -inf
+        # is never below the floor, which is then -inf too.
+        with np.errstate(over="ignore"):
+            return p, aty, g, float(y @ g) - 0.5 * float(dx @ dx)
 
     damping = 1.0
     y = np.zeros(A.shape[0])
@@ -475,23 +480,30 @@ def _slope_root(w, e, base, end, p_min, p_max):
     bound: the step is ``end``, infinite when the ray has no end, and then
     the direction certifies an empty set.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # On a huge box a far kink's slope can overflow to +-inf, which keeps
+    # its sign.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kinks = np.concatenate([(w - p_min) / e, (w - p_max) / e])
-    alphas = np.sort(np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < end)]]))
-    if np.isfinite(end):
-        alphas = np.append(alphas, end)
-    slopes = base - clamp(w - alphas[:, None] * e, p_min, p_max) @ e
+        alphas = np.sort(np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < end)]]))
+        if np.isfinite(end):
+            alphas = np.append(alphas, end)
+        slopes = base - clamp(w - alphas[:, None] * e, p_min, p_max) @ e
     rising = np.flatnonzero(slopes >= 0.0)
     if not rising.size:
         return end
     i = int(rising[0])
     if i == 0:
         return 0.0
-    a0, a1, s0, s1 = alphas[i - 1], alphas[i], slopes[i - 1], slopes[i]
-    # On a huge box the product can overflow to an infinite step, whose
-    # certificate _emptiness then declines.
-    with np.errstate(over="ignore"):
-        return float(a0 + (a1 - a0) * s0 / (s0 - s1))
+    a0, a1 = alphas[i - 1:i + 1].tolist()
+    s0, s1 = slopes[i - 1:i + 1].tolist()
+    alpha = a0 + (a1 - a0) * s0 / (s0 - s1)
+    if not math.isfinite(alpha):
+        # On a huge box the product (a1 - a0) * s0 overflows; the fraction
+        # s0 / (s0 - s1) lies in [0, 1] and does not.  It rounds
+        # differently, so it is used only here: every finite step keeps
+        # its bits.
+        alpha = a0 + (a1 - a0) * (s0 / (s0 - s1))
+    return alpha
 
 
 def _emptiness(y, A, c, lo, hi, p_min, p_max):

@@ -274,9 +274,14 @@ def md_bounds(scenario, seed):
 
 @dataclass
 class RunResult:
-    """Arrays over the horizon for one (scheme, seed) run.  ``c_in_true``
-    and ``c_in_after`` are read-only views of the run's indoor states; a
-    static run's never move, so its ``c_in_after`` is its ``c_in_true``."""
+    """Arrays over the horizon for one (scheme, seed) run.
+
+    ``c_in`` is the run's indoor trajectory, ``(T + 1, n)``: row t is the
+    state at the start of slot t, row T the state after the last slot.  A
+    static run's never moves, so its ``c_in`` is one row broadcast with
+    stride 0.  ``c_in_true`` (rows 0..T-1) and ``c_in_after`` (rows 1..T)
+    are read-only views of it, so a run stores, and pickles, one indoor
+    array."""
 
     scheme: str
     seed: int
@@ -290,13 +295,25 @@ class RunResult:
     p_g_obs: np.ndarray = None
     c_out_true: np.ndarray = None
     c_out_obs: np.ndarray = None
-    c_in_true: np.ndarray = None
+    c_in: np.ndarray = None
     c_in_obs: np.ndarray = None
-    c_in_after: np.ndarray = None
     # Per slot, whether the exact/oracle solve reached its tolerance, and
     # the steps it took.
     solver_converged: np.ndarray = None
     solver_iterations: np.ndarray = None
+
+    @property
+    def c_in_true(self):
+        return _read_only(self.c_in[:-1])
+
+    @property
+    def c_in_after(self):
+        return _read_only(self.c_in[1:])
+
+
+def _read_only(view):
+    view.flags.writeable = False
+    return view
 
 
 def run_scheme(scenario, scheme, seed=None):
@@ -434,8 +451,7 @@ def run_scheme(scenario, scheme, seed=None):
             p_c[r], pg_obs[r], cout_obs[r], cin_obs[r]
         out.p_g_true = scenario.p_g_true.copy()
         out.c_out_true = scenario.c_out_true.copy()
-        c = np.broadcast_to(cin[r], (T + 1, n_c))
-        out.c_in_true, out.c_in_after = c[:T], c[1:]
+        out.c_in = np.broadcast_to(cin[r], (T + 1, n_c))
         out.loss, out.p_0, out.f_true = np.empty((3, T))
         out.feasible = np.empty(T, dtype=bool)
         for lo in range(0, T, _BOOK_BLOCK):
@@ -512,9 +528,33 @@ def atomic_write(path, newline=None):
         raise
 
 
+def _floats(n):
+    # '%.17g' % x prints what format(x, '.17g') does, -0, nan and inf too.
+    return ",".join(["%.17g"] * n)
+
+
+def _row_strings(fmt, rows):
+    """One ``fmt`` string per row of ``rows``, each row converted on its
+    own.  A row whose bits equal the previous row's reuses that row's
+    string, so -0.0 and 0.0 stay apart."""
+    out, key = [], None
+    for r in rows:
+        bits = r.tobytes()
+        if bits != key:
+            key, text = bits, fmt % tuple(r.tolist())
+        out.append(text)
+    return out
+
+
 def write_run_csv(run, path):
     """Per-slot wide CSV, floats at 17 significant digits, atomic replace.
-    Rows are formatted and written ``_BOOK_BLOCK`` slots at a time."""
+
+    Rows are formatted and written ``_BOOK_BLOCK`` slots at a time, one
+    ``%`` per row.  Slot t's ``cin_true`` and ``cin_after`` are rows t and
+    t+1 of the indoor trajectory ``run.c_in``, whose rows a block formats
+    once each.  A row of the trajectory, or of the scenario columns
+    (``c_out_true`` and ``pg_true``), whose bits equal the previous row's
+    reuses that row's string, so a static run formats them once a block."""
     scn = run.scenario
     load_labels = [scn.bus_label(b) for b in scn.model.load_buses]
     gen_labels = [scn.bus_label(b) for b in scn.model.gen_buses]
@@ -523,24 +563,38 @@ def write_run_csv(run, path):
     cols += [f"pg_obs_{g}" for g in gen_labels]
     for tag in ("pc", "cin_true", "cin_obs", "cout_obs", "cin_after"):
         cols += [f"{tag}_{b}" for b in load_labels]
-    # '%.17g' % x prints what format(x, '.17g') does, -0, nan and inf too.
-    floats = ",".join(["%.17g"] * (len(cols) - 5))
-    row = "%d,%.17g,%.17g,%.17g,%s," + floats + "\n"
-    body = (run.c_out_true, run.p_g_true, run.p_g_obs, run.p_c, run.c_in_true,
-            run.c_in_obs, run.c_out_obs, run.c_in_after)
+    n_g, n_c = len(gen_labels), len(load_labels)
+    # t, p_0, loss, objective, feasible, then the scenario string, pg_obs
+    # and pc, the cin_true string, cin_obs and cout_obs, the cin_after string.
+    row = ("%d,%.17g,%.17g,%.17g,%s,%s," + _floats(n_g + n_c) + ",%s,"
+           + _floats(2 * n_c) + ",%s\n")
+    mid = 3 + n_g + n_c
+    scen_fmt, cin_fmt = _floats(1 + n_g), _floats(n_c)
 
     T = run.f_true.shape[0]
     with atomic_write(path, newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for lo in range(0, T, _BOOK_BLOCK):
-            k = slice(lo, lo + _BOOK_BLOCK)
-            head = np.column_stack([run.p_0[k], run.loss[k], run.f_true[k]])
-            rows = zip(range(lo, T), head.tolist(), run.feasible[k].tolist(),
-                       np.column_stack([a[k] for a in body]))
+            hi = min(lo + _BOOK_BLOCK, T)
+            k = slice(lo, hi)
+            scen = _row_strings(
+                scen_fmt, np.column_stack([run.c_out_true[k], run.p_g_true[k]]))
+            cin = _row_strings(cin_fmt, run.c_in[lo:hi + 1])
+            body = np.column_stack([run.p_0[k], run.loss[k], run.f_true[k],
+                                    run.p_g_obs[k], run.p_c[k],
+                                    run.c_in_obs[k], run.c_out_obs[k]])
             # A block's floats as objects all at once, or the block joined
             # into one string, would leave the process ~3 MB more resident
-            # on the bundled day; one row's floats and lines do not.
-            fh.writelines([row % (t, *h, f, *b.tolist()) for t, h, f, b in rows])
+            # on the bundled day; one row's floats and lines do not.  A
+            # trajectory shorter than T + 1 rows fails the strict zip.
+            lines = []
+            for t, b, f, s, c0, c1 in zip(
+                    range(lo, hi), body, run.feasible[k].tolist(), scen,
+                    cin[:-1], cin[1:], strict=True):
+                v = b.tolist()
+                lines.append(row % (t, *v[:3], f, s, *v[3:mid], c0,
+                                    *v[mid:], c1))
+            fh.writelines(lines)
 
 
 def write_json(obj, path):

@@ -501,6 +501,25 @@ def test_dual_direction_that_certifies_nothing_is_a_projection_error(y, bound):
     assert isinstance(got, FeasibilityError) and got.max_violation == 1.0
 
 
+def test_slope_root_between_overflowing_kinks_is_finite():
+    """On the box [-1e300, 1e300] the slope ``-5e299 + alpha`` rises through
+    0 between the kinks 0 and 1e300, and ``(a1 - a0) * s0`` overflows: the
+    root is still finite, within the pair, and no numpy warning is raised."""
+    args = (np.zeros(1), np.ones(1), -5e299, np.inf,
+            np.full(1, -1e300), np.full(1, 1e300))
+    with np.errstate(all="raise"):
+        alpha = feasible._slope_root(*args)
+    assert np.isfinite(alpha) and 0.0 <= alpha <= 1e300
+    assert alpha == 5e299
+    # A finite interpolation keeps the bits of the product form.
+    w, e = np.array([0.3, 0.9]), np.array([1.0, 0.5])
+    got = feasible._slope_root(w, e, 0.5, np.inf, np.zeros(2), np.ones(2))
+    alphas = [0.0, 0.3]
+    slopes = [0.5 - (w - a * e).clip(0.0, 1.0) @ e for a in alphas]
+    assert got == alphas[0] + (alphas[1] - alphas[0]) * slopes[0] / (
+        slopes[0] - slopes[1])
+
+
 def _equality_band_with_copies(rng):
     """Box [0, 1]^n cut by random rows plus power-of-two copies of the first
     one, as an equality band at a member of the box."""

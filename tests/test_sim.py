@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import tracemalloc
 from types import SimpleNamespace
 
@@ -687,7 +688,7 @@ def _assert_csv_matches_reference(run, path):
 
 
 @pytest.mark.parametrize("horizon", [1, sim._BOOK_BLOCK, sim._BOOK_BLOCK + 1])
-@pytest.mark.parametrize("scheme", ["stochastic", "exact"])
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
 def test_run_csv_matches_per_value_writer(scheme, horizon, tmp_path):
     scn = build_ieee37_scenario({"horizon": horizon}, variant="dynamic")
     _assert_csv_matches_reference(run_scheme(scn, scheme), tmp_path / "x.csv")
@@ -695,25 +696,104 @@ def test_run_csv_matches_per_value_writer(scheme, horizon, tmp_path):
 
 def test_static_run_csv_matches_per_value_writer(tmp_path):
     run = run_scheme(build_ieee37_scenario({"horizon": 130}), "stochastic")
+    assert run.c_in.strides[0] == 0
     assert run.c_in_true.strides[0] == 0 and run.c_in_after.strides[0] == 0
     _assert_csv_matches_reference(run, tmp_path / "x.csv")
+
+
+def _array_copies(run):
+    """Writable copies of every array of ``run``, by field name."""
+    return {f.name: getattr(run, f.name).copy()
+            for f in dataclasses.fields(sim.RunResult)
+            if isinstance(getattr(run, f.name), np.ndarray)}
 
 
 def test_run_csv_edge_values_match_per_value_writer(tmp_path):
     run = run_scheme(build_ieee37_scenario({"horizon": 3}, variant="dynamic"),
                      "stochastic")
-    edge = {f.name: getattr(run, f.name).copy()
-            for f in dataclasses.fields(sim.RunResult)
-            if isinstance(getattr(run, f.name), np.ndarray)}
+    edge = _array_copies(run)
     edge["p_0"][:] = [-0.0, 5e-324, 1e300]
     edge["loss"][:] = [900.0, 0.0, -1e-310]
     edge["f_true"][:] = [np.nan, np.inf, -np.inf]
     edge["feasible"][:] = [True, False, True]
     edge["c_out_true"][:] = [-0.0, 2.0 ** 53, 0.1]
     edge["p_c"][0, :3] = [5e-324, -5e-324, 1.0000000000000002]
-    edge["c_in_after"][1, :2] = [-np.inf, 123456789012345678.0]
+    edge["c_in"][2, :2] = [-np.inf, 123456789012345678.0]
     _assert_csv_matches_reference(dataclasses.replace(run, **edge),
                                   tmp_path / "x.csv")
+
+
+def test_repeated_edge_rows_match_per_value_writer(tmp_path):
+    """Rows that repeat their predecessor reuse its string only when every
+    bit is equal: a -0.0 under a 0.0 is formatted anew, and repeated nan and
+    inf rows print as a per-value writer prints them."""
+    run = run_scheme(build_ieee37_scenario({"horizon": 6}, variant="dynamic"),
+                     "stochastic")
+    edge = _array_copies(run)
+    c_in = edge["c_in"]
+    c_in[0, 0] = 0.0
+    c_in[1] = c_in[0]
+    c_in[2] = c_in[1]
+    c_in[2, 0] = -0.0
+    c_in[3:5] = np.nan
+    c_in[5:] = np.inf
+    c_in[5:, 1] = -np.inf
+    edge["c_out_true"][:] = [0.0, 0.0, -0.0, np.nan, np.nan, np.inf]
+    edge["p_g_true"][:] = 0.0
+    edge["p_g_true"][2, 1] = -0.0
+    edge["p_g_true"][3:5] = np.nan
+    run = dataclasses.replace(run, **edge)
+    _assert_csv_matches_reference(run, tmp_path / "x.csv")
+    # Slots 0 and 1 end at rows 1 and 2 of the trajectory.
+    after = [line.split(",")[-run.scenario.n_loads]
+             for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+    assert after == ["0", "-0", "nan", "nan", "inf", "inf"]
+
+
+def test_repeated_rows_across_a_block_boundary_match_per_value_writer(tmp_path):
+    """Repeated rows that straddle the boundaries of the writer's blocks
+    print as a per-value writer prints them."""
+    block = sim._BOOK_BLOCK
+    run = run_scheme(build_ieee37_scenario({"horizon": 2 * block + 5},
+                                           variant="dynamic"), "stochastic")
+    edge = _array_copies(run)
+    # Zero-PV slots at a constant outdoor temperature across the first
+    # boundary, and an indoor trajectory frozen across both.
+    edge["p_g_true"][block - 28:block + 72] = 0.0
+    edge["c_out_true"][block - 28:block + 72] = edge["c_out_true"][block - 28]
+    edge["c_in"][block - 8:block + 12] = edge["c_in"][block - 8]
+    edge["c_in"][2 * block:2 * block + 3] = edge["c_in"][2 * block - 1]
+    _assert_csv_matches_reference(dataclasses.replace(run, **edge),
+                                  tmp_path / "x.csv")
+
+
+def test_indoor_views_share_one_read_only_trajectory(dynamic_scenario,
+                                                     static_scenario):
+    """``c_in_true`` and ``c_in_after`` are read-only views of ``c_in``,
+    before and after a pickle round trip."""
+    for scn in (dynamic_scenario, static_scenario):
+        run = run_scheme(scn, "stochastic")
+        T, n = scn.horizon, scn.n_loads
+        assert run.c_in.shape == (T + 1, n)
+        for back in (run, pickle.loads(pickle.dumps(run))):
+            for view, rows in ((back.c_in_true, slice(None, T)),
+                               (back.c_in_after, slice(1, None))):
+                assert np.shares_memory(view, back.c_in)
+                assert np.array_equal(view, back.c_in[rows])
+                assert not view.flags.writeable
+                with pytest.raises(ValueError):
+                    view[0, 0] = 0.0
+            assert np.array_equal(back.c_in_true[1:], back.c_in_after[:-1])
+            assert np.array_equal(back.c_in, run.c_in)
+
+
+def test_pickled_day_carries_one_indoor_array():
+    run = run_scheme(load_scenario(str(data_path("ieee37_dynamic.json"))),
+                     "stochastic")
+    assert run.c_in.shape == (901, run.scenario.n_loads)
+    indoor = (len(pickle.dumps(run))
+              - len(pickle.dumps(dataclasses.replace(run, c_in=None))))
+    assert run.c_in.nbytes <= indoor < 1.01 * run.c_in.nbytes
 
 
 def test_run_csv_write_memory_stays_blockwise(tmp_path):
@@ -739,8 +819,8 @@ def test_failed_write_keeps_old_file_and_leaves_no_tmp(output, tmp_path):
     if output == "csv":
         run = run_scheme(build_ieee37_scenario({"horizon": 200},
                                                variant="dynamic"), "stochastic")
-        # The second block of slots has no indoor temperatures to stack.
-        short = dataclasses.replace(run, c_in_after=run.c_in_after[:150])
+        # The indoor trajectory runs out in the second block of slots.
+        short = dataclasses.replace(run, c_in=run.c_in[:150])
         with pytest.raises(ValueError):
             sim.write_run_csv(short, path)
     elif output == "json":
