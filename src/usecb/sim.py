@@ -129,8 +129,8 @@ def read_slots(scenario, noise, slots, streams):
     p_g = scenario.p_g_true[slots]
     p_g = np.maximum(observe(p_g, noise.sigma_gen * np.abs(p_g),
                              gen.standard_normal(p_g.shape)), 0.0)
-    c_out = observe(np.repeat(scenario.c_out_true[slots, None], shape[1], axis=1),
-                    noise.sigma_temp, cout.standard_normal(shape))
+    c_out = observe(scenario.c_out_true[slots, None], noise.sigma_temp,
+                    cout.standard_normal(shape))
     return p_g, c_out, cin.standard_normal(shape)
 
 
@@ -279,7 +279,8 @@ class RunResult:
     ``c_in`` is the run's indoor trajectory, ``(T + 1, n)``: row t is the
     state at the start of slot t, row T the state after the last slot.  A
     static run's never moves, so its ``c_in`` is one row broadcast with
-    stride 0.  ``c_in_true`` (rows 0..T-1) and ``c_in_after`` (rows 1..T)
+    stride 0, which pickles as that row and loads as the same read-only
+    broadcast.  ``c_in_true`` (rows 0..T-1) and ``c_in_after`` (rows 1..T)
     are read-only views of it, so a run stores, and pickles, one indoor
     array."""
 
@@ -310,6 +311,19 @@ class RunResult:
     def c_in_after(self):
         return _read_only(self.c_in[1:])
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        c_in = self.c_in
+        if c_in is not None and c_in.strides[0] == 0:
+            state["c_in"] = (c_in[0], len(c_in))
+        return state
+
+    def __setstate__(self, state):
+        if isinstance(state["c_in"], tuple):
+            row, rows = state["c_in"]
+            state["c_in"] = np.broadcast_to(row, (rows,) + row.shape)
+        self.__dict__.update(state)
+
 
 def _read_only(view):
     view.flags.writeable = False
@@ -336,10 +350,12 @@ def run_scheme(scenario, scheme, seed=None):
     noise of each indoor reading, the input part of each linear term
     (``Quadratic.input_term``) and, on a dynamic day, the outdoor part of
     each thermal step and every slot's band offsets from its generation
-    reading.  A slot reads its indoor temperature, forms ``b = input -
-    temp_w * reading`` and steps or solves, the same bits as ``observe``
-    and ``linear_term``.  A static slot plays the scenario's set and
-    leaves the indoor temperatures frozen.  A dynamic slot projects onto
+    reading.  A static run's indoor temperatures stay frozen, so before
+    the loop it also forms every slot's reading ``c_in_init + sigma *
+    z[t]`` and linear term ``b = input - temp_w * reading``, the same bits
+    as ``observe`` and ``linear_term``; a static slot only steps or solves
+    on the scenario's set.  A dynamic slot reads its indoor temperature,
+    forms its ``b`` the same way, steps or solves, projecting onto
     one shared plain box where its band holds the box
     (:meth:`~usecb.feasible.VoltageBand.holds_box`), else onto
     ``build_feasible(band, offsets[t])``, and advances the indoor
@@ -369,8 +385,8 @@ def run_scheme(scenario, scheme, seed=None):
     # land in its rows of the stacks, with the parts of each slot that do
     # not depend on the control: the input part of its linear term, built
     # one run at a time so that its temporaries stay one run's size, and
-    # the noise of its indoor reading, which the slot loop overwrites with
-    # the reading.
+    # the noise of its indoor reading, which becomes the reading: before
+    # the loop on a static run, in the slot loop on a dynamic day.
     noise = NoiseConfig() if scheme == "oracle" else scenario.noise
     pg_obs = np.empty((R, T, len(scenario.model.gen_buses)))
     cout_obs = np.empty((R, T, n_c))
@@ -390,6 +406,10 @@ def run_scheme(scenario, scheme, seed=None):
     c_in = cin[row, 0]
     p_c = np.empty((R, T, n_c))
     if static:
+        # The indoor state never moves, so every slot's reading and linear
+        # term are known here: observe() and linear_term() of all of them.
+        np.add(scenario.c_in_init, cin_obs, out=cin_obs)
+        b_in -= temp_w * cin_obs
         fset_t = env_set
         offsets = np.broadcast_to(env_set.offset, (T, env_set.offset.size))
     else:
@@ -411,14 +431,14 @@ def run_scheme(scenario, scheme, seed=None):
         converged = np.empty((R, T), dtype=bool)
         iterations = np.empty((R, T), dtype=int)
     a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)[row]
-    # The slot's linear term and a scratch vector, written in place.
-    b, tmp = np.empty((2,) + a.shape)
+    tmp = np.empty_like(a)
 
     for t in range(T):
-        # observe() and linear_term() of this slot's readings.
-        c_obs = np.add(c_in, cin_obs[row, t], out=cin_obs[row, t])
-        np.subtract(b_in[row, t], np.multiply(temp_w, c_obs, out=tmp), out=b)
+        b = b_in[row, t]
         if not static:
+            # observe() and linear_term() of this slot's readings, in place.
+            c_obs = np.add(c_in, cin_obs[row, t], out=cin_obs[row, t])
+            np.subtract(b, np.multiply(temp_w, c_obs, out=tmp), out=b)
             fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
         if scheme == "stochastic":
             np.subtract(a, np.multiply(eta[t], quad.grad(a, b), out=tmp), out=tmp)
@@ -598,8 +618,10 @@ def write_run_csv(run, path):
 
 
 def write_json(obj, path):
-    """Deterministic JSON dump (sorted keys, 17 significant digits); numpy
-    arrays are written as lists and numpy scalars as their Python values."""
+    """Deterministic JSON dump: sorted keys, and each float as Python's
+    shortest repr that reads back to the same value (``json.dump``'s own);
+    numpy arrays are written as lists and numpy scalars as their Python
+    values."""
 
     def plain(o):
         if isinstance(o, (np.ndarray, np.generic)):

@@ -91,6 +91,13 @@ def test_noise_rows_drawn_one_at_a_time_equal_a_block(dynamic_scenario):
     for k, part in enumerate(block):
         assert np.array_equal(part, np.concatenate([row[k] for row in rows]))
     assert not np.array_equal(block[0], dynamic_scenario.p_g_true[slots])
+    # The outdoor readings add their noise to one broadcast column, the
+    # bits of reading a repeated copy of it.
+    shape = (slots.size, dynamic_scenario.n_loads)
+    repeated = np.repeat(dynamic_scenario.c_out_true[slots, None], shape[1], axis=1)
+    want = observe(repeated, noise.sigma_temp, _normals(5, shape, stream=1))
+    assert np.array_equal(block[1], want)
+    assert block[1].shape == shape and block[1].flags.c_contiguous
 
 
 def test_noise_generators_do_not_grow_with_the_horizon(monkeypatch):
@@ -481,6 +488,47 @@ def test_stochastic_run_steps_on_the_linear_term(day):
         assert np.array_equal(run.p_c[t], a), t
 
 
+@pytest.mark.parametrize("scheme", ["stochastic", "exact"])
+def test_stacked_static_slots_step_on_their_own_linear_terms(scheme,
+                                                            monkeypatch):
+    """On a stack of static runs, every slot's indoor reading is ``observe``
+    of the frozen indoor state, and the slot steps (stochastic) or solves
+    (exact) on the ``(R, n)`` rows of ``linear_term`` of each row's own
+    readings, bit for bit."""
+    scn = build_ieee37_scenario({"horizon": 40})
+    quad, T = scn.objective, scn.horizon
+    seen = []
+    if scheme == "stochastic":
+        real_grad = sim.Quadratic.grad
+
+        def grad(q, x, b):
+            seen.append(np.array(b))
+            return real_grad(q, x, b)
+
+        monkeypatch.setattr(sim.Quadratic, "grad", grad)
+    else:
+        real_solve = sim.minimize_projected
+
+        def solve(grad, b, *args, **kwargs):
+            seen.append(np.array(b))
+            return real_solve(grad, b, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "minimize_projected", solve)
+    seeds = (3, 4, 5)
+    runs = run_scheme(scn, scheme, seed=seeds)
+    # The slot loop makes the run's last T calls, one per slot.
+    seen = seen[-T:]
+    for r, (run, seed) in enumerate(zip(runs, seeds)):
+        z_in = sim.read_slots(scn, scn.noise, np.arange(T),
+                              sim.noise_streams(seed))[2]
+        for t in range(T):
+            c_obs = observe(scn.c_in_init, scn.noise.sigma_temp, z_in[t])
+            assert np.array_equal(run.c_in_obs[t], c_obs), (seed, t)
+            b = quad.linear_term(c_obs, run.c_out_obs[t], run.p_g_obs[t])
+            assert seen[t].shape == (len(seeds), scn.n_loads)
+            assert np.array_equal(seen[t][r], b), (seed, t)
+
+
 @pytest.mark.parametrize("variant", ["static", "dynamic"])
 def test_nonfinite_control_raises_naming_seed_and_slot(variant, monkeypatch):
     """A nan gradient at one slot gives a nan step, which the box clamp of
@@ -787,13 +835,28 @@ def test_indoor_views_share_one_read_only_trajectory(dynamic_scenario,
             assert np.array_equal(back.c_in, run.c_in)
 
 
+def _pickled_indoor_bytes(run):
+    return (len(pickle.dumps(run))
+            - len(pickle.dumps(dataclasses.replace(run, c_in=None))))
+
+
 def test_pickled_day_carries_one_indoor_array():
+    """A day's trajectory pickles once; a static run's frozen state pickles
+    as its one row and loads as a read-only broadcast of it."""
     run = run_scheme(load_scenario(str(data_path("ieee37_dynamic.json"))),
                      "stochastic")
     assert run.c_in.shape == (901, run.scenario.n_loads)
-    indoor = (len(pickle.dumps(run))
-              - len(pickle.dumps(dataclasses.replace(run, c_in=None))))
+    indoor = _pickled_indoor_bytes(run)
     assert run.c_in.nbytes <= indoor < 1.01 * run.c_in.nbytes
+
+    run = run_scheme(load_scenario(str(data_path("ieee37_static.json"))),
+                     "stochastic")
+    row = run.c_in[0].nbytes
+    assert run.c_in.shape == (run.scenario.horizon + 1, run.scenario.n_loads)
+    assert row <= _pickled_indoor_bytes(run) < 2 * row
+    back = pickle.loads(pickle.dumps(run))
+    assert back.c_in.strides[0] == 0 and not back.c_in.flags.writeable
+    assert np.array_equal(back.c_in, run.c_in)
 
 
 def test_run_csv_write_memory_stays_blockwise(tmp_path):
