@@ -365,7 +365,11 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
     ``g`` is within the rounding error of ``x - A.T y``; the caller checks
     that a fixed point's result is a member.  Weak duality certifies an
     empty set: ``-D(y)`` never exceeds the squared distance from ``x`` to a
-    member over two.
+    member over two.  Once the dual falls below that bound's floor the set
+    is empty, and the iterates after it only sharpen the certificate: the
+    solve goes on to its end (an unbounded direction, a fixed point or the
+    step cap) and raises the largest bound :func:`_emptiness` reads from the
+    iterates it checked past the crossing or from the unbounded direction.
 
     Returns ``(p, y, resid, fixed)``: the point, the multipliers, the
     residual and whether it stopped at a fixed point.
@@ -396,11 +400,14 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
     with np.errstate(over="ignore"):
         dual_floor = -0.5 * float(np.sum(np.maximum(x - p_min, p_max - x) ** 2))
     shift = float(np.mean(np.einsum("ij,ij->i", A, A)))
+    # The sharpest emptiness certificate read so far, once the dual has
+    # crossed the floor.
+    empty = None
     for _ in range(_NEWTON_CAP):
         if resid <= _KKT_TOL:
-            return p, y, resid, False
+            break
         if dual < dual_floor:
-            raise _emptiness(y, A, c, lo, hi, p_min, p_max)
+            empty = _sharper(empty, _emptiness(y, A, c, lo, hi, p_min, p_max))
         # Orthant: the sign of y, or for a zero multiplier the side the
         # subgradient descends into (none if the row is satisfied).
         s = np.sign(y)
@@ -421,7 +428,7 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
         d[rows] = s_r * (_nonneg_qp(Q, s_r * g[rows] - Q @ z, z) - z)
         alpha = _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max)
         if alpha == np.inf:
-            raise _emptiness(d, A, c, lo, hi, p_min, p_max)
+            raise _sharper(empty, _emptiness(d, A, c, lo, hi, p_min, p_max))
         y_next = y + alpha * d
         y_next[s * y_next < 0] = 0.0
         # A model that falls short of the line minimum relaxes the shift,
@@ -439,12 +446,15 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
             # the caller's membership test.
             abs_a = np.abs(A)
             floor = abs_a @ (np.abs(x) + abs_a.T @ np.abs(y))
-            if resid <= A.shape[0] * _EPS * float(np.max(floor)):
+            if (empty is None
+                    and resid <= A.shape[0] * _EPS * float(np.max(floor))):
                 return p, y, resid, True
             break
         y, damping = y_next, damping_next
         p, aty, g, dual = point(y)
         resid = float(np.max(np.abs(g)))
+    if empty is not None:
+        raise empty
     if resid <= _KKT_TOL:
         return p, y, resid, False
     raise ProjectionError(
@@ -528,6 +538,17 @@ def _emptiness(y, A, c, lo, hi, p_min, p_max):
     return FeasibilityError(
         "empty feasible set (dual certificate: every box point breaks "
         f"the band by at least {worst:.3e})", max_violation=worst)
+
+
+def _sharper(found, err):
+    """Of the emptiness errors ``found`` (None before the first) and
+    ``err``, the one with the larger certified bound; a certificate beats a
+    ``ProjectionError``, and of two equal bounds the earlier stays."""
+    if found is None or (isinstance(err, FeasibilityError) and (
+            not isinstance(found, FeasibilityError)
+            or err.max_violation > found.max_violation)):
+        return err
+    return found
 
 
 def _nonneg_qp(Q, b, u):

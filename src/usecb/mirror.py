@@ -156,20 +156,32 @@ def minimize_projected(grad, b, fset, scale, lipschitz, x0=None, tol=1e-10):
     of ``x0`` (of the set's midpoint by default) as given, a vector or a
     stack.  Returns ``(x, converged, steps)``, one of each per row for a
     stack: ``converged`` is False when ``_MAX_ITER`` steps run out first.
+
+    A call allocates its buffers once (again only when rows leave): the
+    step and a ``(2, ...)`` pair that holds the point and the candidate.
+    Each step projects into the free slot of the pair and writes its move
+    over the point, so one product forms both stopping norms, and the
+    candidate starts the next step from its slot.
     """
-    x = fset.project(fset.midpoint() if x0 is None
-                     else np.asarray(x0, dtype=float), scale)
-    shape = x.shape
+    x0 = fset.midpoint() if x0 is None else np.asarray(x0, dtype=float)
+    shape = x0.shape
+    # The slots of the pair trade roles every step.
+    pair, d = np.empty((2,) + shape), np.empty(shape)
+    slots = tuple(pair)
+    x = fset.project(x0, scale, out=slots[0])
     # (rows, their results, the step they stopped at), as rows finish.
     finished = []
     index = np.arange(len(x) if x.ndim == 2 else 1)
     step = 1.0 / (lipschitz * scale * scale)  # W^-1 / lipschitz
     for k in range(1, _MAX_ITER + 1):
-        d = step * grad(x, b)
-        cand = fset.project(np.subtract(x, d, out=d), scale)
-        d = np.subtract(cand, x, out=d)
+        new = k & 1
+        cand, move = slots[new], slots[1 - new]
+        np.multiply(step, grad(x, b), out=d)
+        fset.project(np.subtract(x, d, out=d), scale, out=cand)
+        np.subtract(cand, x, out=move)
+        norms = np.sqrt(row_dot(pair, pair))
+        done = norms[1 - new] <= tol * (1.0 + norms[new])
         x = cand
-        done = np.sqrt(row_dot(d, d)) <= tol * (1.0 + np.sqrt(row_dot(x, x)))
         stopped = np.count_nonzero(done)
         if stopped == len(index):
             finished.append((index, x, k))
@@ -177,7 +189,10 @@ def minimize_projected(grad, b, fset, scale, lipschitz, x0=None, tol=1e-10):
         if stopped:
             finished.append((index[done], x[done], k))
             keep = ~done
-            index, x, b = index[keep], x[keep], b[keep]
+            index, b = index[keep], b[keep]
+            pair, d = np.empty((2,) + b.shape), np.empty(b.shape)
+            slots = tuple(pair)
+            x = np.compress(keep, x, axis=0, out=slots[new])
     else:
         finished.append((index, x, None))
     if len(shape) == 1:

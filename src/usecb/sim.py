@@ -228,22 +228,24 @@ def scenario_gradient_oracle(scenario, seeds):
     reads seed r's streams.  Every reading is of the frozen slot 0, and
     reading t is row t of the run's streams (row 0 goes unused).  The
     readings and their linear terms are built ``_ORACLE_CHUNK`` steps at a
-    time, so reading t does not depend on how many steps follow.
+    time, so reading t does not depend on how many steps follow, and held
+    step-major, ``(k, R, n)``, so that step t's rows are one contiguous
+    ``(R, n)`` slab.
     """
     quad = scenario.objective
     streams = [noise_streams(s) for s in seeds]
     slots = np.zeros(_ORACLE_CHUNK, dtype=int)
-    start, b = 0, np.empty((len(seeds), 0, scenario.n_loads))
+    start, b = 0, np.empty((0, len(seeds), scenario.n_loads))
 
     def oracle(t, x):
         nonlocal start, b
         if t < start:
             raise ValueError(f"oracle step {t} comes before its block at {start}")
-        while t >= start + b.shape[1]:
-            start += b.shape[1]
+        while t >= start + len(b):
+            start += len(b)
             b = np.stack([_noisy_linear_terms(scenario, slots, st)
-                          for st in streams])
-        return quad.grad(x, b[:, t - start])
+                          for st in streams], axis=1)
+        return quad.grad(x, b[t - start])
 
     return oracle
 
@@ -364,9 +366,14 @@ def run_scheme(scenario, scheme, seed=None):
     projected control and indoor temperature are written in place.  After
     the loop, a non-finite control (a nan step, which the clamp of a
     box-only set passes on) raises ``ProjectionError`` naming the seed and
-    its first such slot, and the bookkeeping (loss, intake and true
-    objective against the true physics, and each slot's feasibility against
-    its own set) runs once per run.
+    its first such slot.  Then one pass over blocks of slots does the
+    bookkeeping of every row at once: loss, intake and true objective
+    against the true physics (``power_loss``, ``grid_intake``,
+    ``Quadratic.value`` of ``Quadratic.linear_term``), and each slot's
+    feasibility against its own set.  A static run's true inputs are its
+    slot-0 ones, passed as one row like its frozen indoor state, so those
+    formulas form their constant terms once and broadcast them; each row's
+    values equal those of the formulas on its own slots' inputs bit for bit.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -461,27 +468,35 @@ def run_scheme(scenario, scheme, seed=None):
         raise ProjectionError(
             f"{scheme} run (seed {seeds[r]}): non-finite control at slot {t}")
 
-    # Bookkeeping against the true physics, one run and one block of
-    # slots at a time, so its temporaries stay small.
+    # Bookkeeping against the true physics, every row at once and one block
+    # of slots at a time, so its temporaries stay small.  A static run's
+    # true inputs are its slot-0 ones, as one row, like its indoor state, so
+    # the formulas form their constant terms once and broadcast them.
     blocks = scenario.model.blocks
+    true = 1 if static else T
+    pg_true, cout_true = scenario.p_g_true[:true], scenario.c_out_true[:true, None]
+    cin_true = cin[:, :true]
+    loss, p_0, f_true = np.empty((3, R, T))
+    feasible = np.empty((R, T), dtype=bool)
+    for lo in range(0, T, _BOOK_BLOCK):
+        k = slice(lo, lo + _BOOK_BLOCK)
+        k_true = slice(None) if static else k
+        pg, cons = pg_true[k_true], p_c[:, k] + scenario.p_fixed
+        loss[:, k] = power_loss(blocks.M, blocks.N, blocks.Q, pg, cons)
+        p_0[:, k] = grid_intake(pg, cons, loss[:, k])
+        f_true[:, k] = quad.value(p_c[:, k], quad.linear_term(
+            cin_true[:, k_true], cout_true[k_true], pg))
+        feasible[:, k] = band.violation(p_c[:, k], offsets[k]) <= MEMBER_TOL
     outs = []
     for r, s in enumerate(seeds):
         out = RunResult(scheme, s, scenario)
         out.p_c, out.p_g_obs, out.c_out_obs, out.c_in_obs = \
             p_c[r], pg_obs[r], cout_obs[r], cin_obs[r]
+        out.loss, out.p_0, out.f_true, out.feasible = \
+            loss[r], p_0[r], f_true[r], feasible[r]
         out.p_g_true = scenario.p_g_true.copy()
         out.c_out_true = scenario.c_out_true.copy()
         out.c_in = np.broadcast_to(cin[r], (T + 1, n_c))
-        out.loss, out.p_0, out.f_true = np.empty((3, T))
-        out.feasible = np.empty(T, dtype=bool)
-        for lo in range(0, T, _BOOK_BLOCK):
-            k = slice(lo, lo + _BOOK_BLOCK)
-            pg, cons = out.p_g_true[k], out.p_c[k] + scenario.p_fixed
-            out.loss[k] = power_loss(blocks.M, blocks.N, blocks.Q, pg, cons)
-            out.p_0[k] = grid_intake(pg, cons, out.loss[k])
-            out.f_true[k] = quad.value(out.p_c[k], quad.linear_term(
-                out.c_in_true[k], out.c_out_true[k, None], pg))
-            out.feasible[k] = band.violation(out.p_c[k], offsets[k]) <= MEMBER_TOL
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \
                 converged[r], iterations[r]

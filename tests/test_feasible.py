@@ -480,8 +480,10 @@ def test_disjoint_parallel_slabs_certified_empty():
                     v_min=[0.0, 1.5], v_max=[0.5, 2.0])
     # The rows need a.p <= 0.5 and a.p >= 0.75, and the scaled copy's
     # violation counts double: every point breaks one of them by at least
-    # 1/6 (at a.p = 2/3), which the reported bound must not exceed.
-    assert 0.0 < err.value.max_violation <= 1.0 / 6.0 + 1e-12
+    # 1/6 (at a.p = 2/3), which the reported bound must not exceed.  The
+    # dual iterate where the solve crosses its floor certifies only 0.0161;
+    # the best iterate after it certifies 0.1486.
+    assert 0.1486 < err.value.max_violation <= 1.0 / 6.0 + 1e-12
 
 
 @pytest.mark.parametrize("y, bound", [(1.0, "-1.000e+00"), (np.nan, "nan")])

@@ -343,12 +343,27 @@ def test_stacked_rows_leave_with_their_data(monkeypatch):
     # the last one too far from the midpoint for 170 steps at rate 0.9.
     b = np.array([[-3.0, -2.0], [-0.3, -0.052], [-0.2, -0.09]])
     x0 = np.tile(fs.midpoint(), (3, 1))
-    x, converged, steps = minimize_projected(grad, b, fs, np.ones(2), 1.0,
-                                             x0=x0, tol=1e-10)
-    assert converged.tolist() == [True, True, False]
-    assert steps.tolist() == [2, 157, 170]
-    for r in range(3):
-        own = minimize_projected(grad, b[r], fs, np.ones(2), 1.0, x0=x0[r],
-                                 tol=1e-10)
-        assert np.array_equal(x[r], own[0]), r
-        assert (converged[r], steps[r]) == own[1:], r
+
+    def solve_each(b, x0, converged_want, steps_want):
+        x, converged, steps = minimize_projected(grad, b, fs, np.ones(2), 1.0,
+                                                 x0=x0, tol=1e-10)
+        assert converged.tolist() == converged_want
+        assert steps.tolist() == steps_want
+        for r in range(len(b)):
+            own = minimize_projected(grad, b[r], fs, np.ones(2), 1.0, x0=x0[r],
+                                     tol=1e-10)
+            assert np.array_equal(x[r], own[0]), r
+            assert (converged[r], steps[r]) == own[1:], r
+
+    solve_each(b, x0, [True, True, False], [2, 157, 170])
+    # Minimizers off the box beyond three of its corners: every row stops
+    # at step 2, each on its own corner.
+    corners = np.array([[-3.0, -2.0], [3.0, 2.0], [-3.0, 2.0]])
+    solve_each(corners, x0, [True] * 3, [2] * 3)
+    # A row that starts at its solution, the box corner (1, 1), stops at
+    # step 1 and leaves before the others.
+    at_corner = x0.copy()
+    at_corner[0] = 1.0
+    solve_each(b, at_corner, [True, True, False], [1, 157, 170])
+    # A one-row stack.
+    solve_each(b[1:2], x0[1:2], [True], [157])

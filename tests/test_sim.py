@@ -637,6 +637,54 @@ def test_batched_rows_equal_single_runs(case, scheme, monkeypatch):
         assert took_band
 
 
+def _per_slot_bookkeeping(run):
+    """Loss, intake, true objective and feasibility of ``run`` from the
+    formulas on its full ``(T, .)`` true inputs, and for a few slots on
+    that slot's vectors alone."""
+    scn = run.scenario
+    quad, blocks, band = scn.objective, scn.model.blocks, scn.band
+    offsets = (scn.env_set.offset if scn.is_static
+               else band.offset(run.p_g_obs, scn.p_fixed))
+
+    def book(p_c, p_g, c_out, c_in, offset):
+        cons = p_c + scn.p_fixed
+        loss = sim.power_loss(blocks.M, blocks.N, blocks.Q, p_g, cons)
+        return (loss, sim.grid_intake(p_g, cons, loss),
+                quad.value(p_c, quad.linear_term(c_in, c_out, p_g)),
+                band.violation(p_c, offset) <= sim.MEMBER_TOL)
+
+    whole = book(run.p_c, run.p_g_true, run.c_out_true[:, None],
+                 run.c_in_true, offsets)
+    T = len(run.p_c)
+    slots = {t: book(run.p_c[t], run.p_g_true[t],
+                     np.full(scn.n_loads, run.c_out_true[t]), run.c_in_true[t],
+                     offsets if scn.is_static else offsets[t])
+             for t in (0, T // 2, T - 1)}
+    return whole, slots
+
+
+@pytest.mark.parametrize("variant, scheme, seed", [
+    ("static", "stochastic", 3), ("static", "stochastic", (3, 4, 5)),
+    ("static", "exact", 3), ("static", "exact", (3, 4, 5)),
+    ("dynamic", "stochastic", 3), ("dynamic", "exact", 3),
+])
+def test_bookkeeping_equals_the_per_slot_formulas(variant, scheme, seed):
+    """A run's loss, intake, true objective and feasibility, formed for
+    every row of a stack at once (a static run's constant true inputs as
+    one broadcast row), equal bit for bit the formulas on the run's full
+    true inputs and on each slot's vectors alone.  The horizon spans two
+    bookkeeping blocks."""
+    scn = build_ieee37_scenario({"horizon": sim._BOOK_BLOCK + 22}, variant=variant)
+    out = run_scheme(scn, scheme, seed=seed)
+    for run in (out if isinstance(out, list) else [out]):
+        got = (run.loss, run.p_0, run.f_true, run.feasible)
+        whole, slots = _per_slot_bookkeeping(run)
+        for i, name in enumerate(("loss", "p_0", "f_true", "feasible")):
+            assert np.array_equal(got[i], whole[i]), (name, run.seed)
+            for t, at in slots.items():
+                assert got[i][t] == at[i], (name, run.seed, t)
+
+
 @pytest.mark.parametrize("overrides, variant", [
     (None, "static"),
     (None, "dynamic"),

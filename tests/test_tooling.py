@@ -162,7 +162,8 @@ def _expected_outputs():
              for name, v in variants.items()}
     s, r = seeds["static"], seeds["regret"]
     paths = {"compare/static.txt", f"compare/compare_{s}.json",
-             "regret/regret.txt", f"regret/regret_{r}.json"}
+             "regret/regret.txt", f"regret/regret_{r}.json",
+             "comparison/static.json"}
     paths |= {f"compare/slots_{scheme}_{s}.csv" for scheme in SCHEMES}
     for name, seed in seeds.items():
         paths |= {f"validate/{name}.txt", f"gradcheck/{name}.txt"}

@@ -15,6 +15,9 @@ Runs, with each config's own seed:
 * ``compare`` on ``ieee37_static``,
 * ``regret --horizons 100,1000 --replications 4`` on ``ieee37_regret``,
 * ``validate`` and ``gradcheck`` on each of the six configs,
+* and, in this process, since no command runs stacked static runs,
+  ``run_static_comparison`` on ``ieee37_static`` (6 replications, window
+  100, ``rel_tol`` 0.01), whose report goes to ``comparison/static.json``,
 
 writing into the empty or new directory ``OUT_DIR``, and prints one sorted
 ``sha256  relpath`` line per output file.  Each command's stdout and stderr
@@ -48,7 +51,8 @@ from pathlib import Path
 
 import usecb
 from usecb.cli import main as usecb_main
-from usecb.sim import SCHEMES, data_path
+from usecb.experiments import run_static_comparison
+from usecb.sim import SCHEMES, data_path, load_scenario, write_json
 
 # Config name -> (bundled file, entries merged into its sections).
 CONFIGS = {
@@ -115,6 +119,16 @@ def commands(out, horizon=None):
                          ["regret", *config, "--horizons", "100,1000",
                           "--replications", "4", "--out", str(out / "regret")]))
     return cmds
+
+
+def static_comparison(out, horizon=None):
+    """Write the static comparison's report to ``comparison/static.json``."""
+    scn = load_scenario(_config_path(out, "static"),
+                        None if horizon is None else {"horizon": horizon})
+    path = out / "comparison" / "static.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(run_static_comparison(scn, replications=6, window=100,
+                                     rel_tol=0.01), str(path))
 
 
 def listing(out):
@@ -276,6 +290,7 @@ def main(argv=None):
     print(f"usecb from {Path(usecb.__file__).parent}", file=sys.stderr)
     failed = [capture for capture, cmd in commands(out, args.horizon)
               if _run(out, capture, cmd) != 0]
+    static_comparison(out, args.horizon)
     print("\n".join(listing(out)))
     differs = False
     if other is not None:
