@@ -7,7 +7,8 @@ losses respond to load.
 
 import numpy as np
 
-from usecb import build_ieee37_scenario, grid_intake, power_loss
+from usecb import (build_ieee37_scenario, compute_sensitivity, grid_intake,
+                   power_loss)
 
 scn = build_ieee37_scenario()
 model = scn.model
@@ -17,10 +18,11 @@ blocks = model.blocks
 print(f"feeder: {n} buses, PCC = {scn.bus_label(0)}, "
       f"generation at {[scn.bus_label(b) for b in model.gen_buses]}")
 
-ident = model.Y @ blocks.X_full - (np.eye(n) - np.ones((n, n)) / n)
+X_full = compute_sensitivity(model.Y)
+ident = model.Y @ X_full - (np.eye(n) - np.ones((n, n)) / n)
 print(f"bordered-inverse identity residual: {np.max(np.abs(ident)):.2e}")
 print(f"row-sum residual of X:              "
-      f"{np.max(np.abs(blocks.X_full @ np.ones(n))):.2e}")
+      f"{np.max(np.abs(X_full @ np.ones(n))):.2e}")
 
 # Voltage profile: noon generation, every AC at half power.
 p_g = np.full(3, 0.9)          # 9 MW per site on the 10 MVA base

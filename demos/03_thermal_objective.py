@@ -12,9 +12,8 @@ from usecb import (BuildingParams, Quadratic, SensitivityBlocks, thermal_step,
                    usecb_profit)
 
 blocks = SensitivityBlocks(
-    X_full=np.zeros((2, 2), dtype=complex), Z_red=np.zeros((1, 1), dtype=complex),
-    M=np.zeros((0, 0)), N=np.zeros((0, 1)), Q=np.zeros((1, 1)),
-    gen_buses=(), load_buses=(1,))
+    Z_red=np.zeros((1, 1), dtype=complex), M=np.zeros((0, 0)),
+    N=np.zeros((0, 1)), Q=np.zeros((1, 1)), gen_buses=(), load_buses=(1,))
 
 bp = BuildingParams(alpha1=1e-4, alpha2=0.1736, beta=0.25, c_set=[72.0], dt=48.0)
 c_in, c_out = np.array([73.0]), np.array([95.0])   # indoor, outdoor

@@ -16,8 +16,8 @@ hours = 6.0 + np.arange(scn.horizon) * scn.dt / 3600.0
 print(f"{'time':>6} {'PV MW':>7} {'out F':>6} {'mean in F':>9} "
       f"{'AC MW':>7} {'intake MW':>10} {'loss kW':>8}")
 for t in range(0, scn.horizon, 75):
-    print(f"{hours[t]:6.1f} {run.p_g_true[t].sum()*10:7.1f} "
-          f"{run.c_out_true[t]:6.1f} {run.c_in_after[t].mean():9.2f} "
+    print(f"{hours[t]:6.1f} {scn.p_g_true[t].sum()*10:7.1f} "
+          f"{scn.c_out_true[t]:6.1f} {run.c_in_after[t].mean():9.2f} "
           f"{run.p_c[t].sum()*10:7.2f} {run.p_0[t]*10:10.2f} "
           f"{run.loss[t]*10_000:8.1f}")
 

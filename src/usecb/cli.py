@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import (AssumptionError, ConfigError, FeasibilityError,
                      IngestionError, ModelError, ProjectionError, UsecbError)
-from .experiments import (map_replications, run_regret_experiment,
-                          run_scheme_job)
-from .grid import radial_line_flows
+from .experiments import run_regret_experiment
+from .grid import compute_sensitivity, radial_line_flows
 from .sim import (SCHEMES, _checked_number, _get, _read_config, atomic_write,
                   load_scenario, metrics, run_scheme, write_json, write_run_csv)
 
@@ -73,9 +72,18 @@ def _load(args):
     return load_scenario(args.config, overrides=overrides or None)
 
 
+def _seed(args, scenario):
+    """The run seed: ``--seed``, else the scenario config's."""
+    if args.seed is None:
+        return scenario.seed
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+    return args.seed
+
+
 def _cmd_simulate(args):
     scenario = _load(args)
-    seed = scenario.seed if args.seed is None else args.seed
+    seed = _seed(args, scenario)
     run = run_scheme(scenario, args.scheme, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"slots_{args.scheme}_{seed}.csv")
@@ -89,13 +97,13 @@ def _cmd_simulate(args):
 
 def _cmd_compare(args):
     scenario = _load(args)
-    seed = scenario.seed if args.seed is None else args.seed
+    seed = _seed(args, scenario)
     os.makedirs(args.out, exist_ok=True)
-    runs = map_replications(run_scheme_job,
-                            {s: (scenario, s, seed) for s in SCHEMES})
+    # Every scheme runs before any file is written, so a scheme that fails
+    # leaves no outputs of the others behind.
+    runs = {scheme: run_scheme(scenario, scheme, seed=seed) for scheme in SCHEMES}
     summary = {}
-    for scheme in SCHEMES:
-        run = runs[scheme]
+    for scheme, run in runs.items():
         write_run_csv(run, os.path.join(args.out, f"slots_{scheme}_{seed}.csv"))
         summary[scheme] = metrics(run)
     path = os.path.join(args.out, f"compare_{seed}.json")
@@ -112,7 +120,7 @@ def _cmd_regret(args):
     scenario = _load(args)
     if not scenario.is_static:
         raise AssumptionError("regret experiment requires a static scenario")
-    seed = scenario.seed if args.seed is None else args.seed
+    seed = _seed(args, scenario)
     try:
         horizons = [int(x) for x in args.horizons.split(",") if x.strip()]
     except ValueError:
@@ -164,6 +172,7 @@ def _cmd_validate(args):
     scenario = _load(args)
     model = scenario.model
     blocks = model.blocks
+    X_full = compute_sensitivity(model.Y)
     n = model.n_buses
     checks = {}
 
@@ -173,10 +182,10 @@ def _cmd_validate(args):
     if shunts == 0:
         checks["admittance_rows_sum_zero"] = float(
             np.max(np.abs(model.Y.sum(axis=1)))) < 1e-12
-    ident = model.Y @ blocks.X_full - (np.eye(n) - np.ones((n, n)) / n)
+    ident = model.Y @ X_full - (np.eye(n) - np.ones((n, n)) / n)
     checks["sensitivity_identity"] = float(np.max(np.abs(ident))) < 1e-9
     checks["sensitivity_rows_sum_zero"] = float(
-        np.max(np.abs(blocks.X_full @ np.ones(n)))) < 1e-9
+        np.max(np.abs(X_full @ np.ones(n)))) < 1e-9
     checks["blocks_tile_reduced_matrix"] = bool(
         np.array_equal(blocks.reassemble(), blocks.X))
     checks["q_positive_semidefinite"] = float(
@@ -199,7 +208,7 @@ def _cmd_gradcheck(args):
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     scenario = _load(args)
-    seed = scenario.seed if args.seed is None else args.seed
+    seed = _seed(args, scenario)
     quad = scenario.objective
     b = scenario.true_linear_term()
     fset = scenario.env_set

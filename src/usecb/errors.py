@@ -35,10 +35,6 @@ class ProjectionError(UsecbError):
     that stopped short of its KKT tolerance, or a dual solve that ended
     without a valid certificate that the set is empty."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class AssumptionError(UsecbError):
     """A run-level assumption does not hold (e.g. regret experiment on a

@@ -7,12 +7,11 @@ comparison run their replications in this process, as stacked programs
 (:func:`~usecb.mirror.run_online` on a stack of start points, one for all
 replications; :func:`~usecb.sim.run_scheme` on a sequence of seeds, 16
 seeds at a time per scheme), so the per-slot cost of the many small numpy
-calls is paid once for all rows.
-:func:`map_replications` still fans jobs out over processes (threads would
-serialize on the interpreter lock): ``usecb compare`` runs its three
-schemes through it with :func:`run_scheme_job`, so job functions and their
-arguments stay picklable; results merge by sorted job keys regardless of
-executor scheduling.
+calls is paid once for all rows.  No command uses a process pool:
+:func:`map_replications` (a process per job, so jobs and their arguments
+pickle; results merge by sorted key), :func:`default_workers` and
+:func:`run_scheme_job` remain as the benchmark's fan-out until ROADMAP open
+items 1 and 2 delete them.
 """
 
 from __future__ import annotations

@@ -292,8 +292,7 @@ class FeasibleSet:
         resid = float(np.max(np.abs(g)))
         if not np.isfinite(resid):
             raise ProjectionError(
-                f"cannot project a non-finite point (residual {resid})",
-                residual=resid)
+                f"cannot project a non-finite point (residual {resid})")
         fixed = False
         if resid <= _KKT_TOL:
             p, y = clamped, np.zeros(A.shape[0])
@@ -310,8 +309,7 @@ class FeasibleSet:
             if worst > MEMBER_TOL:
                 raise ProjectionError(
                     "band projection stopped at a fixed point outside the set "
-                    f"(violation {worst:.3e}, residual {resid:.3e})",
-                    residual=resid)
+                    f"(violation {worst:.3e}, residual {resid:.3e})")
         return p, y
 
 
@@ -459,8 +457,7 @@ def _newton(x, A, c, lo, hi, p_min, p_max):
         return p, y, resid, False
     raise ProjectionError(
         "band projection stopped short of its KKT tolerance (residual "
-        f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)",
-        residual=resid)
+        f"{resid:.3e}; at most {_NEWTON_CAP} Newton iterations)")
 
 
 def _exact_step(w, y, d, s, A, c, lo, hi, p_min, p_max):

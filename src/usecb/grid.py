@@ -3,17 +3,14 @@
 The model is per unit: line data are per-unit and bus 0, the point of
 common coupling (PCC), is held at 1 pu.  Buses are indexed 0..N.  Lines
 carry a series admittance and an optional per-end shunt admittance (pi
-model).  From the bus admittance matrix two sensitivity objects are derived:
-
-* ``X_full``: the (N+1)x(N+1) block of the inverse of the bordered system
-  [[Y, 1], [1^T, 0]].  For a zero-shunt network it satisfies
-  Y @ X_full = I - 11^T/(N+1) and X_full @ 1 = 0.
-* the grounded reduced impedance ``Z_red = inv(Y[1:, 1:])``, whose real part
-  supplies the M/N/Q blocks used by the voltage, loss and intake formulas.
-
-On slack-balanced injection vectors the two matrices induce the same
-quadratic form, so the loss can be written either way; the grounded form is
-what keeps the PCC pinned at 1 pu and the loss physical.
+model).  A model keeps the grounded reduced impedance
+``Z_red = inv(Y[1:, 1:])`` of the bus admittance matrix, whose real part
+supplies the M/N/Q blocks used by the voltage, loss and intake formulas.
+:func:`compute_sensitivity` forms, for checks, the (N+1)x(N+1) block X of
+the inverse of the bordered system [[Y, 1], [1^T, 0]]; for a zero-shunt
+network Y @ X = I - 11^T/(N+1) and X @ 1 = 0.  On slack-balanced injection
+vectors the two matrices induce the same quadratic form; the grounded one
+keeps the PCC pinned at 1 pu and the loss physical.
 """
 
 from __future__ import annotations
@@ -284,12 +281,11 @@ def radial_line_flows(tree_edges, injections):
 class SensitivityBlocks:
     """Cached sensitivities for one topology.
 
-    ``X_full`` is the bordered-system block over all buses; ``Z_red`` the
-    grounded reduced impedance over buses 1..N.  M, N, Q are the real-part
-    slices of ``Z_red`` by generation/load bus sets and tile it exactly.
+    ``Z_red`` is the grounded reduced impedance over buses 1..N; M, N, Q
+    are its real-part slices by generation/load bus sets and tile it
+    exactly.  ``compute_sensitivity(Y)`` forms the bordered-system block.
     """
 
-    X_full: np.ndarray
     Z_red: np.ndarray
     M: np.ndarray
     N: np.ndarray
@@ -317,7 +313,7 @@ class SensitivityBlocks:
 
 @dataclass
 class GridModel:
-    """Immutable network model; sensitivities are computed once on build."""
+    """Immutable network model; grounded sensitivities computed on build."""
 
     n_buses: int
     lines: list
@@ -333,13 +329,12 @@ class GridModel:
         if 0 in gen or 0 in load:
             raise ModelError("bus 0 is the PCC and belongs to neither set")
         Y = build_admittance(lines, n_buses)
-        X_full = compute_sensitivity(Y)
         Z_red = grounded_impedance(Y)
         # The inverse of a symmetric matrix is symmetric; scrub the
         # solver's float-level asymmetry so block slices tile exactly.
         Z_red = 0.5 * (Z_red + Z_red.T)
         M, Nblk, Q = decompose_blocks(np.real(Z_red), gen, load)
-        blocks = SensitivityBlocks(X_full, Z_red, M, Nblk, Q, gen, load)
+        blocks = SensitivityBlocks(Z_red, M, Nblk, Q, gen, load)
         # Convexity of every downstream objective rides on Q being PSD.
         if len(load) and np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-12:
             raise ModelError("Q block is not positive semidefinite")

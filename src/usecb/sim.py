@@ -278,13 +278,13 @@ def md_bounds(scenario, seed):
 class RunResult:
     """Arrays over the horizon for one (scheme, seed) run.
 
-    ``c_in`` is the run's indoor trajectory, ``(T + 1, n)``: row t is the
-    state at the start of slot t, row T the state after the last slot.  A
-    static run's never moves, so its ``c_in`` is one row broadcast with
-    stride 0, which pickles as that row and loads as the same read-only
-    broadcast.  ``c_in_true`` (rows 0..T-1) and ``c_in_after`` (rows 1..T)
-    are read-only views of it, so a run stores, and pickles, one indoor
-    array."""
+    Its true profiles are those of its ``scenario``.  ``c_in`` is the run's
+    indoor trajectory, ``(T + 1, n)``: row t is the state at the start of
+    slot t, row T the state after the last slot.  A static run's never
+    moves, so its ``c_in`` is one row broadcast with stride 0, which pickles
+    as that row and loads as the same read-only broadcast.  ``c_in_true``
+    (rows 0..T-1) and ``c_in_after`` (rows 1..T) are read-only views of it,
+    so a run stores, and pickles, one indoor array."""
 
     scheme: str
     seed: int
@@ -294,9 +294,7 @@ class RunResult:
     loss: np.ndarray = None
     f_true: np.ndarray = None
     feasible: np.ndarray = None
-    p_g_true: np.ndarray = None
     p_g_obs: np.ndarray = None
-    c_out_true: np.ndarray = None
     c_out_obs: np.ndarray = None
     c_in: np.ndarray = None
     c_in_obs: np.ndarray = None
@@ -336,14 +334,15 @@ def run_scheme(scenario, scheme, seed=None):
     """Simulate one control scheme over the scenario horizon, under ``seed``
     (the scenario's by default) or under each of a sequence of seeds.
 
-    A sequence of R seeds returns R results, one per seed.  On a static
-    scenario, where every row plays the one slot-0 set, they run as one
-    program: the R controls form an ``(R, n)`` stack, with stacked
-    gradients, one projection call per step for all rows and stacked
-    solves whose rows stop at their own steps.  Each row keeps its own
-    noise streams, step sizes and solver diagnostics, and equals its
-    single-seed run bit for bit; a row that raises fails the batch.  On a
-    dynamic scenario each seed has its own per-slot sets and runs alone.
+    A sequence of R seeds returns R results, one per seed, and an empty
+    sequence returns none.  On a static scenario, where every row plays the
+    one slot-0 set, they run as one program: the R controls form an
+    ``(R, n)`` stack, with stacked gradients, one projection call per step
+    for all rows and stacked solves whose rows stop at their own steps.
+    Each row keeps its own noise streams, step sizes and solver
+    diagnostics, and equals its single-seed run bit for bit; a row that
+    raises fails the batch.  On a dynamic scenario each seed has its own
+    per-slot sets and runs alone.
     A run of one seed steps plain vectors (row 0 of the stacks), which
     round exactly as a one-row stack does at less cost per numpy call.
 
@@ -378,7 +377,7 @@ def run_scheme(scenario, scheme, seed=None):
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     static = scenario.is_static
-    if np.ndim(seed) == 1 and not static:
+    if np.ndim(seed) == 1 and (not static or len(seed) == 0):
         return [run_scheme(scenario, scheme, s) for s in seed]
     seeds = ([int(s) for s in seed] if np.ndim(seed) == 1
              else [scenario.seed if seed is None else int(seed)])
@@ -494,8 +493,6 @@ def run_scheme(scenario, scheme, seed=None):
             p_c[r], pg_obs[r], cout_obs[r], cin_obs[r]
         out.loss, out.p_0, out.f_true, out.feasible = \
             loss[r], p_0[r], f_true[r], feasible[r]
-        out.p_g_true = scenario.p_g_true.copy()
-        out.c_out_true = scenario.c_out_true.copy()
         out.c_in = np.broadcast_to(cin[r], (T + 1, n_c))
         if scheme != "stochastic":
             out.solver_converged, out.solver_iterations = \
@@ -522,7 +519,7 @@ def metrics(run, trailing_window=100):
     check_window(trailing_window)
     scn = run.scenario
     cons = run.p_c + scn.p_fixed
-    residual = run.p_0 - (cons.sum(axis=1) - run.p_g_true.sum(axis=1) + run.loss)
+    residual = run.p_0 - (cons.sum(axis=1) - scn.p_g_true.sum(axis=1) + run.loss)
     dev = np.abs(run.c_in_after - scn.buildings.c_set)
     w = min(trailing_window, run.f_true.shape[0])
     out = {
@@ -588,8 +585,9 @@ def write_run_csv(run, path):
     ``%`` per row.  Slot t's ``cin_true`` and ``cin_after`` are rows t and
     t+1 of the indoor trajectory ``run.c_in``, whose rows a block formats
     once each.  A row of the trajectory, or of the scenario columns
-    (``c_out_true`` and ``pg_true``), whose bits equal the previous row's
-    reuses that row's string, so a static run formats them once a block."""
+    (``c_out_true`` and ``pg_true``, read from ``run.scenario``), whose bits
+    equal the previous row's reuses that row's string, so a static run
+    formats them once a block."""
     scn = run.scenario
     load_labels = [scn.bus_label(b) for b in scn.model.load_buses]
     gen_labels = [scn.bus_label(b) for b in scn.model.gen_buses]
@@ -613,7 +611,7 @@ def write_run_csv(run, path):
             hi = min(lo + _BOOK_BLOCK, T)
             k = slice(lo, hi)
             scen = _row_strings(
-                scen_fmt, np.column_stack([run.c_out_true[k], run.p_g_true[k]]))
+                scen_fmt, np.column_stack([scn.c_out_true[k], scn.p_g_true[k]]))
             cin = _row_strings(cin_fmt, run.c_in[lo:hi + 1])
             body = np.column_stack([run.p_0[k], run.loss[k], run.f_true[k],
                                     run.p_g_obs[k], run.p_c[k],

@@ -50,7 +50,7 @@ def grid_search_projection(fset, x, step=1e-3, chunk=200_000):
 
 
 def _scan(fset, x, pts, best, best_d):
-    if fset.A_volt is not None and fset.A_volt.size:
+    if fset.A_volt.size:
         band = fset.offset[None, :] + pts @ fset.A_volt.T
         ok = np.all(band >= fset.v_min - 1e-12, axis=1) & \
             np.all(band <= fset.v_max + 1e-12, axis=1)

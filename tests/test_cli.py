@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
-from usecb import experiments
+from usecb import cli, experiments
 from usecb.cli import main
-from usecb.errors import ConfigError
+from usecb.errors import ConfigError, ProjectionError
 from usecb.experiments import run_regret_experiment, run_static_comparison
 from usecb.sim import build_ieee37_scenario, data_path
 
@@ -121,6 +121,19 @@ def test_horizon_override(short_static_config, tmp_path, capsys):
                  "--horizon", "5", "--out", str(out)]) == 0
     rows = (out / "slots_stochastic_42.csv").read_text().strip().splitlines()
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "regret",
+                                     "gradcheck"])
+def test_negative_seed_exits_2_naming_it(command, short_static_config,
+                                         tmp_path, capsys):
+    """A negative ``--seed`` is a configuration error, as a negative config
+    ``seed`` is, and fails before any run or output."""
+    out = tmp_path / "out"
+    assert main([command, "--config", short_static_config, "--seed=-1",
+                 "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- validate / gradcheck --------------------------------------------------------
@@ -517,3 +530,23 @@ def test_compare_writes_all_schemes(short_static_config, tmp_path, capsys):
                  "--out", str(out)]) == 0
     summary = json.loads((out / "compare_42.json").read_text())
     assert set(summary) == {"stochastic", "exact", "oracle"}
+
+
+def test_compare_with_a_failing_scheme_writes_nothing(short_static_config,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    """All three schemes run before any output is written, so a scheme that
+    fails exits 3 with no other scheme's output left behind."""
+    real = cli.run_scheme
+
+    def failing(scenario, scheme, seed):
+        if scheme == "oracle":
+            raise ProjectionError("oracle failed (test)")
+        return real(scenario, scheme, seed=seed)
+
+    monkeypatch.setattr(cli, "run_scheme", failing)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", short_static_config,
+                 "--out", str(out)]) == 3
+    assert "oracle failed" in capsys.readouterr().err
+    assert not any(out.iterdir())

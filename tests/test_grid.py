@@ -184,7 +184,7 @@ def test_loss_block_form_equals_balanced_full_form():
         p_full[np.asarray(gen)] = p_g
         p_full[np.asarray(load)] = -p_c
         p_full[0] = -p_full.sum()
-        full_val = full_power_loss(blk.X_full, p_full)
+        full_val = full_power_loss(compute_sensitivity(model.Y), p_full)
         assert block_val == pytest.approx(full_val, abs=1e-12)
 
 

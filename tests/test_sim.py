@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import pickle
@@ -13,6 +14,8 @@ from usecb.errors import (ConfigError, FeasibilityError, ModelError,
 from usecb.mirror import run_online, step_size
 from usecb.sim import (NoiseConfig, build_ieee37_scenario, data_path,
                        load_scenario, metrics, observe, run_scheme)
+
+from conftest import same_bits
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +272,7 @@ def test_conservation_identity_every_slot(static_scenario, dynamic_scenario):
                              scheme)
             cons = run.p_c + run.scenario.p_fixed
             lhs = run.p_0
-            rhs = cons.sum(axis=1) - run.p_g_true.sum(axis=1) + run.loss
+            rhs = cons.sum(axis=1) - run.scenario.p_g_true.sum(axis=1) + run.loss
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -453,7 +456,7 @@ def test_dynamic_run_steps_by_the_thermal_model(day, scheme):
                                 variant="dynamic")
     run = run_scheme(scn, scheme)
     for t in range(scn.horizon):
-        want = sim.thermal_step(run.c_in_true[t], run.c_out_true[t],
+        want = sim.thermal_step(run.c_in_true[t], scn.c_out_true[t],
                                 run.p_c[t], scn.buildings)
         assert np.array_equal(run.c_in_after[t], want), t
     assert np.array_equal(run.c_in_true[1:], run.c_in_after[:-1])
@@ -637,6 +640,42 @@ def test_batched_rows_equal_single_runs(case, scheme, monkeypatch):
         assert took_band
 
 
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_empty_seed_sequence_runs_nothing(variant, scheme):
+    scn = build_ieee37_scenario({"horizon": 10}, variant=variant)
+    assert run_scheme(scn, scheme, seed=[]) == []
+
+
+def test_pooled_runs_equal_in_process_runs(monkeypatch):
+    """The three schemes sent through ``map_replications``' process pool,
+    on a static and a dynamic scenario, come back under their keys in
+    sorted key order, each equal field by field and bit for bit to its run
+    in this process.  A static run's frozen indoor state crosses as one row
+    and comes back as the same broadcast."""
+    monkeypatch.setattr(experiments, "default_workers", lambda: 2)
+    scns = {v: build_ieee37_scenario({"horizon": 12}, variant=v)
+            for v in ("static", "dynamic")}
+    jobs = {(v, scheme): (scns[v], scheme, 3)
+            for v in scns for scheme in sim.SCHEMES}
+    out = experiments.map_replications(experiments.run_scheme_job, jobs)
+    assert list(out) == sorted(jobs)
+    for (variant, scheme), got in out.items():
+        want = run_scheme(scns[variant], scheme, seed=3)
+        for f in dataclasses.fields(sim.RunResult):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "scenario":
+                # A copy that crossed the process, with the same profiles.
+                assert a is not b
+                assert same_bits(a.p_g_true, b.p_g_true)
+                assert same_bits(a.c_out_true, b.c_out_true)
+            elif isinstance(b, np.ndarray):
+                assert same_bits(a, b), (variant, scheme, f.name)
+            else:
+                assert a == b, (variant, scheme, f.name)
+        assert (got.c_in.strides[0] == 0) == (variant == "static")
+
+
 def _per_slot_bookkeeping(run):
     """Loss, intake, true objective and feasibility of ``run`` from the
     formulas on its full ``(T, .)`` true inputs, and for a few slots on
@@ -653,11 +692,11 @@ def _per_slot_bookkeeping(run):
                 quad.value(p_c, quad.linear_term(c_in, c_out, p_g)),
                 band.violation(p_c, offset) <= sim.MEMBER_TOL)
 
-    whole = book(run.p_c, run.p_g_true, run.c_out_true[:, None],
+    whole = book(run.p_c, scn.p_g_true, scn.c_out_true[:, None],
                  run.c_in_true, offsets)
     T = len(run.p_c)
-    slots = {t: book(run.p_c[t], run.p_g_true[t],
-                     np.full(scn.n_loads, run.c_out_true[t]), run.c_in_true[t],
+    slots = {t: book(run.p_c[t], scn.p_g_true[t],
+                     np.full(scn.n_loads, scn.c_out_true[t]), run.c_in_true[t],
                      offsets if scn.is_static else offsets[t])
              for t in (0, T // 2, T - 1)}
     return whole, slots
@@ -762,11 +801,11 @@ def _fmt(x):
 
 def _reference_csv_rows(run):
     """The slot rows as a per-value writer formats them, one at a time."""
-    lines = []
+    scn, lines = run.scenario, []
     for t in range(run.f_true.shape[0]):
         row = [t, run.p_0[t], run.loss[t], run.f_true[t],
-               run.feasible[t], run.c_out_true[t]]
-        row += list(run.p_g_true[t]) + list(run.p_g_obs[t])
+               run.feasible[t], scn.c_out_true[t]]
+        row += list(scn.p_g_true[t]) + list(run.p_g_obs[t])
         row += list(run.p_c[t]) + list(run.c_in_true[t])
         row += list(run.c_in_obs[t]) + list(run.c_out_obs[t])
         row += list(run.c_in_after[t])
@@ -798,10 +837,15 @@ def test_static_run_csv_matches_per_value_writer(tmp_path):
 
 
 def _array_copies(run):
-    """Writable copies of every array of ``run``, by field name."""
-    return {f.name: getattr(run, f.name).copy()
-            for f in dataclasses.fields(sim.RunResult)
-            if isinstance(getattr(run, f.name), np.ndarray)}
+    """Writable copies of every array of ``run``, by field name, and under
+    ``scenario`` a copy of its scenario with writable copies of the true
+    profiles, which the writer reads from there."""
+    scn = copy.copy(run.scenario)
+    scn.p_g_true, scn.c_out_true = scn.p_g_true.copy(), scn.c_out_true.copy()
+    return {"scenario": scn,
+            **{f.name: getattr(run, f.name).copy()
+               for f in dataclasses.fields(sim.RunResult)
+               if isinstance(getattr(run, f.name), np.ndarray)}}
 
 
 def test_run_csv_edge_values_match_per_value_writer(tmp_path):
@@ -812,7 +856,7 @@ def test_run_csv_edge_values_match_per_value_writer(tmp_path):
     edge["loss"][:] = [900.0, 0.0, -1e-310]
     edge["f_true"][:] = [np.nan, np.inf, -np.inf]
     edge["feasible"][:] = [True, False, True]
-    edge["c_out_true"][:] = [-0.0, 2.0 ** 53, 0.1]
+    edge["scenario"].c_out_true[:] = [-0.0, 2.0 ** 53, 0.1]
     edge["p_c"][0, :3] = [5e-324, -5e-324, 1.0000000000000002]
     edge["c_in"][2, :2] = [-np.inf, 123456789012345678.0]
     _assert_csv_matches_reference(dataclasses.replace(run, **edge),
@@ -834,10 +878,11 @@ def test_repeated_edge_rows_match_per_value_writer(tmp_path):
     c_in[3:5] = np.nan
     c_in[5:] = np.inf
     c_in[5:, 1] = -np.inf
-    edge["c_out_true"][:] = [0.0, 0.0, -0.0, np.nan, np.nan, np.inf]
-    edge["p_g_true"][:] = 0.0
-    edge["p_g_true"][2, 1] = -0.0
-    edge["p_g_true"][3:5] = np.nan
+    scn = edge["scenario"]
+    scn.c_out_true[:] = [0.0, 0.0, -0.0, np.nan, np.nan, np.inf]
+    scn.p_g_true[:] = 0.0
+    scn.p_g_true[2, 1] = -0.0
+    scn.p_g_true[3:5] = np.nan
     run = dataclasses.replace(run, **edge)
     _assert_csv_matches_reference(run, tmp_path / "x.csv")
     # Slots 0 and 1 end at rows 1 and 2 of the trajectory.
@@ -855,8 +900,9 @@ def test_repeated_rows_across_a_block_boundary_match_per_value_writer(tmp_path):
     edge = _array_copies(run)
     # Zero-PV slots at a constant outdoor temperature across the first
     # boundary, and an indoor trajectory frozen across both.
-    edge["p_g_true"][block - 28:block + 72] = 0.0
-    edge["c_out_true"][block - 28:block + 72] = edge["c_out_true"][block - 28]
+    scn = edge["scenario"]
+    scn.p_g_true[block - 28:block + 72] = 0.0
+    scn.c_out_true[block - 28:block + 72] = scn.c_out_true[block - 28]
     edge["c_in"][block - 8:block + 12] = edge["c_in"][block - 8]
     edge["c_in"][2 * block:2 * block + 3] = edge["c_in"][2 * block - 1]
     _assert_csv_matches_reference(dataclasses.replace(run, **edge),

@@ -15,7 +15,6 @@ def _empty_grid_blocks(n_loads, n_gens=0):
     """Blocks with no network coupling (Q = 0), for isolated-objective tests."""
     n = n_loads + n_gens
     return SensitivityBlocks(
-        X_full=np.zeros((n + 1, n + 1), dtype=complex),
         Z_red=np.zeros((n, n), dtype=complex),
         M=np.zeros((n_gens, n_gens)), N=np.zeros((n_gens, n_loads)),
         Q=np.zeros((n_loads, n_loads)),
@@ -35,7 +34,6 @@ def _coupled_objective(rng=None, n=3):
     raw = rng.normal(size=(n, n)) * 0.01
     Q = raw @ raw.T
     blocks = SensitivityBlocks(
-        X_full=np.zeros((n + 2, n + 2), dtype=complex),
         Z_red=np.zeros((n + 1, n + 1), dtype=complex),
         M=np.array([[0.02]]), N=rng.normal(size=(1, n)) * 0.005, Q=Q,
         gen_buses=(1,), load_buses=tuple(range(2, n + 2)))

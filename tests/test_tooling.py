@@ -1,8 +1,9 @@
-"""The benchmark's tracer and the package exports still find every name
-they refer to, so deleting a traced or exported global fails here; and the
-output digest tool lists every CLI output, the same on every run, and says
-how two runs' outputs differ."""
+"""The benchmark's tracer and scripts and the package exports still find
+every name they refer to, so deleting a traced, used or exported global
+fails here; and the output digest tool lists every CLI output, the same on
+every run, and says how two runs' outputs differ."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -53,6 +54,24 @@ def test_package_all_resolves():
                               "usecb.experiments", "usecb.timeseries")
                for name in importlib.import_module(module).__all__
                if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+
+
+def test_bench_program_names_resolve():
+    """Every ``experiments.<name>`` and ``sim.<name>`` that the benchmark's
+    runner and workloads refer to exists in the program, so deleting one
+    fails here, not only in a benchmark run."""
+    used = set()
+    for script in ("run.py", "workloads.py"):
+        tree = ast.parse((ROOT / "bench" / script).read_text())
+        used |= {(node.value.id, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("experiments", "sim")}
+    assert ("experiments", "map_replications") in used
+    assert ("sim", "run_scheme") in used
+    missing = [f"{module}.{name}" for module, name in sorted(used)
+               if not hasattr(importlib.import_module(f"usecb.{module}"), name)]
     assert not missing
 
 
