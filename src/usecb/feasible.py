@@ -125,18 +125,31 @@ class VoltageBand:
         or each row of a ``(T, rows)`` stack: every row stays within its
         bounds over the box, rounding included.  Where it holds, the box
         clamp is the projection."""
+        return self.screen(offset)[0]
+
+    def screen(self, offset):
+        """``(holds_box(offset), breaks_mid)`` for one slot or each row of
+        a ``(T, rows)`` stack: whether the band holds the box, and whether
+        the box midpoint breaks the band, the two tests that place a set
+        (see :func:`build_feasible`)."""
         mid = offset + self.A_mid
-        return ((mid - self.A_rad >= self.v_min)
-                & (mid + self.A_rad <= self.v_max)).all(axis=-1)
+        holds = ((mid - self.A_rad >= self.v_min)
+                 & (mid + self.A_rad <= self.v_max)).all(axis=-1)
+        return holds, ((mid < self.v_min) | (mid > self.v_max)).any(axis=-1)
+
+    def box_violation(self, p):
+        """How far ``p``, a point or a stack of them, lies outside the box,
+        one value per point.  Where the band holds the box it is the whole
+        :meth:`violation` of a box point."""
+        return np.maximum(np.max(self.p_min - p, axis=-1),
+                          np.max(p - self.p_max, axis=-1))
 
     def violation(self, p, offset):
         """How far ``p``, a point or a stack of them, lies outside the box
         and the band at ``offset``, one value per point; a member's is at
         most ``MEMBER_TOL``."""
         band = offset + matvec(self.A_volt, p)
-        box = np.maximum(np.max(self.p_min - p, axis=-1),
-                         np.max(p - self.p_max, axis=-1))
-        return np.maximum(box, np.maximum(
+        return np.maximum(self.box_violation(p), np.maximum(
             np.max(self.v_min - band, axis=-1, initial=-np.inf),
             np.max(band - self.v_max, axis=-1, initial=-np.inf)))
 
@@ -186,26 +199,25 @@ class FeasibleSet:
     def __init__(self, p_min, p_max, A_volt=(), offset=0.0,
                  v_min=-np.inf, v_max=np.inf):
         band = VoltageBand(p_min, p_max, A_volt, v_min, v_max)
-        self._place(band, np.broadcast_to(offset, band.dead.shape).astype(float))
+        offset = np.broadcast_to(offset, band.dead.shape).astype(float)
+        self._place(band, offset, *band.screen(offset))
 
-    def _place(self, band, offset):
+    def _place(self, band, offset, box_only, breaks_mid):
         """Make this the set ``band`` gives at ``offset`` (one value per
-        band row) and certify it: a set whose band holds the box is marked
+        band row) and certify it, given the slot's
+        :meth:`VoltageBand.screen`: a set whose band holds the box is marked
         ``box_only`` and needs no certificate."""
         self.band, self.offset = band, offset
         self.p_min, self.p_max = band.p_min, band.p_max
         self.A_volt, self.v_min, self.v_max = band.A_volt, band.v_min, band.v_max
         # A band that holds the box leaves the plain box: never empty, and
         # projected by the clamp alone.
-        self.box_only = bool(band.holds_box(offset))
-        if self.box_only:
-            return
+        self.box_only = bool(box_only)
         # Certification: the box midpoint is a member unless it breaks the
         # band; then the dual solve started from it either finds a member or
         # certifies that the set is empty.  A constant row out of range breaks
         # the band at every point, the midpoint too, and empties the set.
-        mid_band = offset + band.A_mid
-        if (mid_band < self.v_min).any() or (mid_band > self.v_max).any():
+        if breaks_mid:
             gap = np.maximum(self.v_min - offset, offset - self.v_max)[band.dead]
             if (gap > 0.0).any():
                 worst = float(gap.max())
@@ -584,14 +596,16 @@ def _nonneg_qp(Q, b, u):
     return u
 
 
-def build_feasible(band, offset):
+def build_feasible(band, offset, *, _screen=None):
     """The constraint set ``band`` (from :func:`build_band`) gives at one
     slot's row offsets, ``band.offset(p_g, p_fixed)``, certified nonempty.
 
     Only the offsets move from slot to slot: the generation and the
     inflexible load shift them, while the controllable load enters through
-    the band's fixed ``A_volt``.
+    the band's fixed ``A_volt``.  A caller that screened many slots' offsets
+    at once passes this slot's ``band.screen`` result as ``_screen``.
     """
     fset = FeasibleSet.__new__(FeasibleSet)
-    fset._place(band, offset)
+    fset._place(band, offset, *(band.screen(offset) if _screen is None
+                                else _screen))
     return fset

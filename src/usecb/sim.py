@@ -19,6 +19,7 @@ the scenario's slot-0 constraint set, built once from the true generation.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -350,29 +351,38 @@ def run_scheme(scenario, scheme, seed=None):
     the work that does not depend on the control: the step sizes, the
     noise of each indoor reading, the input part of each linear term
     (``Quadratic.input_term``) and, on a dynamic day, the outdoor part of
-    each thermal step and every slot's band offsets from its generation
-    reading.  A static run's indoor temperatures stay frozen, so before
+    each thermal step, every slot's band offsets from its generation
+    reading and their screen (:meth:`~usecb.feasible.VoltageBand.screen`):
+    whether the slot's band holds the box, and whether the box midpoint
+    breaks it.  A static run's indoor temperatures stay frozen, so before
     the loop it also forms every slot's reading ``c_in_init + sigma *
     z[t]`` and linear term ``b = input - temp_w * reading``, the same bits
     as ``observe`` and ``linear_term``; a static slot only steps or solves
-    on the scenario's set.  A dynamic slot reads its indoor temperature,
-    forms its ``b`` the same way, steps or solves, projecting onto
-    one shared plain box where its band holds the box
-    (:meth:`~usecb.feasible.VoltageBand.holds_box`), else onto
-    ``build_feasible(band, offsets[t])``, and advances the indoor
-    temperature by ``keep * c_in + outdoor - control_gain * control``, the
-    bits of ``thermal_step``.  The slot's reading, linear term, step,
-    projected control and indoor temperature are written in place.  After
-    the loop, a non-finite control (a nan step, which the clamp of a
-    box-only set passes on) raises ``ProjectionError`` naming the seed and
-    its first such slot.  Then one pass over blocks of slots does the
-    bookkeeping of every row at once: loss, intake and true objective
-    against the true physics (``power_loss``, ``grid_intake``,
-    ``Quadratic.value`` of ``Quadratic.linear_term``), and each slot's
-    feasibility against its own set.  A static run's true inputs are its
-    slot-0 ones, passed as one row like its frozen indoor state, so those
-    formulas form their constant terms once and broadcast them; each row's
-    values equal those of the formulas on its own slots' inputs bit for bit.
+    on the scenario's set.  The loop walks the slots' rows together (its
+    ``b``, reading noise, control, step size, next indoor state, outdoor
+    term and screen) with ``t`` as its variable.  A dynamic slot reads its
+    indoor temperature, forms its ``b`` the same way, steps or solves,
+    projecting onto one shared plain box where its band holds the box,
+    else onto ``build_feasible(band, offsets[t])`` placed with its screen
+    (certified when the midpoint breaks the band, so an empty set raises
+    at its own slot), and advances the indoor temperature by ``keep *
+    c_in + outdoor - control_gain * control``, the bits of
+    ``thermal_step``.  The slot's reading, linear term, step, projected
+    control and indoor temperature are written in place.  After the loop,
+    a non-finite control (a nan step, which the clamp of a box-only set
+    passes on) raises ``ProjectionError`` naming the seed and its first
+    such slot.  Then one pass over blocks of slots does the bookkeeping of
+    every row at once: loss, intake and true objective against the true
+    physics (``power_loss``, ``grid_intake``, ``Quadratic.value`` of
+    ``Quadratic.linear_term``), and each slot's feasibility against its
+    own set.  A slot whose band holds the box (a box-only static set too)
+    is judged by :meth:`~usecb.feasible.VoltageBand.box_violation` alone:
+    its control is a box point, whose band values the screen bounds with
+    rounding included, so the answer is that of ``violation``.  A static
+    run's true inputs are its slot-0 ones, passed as one row like its
+    frozen indoor state, so those formulas form their constant terms once
+    and broadcast them; each row's values equal those of the formulas on
+    its own slots' inputs bit for bit.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -404,13 +414,19 @@ def run_scheme(scenario, scheme, seed=None):
         b_in[r] = quad.input_term(cout_obs[r], pg_obs[r])
     cin_obs *= noise.sigma_temp
     temp_w, keep, control_gain = quad.temp_w, bld.keep, bld.control_gain
+
+    def slots(x):
+        # The slot-major rows of an (R, T, ...) stack: plain vectors for
+        # one seed, (R, ...) slabs for a stack.
+        return x[0] if R == 1 else x.swapaxes(0, 1)
+
     # Row r, slot t of ``cin`` is the indoor temperature at the start of
     # slot t; slot t+1 is the one after it.
     cin = np.empty((R, 1 if static else T + 1, n_c))
     cin[:, 0] = scenario.c_in_init
-    row = 0 if R == 1 else slice(None)
-    c_in = cin[row, 0]
+    c_in = slots(cin)[0]
     p_c = np.empty((R, T, n_c))
+    idle = itertools.repeat(None)
     if static:
         # The indoor state never moves, so every slot's reading and linear
         # term are known here: observe() and linear_term() of all of them.
@@ -418,15 +434,21 @@ def run_scheme(scenario, scheme, seed=None):
         b_in -= temp_w * cin_obs
         fset_t = env_set
         offsets = np.broadcast_to(env_set.offset, (T, env_set.offset.size))
+        binds = np.full(T, not env_set.box_only)
+        noise_t = next_t = outdoor = screens = idle
     else:
-        # Every slot's band offsets from its reading; feasibility is judged
-        # against them after the loop.  Slots whose band holds the box share
-        # one plain box; every other slot places and certifies its own set
-        # in the loop.  The outdoor part of each thermal step is the step
-        # from 0 degrees indoors with no AC, exactly outdoor_gain * c_out.
+        # Every slot's band offsets from its reading, screened at once:
+        # slots whose band holds the box share one plain box, and every
+        # other slot places its own set in the loop, certified there when
+        # the box midpoint breaks its band.  The outdoor part of each
+        # thermal step is the step from 0 degrees indoors with no AC,
+        # exactly outdoor_gain * c_out.
         offsets = band.offset(pg_obs[0], scenario.p_fixed)
-        box_slot = band.holds_box(offsets).tolist()
+        holds, breaks_mid = band.screen(offsets)
+        binds = ~holds
+        screens = zip(holds.tolist(), breaks_mid.tolist())
         box_set = FeasibleSet(band.p_min, band.p_max)
+        noise_t, next_t = slots(cin_obs), slots(cin[:, 1:])
         outdoor = thermal_step(0.0, scenario.c_out_true[:, None], 0.0, bld)
     if scheme == "stochastic":
         # Each slot's step size: a float for one seed, an (R, 1) column for
@@ -434,29 +456,33 @@ def run_scheme(scenario, scheme, seed=None):
         eta = step_size(np.arange(1, T + 1), D[:, None], g_star[:, None])
         eta = eta[0].tolist() if R == 1 else eta.T[:, :, None]
     else:
+        eta = idle
         converged = np.empty((R, T), dtype=bool)
         iterations = np.empty((R, T), dtype=int)
-    a = np.repeat(env_set.project(env_set.midpoint())[None], R, axis=0)[row]
+    a = env_set.project(env_set.midpoint())
+    a = a if R == 1 else np.repeat(a[None], R, axis=0)
     tmp = np.empty_like(a)
 
-    for t in range(T):
-        b = b_in[row, t]
+    for t, b, z, out, eta_t, c_next, outdoor_t, screen in zip(
+            range(T), slots(b_in), noise_t, slots(p_c), eta, next_t, outdoor,
+            screens):
         if not static:
             # observe() and linear_term() of this slot's readings, in place.
-            c_obs = np.add(c_in, cin_obs[row, t], out=cin_obs[row, t])
+            c_obs = np.add(c_in, z, out=z)
             np.subtract(b, np.multiply(temp_w, c_obs, out=tmp), out=b)
-            fset_t = box_set if box_slot[t] else build_feasible(band, offsets[t])
+            fset_t = box_set if screen[0] else build_feasible(
+                band, offsets[t], _screen=screen)
         if scheme == "stochastic":
-            np.subtract(a, np.multiply(eta[t], quad.grad(a, b), out=tmp), out=tmp)
-            a = fset_t.project(tmp, out=p_c[row, t])
+            np.subtract(a, np.multiply(eta_t, quad.grad(a, b), out=tmp), out=tmp)
+            a = fset_t.project(tmp, out=out)
         else:
-            a, converged[row, t], iterations[row, t] = minimize_projected(
+            a, converged[:, t], iterations[:, t] = minimize_projected(
                 quad.grad, b, fset_t, quad.scale, quad.L_W, x0=a, tol=_EXACT_TOL)
-            p_c[row, t] = a
+            out[...] = a
         if not static:
             # thermal_step(c_in, c_out_true[t], a, bld), bit for bit.
-            c_in = np.multiply(keep, c_in, out=cin[0, t + 1])
-            np.add(c_in, outdoor[t], out=c_in)
+            c_in = np.multiply(keep, c_in, out=c_next)
+            np.add(c_in, outdoor_t, out=c_in)
             np.subtract(c_in, np.multiply(control_gain, a, out=tmp), out=c_in)
 
     # A non-finite step comes back from the clamp of a box-only set as a
@@ -470,7 +496,9 @@ def run_scheme(scenario, scheme, seed=None):
     # Bookkeeping against the true physics, every row at once and one block
     # of slots at a time, so its temporaries stay small.  A static run's
     # true inputs are its slot-0 ones, as one row, like its indoor state, so
-    # the formulas form their constant terms once and broadcast them.
+    # the formulas form their constant terms once and broadcast them.  A
+    # control on a slot whose band holds the box is a clamp, a box point
+    # that meets the band, so only the box part of its violation is formed.
     blocks = scenario.model.blocks
     true = 1 if static else T
     pg_true, cout_true = scenario.p_g_true[:true], scenario.c_out_true[:true, None]
@@ -485,7 +513,11 @@ def run_scheme(scenario, scheme, seed=None):
         p_0[:, k] = grid_intake(pg, cons, loss[:, k])
         f_true[:, k] = quad.value(p_c[:, k], quad.linear_term(
             cin_true[:, k_true], cout_true[k_true], pg))
-        feasible[:, k] = band.violation(p_c[:, k], offsets[k]) <= MEMBER_TOL
+        feasible[:, k] = band.box_violation(p_c[:, k]) <= MEMBER_TOL
+        bind = lo + np.flatnonzero(binds[k])
+        if bind.size:
+            feasible[:, bind] = band.violation(
+                p_c[:, bind], offsets[bind]) <= MEMBER_TOL
     outs = []
     for r, s in enumerate(seeds):
         out = RunResult(scheme, s, scenario)

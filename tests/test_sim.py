@@ -587,6 +587,90 @@ def test_dynamic_run_builds_one_constraint_set_per_slot(scheme, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("v_min", [0.975, 0.98])
+def test_pre_loop_screen_equals_each_slot_placed_alone(v_min, monkeypatch):
+    """A dynamic run screens every slot's offsets before its loop and hands
+    each non-box slot's result to ``build_feasible``.  On every slot of the
+    tight day that result is what placing the slot's set alone decides: the
+    same ``box_only`` and the same certification, a band solve from the box
+    midpoint exactly where the midpoint breaks the band (some slots at
+    0.98, none at 0.975)."""
+    scn = build_ieee37_scenario({"voltage_band": {"v_min": v_min}},
+                                variant="dynamic")
+    screened, real = {}, sim.build_feasible
+
+    def recorded(band, offset, **kwargs):
+        screened[len(screened)] = kwargs["_screen"]
+        return real(band, offset, **kwargs)
+
+    monkeypatch.setattr(sim, "build_feasible", recorded)
+    run = run_scheme(scn, "stochastic")
+    monkeypatch.undo()
+
+    certified, project_band = [], sim.FeasibleSet._project_band
+
+    def counted(self, *args):
+        certified.append(1)
+        return project_band(self, *args)
+
+    monkeypatch.setattr(sim.FeasibleSet, "_project_band", counted)
+    offsets = scn.band.offset(run.p_g_obs, scn.p_fixed)
+    slots = iter(screened.values())
+    n_certified = 0
+    for t in range(scn.horizon):
+        certified.clear()
+        alone = real(scn.band, offsets[t])
+        outcome = (alone.box_only, bool(certified))
+        n_certified += outcome[1]
+        # Box slots build no set; every other slot's screen is the next one.
+        want = (True, False) if alone.box_only else next(slots)
+        assert outcome == want, t
+    assert next(slots, None) is None
+    assert (n_certified > 0) == (v_min == 0.98)
+
+
+@pytest.mark.parametrize("overrides, variant", [
+    (None, "dynamic"),
+    ({"voltage_band": {"v_min": 0.975}}, "dynamic"),
+    (None, "static"),
+    ({"voltage_band": {"v_min": 0.985}}, "static"),
+])
+def test_feasibility_equals_the_band_test_on_every_slot(overrides, variant,
+                                                        monkeypatch):
+    """Feasibility is judged by the box alone where the band holds the box,
+    and by the whole band test elsewhere; on every slot it equals
+    ``band.violation(p_c[t], offsets[t]) <= MEMBER_TOL``.  Some projections
+    are nudged off their sets so that both answers occur: every third one
+    up a quarter of the box, within it (which breaks a binding band), and
+    every fifth one out of the box."""
+    scn = build_ieee37_scenario(overrides, variant=variant)
+    band = scn.band
+    real, calls = sim.FeasibleSet.project, []
+
+    def nudged(self, x, scale=1.0, out=None):
+        p = real(self, x, scale, out)
+        calls.append(1)
+        width = band.p_max - band.p_min
+        if len(calls) % 3 == 0:
+            np.minimum(p + 0.25 * width, band.p_max, out=p)
+        if len(calls) % 5 == 0:
+            p += 2.0 * width
+        return p
+
+    for project in (real, nudged):
+        monkeypatch.setattr(sim.FeasibleSet, "project", project)
+        run = run_scheme(scn, "stochastic")
+        offsets = (scn.env_set.offset if scn.is_static
+                   else band.offset(run.p_g_obs, scn.p_fixed))
+        want = band.violation(run.p_c, offsets) <= sim.MEMBER_TOL
+        assert np.array_equal(run.feasible, want)
+        assert run.feasible.all() == (project is real)
+        # On a binding band some box points break the band.
+        in_box = band.box_violation(run.p_c) <= sim.MEMBER_TOL
+        assert (in_box & ~want).any() == (project is nudged
+                                          and overrides is not None)
+
+
 def test_empty_slot0_set_fails_at_construction():
     scn = build_ieee37_scenario({"horizon": 20})
     with pytest.raises(FeasibilityError):
