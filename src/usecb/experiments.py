@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AssumptionError, ConfigError
 from .mirror import minimize_projected, regret, run_online
 from .sim import (check_window, md_bounds, metrics, replication_seed,
-                  run_scheme, scenario_gradient_oracle)
+                  run_scheme, run_seed, scenario_gradient_oracle)
 
 __all__ = [
     "static_problem",
@@ -115,13 +115,14 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
     expression exp(-alpha eps^2 / (16 T D^2 G*^2)), which evaluates to
     exp(-1/4) at that eps.  alpha = 1 is the strong-convexity constant of
     the potential ||x||^2 / 2.  Raises ``ConfigError`` for an empty or
-    nonpositive horizon list or fewer than one replication.
+    nonpositive horizon list, fewer than one replication or a negative
+    ``base_seed``.
     """
     horizons = sorted(int(t) for t in horizons)
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"horizons must be positive integers, got {horizons}")
     _check_replications(replications)
-    base_seed = scenario.seed if base_seed is None else int(base_seed)
+    base_seed = scenario.seed if base_seed is None else run_seed(base_seed)
     a_star, f_star = static_problem(scenario)
     D, g_star = md_bounds(scenario, base_seed)
     alpha = 1.0
@@ -191,11 +192,12 @@ def run_static_comparison(scenario, replications=50, base_seed=None,
     Per replication: does the stochastic scheme's final true objective land
     within ``rel_tol`` of the oracle optimum, and is its trailing-window
     objective variance strictly below the exact scheme's?  Raises
-    ``ConfigError`` for fewer than one replication or a ``window`` below 1.
+    ``ConfigError`` for fewer than one replication, a ``window`` below 1 or
+    a negative ``base_seed``.
     """
     _check_replications(replications)
     check_window(window)
-    base_seed = scenario.seed if base_seed is None else int(base_seed)
+    base_seed = scenario.seed if base_seed is None else run_seed(base_seed)
     _, f_star = static_problem(scenario)
 
     seeds = [replication_seed(base_seed, rep) for rep in range(replications)]

@@ -13,7 +13,9 @@ that slot's certified :class:`FeasibleSet` (without voltage limits, a band
 of zero rows).  Each row's radius over the box, ``|A_volt| @ (p_max -
 p_min) / 2`` widened by a rounding margin, is kept beside ``A_volt @
 midpoint``, so :meth:`VoltageBand.holds_box` decides for one slot, or for a
-whole horizon of offsets at once, whether the band holds every box point.
+whole horizon of offsets at once, whether the band holds every box point
+(:meth:`VoltageBand.screen` also tells whether the box midpoint breaks
+the band, which decides whether placing a set needs a certificate).
 Such a set is marked ``box_only``: it is never empty, needs no certificate,
 and its projection is the box clamp, returned before any band arithmetic.
 On any other set the clamp is still returned when it satisfies every slab.
@@ -25,10 +27,12 @@ only the most violated row ``k``, at the root of
 ``a_k . p(y_k e_k) + c_k = bound_k`` found by breakpoint search over the
 box kinks, as for the continuous quadratic knapsack (Kiwiel, Math. Program.
 2008), and returns that point when every row meets the KKT tolerance.
-When one row is not enough, a projected Newton method on ``y`` from zero,
-with an exact line search on the dual objective, drives the KKT residual
-below 1e-10 on every row, or to a fixed point within the rounding floor of
-``x - A_volt.T @ y`` when that floor is higher and the point is a member.
+When it does not, a second one-row solve prices the row that point breaks
+most instead.  When one row is not enough, a projected Newton method on
+``y`` from zero, with an exact line search on the dual objective, drives
+the KKT residual below 1e-10 on every row, or to a fixed point within the
+rounding floor of ``x - A_volt.T @ y`` when that floor is higher and the
+point is a member.
 Its Levenberg-Marquardt shift keeps the Newton system regular when rows
 repeat (a generator bus and its parent load bus share one sensitivity row).
 An empty set is certified by a dual point that proves every box point
@@ -266,16 +270,19 @@ class FeasibleSet:
         return out
 
     def _project_band(self, x, scale=1.0, clamped=None, band=None):
-        """Projection onto box and band: a one-row solve, else projected
-        Newton on the dual.
+        """Projection onto box and band: up to two one-row solves, else
+        projected Newton on the dual.
 
         It starts from the clamp ``p(0)`` and its band values, ``clamped``
         and ``band`` when the caller holds them (at unit scale), and returns
-        the clamp when ``max |g| <= 1e-10`` there.  Otherwise the one-row
-        solve (:func:`_one_row`) prices the row the clamp breaks most, and
-        when that is not enough, or the box cannot meet the row, Newton runs
-        from ``y = 0`` as it would alone (:func:`_newton`), so its results
-        and emptiness certificates do not depend on the attempt.
+        the clamp when ``max |g| <= 1e-10`` there.  Otherwise a one-row
+        solve (:func:`_one_row`) prices the row the clamp breaks most.  When
+        its point misses that stopping rule, a second one-row solve prices,
+        from ``y = 0`` again, the row that point breaks most: the row that
+        binds at the projection is often not the one the clamp breaks most.
+        When that misses too, or the box cannot meet a priced row, Newton
+        runs from ``y = 0`` as it would alone (:func:`_newton`), so its
+        results and emptiness certificates do not depend on the attempts.
 
         With multipliers ``y`` on the band rows (``y_k > 0`` prices the upper
         bound, ``y_k < 0`` the lower one), the point is the clipped
@@ -310,10 +317,14 @@ class FeasibleSet:
             p, y = clamped, np.zeros(A.shape[0])
         else:
             solved = _one_row(x, g, A, c, lo, hi, p_min, p_max)
-            if solved is None:
+            if solved is not None and _missed(solved[2]):
+                # The row the clamp breaks most is not always the one that
+                # binds: price instead the row the attempt's point breaks most.
+                solved = _one_row(x, solved[2], A, c, lo, hi, p_min, p_max)
+            if solved is None or _missed(solved[2]):
                 p, y, resid, fixed = _newton(x, A, c, lo, hi, p_min, p_max)
             else:
-                p, y = solved
+                p, y, _ = solved
         p = np.where(p >= p_max, self.p_max,
                      np.where(p <= p_min, self.p_min, p / scale))
         if fixed:
@@ -326,17 +337,19 @@ class FeasibleSet:
 
 
 def _one_row(x, g, A, c, lo, hi, p_min, p_max):
-    """The one-row solve: price only the row ``k`` the clamp breaks most.
+    """A one-row solve: price only the row ``k`` that a point with KKT
+    residual ``g`` breaks most.
 
-    ``g`` is the KKT residual of the clamp.  With ``s = -sign(g_k)``, the
-    sign of the multiplier that prices the broken bound, the dual's slope
-    along ``y = alpha s e_k`` is ``s (bound_k - c_k) - e.clip(x - alpha e)``
-    with ``e = s A[k]``, and its root ``alpha`` is found by breakpoint search
-    over the box kinks (:func:`_slope_root`), as for the continuous
-    quadratic knapsack (Kiwiel, Math. Program. 2008).  Returns ``(p, y)`` at
-    ``y = alpha s e_k`` when every row meets Newton's stopping rule there,
-    ``max |g| <= 1e-10``; else, and when no root exists (the box cannot meet
-    the row), None.
+    With ``s = -sign(g_k)``, the sign of the multiplier that prices the
+    broken bound, the dual's slope along ``y = alpha s e_k`` is ``s
+    (bound_k - c_k) - e.clip(x - alpha e)`` with ``e = s A[k]``, and its
+    root ``alpha`` is found by breakpoint search over the box kinks
+    (:func:`_slope_root`), as for the continuous quadratic knapsack (Kiwiel,
+    Math. Program. 2008).  Returns ``(p, y, g)`` at ``y = alpha s e_k``,
+    with ``g`` the KKT residual there (the priced row at its bound, every
+    other row at the nearest point of its range), which meets Newton's
+    stopping rule when ``max |g| <= 1e-10``; None when no root exists (the
+    box cannot meet the row).
     """
     k = int(np.argmax(np.abs(g)))
     s = -np.sign(g[k])
@@ -351,11 +364,14 @@ def _one_row(x, g, A, c, lo, hi, p_min, p_max):
     if alpha > 0.0:
         # A priced row targets its bound, not the nearest point of its range.
         g[k] = bound - v[k]
-    if float(np.max(np.abs(g))) > _KKT_TOL:
-        return None
     y = np.zeros(A.shape[0])
     y[k] = alpha * s
-    return p, y
+    return p, y, g
+
+
+def _missed(g):
+    """Whether the KKT residual ``g`` misses Newton's stopping rule."""
+    return float(np.max(np.abs(g))) > _KKT_TOL
 
 
 def _newton(x, A, c, lo, hi, p_min, p_max):

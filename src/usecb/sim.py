@@ -45,6 +45,7 @@ __all__ = [
     "noise_streams",
     "read_slots",
     "run_scheme",
+    "run_seed",
     "build_ieee37_scenario",
     "load_scenario",
     "metrics",
@@ -251,6 +252,15 @@ def scenario_gradient_oracle(scenario, seeds):
     return oracle
 
 
+def run_seed(seed):
+    """``seed`` as a run seed, ``int(seed)``; ``ConfigError`` unless it is
+    nonnegative, as the noise streams need."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"run seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def md_bounds(scenario, seed):
     """(D, G*) for the step rule on the scenario's slot-0 set, sampled from
     the stochastic oracle.
@@ -263,7 +273,8 @@ def md_bounds(scenario, seed):
     scenario contributes its whole gradient range to G*; a noise-free
     scenario reads the same slots at zero noise.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), STREAM_BOUNDS)))
+    seed = run_seed(seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, STREAM_BOUNDS)))
     quad = scenario.objective
     probe_slots = np.unique(np.linspace(0, scenario.horizon - 1, 8, dtype=int))
     streams = noise_streams(derived_seed(seed, STREAM_PROBES))
@@ -387,10 +398,10 @@ def run_scheme(scenario, scheme, seed=None):
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     static = scenario.is_static
-    if np.ndim(seed) == 1 and (not static or len(seed) == 0):
-        return [run_scheme(scenario, scheme, s) for s in seed]
-    seeds = ([int(s) for s in seed] if np.ndim(seed) == 1
-             else [scenario.seed if seed is None else int(seed)])
+    seeds = ([run_seed(s) for s in seed] if np.ndim(seed) == 1
+             else [scenario.seed if seed is None else run_seed(seed)])
+    if np.ndim(seed) == 1 and (not static or not seeds):
+        return [run_scheme(scenario, scheme, s) for s in seeds]
     R, T, n_c = len(seeds), scenario.horizon, scenario.n_loads
     quad, bld = scenario.objective, scenario.buildings
     env_set, band = scenario.env_set, scenario.band

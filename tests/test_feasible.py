@@ -733,7 +733,8 @@ def test_row_stack_projection_equals_rows_alone(ieee37_tight):
 # --- the one-row solve ------------------------------------------------------------
 # Before its Newton solve the band projection prices only the most violated
 # row, at the root its breakpoint search finds, and keeps that point when
-# every row then meets Newton's stopping rule.
+# every row then meets Newton's stopping rule; when it does not, it prices
+# the row that point breaks most in the same way.
 
 
 def _newton_only(monkeypatch):
@@ -790,6 +791,33 @@ def test_two_active_rows_fall_back_to_newton(monkeypatch):
     q, z = fs._project_band(x)
     assert declined == [1]
     assert np.array_equal(p, q) and np.array_equal(y, z)
+
+
+def test_second_one_row_attempt_lands_without_newton(monkeypatch):
+    # Box [0, 1]^2 cut by 10 p1 <= 5 and p1 + p2 <= 0.6: from (0.6, 0.6)
+    # the clamp breaks the first row most (by 1 against 0.6), and pricing
+    # it leaves (0.5, 0.6) above the second.  The second attempt prices
+    # that row alone and lands on the projection (0.3, 0.3).
+    fs = FeasibleSet(np.zeros(2), np.ones(2), [[10.0, 0.0], [1.0, 1.0]],
+                     np.zeros(2), v_max=[5.0, 0.6])
+    x = np.array([0.6, 0.6])
+    priced, one_row = [], feasible._one_row
+
+    def counted(x, g, *args):
+        priced.append(int(np.argmax(np.abs(g))))
+        return one_row(x, g, *args)
+
+    monkeypatch.setattr(feasible, "_one_row", counted)
+    calls = count_newton_steps(monkeypatch)
+    p, y = fs._project_band(x)
+    assert calls == [0] and priced == [0, 1]
+    assert y[0] == 0.0 and y[1] > 0.0
+    _kkt_check(fs, x)
+    declined = _newton_only(monkeypatch)
+    q, z = fs._project_band(x)
+    assert declined == [1]
+    assert np.max(np.abs(p - q)) <= 1e-13 and np.max(np.abs(y - z)) <= 1e-13
+    assert np.max(np.abs(q - 0.3)) <= 1e-13
 
 
 def test_one_row_solve_on_a_row_with_zero_entries(monkeypatch):

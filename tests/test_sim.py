@@ -193,6 +193,32 @@ def test_md_bounds_reads_its_probes_as_one_block(monkeypatch):
         assert len(calls) == 1, (variant, noise)
 
 
+def test_negative_run_seeds_raise_config_error(monkeypatch):
+    """Every entry point where a run seed enters rejects a negative one with
+    ``ConfigError``, before any reading, as the CLI and the config loader
+    do."""
+    static = build_ieee37_scenario({"horizon": 10})
+    dynamic = build_ieee37_scenario({"horizon": 10}, variant="dynamic")
+    regret = build_ieee37_scenario(variant="regret")
+    calls = [
+        lambda: run_scheme(static, "stochastic", seed=-1),
+        lambda: run_scheme(static, "exact", seed=[3, -1]),
+        lambda: run_scheme(dynamic, "oracle", seed=-1),
+        lambda: run_scheme(dynamic, "stochastic", seed=[3, -1]),
+        lambda: sim.md_bounds(static, -1),
+        lambda: experiments.run_static_comparison(static, replications=2,
+                                                  base_seed=-1),
+        lambda: experiments.run_regret_experiment(regret, horizons=(10, 20),
+                                                  replications=2, base_seed=-1),
+    ]
+    readings = []
+    monkeypatch.setattr(sim, "read_slots", lambda *args: readings.append(1))
+    for call in calls:
+        with pytest.raises(ConfigError, match="run seed must be a nonnegative"):
+            call()
+    assert not readings
+
+
 def test_noise_config_validation():
     with pytest.raises(ConfigError):
         NoiseConfig(sigma_temp=-1.0)
