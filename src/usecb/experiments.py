@@ -5,9 +5,10 @@ derive from the base seed, and each run draws its observation noise as rows
 of one sequence per (seed, stream).  The regret experiment and the static
 comparison run their replications in this process, as stacked programs
 (:func:`~usecb.mirror.run_online` on a stack of start points, one for all
-replications; :func:`~usecb.sim.run_scheme` on a sequence of seeds, 16
-seeds at a time per scheme), so the per-slot cost of the many small numpy
-calls is paid once for all rows.  No command uses a process pool:
+replications, fed :func:`~usecb.sim.scenario_linear_terms`;
+:func:`~usecb.sim.run_scheme` on a sequence of seeds, 16 seeds at a time
+per scheme), so the per-slot cost of the many small numpy calls is paid
+once for all rows.  No command uses a process pool:
 :func:`map_replications` (a process per job, so jobs and their arguments
 pickle; results merge by sorted key), :func:`default_workers` and
 :func:`run_scheme_job` remain as the benchmark's fan-out until ROADMAP open
@@ -16,6 +17,7 @@ items 1 and 2 delete them.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import AssumptionError, ConfigError
 from .mirror import minimize_projected, regret, run_online
 from .sim import (check_window, md_bounds, metrics, replication_seed,
-                  run_scheme, run_seed, scenario_gradient_oracle)
+                  run_scheme, run_seed, scenario_linear_terms)
 
 __all__ = [
     "static_problem",
@@ -82,27 +84,22 @@ def run_scheme_job(scenario, scheme, seed):
     return run_scheme(scenario, scheme, seed=seed)
 
 
-def _regret_job(scenario, horizons, seeds, D, g_star, a_star):
+def _regret_job(scenario, horizons, seeds, D, g_star, f_star):
     """R_T of each of ``seeds`` (rows) at each of the ascending ``horizons``
     (columns), from one stacked run of the longest: step t of a run sees the
     same readings whatever its length, so the run's first T iterates are
-    those of a run of length T.  Regret is accounted block by block as the
-    iterates come, so memory does not grow with the horizon."""
+    those of a run of length T.  Each block of iterates is kept only as its
+    true values, one float per step and run."""
     quad = scenario.objective
     b_true = scenario.true_linear_term()
     fset = scenario.env_set
-    totals = np.empty((len(seeds), len(horizons)))
-    done, running = 0, np.zeros(len(seeds))
-    for points in run_online(fset, scenario_gradient_oracle(scenario, seeds),
-                             horizons[-1], D, g_star,
-                             np.tile(fset.midpoint(), (len(seeds), 1))):
-        _, curve = regret(points, lambda x: quad.value(x, b_true), a_star,
-                          running)
-        for i, T in enumerate(horizons):
-            if done < T <= done + curve.shape[1]:
-                totals[:, i] = curve[:, T - 1 - done]
-        done, running = done + curve.shape[1], curve[:, -1]
-    return totals
+    # Step t reads reading t, so reading 0 goes unread.
+    data = itertools.islice(scenario_linear_terms(scenario, seeds), 1, None)
+    values = np.concatenate(
+        [quad.value(points, b_true) for points in run_online(
+            fset, quad.grad, data, horizons[-1], D, g_star,
+            np.tile(fset.midpoint(), (len(seeds), 1)))], axis=-1)
+    return regret(values, f_star)[:, np.subtract(horizons, 1)]
 
 
 def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
@@ -114,22 +111,28 @@ def run_regret_experiment(scenario, horizons=(100, 1000, 10000),
     eps = 2 D G* sqrt(T/alpha); the comparison bound is the concentration
     expression exp(-alpha eps^2 / (16 T D^2 G*^2)), which evaluates to
     exp(-1/4) at that eps.  alpha = 1 is the strong-convexity constant of
-    the potential ||x||^2 / 2.  Raises ``ConfigError`` for an empty or
-    nonpositive horizon list, fewer than one replication or a negative
-    ``base_seed``.
+    the potential ||x||^2 / 2.  Repeated horizons count once.  Raises
+    ``ConfigError`` for an empty or nonpositive horizon list, fewer than
+    one replication or a negative ``base_seed``, and ``AssumptionError``
+    when D or G* is not positive (a set that is a single point, say), before
+    any step.
     """
-    horizons = sorted(int(t) for t in horizons)
+    horizons = sorted({int(t) for t in horizons})
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"horizons must be positive integers, got {horizons}")
     _check_replications(replications)
     base_seed = scenario.seed if base_seed is None else run_seed(base_seed)
-    a_star, f_star = static_problem(scenario)
     D, g_star = md_bounds(scenario, base_seed)
+    if not (D > 0 and g_star > 0):
+        raise AssumptionError(
+            f"step rule needs positive D and G*, got D = {D:g} and "
+            f"G* = {g_star:g}")
+    _, f_star = static_problem(scenario)
     alpha = 1.0
 
     totals = _regret_job(scenario, horizons,
                          [replication_seed(base_seed, rep)
-                          for rep in range(replications)], D, g_star, a_star)
+                          for rep in range(replications)], D, g_star, f_star)
 
     per_T = {}
     for i, T in enumerate(horizons):

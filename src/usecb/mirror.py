@@ -9,6 +9,8 @@ Step sizes follow eta_t = D / (G* sqrt(t)) where D bounds the Bregman
 radius of the set and G* the norm of the (stochastic) gradients.
 :func:`estimate_bounds` produces conservative values for both from box
 geometry and gradient sampling.
+:func:`run_online` and :func:`minimize_projected` both take the gradient as
+``grad(x, b)``; the online run draws step t's ``b`` from its data.
 """
 
 from __future__ import annotations
@@ -80,20 +82,20 @@ def estimate_bounds(fset, grads, rng):
 _BLOCK = 256
 
 
-def run_online(fset, oracle, T, D, G_star, x0):
+def run_online(fset, grad, data, T, D, G_star, x0):
     """Run T steps of projected SGD from ``x0``, one start point or an
     ``(R, n)`` stack of them, one independent run per row.
 
     Yields the iterates in consecutive blocks of at most 256 steps, each
     ``(k, n)`` (``(R, k, n)`` for a stack), so memory does not grow with T;
-    step t+1 plays the iterate at index t of the run.  ``oracle(t, a)``
-    returns a stochastic gradient at ``a`` (one row per row of a stack)
-    whose conditional expectation is the true gradient; determinism of the
-    run is the oracle's responsibility.  No step follows the last iterate,
-    so the oracle is asked for steps 1 to T-1 only.
+    step t+1 plays the iterate at index t of the run.  Step t moves along
+    ``grad(a, b)`` with ``b`` the next item of ``data`` (one row per row of
+    a stack), whose gradient is the true one in expectation.  No step
+    follows the last iterate, so T-1 items are read.
     """
     if D <= 0 or G_star <= 0:
         raise ValueError("D and G* must be positive")
+    data = iter(data)
     a = fset.project(np.asarray(x0, dtype=float))
     step = np.empty_like(a)
     for start in range(0, T, _BLOCK):
@@ -101,31 +103,19 @@ def run_online(fset, oracle, T, D, G_star, x0):
         eta = step_size(np.arange(start + 1, start + points.shape[-2] + 1),
                         D, G_star).tolist()
         for i, eta_t in enumerate(eta):
-            t = start + i + 1
             points[..., i, :] = a
-            if t < T:
-                g = np.asarray(oracle(t, a), dtype=float)
-                np.subtract(a, np.multiply(eta_t, g, out=step), out=step)
-                fset.project(step, out=a)
+            if start + i + 1 < T:
+                np.multiply(eta_t, grad(a, next(data)), out=step)
+                fset.project(np.subtract(a, step, out=step), out=a)
         yield points
 
 
-def regret(points, f_true, a_star, start):
-    """Cumulative excess objective over the best fixed point.
-
-    ``f_true`` maps a stack of points to their values.  Returns (R_T,
-    curve) where curve[..., t] is ``start`` plus the sum over the first t+1
-    iterates of f_true(a_s) - f_true(a_star), for ``(T, n)`` iterates or
-    each run of ``(R, T, n)`` ones.  ``start`` carries the running total of
-    earlier blocks of a run in (0 for its first): it enters the cumulative
-    sum as its first term, so blocks accounted one after another add up
-    exactly as the whole run would.
-    """
-    gaps = f_true(np.asarray(points, dtype=float)) - f_true(
-        np.asarray(a_star, dtype=float))
-    start = np.broadcast_to(start, gaps.shape[:-1])[..., None]
-    curve = np.cumsum(np.concatenate([start, gaps], axis=-1), axis=-1)[..., 1:]
-    return curve[..., -1], curve
+def regret(values, f_star):
+    """Cumulative excess objective over the best fixed point: for the true
+    objective values of a run's iterates in order, ``(T,)``, or of R runs,
+    ``(R, T)``, the curve whose entry t is the sum over the first t+1
+    iterates of ``values - f_star``.  Its last entry is R_T."""
+    return np.cumsum(values - f_star, axis=-1)
 
 
 # Steps after which minimize_projected gives up on its tolerance.

@@ -215,41 +215,25 @@ def _noisy_linear_terms(scenario, slots, streams):
     return scenario.objective.linear_term(c_in, c_out, p_g)
 
 
-# Steps whose readings the gradient oracle builds at once: large enough to
-# spread the per-block cost, small enough that memory does not grow with T.
-_ORACLE_CHUNK = 256
+# Readings that scenario_linear_terms builds at once: enough to spread the
+# per-block cost, few enough that memory does not grow with the run.
+_READING_CHUNK = 256
 
 
-def scenario_gradient_oracle(scenario, seeds):
-    """Stochastic gradient closure over the readings of one run per seed of
-    the sequence ``seeds`` on the static ``scenario``.
-
-    ``oracle(t, x)`` returns, for t = 1, 2, ... in increasing order (as
-    :func:`~usecb.mirror.run_online` asks), the gradients at the ``(R, n)``
-    stack ``x`` of the objective as reading t of each run sees it: row r
-    reads seed r's streams.  Every reading is of the frozen slot 0, and
-    reading t is row t of the run's streams (row 0 goes unused).  The
-    readings and their linear terms are built ``_ORACLE_CHUNK`` steps at a
-    time, so reading t does not depend on how many steps follow, and held
-    step-major, ``(k, R, n)``, so that step t's rows are one contiguous
-    ``(R, n)`` slab.
+def scenario_linear_terms(scenario, seeds):
+    """Yield, for k = 0, 1, ..., the ``(R, n)`` linear terms of the
+    objective as reading k of one run per seed of the sequence ``seeds`` on
+    the static ``scenario`` sees them: row r reads seed r's streams.  Every
+    reading is of the frozen slot 0, and reading k is row k of the run's
+    streams.  The readings are built ``_READING_CHUNK`` at a time, so
+    reading k does not depend on how many are read after it, and held
+    step-major, ``(k, R, n)``, so that each item is one contiguous slab.
     """
-    quad = scenario.objective
     streams = [noise_streams(s) for s in seeds]
-    slots = np.zeros(_ORACLE_CHUNK, dtype=int)
-    start, b = 0, np.empty((0, len(seeds), scenario.n_loads))
-
-    def oracle(t, x):
-        nonlocal start, b
-        if t < start:
-            raise ValueError(f"oracle step {t} comes before its block at {start}")
-        while t >= start + len(b):
-            start += len(b)
-            b = np.stack([_noisy_linear_terms(scenario, slots, st)
-                          for st in streams], axis=1)
-        return quad.grad(x, b[t - start])
-
-    return oracle
+    slots = np.zeros(_READING_CHUNK, dtype=int)
+    while True:
+        yield from np.stack([_noisy_linear_terms(scenario, slots, st)
+                             for st in streams], axis=1)
 
 
 def run_seed(seed):

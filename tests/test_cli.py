@@ -7,9 +7,9 @@ import pytest
 
 from usecb import cli, experiments
 from usecb.cli import main
-from usecb.errors import ConfigError, ProjectionError
+from usecb.errors import AssumptionError, ConfigError, ProjectionError
 from usecb.experiments import run_regret_experiment, run_static_comparison
-from usecb.sim import build_ieee37_scenario, data_path
+from usecb.sim import build_ieee37_scenario, data_path, load_scenario
 
 
 def _data(name):
@@ -503,6 +503,39 @@ def test_regret_zero_replications_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "replications" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_regret_on_a_point_box_exits_4_before_any_step(tmp_path, capsys,
+                                                      monkeypatch):
+    """A one-point AC box has D = 0, so the step rule is undefined: the
+    experiment raises ``AssumptionError`` naming D and G* before it runs a
+    step, and the CLI exits 4 without writing a report."""
+    with open(_data("ieee37_regret.json")) as fh:
+        cfg = json.load(fh)
+    cfg["load"]["ac_min_mw"] = cfg["load"]["ac_max_mw"] = 1.2
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(experiments, "run_online", None)
+    rc = main(["regret", "--config", str(path), "--horizons", "10,20",
+               "--replications", "2", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "D = 0 and G* = " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(AssumptionError, match=r"positive D and G\*"):
+        run_regret_experiment(load_scenario(str(path)), horizons=(10, 20),
+                              replications=2)
+
+
+def test_regret_experiment_counts_a_repeated_horizon_once():
+    scn = build_ieee37_scenario(variant="regret")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        twice = run_regret_experiment(scn, horizons=(50, 50), replications=2,
+                                      base_seed=3)
+    once = run_regret_experiment(scn, horizons=(50,), replications=2,
+                                 base_seed=3)
+    assert twice["horizons"] == [50] and twice["slope"] is None
+    assert twice == once
 
 
 def test_experiments_reject_bad_sizes(monkeypatch):

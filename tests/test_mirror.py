@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,25 @@ def _psi(x):
 
 
 def _noisy_quadratic(center, sigma, seed):
-    """Gradient oracle for f(x) = ||x - center||^2 with Gaussian noise."""
+    """``(grad, data)`` for f(x) = ||x - center||^2 with Gaussian noise:
+    ``grad(x, b)`` adds the reading ``b`` to the true gradient, and ``data``
+    yields the readings, ``sigma`` times standard normals of the center's
+    shape."""
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
 
-    def oracle(t, x):
-        return 2.0 * (x - center) + sigma * rng.standard_normal(center.shape)
+    def grad(x, b):
+        return 2.0 * (x - center) + b
 
-    return oracle
+    def data():
+        while True:
+            yield sigma * rng.standard_normal(center.shape)
+
+    return grad, data()
+
+
+# ``(grad, data)`` of a run whose gradient is always zero.
+_STILL = (lambda x, b: np.zeros(2), itertools.repeat(None))
 
 
 def _iterates(*args):
@@ -132,10 +145,10 @@ def test_run_online_zero_noise_converges_to_grid_minimum():
     def f(x):
         return float(np.sum((x - center) ** 2))
 
-    oracle = _noisy_quadratic(center, 0.0, seed=0)
     D, g_star = estimate_bounds(fs, _rows(lambda x: 2.0 * (x - center)),
                                 np.random.default_rng(0))
-    points = _iterates(fs, oracle, 500, D, g_star, fs.midpoint())
+    points = _iterates(fs, *_noisy_quadratic(center, 0.0, seed=0), 500, D,
+                       g_star, fs.midpoint())
     xs = np.linspace(0, 1, 1001)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vals = (gx - center[0]) ** 2 + (gy - center[1]) ** 2
@@ -145,17 +158,16 @@ def test_run_online_zero_noise_converges_to_grid_minimum():
 
 def test_run_online_zero_gradient_stays_put():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    points = _iterates(fs, lambda t, x: np.zeros(2), 50, 1.0, 1.0,
-                        np.array([0.25, 0.75]))
+    points = _iterates(fs, *_STILL, 50, 1.0, 1.0, np.array([0.25, 0.75]))
     assert np.array_equal(points, np.tile([0.25, 0.75], (50, 1)))
 
 
 def test_run_online_seeded_determinism():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    p1 = _iterates(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
-                    fs.midpoint())
-    p2 = _iterates(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
-                    fs.midpoint())
+    p1 = _iterates(fs, *_noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
+                   fs.midpoint())
+    p2 = _iterates(fs, *_noisy_quadratic([0.4, 0.6], 1.0, 7), 200, 1.0, 3.0,
+                   fs.midpoint())
     assert np.array_equal(p1, p2)
 
 
@@ -163,43 +175,40 @@ def test_run_online_iterates_always_feasible():
     fs = FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3),
                      A_volt=np.ones((1, 3)), offset=np.zeros(1),
                      v_min=-np.inf, v_max=2.0)
-    points = _iterates(fs, _noisy_quadratic([2.0, 2.0, 2.0], 2.0, 3), 300,
-                        1.3, 4.0, fs.midpoint())
+    points = _iterates(fs, *_noisy_quadratic([2.0, 2.0, 2.0], 2.0, 3), 300,
+                       1.3, 4.0, fs.midpoint())
     for p in points:
         assert fs.contains(p)
 
 
 def test_run_online_yields_blocks_of_at_most_256_steps():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
-    blocks = list(run_online(fs, _noisy_quadratic([0.4, 0.6], 1.0, 7), 600,
+    blocks = list(run_online(fs, *_noisy_quadratic([0.4, 0.6], 1.0, 7), 600,
                              1.0, 3.0, np.tile(fs.midpoint(), (3, 1))))
     assert [b.shape for b in blocks] == [(3, 256, 2), (3, 256, 2), (3, 88, 2)]
 
 
-def test_regret_of_blocks_adds_up_to_the_whole_run():
-    center = np.array([0.3, 0.6, 0.5])
-    fs = FeasibleSet(p_min=np.zeros(3), p_max=np.ones(3))
+def test_run_online_reads_one_item_per_step_but_the_last():
+    """A run of T steps draws items 1 to T-1 of ``data``, across its blocks,
+    and never item T."""
+    fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
+    T, drawn = 600, []
 
-    def f(x):
-        return np.sum((x - center) ** 2, axis=-1)
+    def data():
+        for k in range(T - 1):
+            drawn.append(k)
+            yield np.zeros(2)
+        raise AssertionError(f"item {T} read")
 
-    def run():
-        return run_online(fs, _noisy_quadratic(center, 1.0, 4), 700, 1.0, 3.0,
-                          fs.midpoint())
-
-    whole, _ = regret(np.concatenate(list(run())), f, center, 0.0)
-    running = 0.0
-    for points in run():
-        running, _ = regret(points, f, center, running)
-    assert running == whole
+    points = _iterates(fs, _STILL[0], data(), T, 1.0, 3.0, fs.midpoint())
+    assert points.shape == (T, 2) and len(drawn) == T - 1
 
 
 def test_run_online_rejects_nonpositive_bounds():
     fs = FeasibleSet(p_min=[0.0, 0.0], p_max=[1.0, 1.0])
     for D, g_star in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
         with pytest.raises(ValueError):
-            _iterates(fs, lambda t, x: np.zeros(2), 5, D, g_star,
-                      fs.midpoint())
+            _iterates(fs, *_STILL, 5, D, g_star, fs.midpoint())
 
 
 # --- regret ----------------------------------------------------------------------
@@ -215,19 +224,22 @@ def _toy_regret(T, sigma, seed, center=(0.3, 0.6, 0.5)):
     D, g_star = estimate_bounds(
         fs, _rows(lambda x: 2.0 * (x - center) + sigma * rng.standard_normal(3)),
         np.random.default_rng(0))
-    points = _iterates(fs, _noisy_quadratic(center, sigma, seed), T, D,
-                        g_star, fs.midpoint())
-    total, curve = regret(points, f, center, 0.0)
-    return total, curve, D, g_star
+    points = _iterates(fs, *_noisy_quadratic(center, sigma, seed), T, D,
+                       g_star, fs.midpoint())
+    curve = regret(f(points), f(center))
+    return curve[-1], curve, D, g_star
 
 
 def test_regret_zero_at_optimum():
     fs = FeasibleSet(p_min=np.zeros(2), p_max=np.ones(2))
     center = np.array([0.5, 0.5])
-    points = _iterates(fs, lambda t, x: np.zeros(2), 20, 1.0, 1.0, center)
-    total, curve = regret(points, lambda x: np.sum((x - center) ** 2, axis=-1),
-                          center, 0.0)
-    assert total == pytest.approx(0.0, abs=1e-12)
+
+    def f(x):
+        return np.sum((x - center) ** 2, axis=-1)
+
+    points = _iterates(fs, *_STILL, 20, 1.0, 1.0, center)
+    curve = regret(f(points), f(center))
+    assert curve[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regret_curve_nondecreasing():

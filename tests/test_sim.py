@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
 import tracemalloc
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from usecb import experiments, sim
+from usecb import experiments, mirror, sim
 from usecb.errors import (ConfigError, FeasibilityError, ModelError,
                           ProjectionError)
 from usecb.mirror import run_online, step_size
@@ -126,10 +127,15 @@ def test_noise_generators_do_not_grow_with_the_horizon(monkeypatch):
             {"horizon": h}), scheme, seed=3)) for h in (10, 30))
         assert short == long, scheme
     scn = build_ieee37_scenario(variant="regret")
-    a_star = experiments.static_problem(scn)[0]
+    f_star = experiments.static_problem(scn)[1]
     short, long = (count(lambda T=T: experiments._regret_job(
-        scn, (T,), (3,), 0.5, 20.0, a_star)) for T in (10, 600))
+        scn, (T,), (3,), 0.5, 20.0, f_star)) for T in (10, 600))
     assert short == long
+
+
+def _regret_readings(scn, seeds):
+    """The linear terms a regret run's step t reads: reading t, from 1."""
+    return itertools.islice(sim.scenario_linear_terms(scn, seeds), 1, None)
 
 
 def test_regret_run_prefix_does_not_depend_on_its_length():
@@ -137,17 +143,36 @@ def test_regret_run_prefix_does_not_depend_on_its_length():
     first 100 iterates of a T = 1000 run are those of the T = 100 run, and
     a stacked run's R_100 is the same whether or not it goes on to 1000."""
     scn = build_ieee37_scenario(variant="regret")
-    a_star = experiments.static_problem(scn)[0]
+    f_star = experiments.static_problem(scn)[1]
     D, g_star = sim.md_bounds(scn, 21)
     fset = scn.env_set
     runs = [np.concatenate(list(run_online(
-        fset, sim.scenario_gradient_oracle(scn, [21]), T, D, g_star,
+        fset, scn.objective.grad, _regret_readings(scn, [21]), T, D, g_star,
         fset.midpoint()[None])), axis=1)[0] for T in (100, 1000)]
     assert runs[1].shape == (1000, scn.n_loads)
     assert np.array_equal(runs[1][:100], runs[0])
-    short = experiments._regret_job(scn, (100,), (21, 22), D, g_star, a_star)
-    long = experiments._regret_job(scn, (100, 1000), (21, 22), D, g_star, a_star)
+    short = experiments._regret_job(scn, (100,), (21, 22), D, g_star, f_star)
+    long = experiments._regret_job(scn, (100, 1000), (21, 22), D, g_star, f_star)
     assert [row[0] for row in long] == [row[0] for row in short]
+
+
+def test_regret_job_totals_are_one_cumsum_over_an_unblocked_run(monkeypatch):
+    """R_T at horizons on either side of a 256-step block edge, and past
+    the second, equals bit for bit the cumulative sum over the true values
+    of a run yielded as one block."""
+    scn = build_ieee37_scenario(variant="regret")
+    quad, fset = scn.objective, scn.env_set
+    f_star = experiments.static_problem(scn)[1]
+    D, g_star = sim.md_bounds(scn, 21)
+    seeds = (21, 22)
+    got = experiments._regret_job(scn, (256, 257, 600), seeds, D, g_star,
+                                  f_star)
+    monkeypatch.setattr(mirror, "_BLOCK", 600)
+    (points,) = run_online(fset, quad.grad, _regret_readings(scn, seeds), 600,
+                           D, g_star, np.tile(fset.midpoint(), (2, 1)))
+    want = np.cumsum(quad.value(points, scn.true_linear_term()) - f_star,
+                     axis=-1)
+    assert np.array_equal(got, want[:, [255, 256, 599]])
 
 
 def test_regret_experiment_runs_each_replication_once(monkeypatch):
@@ -155,10 +180,10 @@ def test_regret_experiment_runs_each_replication_once(monkeypatch):
     gives every horizon's R_T."""
     calls = []
 
-    def recorded(fset, oracle, T, D, g_star, x0, *args, _real=run_online,
+    def recorded(fset, grad, data, T, D, g_star, x0, *args, _real=run_online,
                  **kwargs):
         calls.append((np.shape(x0)[0], T))
-        return _real(fset, oracle, T, D, g_star, x0, *args, **kwargs)
+        return _real(fset, grad, data, T, D, g_star, x0, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_online", recorded)
     experiments.run_regret_experiment(build_ieee37_scenario(variant="regret"),

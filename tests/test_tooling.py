@@ -59,10 +59,10 @@ def test_package_all_resolves():
 
 def test_bench_program_names_resolve():
     """Every ``experiments.<name>`` and ``sim.<name>`` that the benchmark's
-    runner and workloads refer to exists in the program, so deleting one
-    fails here, not only in a benchmark run."""
+    runner, workloads and self-test refer to exists in the program, so
+    deleting one fails here, not only in a benchmark run."""
     used = set()
-    for script in ("run.py", "workloads.py"):
+    for script in ("run.py", "workloads.py", "selftest.py"):
         tree = ast.parse((ROOT / "bench" / script).read_text())
         used |= {(node.value.id, node.attr) for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)
