@@ -2,12 +2,14 @@
 
 Subcommands: simulate, compare, regret, flows, validate, gradcheck.  All
 output is data (CSV / JSON); plotting stays external.  Exit codes: 0 ok,
-2 configuration error, 3 model/feasibility error, 4 violated assumption.
+2 configuration error (an ``--out`` path that cannot be written too),
+3 model/feasibility error, 4 violated assumption.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -81,15 +83,43 @@ def _seed(args, scenario):
     return args.seed
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an ``OSError`` of the block into ``ConfigError`` naming
+    ``path``: the output paths are command-line arguments."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_out_dir(path):
+    """``ConfigError`` unless ``path`` is a directory or ``os.makedirs``
+    can make it one: its nearest existing ancestor must be a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"cannot write {path}: {probe} is not a directory")
+
+
+def _make_out_dir(path):
+    _check_out_dir(path)
+    with _writing(path):
+        os.makedirs(path, exist_ok=True)
+
+
 def _cmd_simulate(args):
     scenario = _load(args)
     seed = _seed(args, scenario)
+    _make_out_dir(args.out)
     run = run_scheme(scenario, args.scheme, seed=seed)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"slots_{args.scheme}_{seed}.csv")
     json_path = os.path.join(args.out, f"summary_{args.scheme}_{seed}.json")
-    write_run_csv(run, csv_path)
-    write_json(metrics(run), json_path)
+    with _writing(csv_path):
+        write_run_csv(run, csv_path)
+    with _writing(json_path):
+        write_json(metrics(run), json_path)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return EXIT_OK
@@ -98,16 +128,19 @@ def _cmd_simulate(args):
 def _cmd_compare(args):
     scenario = _load(args)
     seed = _seed(args, scenario)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     # Every scheme runs before any file is written, so a scheme that fails
     # leaves no outputs of the others behind.
     runs = {scheme: run_scheme(scenario, scheme, seed=seed) for scheme in SCHEMES}
     summary = {}
     for scheme, run in runs.items():
-        write_run_csv(run, os.path.join(args.out, f"slots_{scheme}_{seed}.csv"))
+        path = os.path.join(args.out, f"slots_{scheme}_{seed}.csv")
+        with _writing(path):
+            write_run_csv(run, path)
         summary[scheme] = metrics(run)
     path = os.path.join(args.out, f"compare_{seed}.json")
-    write_json(summary, path)
+    with _writing(path):
+        write_json(summary, path)
     print(f"wrote {path}")
     for scheme in SCHEMES:
         m = summary[scheme]
@@ -125,14 +158,18 @@ def _cmd_regret(args):
         horizons = [int(x) for x in args.horizons.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"bad --horizons value {args.horizons!r}") from None
+    # Checked, not made, before the run: a run that fails its own checks
+    # leaves no --out behind.
+    _check_out_dir(args.out)
     report = run_regret_experiment(scenario, horizons=horizons,
                                    replications=args.replications,
                                    base_seed=seed)
     if args.replications < 2:
         report["variance_note"] = "undefined with a single replication"
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     path = os.path.join(args.out, f"regret_{seed}.json")
-    write_json(report, path)
+    with _writing(path):
+        write_json(report, path)
     print(f"wrote {path}")
     for T in report["horizons"]:
         row = report["per_horizon"][str(T)]
@@ -163,7 +200,7 @@ def _cmd_flows(args):
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        with atomic_write(args.out) as fh:
+        with _writing(args.out), atomic_write(args.out) as fh:
             fh.write(text)
     return EXIT_OK
 

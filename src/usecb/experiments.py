@@ -12,7 +12,10 @@ once for all rows.  No command uses a process pool:
 :func:`map_replications` (a process per job, so jobs and their arguments
 pickle; results merge by sorted key), :func:`default_workers` and
 :func:`run_scheme_job` remain as the benchmark's fan-out until ROADMAP open
-items 1 and 2 delete them.
+items 1 and 2 delete them.  :func:`map_replications` imports
+``ProcessPoolExecutor`` only when it starts a pool, so importing the package
+(``usecb`` or its CLI) or running jobs in process does not load
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import itertools
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -55,6 +57,9 @@ def map_replications(fn, jobs):
     workers = default_workers()
     if workers <= 1 or len(keys) <= 1:
         return {k: fn(*jobs[k]) for k in keys}
+    # Deferred: loading the pool's modules costs about 11 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *jobs[k]) for k in keys]
         return {k: fut.result() for k, fut in zip(keys, futures)}

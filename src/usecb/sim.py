@@ -245,6 +245,13 @@ def run_seed(seed):
     return seed
 
 
+def _probe_slots(horizon):
+    """The distinct slots of 8 spread evenly over ``horizon``, ascending."""
+    # Not np.unique, which imports numpy.ma (12 ms) on a process's first call.
+    return np.array(sorted(set(
+        np.linspace(0, horizon - 1, 8, dtype=int).tolist())))
+
+
 def md_bounds(scenario, seed):
     """(D, G*) for the step rule on the scenario's slot-0 set, sampled from
     the stochastic oracle.
@@ -260,7 +267,7 @@ def md_bounds(scenario, seed):
     seed = run_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, STREAM_BOUNDS)))
     quad = scenario.objective
-    probe_slots = np.unique(np.linspace(0, scenario.horizon - 1, 8, dtype=int))
+    probe_slots = _probe_slots(scenario.horizon)
     streams = noise_streams(derived_seed(seed, STREAM_PROBES))
 
     def grads(points):

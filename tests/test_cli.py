@@ -73,6 +73,16 @@ def test_flows_prints_what_it_writes(tmp_path, capsys):
     assert out.read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/x.csv"])
+def test_flows_out_it_cannot_write_exits_2(target, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    assert main(["flows", "--config", _data("flows_central.json"),
+                 "--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+
 # --- simulate ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -134,6 +144,30 @@ def test_negative_seed_exits_2_naming_it(command, short_static_config,
                  "--out", str(out)]) == 2
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["taken", "taken/sub"])
+@pytest.mark.parametrize("command", ["simulate", "compare", "regret"])
+def test_out_on_a_file_exits_2_before_any_run(command, target,
+                                              short_static_config, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_scheme", None)
+    monkeypatch.setattr(cli, "run_regret_experiment", None)
+    (tmp_path / "taken").write_text("kept\n")
+    out = tmp_path / target
+    assert main([command, "--config", short_static_config,
+                 "--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_simulate_output_it_cannot_write_exits_2_naming_it(short_static_config,
+                                                          tmp_path, capsys):
+    blocked = tmp_path / "slots_stochastic_42.csv"
+    blocked.mkdir()
+    assert main(["simulate", "--config", short_static_config,
+                 "--out", str(tmp_path)]) == 2
+    assert f"error: cannot write {blocked}" in capsys.readouterr().err
 
 
 # --- validate / gradcheck --------------------------------------------------------

@@ -2,8 +2,12 @@ import copy
 import dataclasses
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +21,8 @@ from usecb.sim import (NoiseConfig, build_ieee37_scenario, data_path,
                        load_scenario, metrics, observe, run_scheme)
 
 from conftest import same_bits
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +222,77 @@ def test_md_bounds_reads_its_probes_as_one_block(monkeypatch):
         sim.md_bounds(build_ieee37_scenario({"horizon": 20, "noise": noise},
                                             variant=variant), 3)
         assert len(calls) == 1, (variant, noise)
+
+
+@pytest.mark.parametrize("horizon", [*range(1, 41), 500, 900])
+def test_probe_slots_are_the_distinct_slots_of_eight_spread(horizon):
+    want = np.unique(np.linspace(0, horizon - 1, 8, dtype=int))
+    assert same_bits(sim._probe_slots(horizon), want)
+
+
+def _md_bounds_with_unique(scenario, seed):
+    """``md_bounds`` as written with ``np.unique`` for its probe slots."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, sim.STREAM_BOUNDS)))
+    probes = np.unique(np.linspace(0, scenario.horizon - 1, 8, dtype=int))
+    streams = sim.noise_streams(sim.derived_seed(seed, sim.STREAM_PROBES))
+
+    def grads(points):
+        return scenario.objective.grad(points, sim._noisy_linear_terms(
+            scenario, np.resize(probes, len(points)), streams))
+
+    return mirror.estimate_bounds(scenario.env_set, grads, rng)
+
+
+@pytest.mark.parametrize("horizon", [5, 60])
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_md_bounds_equal_the_unique_probe_formula(variant, horizon):
+    """Bit for bit, also where the 8 spread slots repeat (T = 5)."""
+    scn = build_ieee37_scenario({"horizon": horizon}, variant=variant)
+    for seed in (1, 5, 42):
+        got = sim.md_bounds(scn, seed)
+        assert same_bits(got, _md_bounds_with_unique(scn, seed)), seed
+
+
+_RUN_PATH = """
+import os, sys
+from usecb import experiments, sim
+from usecb.errors import ProjectionError
+
+scns = [sim.build_ieee37_scenario({"horizon": 12}, variant=v)
+        for v in ("static", "dynamic", "regret")]
+scns.append(sim.build_ieee37_scenario(
+    {"horizon": 12, "voltage_band": {"v_min": 0.975}}, variant="dynamic"))
+out = sys.argv[1]
+loaded = set(sys.modules)
+for scn in scns:
+    for scheme in sim.SCHEMES:
+        try:
+            run = sim.run_scheme(scn, scheme, seed=3)
+        except ProjectionError:  # exact and oracle on the tight band
+            continue
+        sim.write_run_csv(run, os.path.join(out, "slots.csv"))
+        sim.write_json(sim.metrics(run), os.path.join(out, "summary.json"))
+experiments.run_regret_experiment(scns[2], horizons=(10, 20), replications=2,
+                                  base_seed=3)
+experiments.run_static_comparison(scns[0], replications=2, base_seed=3,
+                                  window=5)
+print(sorted(set(sys.modules) - loaded))
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process")
+             if m in sys.modules))
+"""
+
+
+def test_run_path_imports_no_module(tmp_path):
+    """In a fresh interpreter, once the scenarios are loaded, running every
+    scheme, the metrics, both writers and both experiments imports no
+    module: a lazy import (``np.unique`` loads ``numpy.ma``) would make a
+    process's first run slower than its later ones.  Nor is the process
+    pool's ``multiprocessing`` loaded by running in process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _RUN_PATH, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_negative_run_seeds_raise_config_error(monkeypatch):
